@@ -265,26 +265,36 @@ def _history_enc(model: ArbitratorModel, history: Sequence[Utterance],
                           model.turn_cap, model.subturn_cap)
 
 
+def _imagination(ids: Sequence[int]) -> tuple[list[int], bool]:
+    """An imagination with no token other than PAD is empty: it becomes [EOS].
+
+    Returns the ids to encode and whether the imagination was empty. Training
+    and inference both go through here, so they see the same texts.
+    """
+    if all(i == PAD for i in ids):
+        return [EOS], True
+    return list(ids), False
+
+
 def decide_with_imagined(model: ArbitratorModel, history_enc: EncodedHistory,
                          agent_ids: Sequence[int], user_ids: Sequence[int],
                          vocab: Vocabulary | None = None) -> Decision:
     """ITA decision from already-generated responses (token ids only).
 
-    Empty generations are replaced by a single EOS token and flagged.
+    Empty generations (nothing but PAD) are replaced by a single EOS token
+    and flagged.
     """
     if model.mode != "ita":
         raise ValueError("decide_with_imagined needs a model in ita mode")
-    flags = []
-    if len(agent_ids) == 0:
-        agent_ids = [EOS]
-        flags.append("empty_agent_generation")
-    if len(user_ids) == 0:
-        user_ids = [EOS]
-        flags.append("empty_user_generation")
-    c_his = encode_text(model, history_enc)
-    c_agent = encode_text(model, encode_response_ids(agent_ids, AGENT))
-    c_user = encode_text(model, encode_response_ids(user_ids, USER))
-    probs = fuse_paths(c_his, c_agent, c_user, model).data[0].copy()
+    agent_ids, agent_empty = _imagination(agent_ids)
+    user_ids, user_empty = _imagination(user_ids)
+    flags = [f"empty_{role}_generation"
+             for role, empty in ((AGENT, agent_empty), (USER, user_empty)) if empty]
+    with ad.no_grad():
+        c_his = encode_text(model, history_enc)
+        c_agent = encode_text(model, encode_response_ids(agent_ids, AGENT))
+        c_user = encode_text(model, encode_response_ids(user_ids, USER))
+        probs = fuse_paths(c_his, c_agent, c_user, model).data[0].copy()
     to_text = (lambda ids: tuple(vocab.decode_id(i) for i in ids)) if vocab else tuple
     return Decision(label=_argmax_label(probs), probs=probs,
                     imagined_agent=to_text(agent_ids),
@@ -307,8 +317,9 @@ def baseline_predict(history: Sequence[Utterance], model: ArbitratorModel,
     """History-only classification; imagined fields stay empty."""
     if model.mode != "baseline":
         raise ValueError("baseline_predict needs a model in baseline mode")
-    c_his = encode_text(model, _history_enc(model, history, vocab))
-    probs = _baseline_probs(model, c_his).data[0].copy()
+    h_enc = _history_enc(model, history, vocab)
+    with ad.no_grad():
+        probs = _baseline_probs(model, encode_text(model, h_enc)).data[0].copy()
     return Decision(label=_argmax_label(probs), probs=probs)
 
 
@@ -381,17 +392,19 @@ def prepare_samples(samples: Sequence[ArbitratorSample], model: ArbitratorModel,
     """Encode histories and, in ita mode, cache greedy imaginator decodes.
 
     The imaginators are frozen during arbitrator training, so each history's
-    imagined responses are computed exactly once here.
+    imagined responses are computed exactly once here, one batched decode
+    per imaginator.
     """
-    prepared = []
-    for s in samples:
-        h_enc = _history_enc(model, s.history, vocab)
-        ps = PreparedSample(history_enc=h_enc, label=s.label)
-        if imaginators is not None:
-            agent_im, user_im = imaginators
-            ps.agent_ids = greedy_decode(agent_im, h_enc, max_len=max_len) or [EOS]
-            ps.user_ids = greedy_decode(user_im, h_enc, max_len=max_len) or [EOS]
-        prepared.append(ps)
+    prepared = [PreparedSample(history_enc=_history_enc(model, s.history, vocab), label=s.label)
+                for s in samples]
+    if imaginators is not None:
+        encs = [ps.history_enc for ps in prepared]
+        agent_im, user_im = imaginators
+        for ps, agent_ids, user_ids in zip(prepared,
+                                           greedy_decode(agent_im, encs, max_len=max_len),
+                                           greedy_decode(user_im, encs, max_len=max_len)):
+            ps.agent_ids = _imagination(agent_ids)[0]
+            ps.user_ids = _imagination(user_ids)[0]
     return prepared
 
 
@@ -424,20 +437,11 @@ def train_step(batch: Sequence[PreparedSample], model: ArbitratorModel,
 
 
 def predict_prepared(model: ArbitratorModel, ps: PreparedSample) -> int:
-    return _argmax_label(_sample_probs(model, ps).data[0])
+    with ad.no_grad():
+        return _argmax_label(_sample_probs(model, ps).data[0])
 
 
 def evaluate_prepared(model: ArbitratorModel, prepared: Sequence[PreparedSample]) -> float:
     return accuracy([predict_prepared(model, ps) for ps in prepared],
                     [ps.label for ps in prepared])
 
-
-def train_arbitrator(train_samples: Sequence[ArbitratorSample],
-                     valid_samples: Sequence[ArbitratorSample],
-                     model: ArbitratorModel, vocab: Vocabulary, config,
-                     imaginators=None, metrics_path=None, checkpoint_path=None):
-    """Full training loop; see training.run_training for the mechanics."""
-    from .training import run_training
-    return run_training(config, train_samples, valid_samples, model, vocab,
-                        imaginators=imaginators, metrics_path=metrics_path,
-                        checkpoint_path=checkpoint_path)

@@ -3,7 +3,9 @@
 The tape is implicit: every op links its output tensor to its inputs and keeps a
 closure that routes gradients backwards. ``backward`` walks the recorded
 subgraph in reverse creation order, which is a valid reverse topological order
-because inputs always exist before their consumers.
+because inputs always exist before their consumers. Inside ``no_grad()`` ops
+record nothing, so a forward pass that needs no gradients (decoding,
+inference) frees its intermediates as it goes.
 
 Shape discipline is strict on purpose: binary elementwise ops accept two
 equal-shape tensors or a tensor and a scalar, never anything broadcast. The
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ __all__ = [
     "ParamSet",
     "Adam",
     "backward",
+    "no_grad",
     "constant",
     "matmul",
     "add",
@@ -65,6 +69,18 @@ class TrainingError(RuntimeError):
 
 
 _SEQ = itertools.count()
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Within the block, op results record no parents and no backward rule."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
 
 
 class Tensor:
@@ -78,8 +94,12 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
-        self._parents = _parents
-        self._bwd = _bwd
+        if _recording:
+            self._parents = _parents
+            self._bwd = _bwd
+        else:
+            self._parents = ()
+            self._bwd = None
         self._seq = next(_SEQ)
 
     @property
@@ -97,19 +117,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    # thin operator sugar; the module-level functions are the real surface
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(data, name: str | None = None) -> Tensor:

@@ -24,7 +24,7 @@ from .arbitrator import (
 from .corpus import AGENT, USER, IngestError, Vocabulary
 from .imaginator import beam_decode, evaluate_imaginator
 from .training import (
-    CheckpointError, TrainConfig, TrainingError, load_checkpoint, run_training,
+    CheckpointError, TrainConfig, TrainingError, build_model, load_checkpoint, run_training,
 )
 
 _DEFAULTS = TrainConfig()
@@ -174,25 +174,13 @@ def cmd_train(args) -> int:
                                           valid_frac=cfg.valid_frac,
                                           test_frac=cfg.test_frac)
     imaginators = None
+    model = build_model(cfg, len(vocab))
     if cfg.kind == "imaginator":
-        from .imaginator import ImaginatorModel
         train_s = [s for d in train_d for s in cp.derive_imaginator_samples(d, cfg.role)]
         valid_s = [s for d in valid_d for s in cp.derive_imaginator_samples(d, cfg.role)]
-        model = ImaginatorModel(len(vocab), cfg.role, hidden=cfg.hidden,
-                                token_dim=cfg.token_dim, tag_dim=cfg.tag_dim,
-                                turn_cap=cfg.turn_cap, subturn_cap=cfg.subturn_cap,
-                                max_history=cfg.max_history, seed=cfg.seed)
     else:
-        from .arbitrator import ArbitratorModel
         train_s = [s for d in train_d for s in cp.derive_arbitrator_samples(d)]
         valid_s = [s for d in valid_d for s in cp.derive_arbitrator_samples(d)]
-        model = ArbitratorModel(len(vocab), encoder=cfg.encoder, mode=cfg.mode,
-                                token_dim=cfg.token_dim, tag_dim=cfg.tag_dim,
-                                filter_widths=cfg.parsed_filter_widths(),
-                                filters_per_width=cfg.filters_per_width,
-                                gru_hidden=cfg.gru_hidden, turn_cap=cfg.turn_cap,
-                                subturn_cap=cfg.subturn_cap,
-                                max_history=cfg.max_history, seed=cfg.seed)
         if cfg.mode == "ita":
             imaginators = _load_imaginator_pair(args, vocab)
 

@@ -14,16 +14,15 @@ import time
 from pathlib import Path
 
 from .arbitrator import (
-    ArbitratorModel, accuracy, evaluate_prepared, prepare_samples,
-    random_policy_predictions,
+    accuracy, evaluate_prepared, prepare_samples, random_policy_predictions,
 )
 from .corpus import (
     AGENT, USER, build_vocabulary, derive_arbitrator_samples,
     derive_imaginator_samples, ingest_source, modify_corpus, split_corpus,
 )
-from .imaginator import ImaginatorModel, evaluate_imaginator
+from .imaginator import evaluate_imaginator
 from .synthetic import make_multiwoz_like, make_synthetic_corpus, write_multiwoz_like
-from .training import TrainConfig, run_training
+from .training import TrainConfig, build_model, run_training
 
 
 def _imaginator_config(base: TrainConfig, role: str) -> TrainConfig:
@@ -31,13 +30,11 @@ def _imaginator_config(base: TrainConfig, role: str) -> TrainConfig:
     return cfg
 
 
-def _train_imaginator(cfg: TrainConfig, role, train_d, valid_d, vocab, out_dir):
+def _train_imaginator(cfg: TrainConfig, train_d, valid_d, vocab, out_dir):
+    role = cfg.role
     tr = [s for d in train_d for s in derive_imaginator_samples(d, role)]
     va = [s for d in valid_d for s in derive_imaginator_samples(d, role)]
-    model = ImaginatorModel(len(vocab), role, hidden=cfg.hidden, token_dim=cfg.token_dim,
-                            tag_dim=cfg.tag_dim, turn_cap=cfg.turn_cap,
-                            subturn_cap=cfg.subturn_cap, max_history=cfg.max_history,
-                            seed=cfg.seed)
+    model = build_model(cfg, len(vocab))
     res = run_training(cfg, tr, va, model, vocab,
                        metrics_path=out_dir / f"imaginator_{role}_metrics.jsonl",
                        checkpoint_path=out_dir / f"imaginator_{role}.ckpt")
@@ -46,13 +43,7 @@ def _train_imaginator(cfg: TrainConfig, role, train_d, valid_d, vocab, out_dir):
 
 def _train_arbitrator(cfg: TrainConfig, mode, train_s, valid_s, vocab, imaginators, out_dir):
     cfg = TrainConfig(**{**cfg.to_dict(), "kind": "arbitrator", "mode": mode})
-    model = ArbitratorModel(len(vocab), encoder=cfg.encoder, mode=mode,
-                            token_dim=cfg.token_dim, tag_dim=cfg.tag_dim,
-                            filter_widths=cfg.parsed_filter_widths(),
-                            filters_per_width=cfg.filters_per_width,
-                            gru_hidden=cfg.gru_hidden, turn_cap=cfg.turn_cap,
-                            subturn_cap=cfg.subturn_cap, max_history=cfg.max_history,
-                            seed=cfg.seed)
+    model = build_model(cfg, len(vocab))
     res = run_training(cfg, train_s, valid_s, model, vocab,
                        imaginators=imaginators if mode == "ita" else None,
                        metrics_path=out_dir / f"arbitrator_{mode}_metrics.jsonl",
@@ -94,8 +85,8 @@ def synthetic_experiment(out_dir, n_dialogues: int = 2000, seed: int = 0,
     models = {}
     for role in (AGENT, USER):
         t1 = time.monotonic()
-        model, res = _train_imaginator(_imaginator_config(base, role), role,
-                                       train_d, valid_d, vocab, out_dir)
+        model, res = _train_imaginator(_imaginator_config(base, role), train_d,
+                                       valid_d, vocab, out_dir)
         models[role] = model
         report[f"{role}_imaginator_best_valid_bleu"] = res.best_value
         report[f"{role}_imaginator_epochs"] = res.epochs_run
@@ -158,8 +149,8 @@ def directional_experiment(out_dir, n_dialogues: int = 500, seed: int = 0,
     models = {}
     for role in (AGENT, USER):
         t1 = time.monotonic()
-        model, res = _train_imaginator(_imaginator_config(cfg_defaults, role), role,
-                                       train_d, valid_d, vocab, out_dir)
+        model, res = _train_imaginator(_imaginator_config(cfg_defaults, role), train_d,
+                                       valid_d, vocab, out_dir)
         models[role] = model
         report[f"{role}_imaginator_best_valid_bleu"] = res.best_value
         report[f"{role}_imaginator_seconds"] = round(time.monotonic() - t1, 1)

@@ -5,17 +5,17 @@ the encoder reads the dialogue history (token/role/turn/subturn embeddings
 concatenated per position), the decoder regenerates the next utterance of
 its role with teacher forcing, optionally attending over encoder states.
 
-Training builds the full computation on the autodiff tape. Decoding
-(greedy and beam) runs on a plain numpy mirror of the same math since no
-gradients are needed; the test suite pins the two paths together by
-recomputing the teacher-forced loss from decode-step probabilities.
+Training and decoding share one forward implementation: `encode_batch`,
+`lstm_step`, `attention_context` and `_decoder_logits`. Training records
+it on the autodiff tape; greedy and beam decoding run it batch-shaped under
+`autodiff.no_grad`, all histories (greedy) or all live hypotheses (beam)
+stepping together, and read log-probabilities off the logits in numpy.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +28,8 @@ from .corpus import (
 )
 
 GATES = ("f", "i", "o", "g")
+# histories greedy-decoded together; bounds the [B, T, H] encoder states held at once
+GREEDY_CHUNK = 64
 
 
 class ImaginatorModel:
@@ -164,13 +166,6 @@ def encode_batch(model: ImaginatorModel, encs: Sequence[EncodedHistory]):
     return ad.stack_states(states), mask, h, c
 
 
-def encode(model: ImaginatorModel, enc: EncodedHistory):
-    """Single-history encoder: per-step hidden states plus the final (h, c)."""
-    stacked, _, h, c = encode_batch(model, [enc])
-    steps = [stacked.data[0, t].copy() for t in range(stacked.shape[1])]
-    return steps, (h.data[0].copy(), c.data[0].copy())
-
-
 def attention_context(h_dec: ad.Tensor, enc_states: ad.Tensor, mask: np.ndarray):
     """Dot-product attention: masked softmax over encoder positions.
 
@@ -185,16 +180,15 @@ def attention_context(h_dec: ad.Tensor, enc_states: ad.Tensor, mask: np.ndarray)
     return ad.weighted_sum(weights, enc_states), weights
 
 
-def _decoder_output(model: ImaginatorModel, h: ad.Tensor,
+def _decoder_logits(model: ImaginatorModel, h: ad.Tensor,
                     enc_states: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
-    """Probabilities over the vocabulary for one decoder step."""
+    """Vocabulary logits [B, V] for one decoder step from decoder states h [B, H]."""
     if model.use_attention:
         ctx, _ = attention_context(h, enc_states, mask)
         h = ad.tanh(ad.add_bias(ad.matmul(ad.concat_cols([h, ctx]),
                                           model.params["attn.W_c"]),
                                 model.params["attn.b_c"]))
-    logits = ad.add_bias(ad.matmul(h, model.params["out.W_v"]), model.params["out.b_v"])
-    return ad.softmax(logits)
+    return ad.add_bias(ad.matmul(h, model.params["out.W_v"]), model.params["out.b_v"])
 
 
 def teacher_forced_loss(model: ImaginatorModel, encs: Sequence[EncodedHistory],
@@ -223,7 +217,7 @@ def teacher_forced_loss(model: ImaginatorModel, encs: Sequence[EncodedHistory],
     for t in range(T_dec):
         x = ad.rows(model.params["emb.token"], inp[:, t])
         h, c = lstm_step(x, h, c, model.params, "dec")
-        probs = _decoder_output(model, h, enc_states, mask)
+        probs = ad.softmax(_decoder_logits(model, h, enc_states, mask))
         step_loss = ad.nll_loss(probs, out[:, t], mask=tmask[:, t])
         total = step_loss if total is None else ad.add(total, step_loss)
     return ad.scale(total, 1.0 / B)
@@ -244,89 +238,51 @@ def train_step(batch: Sequence[ImaginatorSample], model: ImaginatorModel,
 
 
 # ---------------------------------------------------------------------------
-# plain numpy decode path (no gradients, single history)
+# decoding
 
 
-def _np_sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    # finite even where a logit is pinned far below the rest
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _np_lstm(arr, x, h, c, prefix):
-    def gate(name, act):
-        return act(x @ arr[f"{prefix}.W_{name}"] + h @ arr[f"{prefix}.U_{name}"]
-                   + arr[f"{prefix}.b_{name}"])
-
-    f = gate("f", _np_sigmoid)
-    i = gate("i", _np_sigmoid)
-    o = gate("o", _np_sigmoid)
-    g = gate("g", np.tanh)
-    c2 = f * c + i * g
-    return o * np.tanh(c2), c2
+def _decode_step(model: ImaginatorModel, prev: np.ndarray, h: ad.Tensor, c: ad.Tensor,
+                 enc_states: ad.Tensor, mask: np.ndarray):
+    """Feed previous tokens [B] to the decoder: log-probabilities [B, V] and the new (h, c)."""
+    x = ad.rows(model.params["emb.token"], prev)
+    h, c = lstm_step(x, h, c, model.params, "dec")
+    return _log_softmax(_decoder_logits(model, h, enc_states, mask).data), h, c
 
 
-def _np_encode(model: ImaginatorModel, enc: EncodedHistory):
-    arr = {name: p.data for name, p in model.params.items()}
-    H = model.hidden
-    h = np.zeros(H)
-    c = np.zeros(H)
-    states = np.empty((len(enc), H))
-    for t in range(len(enc)):
-        x = np.concatenate([
-            arr["emb.token"][enc.tokens[t]],
-            arr["emb.role"][enc.roles[t]],
-            arr["emb.turn"][enc.turns[t]],
-            arr["emb.subturn"][enc.subturns[t]],
-        ])
-        h, c = _np_lstm(arr, x, h, c, "enc")
-        states[t] = h
-    return arr, states, h, c
+def greedy_decode(model: ImaginatorModel, encs: Sequence[EncodedHistory],
+                  max_len: int = 40) -> list[list[int]]:
+    """Argmax decoding of every history; ties go to the lowest token id; EOS stops and is dropped.
 
-
-def _np_decode_step(model: ImaginatorModel, arr, prev_token: int, h, c, enc_states):
-    x = arr["emb.token"][prev_token]
-    h, c = _np_lstm(arr, x, h, c, "dec")
-    out = h
-    if model.use_attention:
-        scores = enc_states @ h
-        scores = scores - scores.max()
-        w = np.exp(scores)
-        w /= w.sum()
-        ctx = w @ enc_states
-        out = np.tanh(np.concatenate([h, ctx]) @ arr["attn.W_c"] + arr["attn.b_c"])
-    logits = out @ arr["out.W_v"] + arr["out.b_v"]
-    shifted = logits - logits.max()
-    logprobs = shifted - np.log(np.exp(shifted).sum())
-    return logprobs, h, c
-
-
-def greedy_decode(model: ImaginatorModel, enc: EncodedHistory, max_len: int = 40) -> list[int]:
-    """Argmax decoding; ties go to the lowest token id; EOS stops and is dropped."""
+    Histories run GREEDY_CHUNK at a time, every row of a chunk stepping in
+    lockstep until each has emitted EOS or max_len tokens. Returns one id
+    list per history, in input order.
+    """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    arr, enc_states, h, c = _np_encode(model, enc)
-    out: list[int] = []
-    prev = BOS
-    for _ in range(max_len):
-        logprobs, h, c = _np_decode_step(model, arr, prev, h, c, enc_states)
-        tok = int(np.argmax(logprobs))
-        if tok == EOS:
-            break
-        out.append(tok)
-        prev = tok
+    out: list[list[int]] = []
+    with ad.no_grad():
+        for start in range(0, len(encs), GREEDY_CHUNK):
+            chunk = encs[start:start + GREEDY_CHUNK]
+            enc_states, mask, h, c = encode_batch(model, chunk)
+            ids = [[] for _ in chunk]
+            live = np.ones(len(chunk), dtype=bool)
+            prev = np.full(len(chunk), BOS, dtype=np.int64)
+            for _ in range(max_len):
+                logprobs, h, c = _decode_step(model, prev, h, c, enc_states, mask)
+                prev = np.argmax(logprobs, axis=1)
+                live &= prev != EOS
+                if not live.any():
+                    break
+                for b in np.flatnonzero(live):
+                    ids[b].append(int(prev[b]))
+            out.extend(ids)
     return out
-
-
-@dataclass(frozen=True)
-class BeamHypothesis:
-    tokens: tuple[int, ...]
-    logp: float
-    h: np.ndarray | None
-    c: np.ndarray | None
-    finished: bool
-
-    def normalized_score(self, alpha: float) -> float:
-        return self.logp / (len(self.tokens) ** alpha)
 
 
 def beam_decode(model: ImaginatorModel, enc: EncodedHistory, beam_width: int = 4,
@@ -341,30 +297,34 @@ def beam_decode(model: ImaginatorModel, enc: EncodedHistory, beam_width: int = 4
     """
     if beam_width < 1 or max_len < 1:
         raise ValueError("beam_width and max_len must be >= 1")
-    arr, enc_states, h, c = _np_encode(model, enc)
-    frontier = [BeamHypothesis((), 0.0, h, c, False)]
-    pool: list[BeamHypothesis] = []
-    for _ in range(max_len):
-        if not frontier:
-            break
-        candidates = []
-        for hyp in frontier:
-            prev = hyp.tokens[-1] if hyp.tokens else BOS
-            logprobs, h2, c2 = _np_decode_step(model, arr, prev, hyp.h, hyp.c, enc_states)
-            for tok in range(model.vocab_size):
-                candidates.append((hyp.logp + float(logprobs[tok]),
-                                   hyp.tokens + (tok,), h2, c2))
-        candidates.sort(key=lambda cand: (-cand[0], cand[1]))
-        frontier = []
-        for logp, toks, h2, c2 in candidates[:beam_width]:
-            if toks[-1] == EOS:
-                pool.append(BeamHypothesis(toks, logp, None, None, True))
-            else:
-                frontier.append(BeamHypothesis(toks, logp, h2, c2, False))
-    pool.extend(BeamHypothesis(hyp.tokens, hyp.logp, None, None, True)
-                for hyp in frontier)
-    best = min(pool, key=lambda hyp: (-hyp.normalized_score(alpha), hyp.tokens))
-    return [t for t in best.tokens if t != EOS]
+    V = model.vocab_size
+    with ad.no_grad():
+        enc_states, mask, h, c = encode_batch(model, [enc])
+        tiled = np.repeat(enc_states.data, beam_width, axis=0)
+        mask = np.repeat(mask, beam_width, axis=0)
+        seqs: list[tuple[int, ...]] = [()]  # live hypotheses, one row of h and c each
+        logp = np.zeros(1)
+        pool: list[tuple[tuple[int, ...], float]] = []
+        for _ in range(max_len):
+            if not seqs:
+                break
+            k = len(seqs)
+            prev = np.array([s[-1] if s else BOS for s in seqs], dtype=np.int64)
+            logprobs, h, c = _decode_step(model, prev, h, c, ad.constant(tiled[:k]), mask[:k])
+            scores = (logp[:, None] + logprobs).ravel()
+            n = min(beam_width, scores.size)
+            cut = np.partition(scores, scores.size - n)[scores.size - n]
+            best = sorted(np.flatnonzero(scores >= cut),
+                          key=lambda i: (-scores[i], seqs[i // V] + (i % V,)))[:n]
+            pool.extend((seqs[i // V] + (EOS,), float(scores[i])) for i in best if i % V == EOS)
+            keep = [i for i in best if i % V != EOS]
+            rows = [i // V for i in keep]
+            seqs = [seqs[i // V] + (int(i % V),) for i in keep]
+            logp = scores[keep]
+            h, c = ad.constant(h.data[rows]), ad.constant(c.data[rows])
+    pool.extend((seq, float(lp)) for seq, lp in zip(seqs, logp))
+    best_seq, _ = min(pool, key=lambda p: (-p[1] / (len(p[0]) ** alpha), p[0]))
+    return [t for t in best_seq if t != EOS]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +366,7 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
     return math.exp(log_p) * bp
 
 
-DecodeFn = Callable[[ImaginatorModel, EncodedHistory], list]
+DecodeFn = Callable[[ImaginatorModel, list[EncodedHistory]], list]
 
 
 def evaluate_imaginator(model: ImaginatorModel, samples: Sequence[ImaginatorSample],
@@ -414,20 +374,22 @@ def evaluate_imaginator(model: ImaginatorModel, samples: Sequence[ImaginatorSamp
                         decode_fn: DecodeFn | None = None) -> dict:
     """Corpus BLEU of the model's decodes, split by target role.
 
-    A partition with no samples reports 0.0. decode_fn exists so tests can
-    swap in an oracle decoder; it must return token strings.
+    A partition with no samples reports 0.0. decode_fn replaces beam search:
+    it takes the model and the list of encoded histories and returns one
+    token-string list per history.
     """
+    encs = [encode_history(s.history, vocab, model.max_history,
+                           model.turn_cap, model.subturn_cap) for s in samples]
+    if decode_fn is not None:
+        decoded = decode_fn(model, encs)
+    else:
+        decoded = [[vocab.decode_id(i)
+                    for i in beam_decode(model, enc, beam_width=beam_width, max_len=max_len)]
+                   for enc in encs]
     cands = {AGENT: [], USER: []}
     refs = {AGENT: [], USER: []}
-    for s in samples:
-        enc = encode_history(s.history, vocab, model.max_history,
-                             model.turn_cap, model.subturn_cap)
-        if decode_fn is not None:
-            toks = list(decode_fn(model, enc))
-        else:
-            ids = beam_decode(model, enc, beam_width=beam_width, max_len=max_len)
-            toks = [vocab.decode_id(i) for i in ids]
-        cands[s.target.role].append(toks)
+    for s, toks in zip(samples, decoded):
+        cands[s.target.role].append(list(toks))
         refs[s.target.role].append(list(s.target.tokens))
     return {
         "bleu_on_agent_targets": bleu(cands[AGENT], refs[AGENT]) if cands[AGENT] else 0.0,

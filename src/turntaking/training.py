@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -135,6 +136,22 @@ class TrainConfig:
         return dataclasses.asdict(self)
 
 
+def build_model(cfg: TrainConfig, vocab_size: int):
+    """The freshly initialized model a run configuration describes."""
+    if cfg.kind == "imaginator":
+        return im.ImaginatorModel(vocab_size, cfg.role, hidden=cfg.hidden,
+                                  token_dim=cfg.token_dim, tag_dim=cfg.tag_dim,
+                                  turn_cap=cfg.turn_cap, subturn_cap=cfg.subturn_cap,
+                                  max_history=cfg.max_history, seed=cfg.seed)
+    return arb.ArbitratorModel(vocab_size, encoder=cfg.encoder, mode=cfg.mode,
+                               token_dim=cfg.token_dim, tag_dim=cfg.tag_dim,
+                               filter_widths=cfg.parsed_filter_widths(),
+                               filters_per_width=cfg.filters_per_width,
+                               gru_hidden=cfg.gru_hidden, turn_cap=cfg.turn_cap,
+                               subturn_cap=cfg.subturn_cap,
+                               max_history=cfg.max_history, seed=cfg.seed)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -179,8 +196,22 @@ def save_checkpoint(model, path, vocab_hash: str, optimizer: Adam | None = None,
     blob = (CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
             + hashlib.sha256(payload).digest() + struct.pack("<Q", len(payload)) + payload)
     path = Path(path)
-    path.write_bytes(blob)
-    path.with_suffix(path.suffix + ".txt").write_text(_sidecar_text(header))
+    _write_atomic(path, blob)
+    _write_atomic(path.with_suffix(path.suffix + ".txt"), _sidecar_text(header).encode())
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace path with data in one step: readers see the old file or the new, never a mix."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sidecar_text(header: dict) -> str:
@@ -284,9 +315,9 @@ class TrainResult:
 def _imaginator_validator(model, valid_samples, vocab: Vocabulary, config: TrainConfig):
     # greedy decoding during training keeps validation cheap; the configured
     # beam width applies at evaluation time
-    def decode(m, enc):
-        ids = im.greedy_decode(m, enc, max_len=config.max_decode_len)
-        return [vocab.decode_id(i) for i in ids]
+    def decode(m, encs):
+        return [[vocab.decode_id(i) for i in ids]
+                for ids in im.greedy_decode(m, encs, max_len=config.max_decode_len)]
 
     def validate():
         scores = im.evaluate_imaginator(model, valid_samples, vocab, decode_fn=decode)

@@ -198,7 +198,7 @@ def test_criterion_2_decoding_equivalence():
                                 use_attention=bool(i % 3), seed=i)
         enc = cp.encode_history(_random_history(rng, vocab), vocab, 32, 4, 4)
         if im.beam_decode(model, enc, beam_width=1, max_len=6) != \
-                im.greedy_decode(model, enc, max_len=6):
+                im.greedy_decode(model, [enc], max_len=6)[0]:
             mismatches += 1
 
     exhaustive_bad = 0

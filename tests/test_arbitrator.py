@@ -17,7 +17,8 @@ from turntaking.arbitrator import (
     ArbitratorModel, Decision, PreparedSample,
     accuracy, baseline_predict, batch_loss, bigru_encode, classification_summary,
     decide_with_imagined, decision_record, encode_text, evaluate_prepared,
-    fuse_paths, ita_predict, prepare_samples, textcnn_encode, train_step,
+    fuse_paths, ita_predict, predict_prepared, prepare_samples, textcnn_encode,
+    train_step,
 )
 from turntaking.corpus import (
     AGENT, EOS, PAD, USER,
@@ -376,6 +377,26 @@ class TestPrediction:
         assert "empty_agent_generation" in d.flags
         assert "empty_user_generation" in d.flags
         assert d.imagined_agent == ("<eos>",)
+
+    def test_pad_only_imagination_counts_as_empty(self):
+        """Imaginators whose argmax is PAD reach training and serving without raising."""
+        vocab, utts = tiny_vocab_and_history()
+        m = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1,
+                            filter_widths=(2, 3), filters_per_width=4, seed=3)
+        ims = []
+        for i, role in enumerate((AGENT, USER)):
+            im = ImaginatorModel(len(vocab), role, hidden=10, token_dim=6, tag_dim=2, seed=i)
+            im.params["out.b_v"].data[:] = 0.0
+            im.params["out.b_v"].data[PAD] = 50.0
+            ims.append(im)
+        from turntaking.corpus import ArbitratorSample
+        prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)],
+                                   m, vocab, tuple(ims), max_len=6)
+        assert prepared[0].agent_ids == [EOS] and prepared[0].user_ids == [EOS]
+        assert predict_prepared(m, prepared[0]) in (0, 1)
+        d = ita_predict(utts, m, ims[0], ims[1], vocab, beam_width=2, max_len=6)
+        assert d.flags == ("empty_agent_generation", "empty_user_generation")
+        assert d.imagined_agent == d.imagined_user == ("<eos>",)
 
     def test_baseline_probabilities_near_chance_untrained(self):
         vocab, utts = tiny_vocab_and_history()

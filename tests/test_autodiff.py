@@ -167,6 +167,53 @@ class TestBackward:
         assert np.array_equal(g1, g2)  # bit identical
 
 
+class TestNoGrad:
+    def _forward(self):
+        ps = ad.ParamSet(seed=3)
+        W = ps.new("W", (3, 2), fan_in=3)
+        x = ad.constant(np.linspace(-1, 1, 6).reshape(2, 3))
+        return W, ad.sum_all(ad.tanh(ad.matmul(x, W)))
+
+    def test_nothing_recorded_inside(self):
+        with ad.no_grad():
+            _, loss = self._forward()
+        assert loss._parents == () and loss._bwd is None
+
+    def test_values_unchanged(self):
+        _, recorded = self._forward()
+        with ad.no_grad():
+            _, bare = self._forward()
+        assert recorded.item() == bare.item()
+
+    def test_recording_resumes_after_block(self):
+        with ad.no_grad():
+            pass
+        W, loss = self._forward()
+        assert loss._parents and loss._bwd is not None
+        ad.backward(loss)
+        assert W.grad is not None
+
+    def test_recording_resumes_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("boom")
+        _, loss = self._forward()
+        assert loss._parents and loss._bwd is not None
+
+    def test_nested_blocks_restore_outer_state(self):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            _, loss = self._forward()
+        assert loss._parents == ()
+
+    def test_backward_through_unrecorded_result_leaves_grads_none(self):
+        with ad.no_grad():
+            W, loss = self._forward()
+        ad.backward(loss)
+        assert W.grad is None
+
+
 class TestFiniteDifferences:
     """Analytic gradients against central differences.
 

@@ -1,11 +1,14 @@
 """Imaginator tests: recurrence oracle, decode search, training behavior.
 
-The scalar-loop forward in tests/oracles/search_oracle.py is the referee
-between the tape path (training) and the vectorized numpy path (decoding).
+Training and decoding share one forward implementation. The scalar-loop
+forward in tests/oracles/search_oracle.py referees it under teacher forcing
+and is the ground truth for beam search; batched greedy decoding is pinned
+to decoding each history alone.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turntaking import autodiff as ad
 from turntaking import corpus as cp
@@ -81,12 +84,18 @@ class TestLstmStep:
         assert abs(loss.item() - oracle) < 1e-12
 
 
+def encode_one(model, enc):
+    """Per-step states [T, H] and the final (h, c) of one history."""
+    stacked, _, h, c = im.encode_batch(model, [enc])
+    return stacked.data[0], (h.data[0], c.data[0])
+
+
 class TestEncode:
     def test_length_one_equals_single_step_from_zero(self):
         vocab = small_vocab()
         m = tiny_model(seed=1, V=len(vocab))
         enc = enc_of(m, [cp.Utterance(cp.USER, 0, 0, ("w2",))], vocab)
-        states, (h, c) = im.encode(m, enc)
+        states, (h, c) = encode_one(m, enc)
         assert len(states) == 1
         x = im._embed_step(m.params, enc.tokens, enc.roles, enc.turns, enc.subturns)
         z = ad.constant(np.zeros((1, m.hidden)))
@@ -98,8 +107,8 @@ class TestEncode:
         vocab = small_vocab()
         m = tiny_model(seed=2, V=len(vocab))
         enc = enc_of(m, rand_history(np.random.default_rng(5)), vocab)
-        s1, f1 = im.encode(m, enc)
-        s2, f2 = im.encode(m, enc)
+        s1, f1 = encode_one(m, enc)
+        s2, f2 = encode_one(m, enc)
         assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
         assert np.array_equal(f1[0], f2[0]) and np.array_equal(f1[1], f2[1])
 
@@ -111,8 +120,8 @@ class TestEncode:
         full = enc_of(m, hist, vocab)
         prefix = cp.EncodedHistory(tokens=full.tokens[:-1], roles=full.roles[:-1],
                                    turns=full.turns[:-1], subturns=full.subturns[:-1])
-        s_full, _ = im.encode(m, full)
-        s_pre, _ = im.encode(m, prefix)
+        s_full, _ = encode_one(m, full)
+        s_pre, _ = encode_one(m, prefix)
         for a, b in zip(s_pre, s_full):
             np.testing.assert_allclose(a, b, atol=1e-14)
 
@@ -129,7 +138,7 @@ class TestEncode:
         encs = [enc_of(m, rand_history(rng, n_utts=k), vocab) for k in (1, 3)]
         stacked, mask, hf, cf = im.encode_batch(m, encs)
         for b, e in enumerate(encs):
-            _, (h_single, c_single) = im.encode(m, e)
+            _, (h_single, c_single) = encode_one(m, e)
             np.testing.assert_allclose(hf.data[b], h_single, atol=1e-14)
             np.testing.assert_allclose(cf.data[b], c_single, atol=1e-14)
 
@@ -230,12 +239,12 @@ class TestGreedyDecode:
     def test_immediate_eos_gives_empty(self):
         m = self._rigged(cp.EOS)
         enc = cp.EncodedHistory(*(np.array([0]),) * 4)
-        assert im.greedy_decode(m, enc, max_len=10) == []
+        assert im.greedy_decode(m, [enc], max_len=10)[0] == []
 
     def test_runs_to_cap_without_eos(self):
         m = self._rigged(6)
         enc = cp.EncodedHistory(*(np.array([0]),) * 4)
-        out = im.greedy_decode(m, enc, max_len=7)
+        out = im.greedy_decode(m, [enc], max_len=7)[0]
         assert out == [6] * 7
 
     def test_tie_goes_to_lowest_id(self):
@@ -243,7 +252,7 @@ class TestGreedyDecode:
         for _, p in m.params.items():
             p.data[:] = 0.0  # all logits equal at every step
         enc = cp.EncodedHistory(*(np.array([0]),) * 4)
-        assert im.greedy_decode(m, enc, max_len=3) == [0, 0, 0]
+        assert im.greedy_decode(m, [enc], max_len=3)[0] == [0, 0, 0]
 
     def test_length_bound(self):
         vocab = small_vocab()
@@ -251,7 +260,33 @@ class TestGreedyDecode:
         for seed in range(10):
             m = tiny_model(seed=seed, V=len(vocab))
             enc = enc_of(m, rand_history(rng), vocab)
-            assert len(im.greedy_decode(m, enc, max_len=5)) <= 5
+            assert len(im.greedy_decode(m, [enc], max_len=5)[0]) <= 5
+
+    def test_empty_list_gives_empty_list(self):
+        assert im.greedy_decode(tiny_model(), [], max_len=5) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_utts=st.lists(st.integers(1, 4), min_size=1, max_size=7),
+           seed=st.integers(0, 2**32 - 1), attention=st.booleans(), data=st.data())
+    def test_batch_equals_one_at_a_time(self, n_utts, seed, attention, data):
+        """Histories of mixed length, in any order, decode as they do alone."""
+        vocab = small_vocab()
+        m = tiny_model(seed=seed % 97, V=len(vocab), use_attention=attention)
+        rng = np.random.default_rng(seed)
+        encs = [enc_of(m, rand_history(rng, n_utts=n), vocab) for n in n_utts]
+        encs = [encs[i] for i in data.draw(st.permutations(range(len(encs))))]
+        assert im.greedy_decode(m, encs, max_len=8) == \
+            [im.greedy_decode(m, [e], max_len=8)[0] for e in encs]
+
+    def test_chunks_equal_one_batch(self, monkeypatch):
+        vocab = small_vocab()
+        m = tiny_model(seed=8, V=len(vocab))
+        rng = np.random.default_rng(12)
+        encs = [enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
+                for _ in range(7)]
+        whole = im.greedy_decode(m, encs, max_len=8)
+        monkeypatch.setattr(im, "GREEDY_CHUNK", 3)
+        assert im.greedy_decode(m, encs, max_len=8) == whole
 
 
 class TestBeamDecode:
@@ -262,7 +297,7 @@ class TestBeamDecode:
             m = tiny_model(seed=seed, V=len(vocab), use_attention=bool(seed % 2))
             enc = enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
             assert im.beam_decode(m, enc, beam_width=1, max_len=8) == \
-                im.greedy_decode(m, enc, max_len=8)
+                im.greedy_decode(m, [enc], max_len=8)[0]
 
     def test_exhaustive_v3(self):
         """V=3 keeps EOS unreachable: all 27 length-3 sequences enumerated."""
@@ -274,6 +309,19 @@ class TestBeamDecode:
                                    use_attention=True, seed=seed)
             got = im.beam_decode(m, enc, beam_width=27, max_len=3)
             assert got == enumerate_best_sequence(m, enc, vocab_size=3, max_len=3)
+
+    def test_all_tied_matches_exhaustive(self):
+        """An all-zero model ties every token at every step; the tie-break decides."""
+        enc = cp.EncodedHistory(tokens=np.array([0, 1, 2]), roles=np.array([0, 1, 1]),
+                                turns=np.array([0, 1, 1]), subturns=np.array([0, 0, 1]))
+        m = im.ImaginatorModel(vocab_size=3, role=cp.AGENT, hidden=4, token_dim=3,
+                               tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16,
+                               use_attention=True, seed=0)
+        for _, p in m.params.items():
+            p.data[:] = 0.0
+        want = enumerate_best_sequence(m, enc, vocab_size=3, max_len=3)
+        for width in (1, 2, 4):
+            assert im.beam_decode(m, enc, beam_width=width, max_len=3) == want
 
     def test_exhaustive_v5_with_eos(self):
         enc = cp.EncodedHistory(tokens=np.array([4, 1]), roles=np.array([1, 1]),
@@ -296,7 +344,7 @@ class TestBeamDecode:
             rng = np.random.default_rng(1000 + seed)
             m = tiny_model(seed=seed + 77, V=len(vocab))
             enc = enc_of(m, rand_history(rng), vocab)
-            g = im.greedy_decode(m, enc, max_len=6)
+            g = im.greedy_decode(m, [enc], max_len=6)[0]
             b = im.beam_decode(m, enc, beam_width=4, max_len=6)
             assert self._normalized_score(m, enc, b, 6) >= \
                 self._normalized_score(m, enc, g, 6) - 1e-12
@@ -352,9 +400,9 @@ class TestEvaluate:
         vocab = small_vocab()
         m = tiny_model(seed=2, V=len(vocab))
         samples = self._samples(vocab)
-        refs = iter([list(s.target.tokens) for s in samples])
+        refs = [list(s.target.tokens) for s in samples]
         out = im.evaluate_imaginator(m, samples, vocab,
-                                     decode_fn=lambda model, enc: next(refs))
+                                     decode_fn=lambda model, encs: refs)
         assert out["bleu_on_agent_targets"] == pytest.approx(1.0)
         assert out["bleu_on_user_targets"] == pytest.approx(1.0)
 

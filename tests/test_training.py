@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from turntaking import autodiff as ad
+from turntaking import training
 from turntaking.arbitrator import ArbitratorModel, evaluate_prepared, prepare_samples
 from turntaking.corpus import (
     AGENT, USER, ArbitratorSample, Dialogue, ImaginatorSample, Utterance,
@@ -18,7 +19,7 @@ from turntaking.imaginator import ImaginatorModel, greedy_decode
 from turntaking.imaginator import train_step as imaginator_step
 from turntaking.training import (
     CHECKPOINT_VERSION, Checkpoint, CheckpointError, TrainConfig, TrainResult,
-    append_metrics, load_checkpoint, read_metrics, run_training, save_checkpoint,
+    append_metrics, build_model, load_checkpoint, read_metrics, run_training, save_checkpoint,
 )
 
 FILLERS = ["red", "blue", "green", "ok", "done", "book", "a", "table"]
@@ -103,6 +104,24 @@ class TestTrainConfig:
             TrainConfig(filter_widths="3,x")
 
 
+class TestBuildModel:
+    def test_imaginator_matches_config(self):
+        cfg = TrainConfig(kind="imaginator", role=USER, hidden=7, token_dim=5, tag_dim=2,
+                          turn_cap=3, subturn_cap=2, max_history=20, seed=9)
+        m = build_model(cfg, 30)
+        assert m.config() == ImaginatorModel(30, USER, hidden=7, token_dim=5, tag_dim=2,
+                                             turn_cap=3, subturn_cap=2, max_history=20,
+                                             seed=9).config()
+
+    def test_arbitrator_matches_config(self):
+        cfg = toy_arb_config(encoder="bigru", mode="ita", gru_hidden=6, seed=4)
+        m = build_model(cfg, 30)
+        assert m.config() == ArbitratorModel(30, encoder="bigru", mode="ita", token_dim=8,
+                                             tag_dim=2, filter_widths=(2, 3),
+                                             filters_per_width=8, gru_hidden=6,
+                                             seed=4).config()
+
+
 class TestCheckpoint:
     HASH = "f" * 64
 
@@ -145,6 +164,43 @@ class TestCheckpoint:
         assert ck.model.encoder == "bigru"
         assert ck.model.mode == "ita"
         assert np.array_equal(ck.model.params["gru_f.W_r"].data, m.params["gru_f.W_r"].data)
+
+    @pytest.mark.parametrize("fault", ["half_write", "replace"])
+    def test_failed_write_keeps_previous_checkpoint(self, vocab, tmp_path, monkeypatch, fault):
+        path = tmp_path / "a.ckpt"
+        old = tiny_imaginator(vocab, seed=4)
+        save_checkpoint(old, path, self.HASH)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        if fault == "half_write":
+            monkeypatch.setattr(training, "open", lambda p, mode: HalfWriter(open(p, mode)),
+                                raising=False)
+        else:
+            monkeypatch.setattr(training.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tiny_imaginator(vocab, seed=5), path, self.HASH)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        got = load_checkpoint(path, expected_vocab_hash=self.HASH).model.params.as_arrays()
+        for name, arr in old.params.as_arrays().items():
+            assert np.array_equal(arr, got[name])
 
     def test_truncated_file_rejected(self, vocab, tmp_path):
         m = tiny_imaginator(vocab)
@@ -230,7 +286,8 @@ class TestCheckpoint:
             n = int(rng.integers(1, 8))
             utt = Utterance(USER, 0, 0, tuple(FILLERS[j] for j in rng.integers(0, 8, size=n)))
             enc = encode_history([utt], vocab)
-            assert greedy_decode(m, enc, max_len=8) == greedy_decode(loaded, enc, max_len=8)
+            assert greedy_decode(m, [enc], max_len=8)[0] == \
+                greedy_decode(loaded, [enc], max_len=8)[0]
 
 
 class TestMetricsLog:
