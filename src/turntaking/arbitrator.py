@@ -8,6 +8,12 @@ possible dialogue paths and a linear classifier turns them into a
 reply/wait distribution. A history-only baseline mode keeps the same
 encoder but classifies directly, with no imagined futures.
 
+Each Bi-GRU direction (``gru_f`` and ``gru_b``) is three fused tensors:
+``W`` of shape (input, 3H), ``U`` of shape (H, 3H) and ``b`` of shape (3H,),
+with the gate columns in the order r, z, n. The candidate keeps the reset
+gate inside its recurrent product, n = tanh(x·W_n + (r⊙h)·U_n + b_n), and
+each direction projects the whole text, x·W + b, before its time loop.
+
 Label 1 selects the agent path (reply now); 0 selects the user path (keep
 waiting). Ties break toward 1 so a perfectly undecided agent stays live.
 """
@@ -26,7 +32,7 @@ from .corpus import (
     ArbitratorSample, EncodedHistory, Utterance, Vocabulary,
     encode_history, role_id,
 )
-from .imaginator import ImaginatorModel, beam_decode, greedy_decode
+from .imaginator import ImaginatorModel, beam_decode, embed_records, greedy_decode, project
 
 DEFAULT_FILTER_WIDTHS = (3, 4, 5)
 DEFAULT_FILTERS_PER_WIDTH = 100
@@ -72,10 +78,9 @@ class ArbitratorModel:
             feat = filters_per_width * len(self.filter_widths)
         else:
             for direction in ("gru_f", "gru_b"):
-                for g in ("r", "z", "n"):
-                    p.new(f"{direction}.W_{g}", (d_total, gru_hidden), fan_in=d_total)
-                    p.new(f"{direction}.U_{g}", (gru_hidden, gru_hidden), fan_in=gru_hidden)
-                    p.new(f"{direction}.b_{g}", (gru_hidden,), fan_in=gru_hidden)
+                p.new(f"{direction}.W", (d_total, 3 * gru_hidden), fan_in=d_total)
+                p.new(f"{direction}.U", (gru_hidden, 3 * gru_hidden), fan_in=gru_hidden)
+                p.new(f"{direction}.b", (3 * gru_hidden,), fan_in=gru_hidden)
             feat = 2 * gru_hidden
         self.feature_dim = feat
         if mode == "ita":
@@ -140,15 +145,6 @@ def _argmax_label(probs: np.ndarray) -> int:
 # encoders
 
 
-def _embed_records(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
-    return ad.concat_cols([
-        ad.rows(model.params["emb.token"], enc.tokens),
-        ad.rows(model.params["emb.role"], enc.roles),
-        ad.rows(model.params["emb.turn"], enc.turns),
-        ad.rows(model.params["emb.subturn"], enc.subturns),
-    ])
-
-
 def _normalize_for_cnn(enc: EncodedHistory, min_len: int) -> EncodedHistory:
     """Strip trailing PAD records, then pad back up to the widest filter.
 
@@ -177,7 +173,7 @@ def textcnn_encode(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
     if len(enc) == 0:
         raise ValueError("cannot encode an empty text")
     enc = _normalize_for_cnn(enc, max(model.filter_widths))
-    emb = _embed_records(model, enc)
+    emb = embed_records(model.params, enc)
     feats = []
     for k in model.filter_widths:
         windows = ad.unfold_rows(emb, k)
@@ -188,18 +184,17 @@ def textcnn_encode(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
     return ad.concat_cols(feats)
 
 
-def gru_step(x: ad.Tensor, h_prev: ad.Tensor, params: ad.ParamSet, prefix: str) -> ad.Tensor:
-    """Gated recurrent unit: h' = z*h_prev + (1-z)*n with reset-gated candidate."""
-    def lin(g, inp):
-        return ad.add_bias(ad.add(ad.matmul(x, params[f"{prefix}.W_{g}"]),
-                                  ad.matmul(inp, params[f"{prefix}.U_{g}"])),
-                           params[f"{prefix}.b_{g}"])
+def gru_step(xw: ad.Tensor, h_prev: ad.Tensor, u_rz: ad.Tensor, u_n: ad.Tensor) -> ad.Tensor:
+    """Gated recurrent unit: h' = z*h_prev + (1-z)*n with reset-gated candidate.
 
-    r = ad.sigmoid(lin("r", h_prev))
-    z = ad.sigmoid(lin("z", h_prev))
-    n = ad.tanh(ad.add_bias(ad.add(ad.matmul(x, params[f"{prefix}.W_n"]),
-                                   ad.matmul(ad.mul(r, h_prev), params[f"{prefix}.U_n"])),
-                            params[f"{prefix}.b_n"]))
+    xw [B, 3H] is the projected input; u_rz and u_n are the r|z and n
+    column blocks of the direction's U.
+    """
+    H = h_prev.shape[1]
+    rz = ad.sigmoid(ad.add(ad.part(xw, cols=slice(0, 2 * H)), ad.matmul(h_prev, u_rz)))
+    r = ad.part(rz, cols=slice(0, H))
+    z = ad.part(rz, cols=slice(H, 2 * H))
+    n = ad.tanh(ad.add(ad.part(xw, cols=slice(2 * H, 3 * H)), ad.matmul(ad.mul(r, h_prev), u_n)))
     one_minus_z = ad.add(ad.neg(z), 1.0)
     return ad.add(ad.mul(z, h_prev), ad.mul(one_minus_z, n))
 
@@ -209,14 +204,18 @@ def bigru_encode(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
     L = len(enc)
     if L == 0:
         raise ValueError("cannot encode an empty text")
-    emb = _embed_records(model, enc)
-    h_f = ad.constant(np.zeros((1, model.gru_hidden)))
-    for t in range(L):
-        h_f = gru_step(ad.rows(emb, [t]), h_f, model.params, "gru_f")
-    h_b = ad.constant(np.zeros((1, model.gru_hidden)))
-    for t in reversed(range(L)):
-        h_b = gru_step(ad.rows(emb, [t]), h_b, model.params, "gru_b")
-    return ad.concat_cols([h_f, h_b])
+    emb = embed_records(model.params, enc)
+    H = model.gru_hidden
+    finals = []
+    for prefix, order in (("gru_f", range(L)), ("gru_b", reversed(range(L)))):
+        xw = project(emb, model.params, prefix)
+        u = model.params[f"{prefix}.U"]
+        u_rz, u_n = ad.part(u, cols=slice(0, 2 * H)), ad.part(u, cols=slice(2 * H, 3 * H))
+        h = ad.constant(np.zeros((1, H)))
+        for t in order:
+            h = gru_step(ad.part(xw, rows=slice(t, t + 1)), h, u_rz, u_n)
+        finals.append(h)
+    return ad.concat_cols(finals)
 
 
 def encode_text(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:

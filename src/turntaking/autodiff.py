@@ -9,7 +9,7 @@ inference) frees its intermediates as it goes.
 
 Shape discipline is strict on purpose: binary elementwise ops accept two
 equal-shape tensors or a tensor and a scalar, never anything broadcast. The
-handful of batched patterns the models need (bias rows, row scaling, embedding
+handful of batched patterns the models need (bias rows, block slices, embedding
 gather, sliding windows, attention reductions) are dedicated ops with
 hand-written backward rules, so every gradient path stays checkable against
 central finite differences.
@@ -40,13 +40,11 @@ __all__ = [
     "tanh",
     "sigmoid",
     "relu",
-    "log",
     "softmax",
     "nll_loss",
     "max_over_time",
     "add_bias",
-    "scale_rows",
-    "sum_cols",
+    "part",
     "sum_all",
     "scale",
     "concat_cols",
@@ -248,17 +246,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ValueError("log domain error: input has non-positive entries")
-    out = np.log(a.data)
-
-    def bwd(g):
-        _acc(a, g / a.data)
-
-    return Tensor(out, _parents=(a,), _bwd=bwd)
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax along the last axis, computed with max subtraction.
 
@@ -344,29 +331,25 @@ def add_bias(mat: Tensor, vec: Tensor) -> Tensor:
     return Tensor(out, _parents=(mat, vec), _bwd=bwd)
 
 
-def scale_rows(mat: Tensor, col: Tensor) -> Tensor:
-    """Multiply row i of an (n, m) matrix by col[i, 0]."""
-    if mat.data.ndim != 2 or col.shape != (mat.shape[0], 1):
-        raise ShapeError(f"scale_rows needs (n,m) and (n,1), got {mat.shape} and {col.shape}")
-    out = mat.data * col.data
+def part(a: Tensor, rows: slice = slice(None), cols: slice = slice(None)) -> Tensor:
+    """The block a[rows, cols] of a matrix; the backward adds into that block only.
+
+    Both indices are basic slices, so the forward result is a view and no
+    two output entries share an input entry.
+    """
+    if a.data.ndim != 2 or not isinstance(rows, slice) or not isinstance(cols, slice):
+        raise ShapeError(f"part needs a matrix and two slices, got {a.shape}, {rows!r}, {cols!r}")
+    key = (rows, cols)
+    out = a.data[key]
+    if out.size == 0:
+        raise ShapeError(f"part {rows!r}, {cols!r} of {a.shape} is empty")
 
     def bwd(g):
-        _acc(mat, g * col.data)
-        _acc(col, (g * mat.data).sum(axis=1, keepdims=True))
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += g
 
-    return Tensor(out, _parents=(mat, col), _bwd=bwd)
-
-
-def sum_cols(mat: Tensor) -> Tensor:
-    """Row sums of an (n, m) matrix, kept as an (n, 1) column."""
-    if mat.data.ndim != 2:
-        raise ShapeError(f"sum_cols needs a matrix, got {mat.shape}")
-    out = mat.data.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        _acc(mat, np.broadcast_to(g, mat.data.shape).copy())
-
-    return Tensor(out, _parents=(mat,), _bwd=bwd)
+    return Tensor(out, _parents=(a,), _bwd=bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:

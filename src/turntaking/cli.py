@@ -357,8 +357,9 @@ def cmd_demo(args) -> int:
                 decision = ita_predict(history, arb, agent_im, user_im, vocab,
                                        beam_width=args.beam_width,
                                        max_len=args.max_len)
-            except Exception as e:  # keep the session alive on decode failure
+            except ValueError as e:  # a history the models cannot take: wait, and say so
                 _eprint(f"warning: decision failed ({e}); waiting")
+                _demo_transcript_write(fh, {"event": "fallback", "error": str(e)})
                 subturn += 1
                 continue
             verdict = "REPLY" if decision.label == 1 else "WAIT"

@@ -492,17 +492,6 @@ def encode_history(history: Sequence[Utterance], vocab: Vocabulary,
     )
 
 
-def decode_history(enc: EncodedHistory, vocab: Vocabulary) -> list[list[str]]:
-    """Token text per utterance, splitting at separator records."""
-    utts: list[list[str]] = [[]]
-    for idx in enc.tokens.tolist():
-        if idx == SEP:
-            utts.append([])
-        else:
-            utts[-1].append(vocab.decode_id(idx))
-    return utts
-
-
 def encode_target(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
     """BOS ... EOS wrapped target ids for teacher forcing."""
     return np.asarray([BOS] + [vocab.encode_token(t) for t in tokens] + [EOS],

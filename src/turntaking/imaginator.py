@@ -5,6 +5,12 @@ the encoder reads the dialogue history (token/role/turn/subturn embeddings
 concatenated per position), the decoder regenerates the next utterance of
 its role with teacher forcing, optionally attending over encoder states.
 
+Each LSTM cell (``enc`` and ``dec``) is three fused tensors: ``W`` of shape
+(input, 4H), ``U`` of shape (H, 4H) and ``b`` of shape (4H,), with the gate
+columns in the order f, i, o, g. The input half ``x·W + b`` of every gate is
+computed for a whole sequence in one matmul before the time loop; only
+``h·U`` runs step by step.
+
 Training and decoding share one forward implementation: `encode_batch`,
 `lstm_step`, `attention_context` and `_decoder_logits`. Training records
 it on the autodiff tape; greedy and beam decoding run it batch-shaped under
@@ -27,7 +33,6 @@ from .corpus import (
     EncodedHistory, ImaginatorSample, Vocabulary, encode_history, encode_target,
 )
 
-GATES = ("f", "i", "o", "g")
 # histories greedy-decoded together; bounds the [B, T, H] encoder states held at once
 GREEDY_CHUNK = 64
 
@@ -58,14 +63,10 @@ class ImaginatorModel:
         p.new("emb.role", (2, tag_dim), fan_in=tag_dim)
         p.new("emb.turn", (turn_cap + 1, tag_dim), fan_in=tag_dim)
         p.new("emb.subturn", (subturn_cap + 1, tag_dim), fan_in=tag_dim)
-        enc_in = token_dim + 3 * tag_dim
-        for gate in GATES:
-            p.new(f"enc.W_{gate}", (enc_in, hidden), fan_in=enc_in)
-            p.new(f"enc.U_{gate}", (hidden, hidden), fan_in=hidden)
-            p.new(f"enc.b_{gate}", (hidden,), fan_in=hidden)
-            p.new(f"dec.W_{gate}", (token_dim, hidden), fan_in=token_dim)
-            p.new(f"dec.U_{gate}", (hidden, hidden), fan_in=hidden)
-            p.new(f"dec.b_{gate}", (hidden,), fan_in=hidden)
+        for prefix, width in (("enc", token_dim + 3 * tag_dim), ("dec", token_dim)):
+            p.new(f"{prefix}.W", (width, 4 * hidden), fan_in=width)
+            p.new(f"{prefix}.U", (hidden, 4 * hidden), fan_in=hidden)
+            p.new(f"{prefix}.b", (4 * hidden,), fan_in=hidden)
         if use_attention:
             p.new("attn.W_c", (2 * hidden, hidden), fan_in=2 * hidden)
             p.new("attn.b_c", (hidden,), fan_in=2 * hidden)
@@ -95,75 +96,76 @@ class ImaginatorModel:
         return cls(**cfg)
 
 
-def _history_arrays(model: ImaginatorModel, encs: Sequence[EncodedHistory]):
-    """Right-pad encoded histories into [B, T] index arrays plus a mask."""
+def _history_arrays(encs: Sequence[EncodedHistory]):
+    """Right-pad encoded histories into one time-major record sequence.
+
+    Record t*B + b is position t of history b (PAD records past its end).
+    Returns those records, the [B, T] mask and the length of each history.
+    """
     B = len(encs)
     T = max(len(e) for e in encs)
-    toks = np.full((B, T), PAD, dtype=np.int64)
-    rids = np.zeros((B, T), dtype=np.int64)
-    turns = np.zeros((B, T), dtype=np.int64)
-    subs = np.zeros((B, T), dtype=np.int64)
-    mask = np.zeros((B, T))
+    fields = np.zeros((4, T, B), dtype=np.int64)
+    fields[0] = PAD
+    lengths = np.array([len(e) for e in encs])
     for b, e in enumerate(encs):
-        L = len(e)
-        toks[b, :L] = e.tokens
-        rids[b, :L] = e.roles
-        turns[b, :L] = e.turns
-        subs[b, :L] = e.subturns
-        mask[b, :L] = 1.0
-    return toks, rids, turns, subs, mask
+        fields[:, :lengths[b], b] = (e.tokens, e.roles, e.turns, e.subturns)
+    mask = (np.arange(T) < lengths[:, None]).astype(np.float64)
+    return EncodedHistory(*fields.reshape(4, T * B)), mask, lengths
 
 
-def lstm_step(x: ad.Tensor, h_prev: ad.Tensor, c_prev: ad.Tensor,
+def embed_records(params: ad.ParamSet, enc: EncodedHistory) -> ad.Tensor:
+    """Token, role, turn and subturn embeddings side by side: one row per record."""
+    return ad.concat_cols([
+        ad.rows(params["emb.token"], enc.tokens),
+        ad.rows(params["emb.role"], enc.roles),
+        ad.rows(params["emb.turn"], enc.turns),
+        ad.rows(params["emb.subturn"], enc.subturns),
+    ])
+
+
+def project(x: ad.Tensor, params: ad.ParamSet, prefix: str) -> ad.Tensor:
+    """The input half x·W + b of every gate of cell `prefix`, for all rows of x at once."""
+    return ad.add_bias(ad.matmul(x, params[f"{prefix}.W"]), params[f"{prefix}.b"])
+
+
+def lstm_step(xw: ad.Tensor, h_prev: ad.Tensor, c_prev: ad.Tensor,
               params: ad.ParamSet, prefix: str):
-    """One gated recurrence step on the tape; x and states are [B, dim]."""
-    def gate(name, act):
-        pre = ad.add(ad.matmul(x, params[f"{prefix}.W_{name}"]),
-                     ad.matmul(h_prev, params[f"{prefix}.U_{name}"]))
-        return act(ad.add_bias(pre, params[f"{prefix}.b_{name}"]))
-
-    f = gate("f", ad.sigmoid)
-    i = gate("i", ad.sigmoid)
-    o = gate("o", ad.sigmoid)
-    g = gate("g", ad.tanh)
+    """One LSTM step from the projected input xw [B, 4H] and states [B, H]."""
+    H = h_prev.shape[1]
+    pre = ad.add(xw, ad.matmul(h_prev, params[f"{prefix}.U"]))
+    sig = ad.sigmoid(ad.part(pre, cols=slice(0, 3 * H)))
+    f, i, o = (ad.part(sig, cols=slice(k * H, (k + 1) * H)) for k in range(3))
+    g = ad.tanh(ad.part(pre, cols=slice(3 * H, 4 * H)))
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
     h = ad.mul(o, ad.tanh(c))
     return h, c
 
 
-def _embed_step(params: ad.ParamSet, toks, rids, turns, subs) -> ad.Tensor:
-    return ad.concat_cols([
-        ad.rows(params["emb.token"], toks),
-        ad.rows(params["emb.role"], rids),
-        ad.rows(params["emb.turn"], turns),
-        ad.rows(params["emb.subturn"], subs),
-    ])
-
-
 def encode_batch(model: ImaginatorModel, encs: Sequence[EncodedHistory]):
-    """Tape encoder over a padded batch.
+    """Tape encoder over a right-padded batch.
 
-    Returns (stacked states [B,T,H], mask [B,T], final h, final c). States at
-    padded positions repeat the last real state but the mask excludes them
-    from attention.
+    Returns (stacked states [B,T,H], mask [B,T], final h, final c). The
+    recurrence runs on over padding; the mask keeps padded positions out of
+    attention, and each history's final (h, c) is read at its last real
+    position.
     """
     if not encs or any(len(e) == 0 for e in encs):
         raise ValueError("cannot encode an empty history")
-    toks, rids, turns, subs, mask = _history_arrays(model, encs)
-    B, T = toks.shape
+    records, mask, lengths = _history_arrays(encs)
+    B, T = mask.shape
     H = model.hidden
-    h = ad.constant(np.zeros((B, H)))
-    c = ad.constant(np.zeros((B, H)))
-    states = []
+    xw = project(embed_records(model.params, records), model.params, "enc")
+    h = c = ad.constant(np.zeros((B, H)))
+    hs, cs = [], []
     for t in range(T):
-        x = _embed_step(model.params, toks[:, t], rids[:, t], turns[:, t], subs[:, t])
-        h_new, c_new = lstm_step(x, h, c, model.params, "enc")
-        m = ad.constant(mask[:, t:t + 1])
-        inv = ad.constant(1.0 - mask[:, t:t + 1])
-        h = ad.add(ad.scale_rows(h_new, m), ad.scale_rows(h, inv))
-        c = ad.add(ad.scale_rows(c_new, m), ad.scale_rows(c, inv))
-        states.append(h)
-    return ad.stack_states(states), mask, h, c
+        h, c = lstm_step(ad.part(xw, rows=slice(t * B, (t + 1) * B)), h, c, model.params, "enc")
+        hs.append(h)
+        cs.append(c)
+    states = ad.stack_states(hs)
+    last = np.arange(B) * T + lengths - 1
+    final_h = ad.rows(ad.reshape(states, (B * T, H)), last)
+    final_c = ad.rows(ad.reshape(ad.stack_states(cs), (B * T, H)), last)
+    return states, mask, final_h, final_c
 
 
 def attention_context(h_dec: ad.Tensor, enc_states: ad.Tensor, mask: np.ndarray):
@@ -213,10 +215,10 @@ def teacher_forced_loss(model: ImaginatorModel, encs: Sequence[EncodedHistory],
         out[b, :L] = t[1:]
         tmask[b, :L] = 1.0
     enc_states, mask, h, c = encode_batch(model, encs)
+    xw = project(ad.rows(model.params["emb.token"], inp.T.ravel()), model.params, "dec")
     total = None
     for t in range(T_dec):
-        x = ad.rows(model.params["emb.token"], inp[:, t])
-        h, c = lstm_step(x, h, c, model.params, "dec")
+        h, c = lstm_step(ad.part(xw, rows=slice(t * B, (t + 1) * B)), h, c, model.params, "dec")
         probs = ad.softmax(_decoder_logits(model, h, enc_states, mask))
         step_loss = ad.nll_loss(probs, out[:, t], mask=tmask[:, t])
         total = step_loss if total is None else ad.add(total, step_loss)
@@ -250,8 +252,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def _decode_step(model: ImaginatorModel, prev: np.ndarray, h: ad.Tensor, c: ad.Tensor,
                  enc_states: ad.Tensor, mask: np.ndarray):
     """Feed previous tokens [B] to the decoder: log-probabilities [B, V] and the new (h, c)."""
-    x = ad.rows(model.params["emb.token"], prev)
-    h, c = lstm_step(x, h, c, model.params, "dec")
+    xw = project(ad.rows(model.params["emb.token"], prev), model.params, "dec")
+    h, c = lstm_step(xw, h, c, model.params, "dec")
     return _log_softmax(_decoder_logits(model, h, enc_states, mask).data), h, c
 
 
@@ -395,29 +397,3 @@ def evaluate_imaginator(model: ImaginatorModel, samples: Sequence[ImaginatorSamp
         "bleu_on_agent_targets": bleu(cands[AGENT], refs[AGENT]) if cands[AGENT] else 0.0,
         "bleu_on_user_targets": bleu(cands[USER], refs[USER]) if cands[USER] else 0.0,
     }
-
-
-def load_embedding_file(model: ImaginatorModel, vocab: Vocabulary, path) -> int:
-    """Overwrite token-embedding rows from a text file of 'token v1 ... vd' lines.
-
-    Returns how many vocabulary tokens were found in the file. Vector width
-    must match the model's token embedding dimension.
-    """
-    table = model.params["emb.token"]
-    loaded = 0
-    with open(path) as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                continue
-            tok = parts[0]
-            idx = vocab.token_to_id.get(tok)
-            if idx is None:
-                continue
-            vec = np.asarray([float(v) for v in parts[1:]])
-            if vec.shape[0] != model.token_dim:
-                raise ValueError(
-                    f"embedding width {vec.shape[0]} != model token_dim {model.token_dim}")
-            table.data[idx] = vec
-            loaded += 1
-    return loaded

@@ -27,7 +27,7 @@ from .autodiff import Adam, TrainingError
 from .corpus import AGENT, USER, Vocabulary
 
 CHECKPOINT_MAGIC = b"TTCP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -278,8 +278,14 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
     opt_arrays = None
     if header["optimizer"]:
         opt_arrays, offset = _read_arrays(header["optimizer"], payload, offset, "optimizer")
-    model = _model_from_config(header["model"])
-    model.params.load_arrays(arrays)
+    try:
+        model = _model_from_config(header["model"])
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"header: model config rejected ({e})") from None
+    try:
+        model.params.load_arrays(arrays)
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"parameters: {e.args[0]}") from None
     return Checkpoint(model=model, metadata=header["metadata"],
                       vocab_hash=header["vocab_hash"], optimizer_arrays=opt_arrays,
                       train_config_text=header.get("train_config"))

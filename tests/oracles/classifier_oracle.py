@@ -72,21 +72,22 @@ def _sigmoid(x: float) -> float:
 
 def _gru_cell(arrays: dict, prefix: str, x: list[float], h: list[float]) -> list[float]:
     hidden = len(h)
+    W, U, b = arrays[f"{prefix}.W"], arrays[f"{prefix}.U"], arrays[f"{prefix}.b"]
 
-    def lin(weight, vec, j):
-        return sum(float(weight[i, j]) * vec[i] for i in range(len(vec)))
+    def lin(weight, vec, gate, j):
+        # gates r, z, n own column blocks 0, 1, 2 of the fused arrays
+        return sum(float(weight[i, gate * hidden + j]) * vec[i] for i in range(len(vec)))
 
     out = []
     for j in range(hidden):
-        r = _sigmoid(lin(arrays[f"{prefix}.W_r"], x, j) + lin(arrays[f"{prefix}.U_r"], h, j)
-                     + float(arrays[f"{prefix}.b_r"][j]))
+        r = _sigmoid(lin(W, x, 0, j) + lin(U, h, 0, j) + float(b[j]))
         out.append(r)
     r_gate = out
-    z_gate = [_sigmoid(lin(arrays[f"{prefix}.W_z"], x, j) + lin(arrays[f"{prefix}.U_z"], h, j)
-                       + float(arrays[f"{prefix}.b_z"][j])) for j in range(hidden)]
+    z_gate = [_sigmoid(lin(W, x, 1, j) + lin(U, h, 1, j) + float(b[hidden + j]))
+              for j in range(hidden)]
     rh = [r_gate[j] * h[j] for j in range(hidden)]
-    n_gate = [math.tanh(lin(arrays[f"{prefix}.W_n"], x, j) + lin(arrays[f"{prefix}.U_n"], rh, j)
-                        + float(arrays[f"{prefix}.b_n"][j])) for j in range(hidden)]
+    n_gate = [math.tanh(lin(W, x, 2, j) + lin(U, rh, 2, j) + float(b[2 * hidden + j]))
+              for j in range(hidden)]
     return [z_gate[j] * h[j] + (1.0 - z_gate[j]) * n_gate[j] for j in range(hidden)]
 
 

@@ -2,8 +2,9 @@
 exhaustive search over all decode sequences.
 
 Everything here is explicit python loops over raw parameter arrays (no tape,
-no vectorized decode path), so it can arbitrate between the library's two
-forward implementations and serve as the ground truth for beam search.
+no batching, no fused matmuls), so it can referee the library's one forward
+pass, which training and decoding share, and serve as the ground truth for
+beam search. Each gate reads its column block of the fused W, U and b.
 """
 
 import math
@@ -17,11 +18,11 @@ def _sigmoid(v):
 
 
 def _cell(P, prefix, x, h, c, H):
+    W, U, b = P[f"{prefix}.W"], P[f"{prefix}.U"], P[f"{prefix}.b"]
     pre = {}
-    for g in "fiog":
-        W, U, b = P[f"{prefix}.W_{g}"], P[f"{prefix}.U_{g}"], P[f"{prefix}.b_{g}"]
-        pre[g] = [sum(x[i] * W[i][j] for i in range(len(x)))
-                  + sum(h[i] * U[i][j] for i in range(H)) + b[j]
+    for k, g in enumerate("fiog"):  # gate g owns columns k*H .. k*H + H - 1
+        pre[g] = [sum(x[i] * W[i][k * H + j] for i in range(len(x)))
+                  + sum(h[i] * U[i][k * H + j] for i in range(H)) + b[k * H + j]
                   for j in range(H)]
     out_h, out_c = [0.0] * H, [0.0] * H
     for j in range(H):

@@ -63,8 +63,13 @@ class TestModel:
     def test_bigru_baseline_param_layout(self):
         m = ArbitratorModel(vocab_size=12, gru_hidden=6, encoder="bigru", mode="baseline")
         assert m.feature_dim == 12
-        assert m.params["gru_f.W_r"].shape == (100 + 3 * 8, 6)
-        assert m.params["gru_b.U_n"].shape == (6, 6)
+        assert sorted(m.params.names()) == sorted([
+            "emb.token", "emb.role", "emb.turn", "emb.subturn",
+            "gru_f.W", "gru_f.U", "gru_f.b", "gru_b.W", "gru_b.U", "gru_b.b",
+            "head.W", "head.b"])
+        assert m.params["gru_f.W"].shape == (100 + 3 * 8, 18)
+        assert m.params["gru_b.U"].shape == (6, 18)
+        assert m.params["gru_b.b"].shape == (18,)
         assert m.params["head.W"].shape == (12, 2)
         assert "fuse.W_1" not in m.params
 
@@ -156,9 +161,8 @@ class TestBiGRU:
     def _tied(self):
         m = self._model()
         arrays = m.params.as_arrays()
-        for g in ("r", "z", "n"):
-            for p in ("W", "U", "b"):
-                arrays[f"gru_b.{p}_{g}"] = arrays[f"gru_f.{p}_{g}"].copy()
+        for p in ("W", "U", "b"):
+            arrays[f"gru_b.{p}"] = arrays[f"gru_f.{p}"].copy()
         m.params.load_arrays(arrays)
         return m
 

@@ -37,10 +37,6 @@ class TestElementwise:
         b = ad.tanh(ad.constant(-x)).data
         np.testing.assert_allclose(a, -b, rtol=0, atol=0)
 
-    def test_log_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ad.log(ad.constant([1.0, 0.0]))
-
     def test_equal_shape_contract(self):
         with pytest.raises(ad.ShapeError):
             ad.add(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((3, 2))))
@@ -260,7 +256,8 @@ class TestFiniteDifferences:
 
         def build():
             s = ad.sigmoid(x)
-            return ad.sum_all(ad.log(ad.add(ad.mul(s, s), 0.05)))
+            # nll_loss of a one-column matrix is minus the summed log of that column
+            return ad.nll_loss(ad.reshape(ad.add(ad.mul(s, s), 0.05), (6, 1)), [0] * 6)
 
         assert fd(build, ps) < 1e-6
 
@@ -293,14 +290,13 @@ class TestFiniteDifferences:
     def test_gather_scale_concat_path(self):
         ps = ad.ParamSet(seed=6)
         T = ps.new("T", (5, 3), fan_in=5)
-        C = ps.new("C", (4, 1), fan_in=1)
 
         def build():
             r = ad.rows(T, [0, 2, 2, 4])  # repeated index: scatter must add
-            sr = ad.scale_rows(r, ad.sigmoid(C))
-            cc = ad.concat_cols([sr, ad.neg(sr)])
-            lg = ad.log(ad.add(ad.mul(cc, cc), 0.1))
-            return ad.sum_all(ad.scale(ad.reshape(ad.sum_cols(lg), (1, 4)), 0.5))
+            sr = ad.scale(ad.sigmoid(r), 0.5)
+            cc = ad.concat_cols([sr, ad.neg(r)])
+            sq = ad.mul(cc, cc)
+            return ad.sum_all(ad.tanh(ad.reshape(ad.part(sq, rows=slice(1, 4)), (3, 6))))
 
         assert fd(build, ps) < 1e-6
 
@@ -314,6 +310,15 @@ class TestFiniteDifferences:
             return ad.nll_loss(p, [0, 1, 2], mask=[1.0, 0.0, 1.0])
 
         assert fd(build, ps) < 1e-6
+
+
+def test_every_op_has_one_gradient_case():
+    """Criterion 1 holds exactly one finite-difference case per differentiable op."""
+    from test_acceptance import _op_losses
+
+    not_ops = {"Tensor", "ShapeError", "TrainingError", "ParamSet", "Adam", "backward",
+               "no_grad", "constant", "finite_difference_check"}
+    assert sorted(_op_losses()) == sorted(set(ad.__all__) - not_ops)
 
 
 class TestAdam:
@@ -452,11 +457,19 @@ class TestStructuredOps:
         np.testing.assert_array_equal(out[:, :2], a)
         np.testing.assert_array_equal(out[:, 2:], b)
 
-    def test_scale_rows_matches_manual(self):
-        m = np.arange(6.0).reshape(3, 2)
-        c = np.array([[2.0], [0.0], [-1.0]])
-        out = ad.scale_rows(ad.constant(m), ad.constant(c)).data
-        np.testing.assert_array_equal(out, m * c)
+    def test_part_is_the_numpy_block(self):
+        x = np.arange(20.0).reshape(4, 5)
+        out = ad.part(ad.constant(x), rows=slice(1, 3), cols=slice(2, 5)).data
+        np.testing.assert_array_equal(out, x[1:3, 2:5])
+
+    def test_part_needs_slices_of_a_matrix(self):
+        m = ad.constant(np.zeros((3, 4)))
+        with pytest.raises(ad.ShapeError):
+            ad.part(m, rows=[0, 0])
+        with pytest.raises(ad.ShapeError):
+            ad.part(ad.constant(np.zeros(4)), cols=slice(0, 2))
+        with pytest.raises(ad.ShapeError):
+            ad.part(m, cols=slice(4, 6))
 
     @settings(max_examples=25)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),

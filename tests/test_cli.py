@@ -345,6 +345,34 @@ class TestDemo:
         assert rc == 0
         assert len([e for e in events if e["event"] == "user"]) == 1
 
+    def test_value_error_is_recorded_and_session_goes_on(self, artifacts, tmp_path,
+                                                         monkeypatch):
+        real, calls = cli.ita_predict, []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("no decision for this history")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ita_predict", flaky)
+        rc, events, _ = self._run_demo(artifacts, tmp_path, monkeypatch,
+                                       "hello\nthere\n/quit\n", reply=False)
+        assert rc == 0
+        assert [e["event"] for e in events] == ["user", "fallback", "user", "decision"]
+        assert events[1]["error"] == "no decision for this history"
+        assert [e["subturn"] for e in events if e["event"] == "user"] == [0, 1]
+
+    def test_other_errors_propagate(self, artifacts, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(cli, "ita_predict", broken)
+        with pytest.raises(RuntimeError, match="decoder bug"):
+            self._run_demo(artifacts, tmp_path, monkeypatch, "hello\n/quit\n")
+        events = (tmp_path / "transcript.jsonl").read_text().splitlines()
+        assert [json.loads(e)["event"] for e in events] == ["user"]
+
     def test_baseline_arbitrator_rejected(self, artifacts, tmp_path, monkeypatch,
                                           capsys):
         vocab = Vocabulary.load(artifacts["vocab"])

@@ -45,14 +45,30 @@ def enc_of(model, history, vocab):
                              model.turn_cap, model.subturn_cap)
 
 
+class TestModel:
+    def test_attention_param_names(self):
+        assert sorted(tiny_model().params.names()) == sorted([
+            "emb.token", "emb.role", "emb.turn", "emb.subturn",
+            "enc.W", "enc.U", "enc.b", "dec.W", "dec.U", "dec.b",
+            "attn.W_c", "attn.b_c", "out.W_v", "out.b_v"])
+
+    def test_fused_gate_shapes(self):
+        m = tiny_model(hidden=6, token_dim=5, tag_dim=2)
+        assert m.params["enc.W"].shape == (5 + 3 * 2, 24)
+        assert m.params["dec.W"].shape == (5, 24)
+        for prefix in ("enc", "dec"):
+            assert m.params[f"{prefix}.U"].shape == (6, 24)
+            assert m.params[f"{prefix}.b"].shape == (24,)
+
+
 class TestLstmStep:
     def test_zero_params_halve_cell_state(self):
         m = tiny_model(V=5, hidden=3, token_dim=2, tag_dim=1)
         for _, p in m.params.items():
             p.data[:] = 0.0
         c0 = np.array([[0.4, -0.2, 1.0]])
-        x = ad.constant(np.zeros((1, 5)))  # encoder input width = 2 + 3*1
-        h, c = im.lstm_step(x, ad.constant(np.zeros((1, 3))), ad.constant(c0),
+        xw = ad.constant(np.zeros((1, 12)))  # projected input: 4 gates x hidden 3
+        h, c = im.lstm_step(xw, ad.constant(np.zeros((1, 3))), ad.constant(c0),
                             m.params, "enc")
         np.testing.assert_allclose(c.data, 0.5 * c0, atol=1e-15)
         np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
@@ -62,13 +78,13 @@ class TestLstmStep:
         for _, p in m.params.items():
             p.data[:] = 0.0
         z = ad.constant(np.zeros((1, 3)))
-        h, c = im.lstm_step(ad.constant(np.zeros((1, 5))), z, z, m.params, "enc")
+        h, c = im.lstm_step(ad.constant(np.zeros((1, 12))), z, z, m.params, "enc")
         assert np.all(h.data == 0.0) and np.all(c.data == 0.0)
 
     def test_shape_mismatch_rejected(self):
         m = tiny_model()
         with pytest.raises(ad.ShapeError):
-            im.lstm_step(ad.constant(np.zeros((1, 3))),  # wrong input width
+            im.lstm_step(ad.constant(np.zeros((1, 3))),  # wrong projected width
                          ad.constant(np.zeros((1, m.hidden))),
                          ad.constant(np.zeros((1, m.hidden))), m.params, "enc")
 
@@ -97,9 +113,9 @@ class TestEncode:
         enc = enc_of(m, [cp.Utterance(cp.USER, 0, 0, ("w2",))], vocab)
         states, (h, c) = encode_one(m, enc)
         assert len(states) == 1
-        x = im._embed_step(m.params, enc.tokens, enc.roles, enc.turns, enc.subturns)
+        xw = im.project(im.embed_records(m.params, enc), m.params, "enc")
         z = ad.constant(np.zeros((1, m.hidden)))
-        h1, _ = im.lstm_step(x, z, z, m.params, "enc")
+        h1, _ = im.lstm_step(xw, z, z, m.params, "enc")
         np.testing.assert_allclose(states[0], h1.data[0], atol=1e-15)
         np.testing.assert_allclose(h, h1.data[0], atol=1e-15)
 
@@ -131,14 +147,16 @@ class TestEncode:
             im.encode_batch(m, [])
 
     def test_padded_batch_matches_single(self):
-        """Right padding plus masking must not change any sequence's states."""
+        """Right padding must not change any sequence's final (h, c)."""
         vocab = small_vocab()
         m = tiny_model(seed=6, V=len(vocab))
         rng = np.random.default_rng(2)
         encs = [enc_of(m, rand_history(rng, n_utts=k), vocab) for k in (1, 3)]
         stacked, mask, hf, cf = im.encode_batch(m, encs)
         for b, e in enumerate(encs):
-            _, (h_single, c_single) = encode_one(m, e)
+            s_single, (h_single, c_single) = encode_one(m, e)
+            assert mask[b].tolist() == [1.0] * len(e) + [0.0] * (mask.shape[1] - len(e))
+            np.testing.assert_allclose(stacked.data[b, :len(e)], s_single, atol=1e-14)
             np.testing.assert_allclose(hf.data[b], h_single, atol=1e-14)
             np.testing.assert_allclose(cf.data[b], c_single, atol=1e-14)
 
@@ -421,25 +439,3 @@ class TestEvaluate:
         samples = cp.derive_imaginator_samples(d, cp.AGENT)
         out = im.evaluate_imaginator(m, samples, vocab, beam_width=1, max_len=4)
         assert out["bleu_on_user_targets"] == 0.0
-
-
-class TestEmbeddingLoader:
-    def test_loads_matching_rows(self, tmp_path):
-        vocab = small_vocab()
-        m = tiny_model(seed=5, V=len(vocab), token_dim=5)
-        path = tmp_path / "vectors.txt"
-        path.write_text("w0 1 2 3 4 5\nnotinvocab 9 9 9 9 9\nw3 5 4 3 2 1\n")
-        n = im.load_embedding_file(m, vocab, path)
-        assert n == 2
-        np.testing.assert_array_equal(
-            m.params["emb.token"].data[vocab.encode_token("w0")], [1, 2, 3, 4, 5])
-        np.testing.assert_array_equal(
-            m.params["emb.token"].data[vocab.encode_token("w3")], [5, 4, 3, 2, 1])
-
-    def test_width_mismatch_rejected(self, tmp_path):
-        vocab = small_vocab()
-        m = tiny_model(seed=5, V=len(vocab), token_dim=5)
-        path = tmp_path / "vectors.txt"
-        path.write_text("w0 1 2 3\n")
-        with pytest.raises(ValueError):
-            im.load_embedding_file(m, vocab, path)

@@ -5,6 +5,10 @@ magic, wrong version and vocabulary mismatch must all fail loudly before any
 model state is produced.
 """
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -163,7 +167,7 @@ class TestCheckpoint:
         ck = load_checkpoint(path)
         assert ck.model.encoder == "bigru"
         assert ck.model.mode == "ita"
-        assert np.array_equal(ck.model.params["gru_f.W_r"].data, m.params["gru_f.W_r"].data)
+        assert np.array_equal(ck.model.params["gru_f.W"].data, m.params["gru_f.W"].data)
 
     @pytest.mark.parametrize("fault", ["half_write", "replace"])
     def test_failed_write_keeps_previous_checkpoint(self, vocab, tmp_path, monkeypatch, fault):
@@ -251,6 +255,49 @@ class TestCheckpoint:
         save_checkpoint(m, path, self.HASH)
         with pytest.raises(CheckpointError, match="vocabulary"):
             load_checkpoint(path, expected_vocab_hash="0" * 64)
+
+    def _reframe(self, path, edit):
+        """A copy of the checkpoint with its JSON header passed through edit(header),
+        framed again with a valid digest."""
+        blob = path.read_bytes()
+        payload = blob[48:]
+        n = struct.unpack("<I", payload[:4])[0]
+        header = json.loads(payload[4:4 + n])
+        edit(header)
+        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        payload = struct.pack("<I", len(head)) + head + payload[4 + n:]
+        out = path.with_name("reframed.ckpt")
+        out.write_bytes(blob[:8] + hashlib.sha256(payload).digest()
+                        + struct.pack("<Q", len(payload)) + payload)
+        return out
+
+    def test_version_one_rejected(self, vocab, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            load_checkpoint(path)
+
+    def test_per_gate_parameter_names_rejected(self, vocab, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+
+        def rename(header):
+            for entry in header["arrays"]:
+                if entry[0] == "enc.W":
+                    entry[0] = "enc.W_f"
+
+        with pytest.raises(CheckpointError, match="parameters: parameter name mismatch"):
+            load_checkpoint(self._reframe(path, rename))
+
+    def test_unknown_model_config_key_rejected(self, vocab, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        bad = self._reframe(path, lambda header: header["model"].update(gates=4))
+        with pytest.raises(CheckpointError, match="header: model config rejected"):
+            load_checkpoint(bad)
 
     def test_optimizer_resume_matches_uninterrupted_run(self, vocab, tmp_path):
         batch = [ImaginatorSample(history=(Utterance(USER, 0, 0, ("book", "a", "table")),),
