@@ -11,8 +11,10 @@ encoder but classifies directly, with no imagined futures.
 Each Bi-GRU direction (``gru_f`` and ``gru_b``) is three fused tensors:
 ``W`` of shape (input, 3H), ``U`` of shape (H, 3H) and ``b`` of shape (3H,),
 with the gate columns in the order r, z, n. The candidate keeps the reset
-gate inside its recurrent product, n = tanh(x·W_n + (r⊙h)·U_n + b_n), and
-each direction projects the whole text, x·W + b, before its time loop.
+gate inside its recurrent product, n = tanh(x·W_n + (r⊙h)·U_n + b_n). Each
+direction projects the whole text, x·W + b, in one matmul and runs its
+recurrence as one `autodiff.gru` call; the backward direction reads the
+projection in reverse row order.
 
 Label 1 selects the agent path (reply now); 0 selects the user path (keep
 waiting). Ties break toward 1 so a perfectly undecided agent stays live.
@@ -184,37 +186,18 @@ def textcnn_encode(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
     return ad.concat_cols(feats)
 
 
-def gru_step(xw: ad.Tensor, h_prev: ad.Tensor, u_rz: ad.Tensor, u_n: ad.Tensor) -> ad.Tensor:
-    """Gated recurrent unit: h' = z*h_prev + (1-z)*n with reset-gated candidate.
-
-    xw [B, 3H] is the projected input; u_rz and u_n are the r|z and n
-    column blocks of the direction's U.
-    """
-    H = h_prev.shape[1]
-    rz = ad.sigmoid(ad.add(ad.part(xw, cols=slice(0, 2 * H)), ad.matmul(h_prev, u_rz)))
-    r = ad.part(rz, cols=slice(0, H))
-    z = ad.part(rz, cols=slice(H, 2 * H))
-    n = ad.tanh(ad.add(ad.part(xw, cols=slice(2 * H, 3 * H)), ad.matmul(ad.mul(r, h_prev), u_n)))
-    one_minus_z = ad.add(ad.neg(z), 1.0)
-    return ad.add(ad.mul(z, h_prev), ad.mul(one_minus_z, n))
-
-
 def bigru_encode(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
     """Final forward state concatenated with final backward state: [1, 2h]."""
     L = len(enc)
     if L == 0:
         raise ValueError("cannot encode an empty text")
     emb = embed_records(model.params, enc)
-    H = model.gru_hidden
+    h0 = ad.constant(np.zeros((1, model.gru_hidden)))
     finals = []
-    for prefix, order in (("gru_f", range(L)), ("gru_b", reversed(range(L)))):
-        xw = project(emb, model.params, prefix)
-        u = model.params[f"{prefix}.U"]
-        u_rz, u_n = ad.part(u, cols=slice(0, 2 * H)), ad.part(u, cols=slice(2 * H, 3 * H))
-        h = ad.constant(np.zeros((1, H)))
-        for t in order:
-            h = gru_step(ad.part(xw, rows=slice(t, t + 1)), h, u_rz, u_n)
-        finals.append(h)
+    for prefix, order in (("gru_f", slice(None)), ("gru_b", slice(None, None, -1))):
+        xw = ad.part(project(emb, model.params, prefix), rows=order)
+        states = ad.gru(xw, model.params[f"{prefix}.U"], h0)
+        finals.append(ad.part(states, rows=slice(L - 1, L)))
     return ad.concat_cols(finals)
 
 

@@ -10,9 +10,14 @@ inference) frees its intermediates as it goes.
 Shape discipline is strict on purpose: binary elementwise ops accept two
 equal-shape tensors or a tensor and a scalar, never anything broadcast. The
 handful of batched patterns the models need (bias rows, block slices, embedding
-gather, sliding windows, attention reductions) are dedicated ops with
-hand-written backward rules, so every gradient path stays checkable against
-central finite differences.
+gather, sliding windows, attention reductions, and whole LSTM and GRU
+recurrences) are dedicated ops with hand-written backward rules, so every
+gradient path stays checkable against central finite differences.
+
+A recurrence op runs its time loop in plain numpy and is one tape node: its
+backward is one loop back through time that fills the gradients of every gate
+pre-activation, after which the recurrent-weight gradient is a single matrix
+product over all steps (Appleyard et al., arXiv 1604.01946).
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ __all__ = [
     "matmul",
     "add",
     "mul",
-    "neg",
     "tanh",
     "sigmoid",
     "relu",
@@ -51,9 +55,10 @@ __all__ = [
     "reshape",
     "rows",
     "unfold_rows",
-    "stack_states",
     "dot_scores",
     "weighted_sum",
+    "lstm",
+    "gru",
     "finite_difference_check",
 ]
 
@@ -122,10 +127,18 @@ def constant(data, name: str | None = None) -> Tensor:
     return Tensor(data, requires_grad=False, name=name)
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
+def _acc(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g into t.grad.
+
+    The first gradient is stored as a copy, because add hands one g to both
+    parents and a later += into one of them must not reach the other. A
+    caller that allocated g itself and keeps no other reference to it passes
+    fresh=True, and g is stored as it is.
+    """
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g if fresh else np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -210,13 +223,6 @@ def mul(a, b) -> Tensor:
     return Tensor(out, _parents=(a, b), _bwd=bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _acc(a, -g)
-
-    return Tensor(-a.data, _parents=(a,), _bwd=bwd)
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
@@ -226,10 +232,14 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), with exp taken once and only of -|x|, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _sigmoid(a.data)
 
     def bwd(g):
         _acc(a, g * out * (1.0 - out))
@@ -440,24 +450,6 @@ def unfold_rows(a: Tensor, width: int) -> Tensor:
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
 
-def stack_states(parts: Sequence[Tensor]) -> Tensor:
-    """Stack t matrices of shape (b, h) into a (b, t, h) block."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("stack_states needs at least one state")
-    shape = parts[0].shape
-    for p in parts:
-        if p.shape != shape or p.data.ndim != 2:
-            raise ShapeError("stack_states needs equal (b,h) matrices")
-    out = np.stack([p.data for p in parts], axis=1)
-
-    def bwd(g):
-        for t, p in enumerate(parts):
-            _acc(p, g[:, t, :])
-
-    return Tensor(out, _parents=tuple(parts), _bwd=bwd)
-
-
 def dot_scores(query: Tensor, states: Tensor) -> Tensor:
     """Per-position dot products: (b, h) against (b, t, h) gives (b, t)."""
     if query.data.ndim != 2 or states.data.ndim != 3 or \
@@ -484,6 +476,142 @@ def weighted_sum(weights: Tensor, states: Tensor) -> Tensor:
         _acc(states, np.einsum("bt,bh->bth", weights.data, g))
 
     return Tensor(out, _parents=(weights, states), _bwd=bwd)
+
+
+def _recurrence_shape(xw: Tensor, u: Tensor, states: Sequence[Tensor], gates: int,
+                      opname: str) -> tuple[int, int, int]:
+    """(T, B, H) of a recurrence whose projected input has `gates` column blocks."""
+    first = states[0]
+    ok = first.data.ndim == 2 and all(s.shape == first.shape for s in states)
+    if ok:
+        B, H = first.shape
+        ok = (B > 0 and H > 0 and u.shape == (H, gates * H) and xw.data.ndim == 2
+              and xw.shape[1] == gates * H and xw.shape[0] > 0 and xw.shape[0] % B == 0)
+    if not ok:
+        raise ShapeError(f"{opname} needs xw (T*B, {gates}H), u (H, {gates}H) and (B, H) "
+                         f"states, got {xw.shape}, {u.shape} and {[s.shape for s in states]}")
+    return xw.shape[0] // B, B, H
+
+
+def lstm(xw: Tensor, u: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
+    """An LSTM over whole sequences, as one tape node.
+
+    xw (T*B, 4H) is the projected input x·W + b of every step, time-major:
+    row t*B + b is step t of sequence b, with gate columns f, i, o, g. u
+    (H, 4H) is the recurrent weight and h0, c0 (B, H) the initial states.
+    The result (2*B*T, H) is batch-major: row b*T + t holds h after step t
+    of sequence b and row B*T + b*T + t the matching c, so the first B*T
+    rows reshape to (B, T, H) states. The gate activations of every step
+    are kept for backward only while the tape records.
+    """
+    T, B, H = _recurrence_shape(xw, u, (h0, c0), 4, "lstm")
+    U = u.data
+    pre = xw.data.reshape(T, B, 4 * H)
+    out = np.empty((2, B, T, H))
+    sigs, gs, tcs = [], [], []  # sigmoid(f, i, o), tanh(g) and tanh(c) of every step, for backward
+    h, c = h0.data, c0.data
+    for t in range(T):
+        a = pre[t] + h @ U
+        sig = _sigmoid(a[:, :3 * H])
+        g = np.tanh(a[:, 3 * H:])
+        c = sig[:, :H] * c + sig[:, H:2 * H] * g
+        tc = np.tanh(c)
+        h = sig[:, 2 * H:] * tc
+        out[0, :, t] = h
+        out[1, :, t] = c
+        if _recording:
+            sigs.append(sig)
+            gs.append(g)
+            tcs.append(tc)
+
+    def bwd(grad):
+        G = grad.reshape(2, B, T, H)
+        D = np.empty((T, B, 4 * H))  # gradients of the gate pre-activations
+        UT = U.T
+        dh_next = dc_next = None  # what step t receives from step t + 1
+        for t in reversed(range(T)):
+            sig, g, tc = sigs[t], gs[t], tcs[t]
+            c_prev = c0.data if t == 0 else out[1, :, t - 1]
+            dh = G[0, :, t] if dh_next is None else G[0, :, t] + dh_next
+            dc = G[1, :, t] if dc_next is None else G[1, :, t] + dc_next
+            dc = dc + dh * sig[:, 2 * H:] * (1.0 - tc * tc)
+            d = D[t]
+            d[:, :H] = dc * c_prev
+            d[:, H:2 * H] = dc * g
+            d[:, 2 * H:3 * H] = dh * tc
+            d[:, :3 * H] *= sig
+            d[:, :3 * H] *= 1.0 - sig
+            d[:, 3 * H:] = dc * sig[:, H:2 * H] * (1.0 - g * g)
+            dh_next = d @ UT
+            dc_next = dc * sig[:, :H]
+        D = D.reshape(T * B, 4 * H)
+        h_prev = np.concatenate([h0.data[None], out[0].transpose(1, 0, 2)[:-1]])
+        _acc(u, h_prev.reshape(T * B, H).T @ D, fresh=True)
+        _acc(h0, dh_next, fresh=True)
+        _acc(c0, dc_next, fresh=True)
+        _acc(xw, D, fresh=True)
+
+    return Tensor(out.reshape(2 * B * T, H), _parents=(xw, u, h0, c0), _bwd=bwd)
+
+
+def gru(xw: Tensor, u: Tensor, h0: Tensor) -> Tensor:
+    """A GRU over whole sequences, as one tape node.
+
+    xw (T*B, 3H) is the projected input of every step, time-major as in
+    `lstm`, with gate columns r, z, n; u (H, 3H) is the recurrent weight and
+    h0 (B, H) the initial state. The candidate keeps the reset gate inside
+    its recurrent product, n = tanh(xw_n + (r*h)·U_n), and h' = z*h + (1-z)*n.
+    The result (B*T, H) is batch-major: row b*T + t holds h after step t of
+    sequence b. As in `lstm`, step activations are kept only while the tape
+    records.
+    """
+    T, B, H = _recurrence_shape(xw, u, (h0,), 3, "gru")
+    # contiguous copies: a product with a column block of u is about twice as slow
+    u_rz, u_n = np.ascontiguousarray(u.data[:, :2 * H]), np.ascontiguousarray(u.data[:, 2 * H:])
+    pre = xw.data.reshape(T, B, 3 * H)
+    out = np.empty((B, T, H))
+    rzs, ns, rhs = [], [], []  # sigmoid(r, z), n and r*h of every step, for backward
+    h = h0.data
+    for t in range(T):
+        rz = _sigmoid(pre[t, :, :2 * H] + h @ u_rz)
+        rh = rz[:, :H] * h
+        n = np.tanh(pre[t, :, 2 * H:] + rh @ u_n)
+        z = rz[:, H:]
+        h = z * h + (1.0 - z) * n
+        out[:, t] = h
+        if _recording:
+            rzs.append(rz)
+            ns.append(n)
+            rhs.append(rh)
+
+    def bwd(grad):
+        G = grad.reshape(B, T, H)
+        h_prev = np.concatenate([h0.data[None], out.transpose(1, 0, 2)[:-1]])
+        rz, n = np.stack(rzs), np.stack(ns)
+        r, z = rz[..., :H], rz[..., H:]
+        # the local derivatives of every step, taken outside the time loop
+        dan_dh = (1.0 - z) * (1.0 - n * n)
+        dz_dh = h_prev - n
+        drz_da = rz * (1.0 - rz)
+        D = np.empty((T, B, 3 * H))  # gradients of the gate pre-activations
+        carry = None  # what step t receives from step t + 1
+        for t in reversed(range(T)):
+            dh = G[:, t] if carry is None else G[:, t] + carry
+            d = D[t]
+            np.multiply(dh, dan_dh[t], out=d[:, 2 * H:])
+            drh = d[:, 2 * H:] @ u_n.T
+            np.multiply(drh, h_prev[t], out=d[:, :H])
+            np.multiply(dh, dz_dh[t], out=d[:, H:2 * H])
+            d[:, :2 * H] *= drz_da[t]
+            carry = dh * z[t] + drh * r[t] + d[:, :2 * H] @ u_rz.T
+        D = D.reshape(T * B, 3 * H)
+        du = np.concatenate([h_prev.reshape(T * B, H).T @ D[:, :2 * H],
+                             np.stack(rhs).reshape(T * B, H).T @ D[:, 2 * H:]], axis=1)
+        _acc(u, du, fresh=True)
+        _acc(h0, carry, fresh=True)
+        _acc(xw, D, fresh=True)
+
+    return Tensor(out.reshape(B * T, H), _parents=(xw, u, h0), _bwd=bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,17 @@ its role with teacher forcing, optionally attending over encoder states.
 Each LSTM cell (``enc`` and ``dec``) is three fused tensors: ``W`` of shape
 (input, 4H), ``U`` of shape (H, 4H) and ``b`` of shape (4H,), with the gate
 columns in the order f, i, o, g. The input half ``x·W + b`` of every gate is
-computed for a whole sequence in one matmul before the time loop; only
-``h·U`` runs step by step.
+computed for a whole sequence in one matmul; the recurrence over it is then
+one `autodiff.lstm` call. The encoder makes one such call per batch, and so
+does the teacher-forced decoder, whose step-t input is the gold token t and
+never depends on attention; attention and logits then read each step's h.
 
 Training and decoding share one forward implementation: `encode_batch`,
-`lstm_step`, `attention_context` and `_decoder_logits`. Training records
-it on the autodiff tape; greedy and beam decoding run it batch-shaped under
-`autodiff.no_grad`, all histories (greedy) or all live hypotheses (beam)
-stepping together, and read log-probabilities off the logits in numpy.
+`lstm_step` (a one-step `autodiff.lstm`), `attention_context` and
+`_decoder_logits`. Training records it on the autodiff tape; greedy and beam
+decoding run it batch-shaped under `autodiff.no_grad`, all histories
+(greedy) or all live hypotheses (beam) stepping together, and read
+log-probabilities off the logits in numpy.
 """
 
 from __future__ import annotations
@@ -131,14 +134,9 @@ def project(x: ad.Tensor, params: ad.ParamSet, prefix: str) -> ad.Tensor:
 def lstm_step(xw: ad.Tensor, h_prev: ad.Tensor, c_prev: ad.Tensor,
               params: ad.ParamSet, prefix: str):
     """One LSTM step from the projected input xw [B, 4H] and states [B, H]."""
-    H = h_prev.shape[1]
-    pre = ad.add(xw, ad.matmul(h_prev, params[f"{prefix}.U"]))
-    sig = ad.sigmoid(ad.part(pre, cols=slice(0, 3 * H)))
-    f, i, o = (ad.part(sig, cols=slice(k * H, (k + 1) * H)) for k in range(3))
-    g = ad.tanh(ad.part(pre, cols=slice(3 * H, 4 * H)))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
+    B = h_prev.shape[0]
+    out = ad.lstm(xw, params[f"{prefix}.U"], h_prev, c_prev)
+    return ad.part(out, rows=slice(0, B)), ad.part(out, rows=slice(B, 2 * B))
 
 
 def encode_batch(model: ImaginatorModel, encs: Sequence[EncodedHistory]):
@@ -155,38 +153,39 @@ def encode_batch(model: ImaginatorModel, encs: Sequence[EncodedHistory]):
     B, T = mask.shape
     H = model.hidden
     xw = project(embed_records(model.params, records), model.params, "enc")
-    h = c = ad.constant(np.zeros((B, H)))
-    hs, cs = [], []
-    for t in range(T):
-        h, c = lstm_step(ad.part(xw, rows=slice(t * B, (t + 1) * B)), h, c, model.params, "enc")
-        hs.append(h)
-        cs.append(c)
-    states = ad.stack_states(hs)
+    zero = ad.constant(np.zeros((B, H)))
+    out = ad.lstm(xw, model.params["enc.U"], zero, zero)
+    states = ad.reshape(ad.part(out, rows=slice(0, B * T)), (B, T, H))
     last = np.arange(B) * T + lengths - 1
-    final_h = ad.rows(ad.reshape(states, (B * T, H)), last)
-    final_c = ad.rows(ad.reshape(ad.stack_states(cs), (B * T, H)), last)
-    return states, mask, final_h, final_c
+    return states, mask, ad.rows(out, last), ad.rows(out, B * T + last)
 
 
-def attention_context(h_dec: ad.Tensor, enc_states: ad.Tensor, mask: np.ndarray):
-    """Dot-product attention: masked softmax over encoder positions.
+def attention_bias(mask: np.ndarray) -> ad.Tensor:
+    """The additive attention mask: 0 at live positions, -1e30 at padding.
 
-    Returns (context [B,H], weights [B,T]). Raises if any row of the mask is
-    entirely off, because the weights would be meaningless.
+    Built once per batch and shared by all its decoder steps. Raises if any
+    row of the mask is entirely off, because the weights would be
+    meaningless.
     """
     if mask.ndim != 2 or not mask.any(axis=1).all():
         raise ValueError("attention requires at least one unmasked position per row")
-    scores = ad.dot_scores(h_dec, enc_states)
-    neg = ad.constant((mask - 1.0) * 1e30)
-    weights = ad.softmax(ad.add(scores, neg))
+    return ad.constant((mask - 1.0) * 1e30)
+
+
+def attention_context(h_dec: ad.Tensor, enc_states: ad.Tensor, bias: ad.Tensor):
+    """Dot-product attention: softmax over encoder positions plus `attention_bias`.
+
+    Returns (context [B,H], weights [B,T]).
+    """
+    weights = ad.softmax(ad.add(ad.dot_scores(h_dec, enc_states), bias))
     return ad.weighted_sum(weights, enc_states), weights
 
 
 def _decoder_logits(model: ImaginatorModel, h: ad.Tensor,
-                    enc_states: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
+                    enc_states: ad.Tensor, bias: ad.Tensor) -> ad.Tensor:
     """Vocabulary logits [B, V] for one decoder step from decoder states h [B, H]."""
     if model.use_attention:
-        ctx, _ = attention_context(h, enc_states, mask)
+        ctx, _ = attention_context(h, enc_states, bias)
         h = ad.tanh(ad.add_bias(ad.matmul(ad.concat_cols([h, ctx]),
                                           model.params["attn.W_c"]),
                                 model.params["attn.b_c"]))
@@ -215,11 +214,13 @@ def teacher_forced_loss(model: ImaginatorModel, encs: Sequence[EncodedHistory],
         out[b, :L] = t[1:]
         tmask[b, :L] = 1.0
     enc_states, mask, h, c = encode_batch(model, encs)
+    bias = attention_bias(mask)
     xw = project(ad.rows(model.params["emb.token"], inp.T.ravel()), model.params, "dec")
+    hs = ad.lstm(xw, model.params["dec.U"], h, c)
     total = None
     for t in range(T_dec):
-        h, c = lstm_step(ad.part(xw, rows=slice(t * B, (t + 1) * B)), h, c, model.params, "dec")
-        probs = ad.softmax(_decoder_logits(model, h, enc_states, mask))
+        h = ad.part(hs, rows=slice(t, B * T_dec, T_dec))
+        probs = ad.softmax(_decoder_logits(model, h, enc_states, bias))
         step_loss = ad.nll_loss(probs, out[:, t], mask=tmask[:, t])
         total = step_loss if total is None else ad.add(total, step_loss)
     return ad.scale(total, 1.0 / B)
@@ -250,11 +251,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _decode_step(model: ImaginatorModel, prev: np.ndarray, h: ad.Tensor, c: ad.Tensor,
-                 enc_states: ad.Tensor, mask: np.ndarray):
+                 enc_states: ad.Tensor, bias: ad.Tensor):
     """Feed previous tokens [B] to the decoder: log-probabilities [B, V] and the new (h, c)."""
     xw = project(ad.rows(model.params["emb.token"], prev), model.params, "dec")
     h, c = lstm_step(xw, h, c, model.params, "dec")
-    return _log_softmax(_decoder_logits(model, h, enc_states, mask).data), h, c
+    return _log_softmax(_decoder_logits(model, h, enc_states, bias).data), h, c
 
 
 def greedy_decode(model: ImaginatorModel, encs: Sequence[EncodedHistory],
@@ -272,11 +273,12 @@ def greedy_decode(model: ImaginatorModel, encs: Sequence[EncodedHistory],
         for start in range(0, len(encs), GREEDY_CHUNK):
             chunk = encs[start:start + GREEDY_CHUNK]
             enc_states, mask, h, c = encode_batch(model, chunk)
+            bias = attention_bias(mask)
             ids = [[] for _ in chunk]
             live = np.ones(len(chunk), dtype=bool)
             prev = np.full(len(chunk), BOS, dtype=np.int64)
             for _ in range(max_len):
-                logprobs, h, c = _decode_step(model, prev, h, c, enc_states, mask)
+                logprobs, h, c = _decode_step(model, prev, h, c, enc_states, bias)
                 prev = np.argmax(logprobs, axis=1)
                 live &= prev != EOS
                 if not live.any():
@@ -303,7 +305,7 @@ def beam_decode(model: ImaginatorModel, enc: EncodedHistory, beam_width: int = 4
     with ad.no_grad():
         enc_states, mask, h, c = encode_batch(model, [enc])
         tiled = np.repeat(enc_states.data, beam_width, axis=0)
-        mask = np.repeat(mask, beam_width, axis=0)
+        bias = np.repeat(attention_bias(mask).data, beam_width, axis=0)
         seqs: list[tuple[int, ...]] = [()]  # live hypotheses, one row of h and c each
         logp = np.zeros(1)
         pool: list[tuple[tuple[int, ...], float]] = []
@@ -312,7 +314,8 @@ def beam_decode(model: ImaginatorModel, enc: EncodedHistory, beam_width: int = 4
                 break
             k = len(seqs)
             prev = np.array([s[-1] if s else BOS for s in seqs], dtype=np.int64)
-            logprobs, h, c = _decode_step(model, prev, h, c, ad.constant(tiled[:k]), mask[:k])
+            logprobs, h, c = _decode_step(model, prev, h, c, ad.constant(tiled[:k]),
+                                          ad.constant(bias[:k]))
             scores = (logp[:, None] + logprobs).ravel()
             n = min(beam_width, scores.size)
             cut = np.partition(scores, scores.size - n)[scores.size - n]

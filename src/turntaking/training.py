@@ -271,6 +271,9 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
         header = json.loads(payload[4:4 + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"header: undecodable ({e})") from None
+    for key in ("arrays", "optimizer", "model", "vocab_hash", "metadata"):
+        if not isinstance(header, dict) or key not in header:
+            raise CheckpointError(f"header: missing key {key!r}")
     if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
         raise CheckpointError("header: vocabulary hash mismatch")
     offset = 4 + header_len

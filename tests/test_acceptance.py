@@ -73,7 +73,6 @@ def _op_losses():
     case("matmul", [(3, 4), (4, 2)], lambda a, b: ad.sum_all(ad.matmul(a, b)))
     case("add", [(3, 4), (3, 4)], lambda a, b: ad.sum_all(ad.add(a, b)))
     case("mul", [(3, 4), (3, 4)], lambda a, b: ad.sum_all(ad.mul(a, b)))
-    case("neg", [(3, 4)], lambda a: ad.sum_all(ad.neg(a)))
     case("tanh", [(3, 4)], lambda a: ad.sum_all(ad.tanh(a)))
     case("sigmoid", [(3, 4)], lambda a: ad.sum_all(ad.sigmoid(a)))
     case("relu", [(3, 4)], lambda a: ad.sum_all(ad.mul(ad.relu(a), a)))
@@ -96,14 +95,18 @@ def _op_losses():
          lambda t: ad.sum_all(ad.tanh(ad.rows(t, [0, 2, 2, 5]))))
     case("unfold_rows", [(5, 3)],
          lambda a: ad.sum_all(ad.tanh(ad.unfold_rows(a, 2))))
-    case("stack_states", [(2, 3), (2, 3)],
-         lambda a, b: ad.sum_all(ad.tanh(ad.stack_states([a, b]))))
-    case("dot_scores", [(2, 3), (2, 3), (2, 3)],
-         lambda q, s1, s2: ad.sum_all(ad.softmax(
-             ad.dot_scores(q, ad.stack_states([s1, s2])))))
-    case("weighted_sum", [(2, 2), (2, 3), (2, 3)],
-         lambda w, s1, s2: ad.sum_all(ad.weighted_sum(
-             ad.softmax(w), ad.stack_states([s1, s2]))))
+    case("dot_scores", [(2, 3), (2, 2, 3)],
+         lambda q, s: ad.sum_all(ad.softmax(ad.dot_scores(q, s))))
+    case("weighted_sum", [(2, 2), (2, 2, 3)],
+         lambda w, s: ad.sum_all(ad.weighted_sum(ad.softmax(w), s)))
+    # B=2 sequences of T=3 steps at H=2, nonzero initial states, and random
+    # upstream weights on every output row, h and c alike
+    up_lstm = ad.constant(rng.normal(size=(2 * 2 * 3, 2)))
+    case("lstm", [(3 * 2, 4 * 2), (2, 4 * 2), (2, 2), (2, 2)],
+         lambda xw, u, h0, c0: ad.sum_all(ad.mul(ad.lstm(xw, u, h0, c0), up_lstm)))
+    up_gru = ad.constant(rng.normal(size=(2 * 3, 2)))
+    case("gru", [(3 * 2, 3 * 2), (2, 3 * 2), (2, 2)],
+         lambda xw, u, h0: ad.sum_all(ad.mul(ad.gru(xw, u, h0), up_gru)))
     return cases
 
 

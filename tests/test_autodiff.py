@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.classifier_oracle import _gru_cell
+from oracles.search_oracle import _cell as _lstm_cell
 from turntaking import autodiff as ad
 
 
@@ -26,6 +28,14 @@ class TestElementwise:
         assert np.isfinite(out).all()
         assert out[0] < 1e-300 or out[0] == 0.0
         assert out[1] == 1.0
+
+    def test_sigmoid_is_the_three_exp_formula(self):
+        """One exp, bit for bit the same as the branchwise form that took three."""
+        x = np.concatenate([np.linspace(-50.0, 50.0, 2001), np.linspace(-800.0, 800.0, 321),
+                            [-1e4, -745.0, -744.5, -1e-300, 0.0, 1e-300, 744.5, 745.0, 1e4]])
+        old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        assert np.array_equal(ad.sigmoid(ad.constant(x)).data, old)
 
     def test_relu_values(self):
         out = ad.relu(ad.constant([-3.0, 0.0, 2.0])).data
@@ -149,6 +159,22 @@ class TestBackward:
         y = ad.add(x, x)  # dy/dx = 2
         ad.backward(ad.sum_all(y))
         np.testing.assert_array_equal(x.grad, np.full(2, 2.0))
+
+    def test_shared_gradient_is_not_aliased(self):
+        """add hands one g to both parents; each parent's later += stays its own."""
+        ps = ad.ParamSet(seed=0)
+        x = ps.new("x", (2, 3), fan_in=1)
+        w = ps.new("w", (2, 3), fan_in=1)
+        g = np.arange(6.0).reshape(2, 3) - 2.5
+        twice = ad.add(x, x)
+        inner = ad.add(x, w)
+        outer = ad.add(inner, w)  # w reaches the loss twice, x once through each sum
+        ad.backward(ad.sum_all(ad.mul(ad.add(twice, outer), ad.constant(g))))
+        np.testing.assert_array_equal(x.grad, 3.0 * g)
+        np.testing.assert_array_equal(w.grad, 2.0 * g)
+        np.testing.assert_array_equal(outer.grad, g)
+        np.testing.assert_array_equal(inner.grad, g)
+        np.testing.assert_array_equal(twice.grad, g)
 
     def test_deterministic_across_runs(self):
         def run():
@@ -276,11 +302,9 @@ class TestFiniteDifferences:
     def test_attention_path(self):
         ps = ad.ParamSet(seed=4)
         Q = ps.new("Q", (2, 3), fan_in=3)
-        S1 = ps.new("S1", (2, 3), fan_in=3)
-        S2 = ps.new("S2", (2, 3), fan_in=3)
+        states = ps.new("S", (2, 2, 3), fan_in=3)
 
         def build():
-            states = ad.stack_states([S1, S2])
             weights = ad.softmax(ad.dot_scores(Q, states))
             ctx = ad.weighted_sum(weights, states)
             return ad.sum_all(ad.tanh(ctx))
@@ -294,7 +318,7 @@ class TestFiniteDifferences:
         def build():
             r = ad.rows(T, [0, 2, 2, 4])  # repeated index: scatter must add
             sr = ad.scale(ad.sigmoid(r), 0.5)
-            cc = ad.concat_cols([sr, ad.neg(r)])
+            cc = ad.concat_cols([sr, ad.scale(r, -1.0)])
             sq = ad.mul(cc, cc)
             return ad.sum_all(ad.tanh(ad.reshape(ad.part(sq, rows=slice(1, 4)), (3, 6))))
 
@@ -310,6 +334,63 @@ class TestFiniteDifferences:
             return ad.nll_loss(p, [0, 1, 2], mask=[1.0, 0.0, 1.0])
 
         assert fd(build, ps) < 1e-6
+
+
+class TestRecurrences:
+    """The sequence kernels against the scalar per-gate cells of the oracles."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_lstm_matches_scalar_cell(self, B, T, H, d_in, seed):
+        rng = np.random.default_rng(seed)
+        P = {"c.W": rng.normal(size=(d_in, 4 * H)), "c.U": rng.normal(size=(H, 4 * H)),
+             "c.b": rng.normal(size=4 * H)}
+        x = rng.normal(size=(T, B, d_in))
+        h0, c0 = rng.normal(size=(B, H)), rng.normal(size=(B, H))
+        xw = x.reshape(T * B, d_in) @ P["c.W"] + P["c.b"]
+        out = ad.lstm(ad.constant(xw), ad.constant(P["c.U"]),
+                      ad.constant(h0), ad.constant(c0)).data
+        assert out.shape == (2 * B * T, H)
+        for b in range(B):
+            h, c = list(h0[b]), list(c0[b])
+            for t in range(T):
+                h, c = _lstm_cell(P, "c", list(x[t, b]), h, c, H)
+                np.testing.assert_allclose(out[b * T + t], h, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(out[B * T + b * T + t], c, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_gru_matches_scalar_cell(self, B, T, H, d_in, seed):
+        rng = np.random.default_rng(seed)
+        P = {"g.W": rng.normal(size=(d_in, 3 * H)), "g.U": rng.normal(size=(H, 3 * H)),
+             "g.b": rng.normal(size=3 * H)}
+        x = rng.normal(size=(T, B, d_in))
+        h0 = rng.normal(size=(B, H))
+        xw = x.reshape(T * B, d_in) @ P["g.W"] + P["g.b"]
+        out = ad.gru(ad.constant(xw), ad.constant(P["g.U"]), ad.constant(h0)).data
+        assert out.shape == (B * T, H)
+        for b in range(B):
+            h = list(h0[b])
+            for t in range(T):
+                h = _gru_cell(P, "g", list(x[t, b]), h)
+                np.testing.assert_allclose(out[b * T + t], h, rtol=0, atol=1e-12)
+
+    def test_shapes_checked(self):
+        z = ad.constant(np.zeros((2, 3)))
+        with pytest.raises(ad.ShapeError):  # 5 rows are no whole number of steps of 2
+            ad.gru(ad.constant(np.zeros((5, 9))), ad.constant(np.zeros((3, 9))), z)
+        with pytest.raises(ad.ShapeError):  # h0 and c0 differ
+            ad.lstm(ad.constant(np.zeros((4, 12))), ad.constant(np.zeros((3, 12))), z,
+                    ad.constant(np.zeros((1, 3))))
+
+    def test_no_grad_gives_the_recorded_values(self):
+        rng = np.random.default_rng(3)
+        args = [ad.constant(rng.normal(size=s)) for s in ((6, 8), (2, 8), (3, 2), (3, 2))]
+        recorded = ad.lstm(*args).data
+        with ad.no_grad():
+            assert np.array_equal(ad.lstm(*args).data, recorded)
 
 
 def test_every_op_has_one_gradient_case():
@@ -337,7 +418,7 @@ class TestAdam:
         target = ad.constant(np.array([[3.0, -1.0]]))
         opt = ad.Adam(ps, lr=0.1)
         for _ in range(200):
-            diff = ad.add(x, ad.neg(target))
+            diff = ad.add(x, ad.scale(target, -1.0))
             ad.backward(ad.sum_all(ad.mul(diff, diff)))
             opt.step()
         final = float(((x.data - target.data) ** 2).sum())
@@ -475,11 +556,10 @@ class TestStructuredOps:
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
            st.integers(0, 2**32 - 1))
     def test_stack_then_weighted_sum_is_matvec(self, b, t, h, seed):
-        """weighted_sum over stacked states equals the per-batch einsum."""
+        """weighted_sum over states stacked per step equals the per-batch matvec."""
         rng = np.random.default_rng(seed)
-        states = [ad.constant(rng.normal(size=(b, h))) for _ in range(t)]
+        states = [rng.normal(size=(b, h)) for _ in range(t)]
         w = rng.normal(size=(b, t))
-        stacked = ad.stack_states(states)
-        out = ad.weighted_sum(ad.constant(w), stacked).data
-        expected = np.einsum("bt,bth->bh", w, np.stack([s.data for s in states], axis=1))
+        out = ad.weighted_sum(ad.constant(w), ad.constant(np.stack(states, axis=1))).data
+        expected = sum(w[:, k:k + 1] * states[k] for k in range(t))
         np.testing.assert_allclose(out, expected, atol=1e-12)

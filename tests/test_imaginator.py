@@ -164,33 +164,30 @@ class TestEncode:
 class TestAttention:
     def test_single_state_returns_it(self):
         h = ad.constant(np.array([[0.3, -0.5]]))
-        states = ad.stack_states([ad.constant(np.array([[1.0, 2.0]]))])
-        ctx, w = im.attention_context(h, states, np.ones((1, 1)))
+        states = ad.constant(np.array([[[1.0, 2.0]]]))
+        ctx, w = im.attention_context(h, states, im.attention_bias(np.ones((1, 1))))
         np.testing.assert_allclose(ctx.data, [[1.0, 2.0]], atol=1e-15)
         np.testing.assert_allclose(w.data, [[1.0]], atol=1e-15)
 
     def test_identical_states_half_weights(self):
         h = ad.constant(np.array([[0.7, 0.1]]))
-        s = ad.constant(np.array([[0.2, 0.9]]))
-        states = ad.stack_states([s, s])
-        _, w = im.attention_context(h, states, np.ones((1, 2)))
+        states = ad.constant(np.array([[[0.2, 0.9], [0.2, 0.9]]]))
+        _, w = im.attention_context(h, states, im.attention_bias(np.ones((1, 2))))
         np.testing.assert_allclose(w.data, [[0.5, 0.5]], atol=1e-12)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(8)
         h = ad.constant(rng.normal(size=(3, 4)))
-        states = ad.stack_states([ad.constant(rng.normal(size=(3, 4))) for _ in range(5)])
+        states = ad.constant(np.stack([rng.normal(size=(3, 4)) for _ in range(5)], axis=1))
         mask = np.ones((3, 5))
         mask[1, 3:] = 0.0
-        _, w = im.attention_context(h, states, mask)
+        _, w = im.attention_context(h, states, im.attention_bias(mask))
         np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(w.data[1, 3:] == 0.0)
 
     def test_fully_masked_rejected(self):
-        h = ad.constant(np.zeros((2, 3)))
-        states = ad.stack_states([ad.constant(np.zeros((2, 3)))])
         with pytest.raises(ValueError):
-            im.attention_context(h, states, np.zeros((2, 1)))
+            im.attention_bias(np.zeros((2, 1)))
 
 
 class TestTrainStep:

@@ -263,7 +263,8 @@ class TestCheckpoint:
         payload = blob[48:]
         n = struct.unpack("<I", payload[:4])[0]
         header = json.loads(payload[4:4 + n])
-        edit(header)
+        replaced = edit(header)  # edits in place, or returns a whole new header
+        header = header if replaced is None else replaced
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         payload = struct.pack("<I", len(head)) + head + payload[4 + n:]
         out = path.with_name("reframed.ckpt")
@@ -291,6 +292,21 @@ class TestCheckpoint:
 
         with pytest.raises(CheckpointError, match="parameters: parameter name mismatch"):
             load_checkpoint(self._reframe(path, rename))
+
+    @pytest.mark.parametrize("key", ["arrays", "optimizer", "model", "vocab_hash", "metadata"])
+    def test_header_without_key_rejected(self, vocab, tmp_path, key):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        bad = self._reframe(path, lambda header: {k: v for k, v in header.items() if k != key})
+        with pytest.raises(CheckpointError, match=f"header: missing key '{key}'"):
+            load_checkpoint(bad)
+
+    def test_header_not_an_object_rejected(self, vocab, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        bad = self._reframe(path, lambda header: [header])
+        with pytest.raises(CheckpointError, match="header: missing key 'arrays'"):
+            load_checkpoint(bad)
 
     def test_unknown_model_config_key_rejected(self, vocab, tmp_path):
         path = tmp_path / "a.ckpt"
