@@ -225,11 +225,6 @@ def fuse_paths(c_his: ad.Tensor, c_agent: ad.Tensor, c_user: ad.Tensor,
     return ad.softmax(ad.add_bias(ad.matmul(d, p["fuse.W_4"]), p["fuse.b_4"]))
 
 
-def _baseline_probs(model: ArbitratorModel, c_his: ad.Tensor) -> ad.Tensor:
-    return ad.softmax(ad.add_bias(ad.matmul(c_his, model.params["head.W"]),
-                                  model.params["head.b"]))
-
-
 def encode_response_ids(ids: Sequence[int], role: str) -> EncodedHistory:
     """Wrap generated token ids as arbitrator input: role tag only, tags 0."""
     n = len(ids)
@@ -273,10 +268,8 @@ def decide_with_imagined(model: ArbitratorModel, history_enc: EncodedHistory,
     flags = [f"empty_{role}_generation"
              for role, empty in ((AGENT, agent_empty), (USER, user_empty)) if empty]
     with ad.no_grad():
-        c_his = encode_text(model, history_enc)
-        c_agent = encode_text(model, encode_response_ids(agent_ids, AGENT))
-        c_user = encode_text(model, encode_response_ids(user_ids, USER))
-        probs = fuse_paths(c_his, c_agent, c_user, model).data[0].copy()
+        probs = _sample_probs(model, PreparedSample(history_enc, agent_ids=agent_ids,
+                                                    user_ids=user_ids)).data[0].copy()
     to_text = (lambda ids: tuple(vocab.decode_id(i) for i in ids)) if vocab else tuple
     return Decision(label=_argmax_label(probs), probs=probs,
                     imagined_agent=to_text(agent_ids),
@@ -289,8 +282,8 @@ def ita_predict(history: Sequence[Utterance], model: ArbitratorModel,
                 vocab: Vocabulary, beam_width: int = 4, max_len: int = 40) -> Decision:
     """Imagine both continuations, then arbitrate between the two paths."""
     h_enc = _history_enc(model, history, vocab)
-    agent_ids = beam_decode(agent_imaginator, h_enc, beam_width=beam_width, max_len=max_len)
-    user_ids = beam_decode(user_imaginator, h_enc, beam_width=beam_width, max_len=max_len)
+    agent_ids = beam_decode(agent_imaginator, [h_enc], beam_width=beam_width, max_len=max_len)[0]
+    user_ids = beam_decode(user_imaginator, [h_enc], beam_width=beam_width, max_len=max_len)[0]
     return decide_with_imagined(model, h_enc, agent_ids, user_ids, vocab)
 
 
@@ -299,9 +292,9 @@ def baseline_predict(history: Sequence[Utterance], model: ArbitratorModel,
     """History-only classification; imagined fields stay empty."""
     if model.mode != "baseline":
         raise ValueError("baseline_predict needs a model in baseline mode")
-    h_enc = _history_enc(model, history, vocab)
+    ps = PreparedSample(_history_enc(model, history, vocab))
     with ad.no_grad():
-        probs = _baseline_probs(model, encode_text(model, h_enc)).data[0].copy()
+        probs = _sample_probs(model, ps).data[0].copy()
     return Decision(label=_argmax_label(probs), probs=probs)
 
 
@@ -360,9 +353,9 @@ def decision_record(sample_id: str, decision: Decision) -> dict:
 
 @dataclass
 class PreparedSample:
-    """Everything the arbitrator needs about one sample, generation included."""
+    """One sample's arbitrator inputs, imaginations included; a decision has no label."""
     history_enc: EncodedHistory
-    label: int
+    label: int | None = None
     agent_ids: list[int] = field(default_factory=list)
     user_ids: list[int] = field(default_factory=list)
 
@@ -391,12 +384,14 @@ def prepare_samples(samples: Sequence[ArbitratorSample], model: ArbitratorModel,
 
 
 def _sample_probs(model: ArbitratorModel, ps: PreparedSample) -> ad.Tensor:
+    """The wait/reply distribution [1, 2] of one sample: the one arbitrator forward."""
     c_his = encode_text(model, ps.history_enc)
     if model.mode == "ita":
         c_agent = encode_text(model, encode_response_ids(ps.agent_ids, AGENT))
         c_user = encode_text(model, encode_response_ids(ps.user_ids, USER))
         return fuse_paths(c_his, c_agent, c_user, model)
-    return _baseline_probs(model, c_his)
+    return ad.softmax(ad.add_bias(ad.matmul(c_his, model.params["head.W"]),
+                                  model.params["head.b"]))
 
 
 def batch_loss(model: ArbitratorModel, batch: Sequence[PreparedSample]) -> ad.Tensor:

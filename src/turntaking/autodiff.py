@@ -318,8 +318,8 @@ def max_over_time(a: Tensor) -> Tensor:
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, (arg, cols), g)
-        _acc(a, ga)
+        ga[arg, cols] = g  # one (arg, col) pair per column, so no index repeats
+        _acc(a, ga, fresh=True)
 
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
@@ -440,12 +440,14 @@ def unfold_rows(a: Tensor, width: int) -> Tensor:
     n_win = l - width + 1
     win = np.lib.stride_tricks.sliding_window_view(a.data, (width, d))[:, 0]
     out = win.reshape(n_win, width * d).copy()
-    idx = (np.arange(n_win)[:, None] + np.arange(width)[None, :]).reshape(-1)
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g.reshape(n_win * width, d))
-        _acc(a, ga)
+        g = g.reshape(n_win, width, d)
+        # offsets last to first, so each row sums its windows in window order
+        for j in reversed(range(width)):
+            ga[j:j + n_win] += g[:, j]
+        _acc(a, ga, fresh=True)
 
     return Tensor(out, _parents=(a,), _bwd=bwd)
 

@@ -50,8 +50,8 @@ def _sha256_file(path: Path) -> str:
 
 def _write_manifest(out_dir: Path, names: list[str]) -> None:
     digests = {n: _sha256_file(out_dir / n) for n in sorted(names)}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    cp._write_atomic(out_dir / "manifest.json",
+                     (json.dumps(digests, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _load_data_dir(data: str):
@@ -292,13 +292,12 @@ def cmd_generate(args) -> int:
     if not samples:
         raise CliError(f"split {args.split!r} has no samples for role {model.role!r}")
 
+    encs = [cp.encode_history(s.history, vocab, model.max_history,
+                              model.turn_cap, model.subturn_cap) for s in samples]
+    decoded = beam_decode(model, encs, beam_width=args.beam_width, max_len=args.max_len)
     sink = open(_out_file(args.out), "w") if args.out else sys.stdout
     try:
-        for i, s in enumerate(samples):
-            enc = cp.encode_history(s.history, vocab, model.max_history,
-                                    model.turn_cap, model.subturn_cap)
-            ids = beam_decode(model, enc, beam_width=args.beam_width,
-                              max_len=args.max_len)
+        for i, (s, ids) in enumerate(zip(samples, decoded)):
             rec = {"sample_id": f"{args.split}-{i:05d}", "role": model.role,
                    "generated": " ".join(vocab.decode_id(t) for t in ids),
                    "target": " ".join(s.target.tokens)}
@@ -442,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="split seed; must match the training run")
     p.add_argument("--valid-frac", type=float, default=_DEFAULTS.valid_frac)
     p.add_argument("--test-frac", type=float, default=_DEFAULTS.test_frac)
-    p.add_argument("--beam-width", type=int, default=_DEFAULTS.beam_width)
+    p.add_argument("--beam-width", type=int, default=_DEFAULTS.beam_width,
+                   help="beam width for imaginator checkpoints only; an arbitrator "
+                        "imagines greedily, as in its training")
     p.add_argument("--max-len", type=int, default=_DEFAULTS.max_decode_len)
     p.set_defaults(func=cmd_evaluate)
 

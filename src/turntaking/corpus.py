@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -587,76 +588,85 @@ def _utt_from_record(rec: dict) -> Utterance:
                      subturn_index=rec["subturn"], tokens=tuple(rec["tokens"]))
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Replace path with data in one step: readers see the old file or the new, never a mix."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_records(path, header: dict, records: Iterable[dict]) -> None:
+    lines = [_dumps({"header": header})] + [_dumps(r) for r in records]
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
+
+
+def _read_records(path, build):
+    """The header and the built records of a JSONL file written by `_write_records`.
+
+    A line that is not JSON, lacks a key or holds an invalid record raises
+    IngestError located at "<path>:<line>".
+    """
+    header, items = None, []
+    with open(path) as fh:
+        for n, line in enumerate(fh, start=1):
+            try:
+                rec = json.loads(line)
+                if n > 1:
+                    items.append(build(rec))
+                elif isinstance(rec, dict) and "header" in rec:
+                    header = rec["header"]
+                else:
+                    raise KeyError("header")
+            except json.JSONDecodeError as e:
+                raise IngestError(f"{path}:{n}: bad JSON ({e})") from None
+            except KeyError as e:
+                raise IngestError(f"{path}:{n}: missing key {e}") from None
+            except (TypeError, ValueError) as e:
+                raise IngestError(f"{path}:{n}: invalid record ({e})") from None
+    return header, items
+
+
 def write_processed(dialogues: Iterable[Dialogue], path, header: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(_dumps({"header": header}) + "\n")
-        for d in dialogues:
-            fh.write(_dumps({"id": d.id,
-                             "utterances": [_utt_record(u) for u in d.utterances]}) + "\n")
+    _write_records(path, header, ({"id": d.id,
+                                   "utterances": [_utt_record(u) for u in d.utterances]}
+                                  for d in dialogues))
 
 
 def read_processed(path):
-    header = None
-    dialogues = []
-    with open(path) as fh:
-        for n, line in enumerate(fh):
-            rec = json.loads(line)
-            if n == 0:
-                if "header" not in rec:
-                    raise IngestError(f"{path}: missing header line")
-                header = rec["header"]
-                continue
-            dialogues.append(Dialogue(
-                id=rec["id"],
-                utterances=tuple(_utt_from_record(u) for u in rec["utterances"]),
-            ))
-    return header, dialogues
+    return _read_records(path, lambda rec: Dialogue(
+        id=rec["id"], utterances=tuple(_utt_from_record(u) for u in rec["utterances"])))
 
 
 def write_arbitrator_samples(samples: Iterable[ArbitratorSample], path, header: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(_dumps({"header": header}) + "\n")
-        for s in samples:
-            fh.write(_dumps({"history": [_utt_record(u) for u in s.history],
-                             "label": s.label}) + "\n")
+    _write_records(path, header, ({"history": [_utt_record(u) for u in s.history],
+                                   "label": s.label} for s in samples))
 
 
 def read_arbitrator_samples(path):
-    header, samples = None, []
-    with open(path) as fh:
-        for n, line in enumerate(fh):
-            rec = json.loads(line)
-            if n == 0:
-                header = rec.get("header")
-                continue
-            samples.append(ArbitratorSample(
-                history=tuple(_utt_from_record(u) for u in rec["history"]),
-                label=int(rec["label"])))
-    return header, samples
+    return _read_records(path, lambda rec: ArbitratorSample(
+        history=tuple(_utt_from_record(u) for u in rec["history"]),
+        label=int(rec["label"])))
 
 
 def write_imaginator_samples(samples: Iterable[ImaginatorSample], path, header: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(_dumps({"header": header}) + "\n")
-        for s in samples:
-            fh.write(_dumps({"history": [_utt_record(u) for u in s.history],
-                             "target": _utt_record(s.target),
-                             "role": s.role}) + "\n")
+    _write_records(path, header, ({"history": [_utt_record(u) for u in s.history],
+                                   "target": _utt_record(s.target),
+                                   "role": s.role} for s in samples))
 
 
 def read_imaginator_samples(path):
-    header, samples = None, []
-    with open(path) as fh:
-        for n, line in enumerate(fh):
-            rec = json.loads(line)
-            if n == 0:
-                header = rec.get("header")
-                continue
-            samples.append(ImaginatorSample(
-                history=tuple(_utt_from_record(u) for u in rec["history"]),
-                target=_utt_from_record(rec["target"]),
-                role=rec["role"]))
-    return header, samples
+    return _read_records(path, lambda rec: ImaginatorSample(
+        history=tuple(_utt_from_record(u) for u in rec["history"]),
+        target=_utt_from_record(rec["target"]),
+        role=rec["role"]))
 
 
 def split_corpus(dialogues: Sequence[Dialogue], seed: int,

@@ -15,17 +15,19 @@ never depends on attention; attention and logits then read each step's h.
 
 Training and decoding share one forward implementation: `encode_batch`,
 `lstm_step` (a one-step `autodiff.lstm`), `attention_context` and
-`_decoder_logits`. Training records it on the autodiff tape; greedy and beam
-decoding run it batch-shaped under `autodiff.no_grad`, all histories
-(greedy) or all live hypotheses (beam) stepping together, and read
-log-probabilities off the logits in numpy.
+`_decoder_logits`. Training records it on the autodiff tape; decoding runs
+it under `autodiff.no_grad` and reads log-probabilities off the logits in
+numpy. There is one search, `_search`: a beam search batched over
+histories, with beam_width decoder rows per history stepping together.
+Greedy decoding is that search at width 1; `greedy_decode` and
+`beam_decode` are the two names it is called by.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +38,10 @@ from .corpus import (
     EncodedHistory, ImaginatorSample, Vocabulary, encode_history, encode_target,
 )
 
-# histories greedy-decoded together; bounds the [B, T, H] encoder states held at once
-GREEDY_CHUNK = 64
+# decoder rows (histories x beam width) searched together; bounds the
+# [rows, T, H] encoder states held at once
+SEARCH_ROWS = 64
+_LOWEST = np.finfo(np.float64).min
 
 
 class ImaginatorModel:
@@ -244,92 +248,105 @@ def train_step(batch: Sequence[ImaginatorSample], model: ImaginatorModel,
 # decoding
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    # finite even where a logit is pinned far below the rest
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _select(scores: np.ndarray, width: int):
+    """The top `width` finite entries of each row of scores; ties go to the lowest index.
+
+    Returns their flat indices in ascending order, their values, and the rank
+    of each among the entries kept from its row.
+    """
+    n = scores.shape[1]
+    # the width-th largest value of each row (at width 1 the max, which is cheaper),
+    # raised from -inf to the lowest float so that no -inf entry is kept
+    kth = max(n - width, 0)
+    cut = scores.max(axis=1) if width == 1 else np.partition(scores, kth, axis=1)[:, kth]
+    flat = np.flatnonzero(scores >= np.maximum(cut, _LOWEST)[:, None])
+    val = scores.ravel()[flat]
+    row = flat // n
+    rank = np.arange(len(flat)) - np.searchsorted(row, row)
+    if rank.max(initial=0) >= width:  # ties at a cut: keep the lowest indices
+        order = np.lexsort((flat, -val, row))  # row stays sorted, so row[order] == row
+        keep = np.zeros(len(flat), dtype=bool)
+        keep[order[rank < width]] = True
+        flat, val, row = flat[keep], val[keep], row[keep]
+        rank = np.arange(len(flat)) - np.searchsorted(row, row)
+    return flat, val, rank
 
 
-def _decode_step(model: ImaginatorModel, prev: np.ndarray, h: ad.Tensor, c: ad.Tensor,
-                 enc_states: ad.Tensor, bias: ad.Tensor):
-    """Feed previous tokens [B] to the decoder: log-probabilities [B, V] and the new (h, c)."""
-    xw = project(ad.rows(model.params["emb.token"], prev), model.params, "dec")
-    h, c = lstm_step(xw, h, c, model.params, "dec")
-    return _log_softmax(_decoder_logits(model, h, enc_states, bias).data), h, c
+def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: int,
+            max_len: int, alpha: float) -> list[list[int]]:
+    """Length-wise beam search over a batch of histories; returns their id lists.
+
+    Each history owns beam_width decoder rows (slots); a dead slot holds
+    log-probability -inf. Each step keeps, per history, the top beam_width
+    expansions of its live slots by cumulative log-probability, ties broken by
+    token sequence: live slots are kept in lexicographic order of their
+    equally long sequences, so the lowest flat (slot, token) index is the
+    lowest sequence. An expansion that emits EOS retires to the history's
+    pool and its slot stays dead (the frontier is not refilled, so width 1 is
+    exactly greedy). Survivors at max_len join the pool; the best by
+    score / length^alpha, ties to the lowest sequence, is returned without EOS.
+    """
+    if beam_width < 1 or max_len < 1:
+        raise ValueError("beam_width and max_len must be >= 1")
+    K, V, params = beam_width, model.vocab_size, model.params
+    per_chunk = max(1, SEARCH_ROWS // K)
+    out: list[list[int]] = []
+    with ad.no_grad():
+        for start in range(0, len(encs), per_chunk):
+            chunk = encs[start:start + per_chunk]
+            N = len(chunk)
+            enc_states, mask, h, c = encode_batch(model, chunk)
+            bias = attention_bias(mask)
+            logp = np.zeros(N)  # the first step expands one row per history
+            history = np.arange(N * K) // K
+            seqs = np.full((N, max_len + 1), BOS, dtype=np.int64)  # BOS, then the tokens
+            pools: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in chunk]
+            for t in range(1, max_len + 1):
+                k = len(logp) // N  # rows per history in this step: 1, then K
+                xw = project(ad.rows(params["emb.token"], seqs[:, t - 1]), params, "dec")
+                h, c = lstm_step(xw, h, c, params, "dec")
+                # log-softmax, finite even where a logit is pinned far below the rest
+                logits = _decoder_logits(model, h, enc_states, bias).data
+                shifted = logits - logits.max(axis=1, keepdims=True)
+                lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+                flat, best, slot = _select((logp[:, None] + (shifted - lse)).reshape(N, k * V), K)
+                parent, tok = np.divmod(flat, V)
+                b, eos = parent // k, tok == EOS
+                for i in np.flatnonzero(eos):
+                    pools[b[i]].append((tuple(seqs[parent[i], 1:t].tolist()) + (EOS,),
+                                        float(best[i])))
+                # row b·K + s is slot s of history b; a dead slot keeps a row of its history
+                row = b * K + slot
+                src = history * k
+                src[row] = parent
+                seqs = seqs[src]
+                seqs[row, t] = tok
+                logp = np.full(N * K, -np.inf)
+                logp[row] = np.where(eos, -np.inf, best)
+                h, c = ad.constant(h.data[src]), ad.constant(c.data[src])
+                if eos.all():
+                    break
+                if k < K:
+                    enc_states, bias = (ad.constant(np.repeat(a.data, K, axis=0))
+                                        for a in (enc_states, bias))
+            for b, pool in enumerate(pools):
+                pool.extend((tuple(seqs[r, 1:t + 1].tolist()), float(logp[r]))
+                            for r in range(b * K, b * K + K) if logp[r] > -np.inf)
+                best_seq, _ = min(pool, key=lambda p: (-p[1] / (len(p[0]) ** alpha), p[0]))
+                out.append([i for i in best_seq if i != EOS])
+    return out
 
 
 def greedy_decode(model: ImaginatorModel, encs: Sequence[EncodedHistory],
                   max_len: int = 40) -> list[list[int]]:
-    """Argmax decoding of every history; ties go to the lowest token id; EOS stops and is dropped.
-
-    Histories run GREEDY_CHUNK at a time, every row of a chunk stepping in
-    lockstep until each has emitted EOS or max_len tokens. Returns one id
-    list per history, in input order.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    out: list[list[int]] = []
-    with ad.no_grad():
-        for start in range(0, len(encs), GREEDY_CHUNK):
-            chunk = encs[start:start + GREEDY_CHUNK]
-            enc_states, mask, h, c = encode_batch(model, chunk)
-            bias = attention_bias(mask)
-            ids = [[] for _ in chunk]
-            live = np.ones(len(chunk), dtype=bool)
-            prev = np.full(len(chunk), BOS, dtype=np.int64)
-            for _ in range(max_len):
-                logprobs, h, c = _decode_step(model, prev, h, c, enc_states, bias)
-                prev = np.argmax(logprobs, axis=1)
-                live &= prev != EOS
-                if not live.any():
-                    break
-                for b in np.flatnonzero(live):
-                    ids[b].append(int(prev[b]))
-            out.extend(ids)
-    return out
+    """Argmax decoding, the search at width 1: ties to the lowest id, EOS stops and is dropped."""
+    return _search(model, encs, 1, max_len, 1.0)
 
 
-def beam_decode(model: ImaginatorModel, enc: EncodedHistory, beam_width: int = 4,
-                max_len: int = 40, alpha: float = 0.7) -> list[int]:
-    """Length-wise beam search with score/length^alpha normalization.
-
-    Each step expands every live hypothesis over the whole vocabulary and
-    keeps the top beam_width by cumulative log-probability, breaking ties by
-    token sequence. Hypotheses that just emitted EOS retire to the finished
-    pool (the frontier is not refilled, which keeps beam_width 1 exactly
-    equal to greedy decoding). Survivors at max_len count as finished.
-    """
-    if beam_width < 1 or max_len < 1:
-        raise ValueError("beam_width and max_len must be >= 1")
-    V = model.vocab_size
-    with ad.no_grad():
-        enc_states, mask, h, c = encode_batch(model, [enc])
-        tiled = np.repeat(enc_states.data, beam_width, axis=0)
-        bias = np.repeat(attention_bias(mask).data, beam_width, axis=0)
-        seqs: list[tuple[int, ...]] = [()]  # live hypotheses, one row of h and c each
-        logp = np.zeros(1)
-        pool: list[tuple[tuple[int, ...], float]] = []
-        for _ in range(max_len):
-            if not seqs:
-                break
-            k = len(seqs)
-            prev = np.array([s[-1] if s else BOS for s in seqs], dtype=np.int64)
-            logprobs, h, c = _decode_step(model, prev, h, c, ad.constant(tiled[:k]),
-                                          ad.constant(bias[:k]))
-            scores = (logp[:, None] + logprobs).ravel()
-            n = min(beam_width, scores.size)
-            cut = np.partition(scores, scores.size - n)[scores.size - n]
-            best = sorted(np.flatnonzero(scores >= cut),
-                          key=lambda i: (-scores[i], seqs[i // V] + (i % V,)))[:n]
-            pool.extend((seqs[i // V] + (EOS,), float(scores[i])) for i in best if i % V == EOS)
-            keep = [i for i in best if i % V != EOS]
-            rows = [i // V for i in keep]
-            seqs = [seqs[i // V] + (int(i % V),) for i in keep]
-            logp = scores[keep]
-            h, c = ad.constant(h.data[rows]), ad.constant(c.data[rows])
-    pool.extend((seq, float(lp)) for seq, lp in zip(seqs, logp))
-    best_seq, _ = min(pool, key=lambda p: (-p[1] / (len(p[0]) ** alpha), p[0]))
-    return [t for t in best_seq if t != EOS]
+def beam_decode(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: int = 4,
+                max_len: int = 40, alpha: float = 0.7) -> list[list[int]]:
+    """Beam search of every history with score/length^alpha normalization; see `_search`."""
+    return _search(model, encs, beam_width, max_len, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -371,30 +388,19 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
     return math.exp(log_p) * bp
 
 
-DecodeFn = Callable[[ImaginatorModel, list[EncodedHistory]], list]
-
-
 def evaluate_imaginator(model: ImaginatorModel, samples: Sequence[ImaginatorSample],
-                        vocab: Vocabulary, beam_width: int = 4, max_len: int = 40,
-                        decode_fn: DecodeFn | None = None) -> dict:
-    """Corpus BLEU of the model's decodes, split by target role.
+                        vocab: Vocabulary, beam_width: int = 4, max_len: int = 40) -> dict:
+    """Corpus BLEU of the model's beam decodes, split by target role.
 
-    A partition with no samples reports 0.0. decode_fn replaces beam search:
-    it takes the model and the list of encoded histories and returns one
-    token-string list per history.
+    All histories decode in one `beam_decode` call. A partition with no
+    samples reports 0.0.
     """
     encs = [encode_history(s.history, vocab, model.max_history,
                            model.turn_cap, model.subturn_cap) for s in samples]
-    if decode_fn is not None:
-        decoded = decode_fn(model, encs)
-    else:
-        decoded = [[vocab.decode_id(i)
-                    for i in beam_decode(model, enc, beam_width=beam_width, max_len=max_len)]
-                   for enc in encs]
     cands = {AGENT: [], USER: []}
     refs = {AGENT: [], USER: []}
-    for s, toks in zip(samples, decoded):
-        cands[s.target.role].append(list(toks))
+    for s, ids in zip(samples, beam_decode(model, encs, beam_width=beam_width, max_len=max_len)):
+        cands[s.target.role].append([vocab.decode_id(i) for i in ids])
         refs[s.target.role].append(list(s.target.tokens))
     return {
         "bleu_on_agent_targets": bleu(cands[AGENT], refs[AGENT]) if cands[AGENT] else 0.0,

@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import struct
 import time
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 from . import arbitrator as arb
 from . import imaginator as im
 from .autodiff import Adam, TrainingError
-from .corpus import AGENT, USER, Vocabulary
+from .corpus import AGENT, USER, Vocabulary, _write_atomic
 
 CHECKPOINT_MAGIC = b"TTCP"
 CHECKPOINT_VERSION = 2
@@ -200,20 +199,6 @@ def save_checkpoint(model, path, vocab_hash: str, optimizer: Adam | None = None,
     _write_atomic(path.with_suffix(path.suffix + ".txt"), _sidecar_text(header).encode())
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace path with data in one step: readers see the old file or the new, never a mix."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _sidecar_text(header: dict) -> str:
     lines = [f"format_version = {CHECKPOINT_VERSION}",
              f"vocab_hash = {header['vocab_hash']}"]
@@ -321,20 +306,6 @@ class TrainResult:
     history: list[dict]
 
 
-def _imaginator_validator(model, valid_samples, vocab: Vocabulary, config: TrainConfig):
-    # greedy decoding during training keeps validation cheap; the configured
-    # beam width applies at evaluation time
-    def decode(m, encs):
-        return [[vocab.decode_id(i) for i in ids]
-                for ids in im.greedy_decode(m, encs, max_len=config.max_decode_len)]
-
-    def validate():
-        scores = im.evaluate_imaginator(model, valid_samples, vocab, decode_fn=decode)
-        return scores[f"bleu_on_{model.role}_targets"]
-
-    return "bleu", validate
-
-
 def run_training(config: TrainConfig, train_samples, valid_samples, model,
                  vocab: Vocabulary, imaginators=None, metrics_path=None,
                  checkpoint_path=None) -> TrainResult:
@@ -355,7 +326,12 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
 
     if kind == "imaginator":
         step = lambda batch: im.train_step(batch, model, opt, vocab)
-        metric_name, validate = _imaginator_validator(model, valid_samples, vocab, config)
+        # width 1 (greedy) keeps validation cheap; the configured beam width
+        # applies at evaluation time
+        metric_name = "bleu"
+        validate = lambda: im.evaluate_imaginator(
+            model, valid_samples, vocab, beam_width=1,
+            max_len=config.max_decode_len)[f"bleu_on_{model.role}_targets"]
         train_items = list(train_samples)
     else:
         if model.mode == "ita" and imaginators is None:

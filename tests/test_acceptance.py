@@ -199,7 +199,7 @@ def test_criterion_2_decoding_equivalence():
                                 subturn_cap=4, max_history=32,
                                 use_attention=bool(i % 3), seed=i)
         enc = cp.encode_history(_random_history(rng, vocab), vocab, 32, 4, 4)
-        if im.beam_decode(model, enc, beam_width=1, max_len=6) != \
+        if im.beam_decode(model, [enc], beam_width=1, max_len=6)[0] != \
                 im.greedy_decode(model, [enc], max_len=6)[0]:
             mismatches += 1
 
@@ -210,7 +210,7 @@ def test_criterion_2_decoding_equivalence():
         model = ImaginatorModel(vocab_size=3, role=cp.AGENT, hidden=4,
                                 token_dim=3, tag_dim=2, turn_cap=2, subturn_cap=2,
                                 max_history=16, seed=seed)
-        got = im.beam_decode(model, enc, beam_width=27, max_len=3)
+        got = im.beam_decode(model, [enc], beam_width=27, max_len=3)[0]
         want = enumerate_best_sequence(model, enc, vocab_size=3, max_len=3)
         if got != want:
             exhaustive_bad += 1
@@ -363,8 +363,8 @@ def test_criterion_8_persistence(tmp_path):
     for i in range(50):
         rng = np.random.default_rng(3000 + i)
         enc = cp.encode_history(_random_history(rng, vocab), vocab, 64, 4, 4)
-        if im.beam_decode(model, enc, beam_width=3, max_len=6) != \
-                im.beam_decode(loaded, enc, beam_width=3, max_len=6):
+        if im.beam_decode(model, [enc], beam_width=3, max_len=6)[0] != \
+                im.beam_decode(loaded, [enc], beam_width=3, max_len=6)[0]:
             decode_same = False
 
     blob = bytearray(path.read_bytes())

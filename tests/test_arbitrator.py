@@ -347,8 +347,8 @@ class TestPrediction:
         live = ita_predict(utts, m, ims[0], ims[1], vocab, beam_width=2, max_len=6)
         h_enc = encode_history(utts, vocab, m.max_history, m.turn_cap, m.subturn_cap)
         cached = {
-            AGENT: beam_decode(ims[0], h_enc, beam_width=2, max_len=6),
-            USER: beam_decode(ims[1], h_enc, beam_width=2, max_len=6),
+            AGENT: beam_decode(ims[0], [h_enc], beam_width=2, max_len=6)[0],
+            USER: beam_decode(ims[1], [h_enc], beam_width=2, max_len=6)[0],
         }
         replayed = decide_with_imagined(m, h_enc, cached[AGENT], cached[USER], vocab)
         assert replayed.label == live.label

@@ -111,6 +111,22 @@ class TestPreprocess:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_failed_replace_keeps_previous_manifest(self, prep_dir, tmp_path, monkeypatch):
+        for name in PREP_FILES[:2]:
+            (tmp_path / name).write_bytes((prep_dir / name).read_bytes())
+        cli._write_manifest(tmp_path, PREP_FILES[:1])
+        before = (tmp_path / "manifest.json").read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.cp.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_manifest(tmp_path, PREP_FILES[:2])
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert left == sorted(PREP_FILES[:2] + ["manifest.json"])
+
     def test_unknown_flag_rejected(self, raw_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["preprocess", "--input", str(raw_path), "--format",
@@ -124,6 +140,12 @@ class TestStats:
                   "--vocab", str(prep_dir / "vocab.tsv")])
         assert rc == 0
         assert capsys.readouterr().out == (prep_dir / "stats.txt").read_text()
+
+    def test_record_without_utterances_is_located_error(self, tmp_path, capsys):
+        path = tmp_path / "processed.jsonl"
+        path.write_text('{"header": {}}\n{"id": "d1"}\n')
+        assert run(["stats", "--data", str(path)]) == 1
+        assert f"error: {path}:2: missing key 'utterances'" in capsys.readouterr().err
 
 
 class TestTrain:

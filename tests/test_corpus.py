@@ -456,6 +456,39 @@ class TestFiles:
         _, ima2 = cp.read_imaginator_samples(tmp_path / "ima.jsonl")
         assert arb2 == arb and ima2 == ima
 
+    @pytest.mark.parametrize("kind", ["bad_json", "missing_key", "invalid_record"])
+    @pytest.mark.parametrize("reader", ["processed", "arbitrator", "imaginator"])
+    def test_bad_line_raises_located_error(self, tmp_path, reader, kind):
+        d = make_dialogue("a", (cp.USER, "hello"), (cp.AGENT, "hi"), (cp.USER, "bye"))
+        path = tmp_path / "f.jsonl"
+        write, read, records, key = {
+            "processed": (cp.write_processed, cp.read_processed, [d, d], "utterances"),
+            "arbitrator": (cp.write_arbitrator_samples, cp.read_arbitrator_samples,
+                           cp.derive_arbitrator_samples(d), "label"),
+            "imaginator": (cp.write_imaginator_samples, cp.read_imaginator_samples,
+                           cp.derive_imaginator_samples(d, cp.AGENT) * 2, "target"),
+        }[reader]
+        write(records, path, header={"seed": 0})
+        lines = path.read_text().splitlines()
+        assert len(lines) >= 3
+        rec = json.loads(lines[2])
+        if kind == "bad_json":
+            lines[2] = lines[2][:-1]
+            want = f"{path}:3: bad JSON"
+        elif kind == "missing_key":
+            del rec[key]
+            lines[2] = json.dumps(rec)
+            want = f"{path}:3: missing key '{key}'"
+        else:
+            first = rec["utterances"][0] if reader == "processed" else rec["history"][0]
+            first["role"] = "narrator"
+            lines[2] = json.dumps(rec)
+            want = f"{path}:3: invalid record (unknown role 'narrator')"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(cp.IngestError) as exc:
+            read(path)
+        assert str(exc.value).startswith(want)
+
     def test_byte_identical_rewrite(self, tmp_path):
         ds = [make_dialogue(str(i), (cp.USER, "a . b . c"), (cp.AGENT, "d"))
               for i in range(20)]

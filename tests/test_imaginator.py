@@ -2,8 +2,8 @@
 
 Training and decoding share one forward implementation. The scalar-loop
 forward in tests/oracles/search_oracle.py referees it under teacher forcing
-and is the ground truth for beam search; batched greedy decoding is pinned
-to decoding each history alone.
+and is the ground truth for beam search; a batch of histories is pinned to
+decoding each history alone, at every width.
 """
 
 import numpy as np
@@ -300,7 +300,7 @@ class TestGreedyDecode:
         encs = [enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
                 for _ in range(7)]
         whole = im.greedy_decode(m, encs, max_len=8)
-        monkeypatch.setattr(im, "GREEDY_CHUNK", 3)
+        monkeypatch.setattr(im, "SEARCH_ROWS", 3)
         assert im.greedy_decode(m, encs, max_len=8) == whole
 
 
@@ -311,8 +311,38 @@ class TestBeamDecode:
             rng = np.random.default_rng(seed)
             m = tiny_model(seed=seed, V=len(vocab), use_attention=bool(seed % 2))
             enc = enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
-            assert im.beam_decode(m, enc, beam_width=1, max_len=8) == \
+            assert im.beam_decode(m, [enc], beam_width=1, max_len=8)[0] == \
                 im.greedy_decode(m, [enc], max_len=8)[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_utts=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), attention=st.booleans(), tied=st.booleans())
+    def test_batch_equals_one_at_a_time(self, n_utts, seed, attention, tied):
+        """Histories of mixed length decode in one batch as they do alone, at every width.
+
+        A tied model (all parameters zero) ties every token at every step.
+        """
+        vocab = small_vocab()
+        m = tiny_model(seed=seed % 89, V=len(vocab), use_attention=attention)
+        for _, p in m.params.items() if tied else ():
+            p.data[:] = 0.0
+        rng = np.random.default_rng(seed)
+        encs = [enc_of(m, rand_history(rng, n_utts=n), vocab) for n in n_utts]
+        for width in (1, 2, 4):
+            assert im.beam_decode(m, encs, beam_width=width, max_len=6) == \
+                [im.beam_decode(m, [e], beam_width=width, max_len=6)[0] for e in encs]
+
+    @pytest.mark.parametrize("rows", [8, 3])
+    def test_chunks_equal_one_batch(self, monkeypatch, rows):
+        """Width 4 in chunks of two histories, or of one when rows < width."""
+        vocab = small_vocab()
+        m = tiny_model(seed=9, V=len(vocab))
+        rng = np.random.default_rng(14)
+        encs = [enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
+                for _ in range(7)]
+        whole = im.beam_decode(m, encs, beam_width=4, max_len=8)
+        monkeypatch.setattr(im, "SEARCH_ROWS", rows)
+        assert im.beam_decode(m, encs, beam_width=4, max_len=8) == whole
 
     def test_exhaustive_v3(self):
         """V=3 keeps EOS unreachable: all 27 length-3 sequences enumerated."""
@@ -322,7 +352,7 @@ class TestBeamDecode:
             m = im.ImaginatorModel(vocab_size=3, role=cp.AGENT, hidden=4, token_dim=3,
                                    tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16,
                                    use_attention=True, seed=seed)
-            got = im.beam_decode(m, enc, beam_width=27, max_len=3)
+            got = im.beam_decode(m, [enc], beam_width=27, max_len=3)[0]
             assert got == enumerate_best_sequence(m, enc, vocab_size=3, max_len=3)
 
     def test_all_tied_matches_exhaustive(self):
@@ -336,7 +366,7 @@ class TestBeamDecode:
             p.data[:] = 0.0
         want = enumerate_best_sequence(m, enc, vocab_size=3, max_len=3)
         for width in (1, 2, 4):
-            assert im.beam_decode(m, enc, beam_width=width, max_len=3) == want
+            assert im.beam_decode(m, [enc], beam_width=width, max_len=3)[0] == want
 
     def test_exhaustive_v5_with_eos(self):
         enc = cp.EncodedHistory(tokens=np.array([4, 1]), roles=np.array([1, 1]),
@@ -345,7 +375,7 @@ class TestBeamDecode:
             m = im.ImaginatorModel(vocab_size=5, role=cp.USER, hidden=4, token_dim=3,
                                    tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16,
                                    use_attention=False, seed=seed)
-            got = im.beam_decode(m, enc, beam_width=125, max_len=3)
+            got = im.beam_decode(m, [enc], beam_width=125, max_len=3)[0]
             assert got == enumerate_best_sequence(m, enc, vocab_size=5, max_len=3)
 
     def _normalized_score(self, m, enc, toks, max_len, alpha=0.7):
@@ -360,7 +390,7 @@ class TestBeamDecode:
             m = tiny_model(seed=seed + 77, V=len(vocab))
             enc = enc_of(m, rand_history(rng), vocab)
             g = im.greedy_decode(m, [enc], max_len=6)[0]
-            b = im.beam_decode(m, enc, beam_width=4, max_len=6)
+            b = im.beam_decode(m, [enc], beam_width=4, max_len=6)[0]
             assert self._normalized_score(m, enc, b, 6) >= \
                 self._normalized_score(m, enc, g, 6) - 1e-12
 
@@ -371,7 +401,7 @@ class TestBeamDecode:
             m = tiny_model(seed=seed + 300, V=len(vocab))
             enc = enc_of(m, rand_history(rng), vocab)
             scores = [self._normalized_score(
-                m, enc, im.beam_decode(m, enc, beam_width=B, max_len=5), 5)
+                m, enc, im.beam_decode(m, [enc], beam_width=B, max_len=5)[0], 5)
                 for B in (1, 2, 4, 8)]
             assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
 
@@ -379,8 +409,8 @@ class TestBeamDecode:
         vocab = small_vocab()
         m = tiny_model(seed=21, V=len(vocab))
         enc = enc_of(m, rand_history(np.random.default_rng(4)), vocab)
-        assert im.beam_decode(m, enc, beam_width=4, max_len=8) == \
-            im.beam_decode(m, enc, beam_width=4, max_len=8)
+        assert im.beam_decode(m, [enc], beam_width=4, max_len=8)[0] == \
+            im.beam_decode(m, [enc], beam_width=4, max_len=8)[0]
 
 
 class TestFullGradient:
@@ -411,13 +441,13 @@ class TestEvaluate:
         return (cp.derive_imaginator_samples(d, cp.AGENT)
                 + cp.derive_imaginator_samples(d, cp.USER))
 
-    def test_oracle_decoder_scores_one(self):
+    def test_oracle_decoder_scores_one(self, monkeypatch):
         vocab = small_vocab()
         m = tiny_model(seed=2, V=len(vocab))
         samples = self._samples(vocab)
-        refs = [list(s.target.tokens) for s in samples]
-        out = im.evaluate_imaginator(m, samples, vocab,
-                                     decode_fn=lambda model, encs: refs)
+        refs = [[vocab.encode_token(t) for t in s.target.tokens] for s in samples]
+        monkeypatch.setattr(im, "beam_decode", lambda model, encs, **kw: refs)
+        out = im.evaluate_imaginator(m, samples, vocab)
         assert out["bleu_on_agent_targets"] == pytest.approx(1.0)
         assert out["bleu_on_user_targets"] == pytest.approx(1.0)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from turntaking import autodiff as ad
-from turntaking import training
+from turntaking import corpus
 from turntaking.arbitrator import ArbitratorModel, evaluate_prepared, prepare_samples
 from turntaking.corpus import (
     AGENT, USER, ArbitratorSample, Dialogue, ImaginatorSample, Utterance,
@@ -194,10 +194,10 @@ class TestCheckpoint:
             raise OSError("disk full")
 
         if fault == "half_write":
-            monkeypatch.setattr(training, "open", lambda p, mode: HalfWriter(open(p, mode)),
+            monkeypatch.setattr(corpus, "open", lambda p, mode: HalfWriter(open(p, mode)),
                                 raising=False)
         else:
-            monkeypatch.setattr(training.os, "replace", fail)
+            monkeypatch.setattr(corpus.os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(tiny_imaginator(vocab, seed=5), path, self.HASH)
         monkeypatch.undo()
