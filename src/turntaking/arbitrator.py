@@ -179,8 +179,8 @@ def textcnn_encode(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
     feats = []
     for k in model.filter_widths:
         windows = ad.unfold_rows(emb, k)
-        fmap = ad.relu(ad.add_bias(ad.matmul(windows, model.params[f"cnn.W_{k}"]),
-                                   model.params[f"cnn.b_{k}"]))
+        fmap = ad.relu(ad.matmul(windows, model.params[f"cnn.W_{k}"],
+                                 bias=model.params[f"cnn.b_{k}"]))
         pooled = ad.max_over_time(fmap)
         feats.append(ad.reshape(pooled, (1, model.filters_per_width)))
     return ad.concat_cols(feats)
@@ -213,16 +213,14 @@ def encode_text(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
 
 def fuse_paths(c_his: ad.Tensor, c_agent: ad.Tensor, c_user: ad.Tensor,
                model: ArbitratorModel) -> ad.Tensor:
-    """Score the two dialogue paths and classify; purely affine before the
-    final softmax (three stacked linear maps, deliberately no activation)."""
+    """Score the two dialogue paths and classify: the wait/reply logits [1, 2].
+
+    Purely affine (three stacked linear maps, deliberately no activation)."""
     p = model.params
-    d_agent = ad.add_bias(ad.matmul(ad.concat_cols([c_his, c_agent]), p["fuse.W_1"]),
-                          p["fuse.b_1"])
-    d_user = ad.add_bias(ad.matmul(ad.concat_cols([c_his, c_user]), p["fuse.W_2"]),
-                         p["fuse.b_2"])
-    d = ad.add_bias(ad.matmul(ad.concat_cols([d_agent, d_user]), p["fuse.W_3"]),
-                    p["fuse.b_3"])
-    return ad.softmax(ad.add_bias(ad.matmul(d, p["fuse.W_4"]), p["fuse.b_4"]))
+    d_agent = ad.matmul(ad.concat_cols([c_his, c_agent]), p["fuse.W_1"], bias=p["fuse.b_1"])
+    d_user = ad.matmul(ad.concat_cols([c_his, c_user]), p["fuse.W_2"], bias=p["fuse.b_2"])
+    d = ad.matmul(ad.concat_cols([d_agent, d_user]), p["fuse.W_3"], bias=p["fuse.b_3"])
+    return ad.matmul(d, p["fuse.W_4"], bias=p["fuse.b_4"])
 
 
 def encode_response_ids(ids: Sequence[int], role: str) -> EncodedHistory:
@@ -268,8 +266,8 @@ def decide_with_imagined(model: ArbitratorModel, history_enc: EncodedHistory,
     flags = [f"empty_{role}_generation"
              for role, empty in ((AGENT, agent_empty), (USER, user_empty)) if empty]
     with ad.no_grad():
-        probs = _sample_probs(model, PreparedSample(history_enc, agent_ids=agent_ids,
-                                                    user_ids=user_ids)).data[0].copy()
+        probs = ad.softmax(_sample_logits(model, PreparedSample(
+            history_enc, agent_ids=agent_ids, user_ids=user_ids))).data[0].copy()
     to_text = (lambda ids: tuple(vocab.decode_id(i) for i in ids)) if vocab else tuple
     return Decision(label=_argmax_label(probs), probs=probs,
                     imagined_agent=to_text(agent_ids),
@@ -294,7 +292,7 @@ def baseline_predict(history: Sequence[Utterance], model: ArbitratorModel,
         raise ValueError("baseline_predict needs a model in baseline mode")
     ps = PreparedSample(_history_enc(model, history, vocab))
     with ad.no_grad():
-        probs = _sample_probs(model, ps).data[0].copy()
+        probs = ad.softmax(_sample_logits(model, ps)).data[0].copy()
     return Decision(label=_argmax_label(probs), probs=probs)
 
 
@@ -383,24 +381,21 @@ def prepare_samples(samples: Sequence[ArbitratorSample], model: ArbitratorModel,
     return prepared
 
 
-def _sample_probs(model: ArbitratorModel, ps: PreparedSample) -> ad.Tensor:
-    """The wait/reply distribution [1, 2] of one sample: the one arbitrator forward."""
+def _sample_logits(model: ArbitratorModel, ps: PreparedSample) -> ad.Tensor:
+    """The wait/reply logits [1, 2] of one sample: the one arbitrator forward."""
     c_his = encode_text(model, ps.history_enc)
     if model.mode == "ita":
         c_agent = encode_text(model, encode_response_ids(ps.agent_ids, AGENT))
         c_user = encode_text(model, encode_response_ids(ps.user_ids, USER))
         return fuse_paths(c_his, c_agent, c_user, model)
-    return ad.softmax(ad.add_bias(ad.matmul(c_his, model.params["head.W"]),
-                                  model.params["head.b"]))
+    return ad.matmul(c_his, model.params["head.W"], bias=model.params["head.b"])
 
 
 def batch_loss(model: ArbitratorModel, batch: Sequence[PreparedSample]) -> ad.Tensor:
-    """Mean NLL of the gold wait/reply labels over the batch."""
-    total = None
-    for ps in batch:
-        nll = ad.nll_loss(_sample_probs(model, ps), [ps.label])
-        total = nll if total is None else ad.add(total, nll)
-    return ad.scale(total, 1.0 / len(batch))
+    """Mean NLL of the gold wait/reply labels over the batch, from one [B, 2] logits block."""
+    logits = ad.concat_cols([_sample_logits(model, ps) for ps in batch])
+    nll = ad.log_softmax_nll(ad.reshape(logits, (len(batch), 2)), [ps.label for ps in batch])
+    return ad.scale(nll, 1.0 / len(batch))
 
 
 def train_step(batch: Sequence[PreparedSample], model: ArbitratorModel,
@@ -415,7 +410,7 @@ def train_step(batch: Sequence[PreparedSample], model: ArbitratorModel,
 
 def predict_prepared(model: ArbitratorModel, ps: PreparedSample) -> int:
     with ad.no_grad():
-        return _argmax_label(_sample_probs(model, ps).data[0])
+        return _argmax_label(ad.softmax(_sample_logits(model, ps)).data[0])
 
 
 def evaluate_prepared(model: ArbitratorModel, prepared: Sequence[PreparedSample]) -> float:

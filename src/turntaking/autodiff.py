@@ -9,10 +9,12 @@ inference) frees its intermediates as it goes.
 
 Shape discipline is strict on purpose: binary elementwise ops accept two
 equal-shape tensors or a tensor and a scalar, never anything broadcast. The
-handful of batched patterns the models need (bias rows, block slices, embedding
-gather, sliding windows, attention reductions, and whole LSTM and GRU
-recurrences) are dedicated ops with hand-written backward rules, so every
-gradient path stays checkable against central finite differences.
+handful of batched patterns the models need (products with a folded-in bias
+row, block slices, embedding gather, sliding windows, attention of a whole
+[B, Q, H] query axis over [B, T, H] states as batched products, cross-entropy
+straight from logits, and whole LSTM and GRU recurrences) are dedicated ops
+with hand-written backward rules, so every gradient path stays checkable
+against central finite differences.
 
 A recurrence op runs its time loop in plain numpy and is one tape node: its
 backward is one loop back through time that fills the gradients of every gate
@@ -45,9 +47,9 @@ __all__ = [
     "sigmoid",
     "relu",
     "softmax",
-    "nll_loss",
+    "log_softmax",
+    "log_softmax_nll",
     "max_over_time",
-    "add_bias",
     "part",
     "sum_all",
     "scale",
@@ -171,16 +173,23 @@ def backward(loss: Tensor) -> None:
 # core ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs (m,k) x (k,n), got {a.shape} and {b.shape}")
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """(m, k) x (k, n); a given length-n bias is added to every row of the product."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0] or \
+            (bias is not None and bias.shape != b.shape[1:]):
+        raise ShapeError(f"matmul needs (m,k) x (k,n) and an (n,) bias, got {a.shape}, "
+                         f"{b.shape} and {getattr(bias, 'shape', None)}")
     out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
 
     def bwd(g):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
+        _acc(a, g @ b.data.T, fresh=True)
+        _acc(b, a.data.T @ g, fresh=True)
+        if bias is not None:
+            _acc(bias, g.sum(axis=0), fresh=True)
 
-    return Tensor(out, _parents=(a, b), _bwd=bwd)
+    return Tensor(out, _parents=(a, b) if bias is None else (a, b, bias), _bwd=bwd)
 
 
 def _binary_operands(a, b, opname: str):
@@ -276,36 +285,41 @@ def softmax(a: Tensor) -> Tensor:
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
 
-def nll_loss(probs: Tensor, targets, mask=None) -> Tensor:
-    """Summed negative log likelihood of the target ids under ``probs``.
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax of a plain array along its last axis, by log-sum-exp: finite for any
+    finite input. `log_softmax_nll` and decoding both read log-probabilities here."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
-    ``probs`` is (n, vocab) with normalized rows; ``targets`` is a length-n id
-    sequence. Positions with mask 0 contribute exactly 0 to the loss and to
-    the gradient (padding convention).
+
+def log_softmax_nll(logits: Tensor, targets, mask=None) -> Tensor:
+    """Summed cross-entropy of (n, vocab) logits against n target ids, by log-sum-exp.
+
+    Rows with mask 0 contribute exactly 0 to the loss and to the gradient
+    (padding convention); row i's gradient is mask_i * (softmax_i - onehot_i).
     """
-    if probs.data.ndim != 2:
-        raise ShapeError(f"nll_loss needs (n, vocab) probabilities, got {probs.shape}")
-    n, vocab = probs.shape
+    if logits.data.ndim != 2:
+        raise ShapeError(f"log_softmax_nll needs (n, vocab) logits, got {logits.shape}")
+    n, vocab = logits.shape
     t = np.asarray(targets, dtype=np.intp)
     if t.shape != (n,):
-        raise ShapeError(f"nll_loss targets must have shape ({n},), got {t.shape}")
+        raise ShapeError(f"log_softmax_nll targets must have shape ({n},), got {t.shape}")
     if n and (t.min() < 0 or t.max() >= vocab):
         raise IndexError(f"target id out of vocabulary range [0, {vocab})")
     m = np.ones(n) if mask is None else np.asarray(mask, dtype=np.float64)
     if m.shape != (n,):
-        raise ShapeError(f"nll_loss mask must have shape ({n},), got {m.shape}")
-    active = m > 0
-    picked = probs.data[np.arange(n), t]
-    contrib = np.zeros(n)
-    contrib[active] = m[active] * np.log(picked[active])
-    out = -contrib.sum()
+        raise ShapeError(f"log_softmax_nll mask must have shape ({n},), got {m.shape}")
+    logp = log_softmax(logits.data)
+    picked = np.arange(n), t
+    out = -(m * logp[picked]).sum()
 
     def bwd(g):
-        gp = np.zeros_like(probs.data)
-        gp[np.arange(n)[active], t[active]] = -float(g) * m[active] / picked[active]
-        _acc(probs, gp)
+        gl = np.exp(logp)
+        gl[picked] -= 1.0
+        gl *= (float(g) * m)[:, None]
+        _acc(logits, gl, fresh=True)
 
-    return Tensor(out, _parents=(probs,), _bwd=bwd)
+    return Tensor(out, _parents=(logits,), _bwd=bwd)
 
 
 def max_over_time(a: Tensor) -> Tensor:
@@ -326,19 +340,6 @@ def max_over_time(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # structured ops used by the models
-
-
-def add_bias(mat: Tensor, vec: Tensor) -> Tensor:
-    """Add a length-m bias vector to every row of an (n, m) matrix."""
-    if mat.data.ndim != 2 or vec.data.ndim != 1 or mat.shape[1] != vec.shape[0]:
-        raise ShapeError(f"add_bias needs (n,m) and (m,), got {mat.shape} and {vec.shape}")
-    out = mat.data + vec.data
-
-    def bwd(g):
-        _acc(mat, g)
-        _acc(vec, g.sum(axis=0))
-
-    return Tensor(out, _parents=(mat, vec), _bwd=bwd)
 
 
 def part(a: Tensor, rows: slice = slice(None), cols: slice = slice(None)) -> Tensor:
@@ -452,30 +453,35 @@ def unfold_rows(a: Tensor, width: int) -> Tensor:
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
 
-def dot_scores(query: Tensor, states: Tensor) -> Tensor:
-    """Per-position dot products: (b, h) against (b, t, h) gives (b, t)."""
-    if query.data.ndim != 2 or states.data.ndim != 3 or \
-            states.shape[0] != query.shape[0] or states.shape[2] != query.shape[1]:
-        raise ShapeError(f"dot_scores needs (b,h) and (b,t,h), got {query.shape} and {states.shape}")
-    out = np.einsum("bh,bth->bt", query.data, states.data)
+def dot_scores(query: Tensor, states: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """Scores (b, q, t) of queries (b, q, h) against states (b, t, h), plus a constant (b, t)
+    bias, such as an attention mask, on every query's row; the bias takes no gradient."""
+    if query.data.ndim != 3 or states.data.ndim != 3 or \
+            states.shape[0] != query.shape[0] or states.shape[2] != query.shape[2]:
+        raise ShapeError(f"dot_scores needs (b,q,h) and (b,t,h), got {query.shape} and {states.shape}")
+    if bias is not None and bias.shape != states.shape[:2]:
+        raise ShapeError(f"dot_scores bias must have shape {states.shape[:2]}, got {bias.shape}")
+    out = query.data @ states.data.transpose(0, 2, 1)
+    if bias is not None:
+        out += bias[:, None, :]
 
     def bwd(g):
-        _acc(query, np.einsum("bt,bth->bh", g, states.data))
-        _acc(states, np.einsum("bt,bh->bth", g, query.data))
+        _acc(query, g @ states.data, fresh=True)
+        _acc(states, g.transpose(0, 2, 1) @ query.data, fresh=True)
 
     return Tensor(out, _parents=(query, states), _bwd=bwd)
 
 
 def weighted_sum(weights: Tensor, states: Tensor) -> Tensor:
-    """Convex combination of states: (b, t) weights over (b, t, h) gives (b, h)."""
-    if weights.data.ndim != 2 or states.data.ndim != 3 or \
-            states.shape[:2] != weights.shape:
-        raise ShapeError(f"weighted_sum needs (b,t) and (b,t,h), got {weights.shape} and {states.shape}")
-    out = np.einsum("bt,bth->bh", weights.data, states.data)
+    """Combinations of states: (b, q, t) weights over (b, t, h) gives (b, q, h)."""
+    if weights.data.ndim != 3 or states.data.ndim != 3 or \
+            states.shape[0] != weights.shape[0] or states.shape[1] != weights.shape[2]:
+        raise ShapeError(f"weighted_sum needs (b,q,t) and (b,t,h), got {weights.shape} and {states.shape}")
+    out = weights.data @ states.data
 
     def bwd(g):
-        _acc(weights, np.einsum("bh,bth->bt", g, states.data))
-        _acc(states, np.einsum("bt,bh->bth", weights.data, g))
+        _acc(weights, g @ states.data.transpose(0, 2, 1), fresh=True)
+        _acc(states, weights.data.transpose(0, 2, 1) @ g, fresh=True)
 
     return Tensor(out, _parents=(weights, states), _bwd=bwd)
 

@@ -119,7 +119,7 @@ def cmd_preprocess(args) -> int:
         names.append(name)
     vocab.save(out / "vocab.tsv")
     report = cp.render_stats(cp.compute_stats(modified, vocab_size=len(vocab)))
-    (out / "stats.txt").write_text(report)
+    cp._write_atomic(out / "stats.txt", report.encode())
     _write_manifest(out, names)
     if skipped:
         _eprint(f"skipped {skipped} malformed dialogue(s)")
@@ -192,7 +192,7 @@ def cmd_train(args) -> int:
     res = run_training(cfg, train_s, valid_s, model, vocab,
                        imaginators=imaginators, metrics_path=metrics_path,
                        checkpoint_path=out / "model.ckpt")
-    (out / "train_config.txt").write_text(cfg.to_text())
+    cp._write_atomic(out / "train_config.txt", cfg.to_text().encode())
     _write_manifest(out, ["model.ckpt", "model.ckpt.txt", "metrics.jsonl",
                           "train_config.txt"])
     print(f"{res.metric_name} = {res.best_value:.6f}")
@@ -266,14 +266,13 @@ def cmd_evaluate(args) -> int:
         pairs["majority_class_prior"] = f"{prior:.6f}"
 
     report = _report_lines(pairs)
-    _out_file(args.report).write_text(report)
+    cp._write_atomic(_out_file(args.report), report.encode())
     if decisions is not None:
         dec_path = Path(args.decisions) if args.decisions else \
             Path(args.report).with_suffix(".decisions.jsonl")
-        with open(_out_file(dec_path), "w") as fh:
-            for i, d in enumerate(decisions):
-                rec = decision_record(f"{args.split}-{i:05d}", d)
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        lines = [json.dumps(decision_record(f"{args.split}-{i:05d}", d), sort_keys=True) + "\n"
+                 for i, d in enumerate(decisions)]
+        cp._write_atomic(_out_file(dec_path), "".join(lines).encode())
         _eprint(f"decision records written to {dec_path}")
     print(report, end="")
     return 0

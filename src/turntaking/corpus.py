@@ -404,7 +404,7 @@ class Vocabulary:
 
     def save(self, path) -> None:
         lines = [f"{t}\t{f}" for t, f in zip(self.id_to_token, self.freqs)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

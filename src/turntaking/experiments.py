@@ -17,7 +17,7 @@ from .arbitrator import (
     accuracy, evaluate_prepared, prepare_samples, random_policy_predictions,
 )
 from .corpus import (
-    AGENT, USER, build_vocabulary, derive_arbitrator_samples,
+    AGENT, USER, _write_atomic, build_vocabulary, derive_arbitrator_samples,
     derive_imaginator_samples, ingest_source, modify_corpus, split_corpus,
 )
 from .imaginator import evaluate_imaginator
@@ -118,7 +118,8 @@ def synthetic_experiment(out_dir, n_dialogues: int = 2000, seed: int = 0,
         report[f"{mode}_seconds"] = round(time.monotonic() - t1, 1)
 
     report["total_seconds"] = round(time.monotonic() - t0, 1)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out_dir / "report.json",
+                  (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     return report
 
 
@@ -183,5 +184,6 @@ def directional_experiment(out_dir, n_dialogues: int = 500, seed: int = 0,
         report[f"{mode}_seconds"] = round(time.monotonic() - t1, 1)
 
     report["total_seconds"] = round(time.monotonic() - t0, 1)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out_dir / "report.json",
+                  (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     return report

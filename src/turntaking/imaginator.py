@@ -9,17 +9,21 @@ Each LSTM cell (``enc`` and ``dec``) is three fused tensors: ``W`` of shape
 (input, 4H), ``U`` of shape (H, 4H) and ``b`` of shape (4H,), with the gate
 columns in the order f, i, o, g. The input half ``x·W + b`` of every gate is
 computed for a whole sequence in one matmul; the recurrence over it is then
-one `autodiff.lstm` call. The encoder makes one such call per batch, and so
-does the teacher-forced decoder, whose step-t input is the gold token t and
-never depends on attention; attention and logits then read each step's h.
+one `autodiff.lstm` call, one per batch in the encoder and one in the
+teacher-forced decoder. That decoder's step-t input is the gold token t and
+never depends on attention (no input feeding), so attention and logits are
+one batched pass over all B·T_dec decoder states, Luong et al.'s global dot
+attention (arXiv 1508.04025): one `dot_scores` of [B, T_dec, H] queries over
+the [B, T, H] encoder states, one masked softmax, one `weighted_sum`, one
+``W_c`` and one ``W_v`` product and one `log_softmax_nll` over all rows.
 
 Training and decoding share one forward implementation: `encode_batch`,
 `lstm_step` (a one-step `autodiff.lstm`), `attention_context` and
-`_decoder_logits`. Training records it on the autodiff tape; decoding runs
-it under `autodiff.no_grad` and reads log-probabilities off the logits in
-numpy. There is one search, `_search`: a beam search batched over
-histories, with beam_width decoder rows per history stepping together.
-Greedy decoding is that search at width 1; `greedy_decode` and
+`_decoder_logits`, which decoding runs with one query per history under
+`autodiff.no_grad`, reading log-probabilities off the logits with
+`autodiff.log_softmax`. There is one search, `_search`: a beam search
+batched over histories, with beam_width decoder rows per history stepping
+together. Greedy decoding is that search at width 1; `greedy_decode` and
 `beam_decode` are the two names it is called by.
 """
 
@@ -132,7 +136,7 @@ def embed_records(params: ad.ParamSet, enc: EncodedHistory) -> ad.Tensor:
 
 def project(x: ad.Tensor, params: ad.ParamSet, prefix: str) -> ad.Tensor:
     """The input half x·W + b of every gate of cell `prefix`, for all rows of x at once."""
-    return ad.add_bias(ad.matmul(x, params[f"{prefix}.W"]), params[f"{prefix}.b"])
+    return ad.matmul(x, params[f"{prefix}.W"], bias=params[f"{prefix}.b"])
 
 
 def lstm_step(xw: ad.Tensor, h_prev: ad.Tensor, c_prev: ad.Tensor,
@@ -164,36 +168,33 @@ def encode_batch(model: ImaginatorModel, encs: Sequence[EncodedHistory]):
     return states, mask, ad.rows(out, last), ad.rows(out, B * T + last)
 
 
-def attention_bias(mask: np.ndarray) -> ad.Tensor:
-    """The additive attention mask: 0 at live positions, -1e30 at padding.
+def attention_bias(mask: np.ndarray) -> np.ndarray:
+    """The additive attention mask [B, T]: 0 at live positions, -1e30 at padding.
 
-    Built once per batch and shared by all its decoder steps. Raises if any
-    row of the mask is entirely off, because the weights would be
-    meaningless.
+    Raises if any row of the mask is entirely off: its weights would be meaningless.
     """
     if mask.ndim != 2 or not mask.any(axis=1).all():
         raise ValueError("attention requires at least one unmasked position per row")
-    return ad.constant((mask - 1.0) * 1e30)
+    return (mask - 1.0) * 1e30
 
 
-def attention_context(h_dec: ad.Tensor, enc_states: ad.Tensor, bias: ad.Tensor):
-    """Dot-product attention: softmax over encoder positions plus `attention_bias`.
-
-    Returns (context [B,H], weights [B,T]).
-    """
-    weights = ad.softmax(ad.add(ad.dot_scores(h_dec, enc_states), bias))
+def attention_context(queries: ad.Tensor, enc_states: ad.Tensor, bias: np.ndarray):
+    """Dot-product attention of queries [B, Q, H] over enc_states [B, T, H], masked by
+    `attention_bias`; returns (context [B, Q, H], weights [B, Q, T])."""
+    weights = ad.softmax(ad.dot_scores(queries, enc_states, bias))
     return ad.weighted_sum(weights, enc_states), weights
 
 
 def _decoder_logits(model: ImaginatorModel, h: ad.Tensor,
-                    enc_states: ad.Tensor, bias: ad.Tensor) -> ad.Tensor:
-    """Vocabulary logits [B, V] for one decoder step from decoder states h [B, H]."""
+                    enc_states: ad.Tensor, bias: np.ndarray) -> ad.Tensor:
+    """Vocabulary logits [B*Q, V] from decoder states h [B*Q, H], row b*Q + q being
+    step q of history b: Q is 1 in decoding and T_dec under teacher forcing."""
     if model.use_attention:
-        ctx, _ = attention_context(h, enc_states, bias)
-        h = ad.tanh(ad.add_bias(ad.matmul(ad.concat_cols([h, ctx]),
-                                          model.params["attn.W_c"]),
-                                model.params["attn.b_c"]))
-    return ad.add_bias(ad.matmul(h, model.params["out.W_v"]), model.params["out.b_v"])
+        B, _, H = enc_states.shape
+        ctx, _ = attention_context(ad.reshape(h, (B, -1, H)), enc_states, bias)
+        h = ad.tanh(ad.matmul(ad.concat_cols([h, ad.reshape(ctx, h.shape)]),
+                              model.params["attn.W_c"], bias=model.params["attn.b_c"]))
+    return ad.matmul(h, model.params["out.W_v"], bias=model.params["out.b_v"])
 
 
 def teacher_forced_loss(model: ImaginatorModel, encs: Sequence[EncodedHistory],
@@ -206,36 +207,36 @@ def teacher_forced_loss(model: ImaginatorModel, encs: Sequence[EncodedHistory],
     if len(encs) != len(targets) or not encs:
         raise ValueError("need equally many histories and targets")
     B = len(encs)
-    T_dec = max(len(t) for t in targets) - 1
+    steps = np.array([len(t) - 1 for t in targets])
+    T_dec = int(steps.max())
     if T_dec < 1:
         raise ValueError("targets must contain at least BOS and one token")
-    inp = np.full((B, T_dec), PAD, dtype=np.int64)
-    out = np.zeros((B, T_dec), dtype=np.int64)
-    tmask = np.zeros((B, T_dec))
+    ids = np.full((B, T_dec + 1), PAD, dtype=np.int64)
     for b, t in enumerate(targets):
-        L = len(t) - 1
-        inp[b, :L] = t[:-1]
-        out[b, :L] = t[1:]
-        tmask[b, :L] = 1.0
+        ids[b, :len(t)] = t
+    # steps past a target's end are masked out: they add nothing to loss or gradients
+    tmask = (np.arange(T_dec) < steps[:, None]).astype(np.float64)
     enc_states, mask, h, c = encode_batch(model, encs)
-    bias = attention_bias(mask)
-    xw = project(ad.rows(model.params["emb.token"], inp.T.ravel()), model.params, "dec")
+    xw = project(ad.rows(model.params["emb.token"], ids[:, :-1].T.ravel()), model.params, "dec")
     hs = ad.lstm(xw, model.params["dec.U"], h, c)
-    total = None
-    for t in range(T_dec):
-        h = ad.part(hs, rows=slice(t, B * T_dec, T_dec))
-        probs = ad.softmax(_decoder_logits(model, h, enc_states, bias))
-        step_loss = ad.nll_loss(probs, out[:, t], mask=tmask[:, t])
-        total = step_loss if total is None else ad.add(total, step_loss)
-    return ad.scale(total, 1.0 / B)
+    # the first B*T_dec rows are h, batch-major: row b*T_dec + t is step t of history b
+    logits = _decoder_logits(model, ad.part(hs, rows=slice(0, B * T_dec)), enc_states,
+                             attention_bias(mask))
+    return ad.scale(ad.log_softmax_nll(logits, ids[:, 1:].ravel(), mask=tmask.ravel()), 1.0 / B)
 
 
-def train_step(batch: Sequence[ImaginatorSample], model: ImaginatorModel,
-               opt: ad.Adam, vocab: Vocabulary) -> float:
-    """One teacher-forced optimization step; returns the batch loss."""
-    encs = [encode_history(s.history, vocab, model.max_history,
-                           model.turn_cap, model.subturn_cap) for s in batch]
-    targets = [encode_target(s.target.tokens, vocab) for s in batch]
+def prepare_samples(samples: Sequence[ImaginatorSample], model: ImaginatorModel,
+                    vocab: Vocabulary) -> list[tuple[EncodedHistory, np.ndarray]]:
+    """Each sample's encoded history and BOS...EOS target ids, computed once per run."""
+    return [(encode_history(s.history, vocab, model.max_history,
+                            model.turn_cap, model.subturn_cap),
+             encode_target(s.target.tokens, vocab)) for s in samples]
+
+
+def train_step(batch: Sequence[tuple[EncodedHistory, np.ndarray]], model: ImaginatorModel,
+               opt: ad.Adam) -> float:
+    """One teacher-forced optimization step on `prepare_samples` pairs; returns the batch loss."""
+    encs, targets = zip(*batch)
     loss = teacher_forced_loss(model, encs, targets)
     if not loss.is_finite():
         raise ad.TrainingError("imaginator loss is not finite")
@@ -305,11 +306,8 @@ def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: 
                 k = len(logp) // N  # rows per history in this step: 1, then K
                 xw = project(ad.rows(params["emb.token"], seqs[:, t - 1]), params, "dec")
                 h, c = lstm_step(xw, h, c, params, "dec")
-                # log-softmax, finite even where a logit is pinned far below the rest
-                logits = _decoder_logits(model, h, enc_states, bias).data
-                shifted = logits - logits.max(axis=1, keepdims=True)
-                lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-                flat, best, slot = _select((logp[:, None] + (shifted - lse)).reshape(N, k * V), K)
+                step_logp = ad.log_softmax(_decoder_logits(model, h, enc_states, bias).data)
+                flat, best, slot = _select((logp[:, None] + step_logp).reshape(N, k * V), K)
                 parent, tok = np.divmod(flat, V)
                 b, eos = parent // k, tok == EOS
                 for i in np.flatnonzero(eos):
@@ -327,8 +325,8 @@ def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: 
                 if eos.all():
                     break
                 if k < K:
-                    enc_states, bias = (ad.constant(np.repeat(a.data, K, axis=0))
-                                        for a in (enc_states, bias))
+                    enc_states = ad.constant(np.repeat(enc_states.data, K, axis=0))
+                    bias = np.repeat(bias, K, axis=0)
             for b, pool in enumerate(pools):
                 pool.extend((tuple(seqs[r, 1:t + 1].tolist()), float(logp[r]))
                             for r in range(b * K, b * K + K) if logp[r] > -np.inf)
@@ -395,8 +393,7 @@ def evaluate_imaginator(model: ImaginatorModel, samples: Sequence[ImaginatorSamp
     All histories decode in one `beam_decode` call. A partition with no
     samples reports 0.0.
     """
-    encs = [encode_history(s.history, vocab, model.max_history,
-                           model.turn_cap, model.subturn_cap) for s in samples]
+    encs = [enc for enc, _ in prepare_samples(samples, model, vocab)]
     cands = {AGENT: [], USER: []}
     refs = {AGENT: [], USER: []}
     for s, ids in zip(samples, beam_decode(model, encs, beam_width=beam_width, max_len=max_len)):

@@ -284,9 +284,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
 
 
 def append_metrics(path, records: Sequence[dict]) -> None:
-    with open(path, "a") as fh:
-        for r in records:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+    """Add records to a JSONL log by rewriting it whole, atomically: old lines, then new."""
+    path = Path(path)
+    new = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+    _write_atomic(path, (path.read_bytes() if path.exists() else b"") + new)
 
 
 def read_metrics(path) -> list[dict]:
@@ -325,14 +326,14 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
     metadata_extra: dict = {}
 
     if kind == "imaginator":
-        step = lambda batch: im.train_step(batch, model, opt, vocab)
+        step = lambda batch: im.train_step(batch, model, opt)
         # width 1 (greedy) keeps validation cheap; the configured beam width
         # applies at evaluation time
         metric_name = "bleu"
         validate = lambda: im.evaluate_imaginator(
             model, valid_samples, vocab, beam_width=1,
             max_len=config.max_decode_len)[f"bleu_on_{model.role}_targets"]
-        train_items = list(train_samples)
+        train_items = im.prepare_samples(train_samples, model, vocab)
     else:
         if model.mode == "ita" and imaginators is None:
             raise TrainingError("ita-mode arbitrator training needs both imaginators")

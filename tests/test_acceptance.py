@@ -70,18 +70,17 @@ def _op_losses():
         ps, ts = fresh(shapes)
         cases[name] = (ps, lambda: build(*ts))
 
-    case("matmul", [(3, 4), (4, 2)], lambda a, b: ad.sum_all(ad.matmul(a, b)))
+    case("matmul", [(3, 4), (4, 2), (2,)],
+         lambda a, b, c: ad.sum_all(ad.tanh(ad.matmul(a, b, bias=c))))
     case("add", [(3, 4), (3, 4)], lambda a, b: ad.sum_all(ad.add(a, b)))
     case("mul", [(3, 4), (3, 4)], lambda a, b: ad.sum_all(ad.mul(a, b)))
     case("tanh", [(3, 4)], lambda a: ad.sum_all(ad.tanh(a)))
     case("sigmoid", [(3, 4)], lambda a: ad.sum_all(ad.sigmoid(a)))
     case("relu", [(3, 4)], lambda a: ad.sum_all(ad.mul(ad.relu(a), a)))
     case("softmax", [(3, 5)], lambda a: ad.sum_all(ad.mul(ad.softmax(a), a)))
-    case("nll_loss", [(3, 5)],
-         lambda a: ad.nll_loss(ad.softmax(a), [1, 0, 4],
-                               mask=np.array([1.0, 1.0, 0.0])))
+    case("log_softmax_nll", [(3, 5)],
+         lambda a: ad.log_softmax_nll(a, [1, 0, 4], mask=np.array([1.0, 1.0, 0.0])))
     case("max_over_time", [(6, 4)], lambda a: ad.sum_all(ad.max_over_time(a)))
-    case("add_bias", [(3, 4), (4,)], lambda a, b: ad.sum_all(ad.add_bias(a, b)))
     case("part", [(4, 5)],  # two overlapping blocks: their grads must add
          lambda a: ad.sum_all(ad.tanh(ad.mul(ad.part(a, rows=slice(0, 3), cols=slice(0, 3)),
                                              ad.part(a, rows=slice(1, 4), cols=slice(2, 5))))))
@@ -95,9 +94,11 @@ def _op_losses():
          lambda t: ad.sum_all(ad.tanh(ad.rows(t, [0, 2, 2, 5]))))
     case("unfold_rows", [(5, 3)],
          lambda a: ad.sum_all(ad.tanh(ad.unfold_rows(a, 2))))
-    case("dot_scores", [(2, 3), (2, 2, 3)],
-         lambda q, s: ad.sum_all(ad.softmax(ad.dot_scores(q, s))))
-    case("weighted_sum", [(2, 2), (2, 2, 3)],
+    # two queries per batch entry, and a constant mask bias that takes no gradient
+    score_bias = rng.normal(size=(2, 2))
+    case("dot_scores", [(2, 2, 3), (2, 2, 3)],
+         lambda q, s: ad.sum_all(ad.tanh(ad.dot_scores(q, s, score_bias))))
+    case("weighted_sum", [(2, 2, 2), (2, 2, 3)],
          lambda w, s: ad.sum_all(ad.weighted_sum(ad.softmax(w), s)))
     # B=2 sequences of T=3 steps at H=2, nonzero initial states, and random
     # upstream weights on every output row, h and c alike
@@ -396,8 +397,9 @@ def _overfit_imaginator():
         history=(cp.Utterance(cp.USER, 0, 0, ("w0", "w1", "w2")),),
         target=cp.Utterance(cp.AGENT, 0, 0, ("w3", "w4")), role=cp.AGENT)
     opt = ad.Adam(model.params, lr=5e-3, clip_norm=5.0)
+    batch = im.prepare_samples([sample], model, vocab)
     for step in range(1, 501):
-        loss = im.train_step([sample], model, opt, vocab)
+        loss = im.train_step(batch, model, opt)
         if loss < 0.1:
             return step, loss
     return 500, loss

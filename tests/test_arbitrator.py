@@ -206,8 +206,9 @@ class TestFusion:
     def test_matches_scalar_oracle(self):
         m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
         c_his, c_a, c_u = self._features()
-        got = fuse_paths(ad.constant(c_his.reshape(1, -1)), ad.constant(c_a.reshape(1, -1)),
-                         ad.constant(c_u.reshape(1, -1)), m).data[0]
+        got = ad.softmax(fuse_paths(ad.constant(c_his.reshape(1, -1)),
+                                    ad.constant(c_a.reshape(1, -1)),
+                                    ad.constant(c_u.reshape(1, -1)), m)).data[0]
         want = scalar_fuse(m.params.as_arrays(), c_his, c_a, c_u)
         assert np.abs(got - want).max() < 1e-12
 
@@ -218,8 +219,9 @@ class TestFusion:
         arrays["fuse.b_4"] = np.zeros_like(arrays["fuse.b_4"])
         m.params.load_arrays(arrays)
         c_his, c_a, c_u = self._features()
-        p = fuse_paths(ad.constant(c_his.reshape(1, -1)), ad.constant(c_a.reshape(1, -1)),
-                       ad.constant(c_u.reshape(1, -1)), m).data[0]
+        p = ad.softmax(fuse_paths(ad.constant(c_his.reshape(1, -1)),
+                                  ad.constant(c_a.reshape(1, -1)),
+                                  ad.constant(c_u.reshape(1, -1)), m)).data[0]
         assert np.array_equal(p, np.array([0.5, 0.5]))
 
     def test_swap_symmetry(self):
@@ -229,8 +231,9 @@ class TestFusion:
         m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
         arrays = m.params.as_arrays()
         c_his, c_a, c_u = self._features()
-        p = fuse_paths(ad.constant(c_his.reshape(1, -1)), ad.constant(c_a.reshape(1, -1)),
-                       ad.constant(c_u.reshape(1, -1)), m).data[0]
+        p = ad.softmax(fuse_paths(ad.constant(c_his.reshape(1, -1)),
+                                  ad.constant(c_a.reshape(1, -1)),
+                                  ad.constant(c_u.reshape(1, -1)), m)).data[0]
 
         swapped = dict(arrays)
         swapped["fuse.W_1"], swapped["fuse.W_2"] = arrays["fuse.W_2"], arrays["fuse.W_1"]
@@ -241,8 +244,9 @@ class TestFusion:
         swapped["fuse.b_4"] = arrays["fuse.b_4"][::-1].copy()
         m2 = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
         m2.params.load_arrays(swapped)
-        p_swapped = fuse_paths(ad.constant(c_his.reshape(1, -1)), ad.constant(c_u.reshape(1, -1)),
-                               ad.constant(c_a.reshape(1, -1)), m2).data[0]
+        p_swapped = ad.softmax(fuse_paths(ad.constant(c_his.reshape(1, -1)),
+                                          ad.constant(c_u.reshape(1, -1)),
+                                          ad.constant(c_a.reshape(1, -1)), m2)).data[0]
         assert np.abs(p_swapped - p[::-1]).max() < 1e-12
 
     def test_feature_width_mismatch_rejected(self):
@@ -258,7 +262,7 @@ class TestFusion:
         m = _cached_cnn()
         rng = np.random.default_rng(seed)
         parts = [ad.constant(rng.normal(scale=3.0, size=(1, 8))) for _ in range(3)]
-        p = fuse_paths(*parts, m).data[0]
+        p = ad.softmax(fuse_paths(*parts, m)).data[0]
         assert abs(p.sum() - 1.0) < 1e-9
         assert (p > 0).all()
 

@@ -92,29 +92,47 @@ class TestSoftmax:
 class TestNll:
     def test_uniform_value(self):
         # 3 positions, uniform over 4 classes: 3 * log 4 (mpmath, dps=50)
-        probs = ad.constant(np.full((3, 4), 0.25))
-        loss = ad.nll_loss(probs, [0, 3, 1])
+        logits = ad.constant(np.zeros((3, 4)))
+        loss = ad.log_softmax_nll(logits, [0, 3, 1])
         assert loss.item() == pytest.approx(4.1588830833596718565, abs=1e-12)
 
     def test_masked_positions_contribute_zero(self):
-        """A masked row contributes nothing even when its probability is 0."""
-        p = np.full((2, 3), 1.0 / 3.0)
-        p[1] = [1.0, 0.0, 0.0]
-        loss = ad.nll_loss(ad.constant(p), [0, 1], mask=[1.0, 0.0])
+        """A masked row contributes nothing even when its target is all but impossible."""
+        x = np.zeros((2, 3))
+        x[1] = [0.0, -1e4, -1e4]
+        loss = ad.log_softmax_nll(ad.constant(x), [0, 1], mask=[1.0, 0.0])
         assert loss.item() == pytest.approx(np.log(3.0), abs=1e-12)
         assert np.isfinite(loss.data).all()
 
     def test_masked_gradient_is_zero(self):
-        probs = ad.softmax(ad.constant(np.random.default_rng(0).normal(size=(3, 4))))
-        loss = ad.nll_loss(probs, [1, 2, 0], mask=[1.0, 0.0, 1.0])
+        logits = ad.constant(np.random.default_rng(0).normal(size=(3, 4)))
+        loss = ad.log_softmax_nll(logits, [1, 2, 0], mask=[1.0, 0.0, 1.0])
         ad.backward(loss)
-        # walk back to the softmax output gradient: masked row must be all zero
-        assert probs.grad is not None
-        assert np.all(probs.grad[1] == 0.0)
+        assert logits.grad is not None
+        assert np.all(logits.grad[1] == 0.0)
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            ad.nll_loss(ad.constant(np.full((1, 3), 1 / 3)), [3])
+            ad.log_softmax_nll(ad.constant(np.zeros((1, 3))), [3])
+
+    @settings(max_examples=50)
+    @given(st.integers(1, 4), st.integers(2, 7), st.integers(0, 2**32 - 1))
+    def test_pinned_logit_stays_finite(self, n, v, seed):
+        """A logit pinned at -1e4, as an EOS bias can be, gives -log softmax exactly where
+        softmax underflows to 0, and a finite gradient."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, v))
+        x[:, 0] = -1e4
+        targets = rng.integers(0, v, size=n)
+        targets[0] = 0  # one row asks for the pinned id itself
+        logits = ad.constant(x)
+        loss = ad.log_softmax_nll(logits, targets)
+        ad.backward(loss)
+        rest = np.log(np.exp(x[:, 1:]).sum(axis=1))  # the pinned entry adds exp(-1e4) == 0
+        assert loss.item() == pytest.approx(-(x[np.arange(n), targets] - rest).sum(), rel=1e-12)
+        assert np.isfinite(loss.item()) and np.isfinite(logits.grad).all()
+        np.testing.assert_allclose(
+            logits.grad, ad.softmax(ad.constant(x)).data - np.eye(v)[targets], atol=1e-15)
 
 
 class TestMaxOverTime:
@@ -182,7 +200,7 @@ class TestBackward:
             W = ps.new("W", (4, 4), fan_in=4)
             x = ad.constant(np.linspace(-1, 1, 8).reshape(2, 4))
             h = ad.tanh(ad.matmul(x, W))
-            loss = ad.nll_loss(ad.softmax(h), [0, 3])
+            loss = ad.log_softmax_nll(h, [0, 3])
             ad.backward(loss)
             return W.grad.copy()
         g1, g2 = run(), run()
@@ -258,7 +276,7 @@ class TestFiniteDifferences:
         b = ps.new("b", (2,), fan_in=4)
 
         def build():
-            out = ad.add_bias(ad.matmul(A, B), b)
+            out = ad.matmul(A, B, bias=b)
             return ad.sum_all(ad.scale(out, 0.5))
 
         assert fd(build, ps) < 1e-9
@@ -271,8 +289,8 @@ class TestFiniteDifferences:
         X = ad.constant(rng.normal(size=(3, 4)))
 
         def build():
-            h = ad.tanh(ad.add_bias(ad.matmul(X, W), b))
-            return ad.nll_loss(ad.softmax(h), [1, 0, 4])
+            h = ad.tanh(ad.matmul(X, W, bias=b))
+            return ad.log_softmax_nll(h, [1, 0, 4])
 
         assert fd(build, ps) < 1e-6
 
@@ -282,8 +300,7 @@ class TestFiniteDifferences:
 
         def build():
             s = ad.sigmoid(x)
-            # nll_loss of a one-column matrix is minus the summed log of that column
-            return ad.nll_loss(ad.reshape(ad.add(ad.mul(s, s), 0.05), (6, 1)), [0] * 6)
+            return ad.log_softmax_nll(ad.reshape(ad.add(ad.mul(s, s), 0.05), (3, 2)), [0, 1, 1])
 
         assert fd(build, ps) < 1e-6
 
@@ -301,11 +318,11 @@ class TestFiniteDifferences:
 
     def test_attention_path(self):
         ps = ad.ParamSet(seed=4)
-        Q = ps.new("Q", (2, 3), fan_in=3)
+        Q = ps.new("Q", (2, 2, 3), fan_in=3)
         states = ps.new("S", (2, 2, 3), fan_in=3)
 
         def build():
-            weights = ad.softmax(ad.dot_scores(Q, states))
+            weights = ad.softmax(ad.dot_scores(Q, states, np.array([[0.0, -0.5], [0.3, 0.0]])))
             ctx = ad.weighted_sum(weights, states)
             return ad.sum_all(ad.tanh(ctx))
 
@@ -330,8 +347,7 @@ class TestFiniteDifferences:
         X = ad.constant(np.eye(3))
 
         def build():
-            p = ad.softmax(ad.matmul(X, W))
-            return ad.nll_loss(p, [0, 1, 2], mask=[1.0, 0.0, 1.0])
+            return ad.log_softmax_nll(ad.matmul(X, W), [0, 1, 2], mask=[1.0, 0.0, 1.0])
 
         assert fd(build, ps) < 1e-6
 
@@ -398,7 +414,7 @@ def test_every_op_has_one_gradient_case():
     from test_acceptance import _op_losses
 
     not_ops = {"Tensor", "ShapeError", "TrainingError", "ParamSet", "Adam", "backward",
-               "no_grad", "constant", "finite_difference_check"}
+               "no_grad", "constant", "log_softmax", "finite_difference_check"}
     assert sorted(_op_losses()) == sorted(set(ad.__all__) - not_ops)
 
 
@@ -552,6 +568,15 @@ class TestStructuredOps:
         with pytest.raises(ad.ShapeError):
             ad.part(m, cols=slice(4, 6))
 
+    def test_bias_and_query_shapes_checked(self):
+        m, q, states = (ad.constant(np.zeros(s)) for s in ((2, 3), (2, 1, 4), (2, 5, 4)))
+        with pytest.raises(ad.ShapeError):
+            ad.matmul(m, ad.constant(np.zeros((3, 4))), bias=ad.constant(np.zeros(3)))
+        with pytest.raises(ad.ShapeError):  # the bias is (b, t), one row per batch entry
+            ad.dot_scores(q, states, np.zeros((2, 1, 5)))
+        with pytest.raises(ad.ShapeError):  # weights over 4 positions, states hold 5
+            ad.weighted_sum(ad.constant(np.zeros((2, 1, 4))), states)
+
     @settings(max_examples=25)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
            st.integers(0, 2**32 - 1))
@@ -560,6 +585,6 @@ class TestStructuredOps:
         rng = np.random.default_rng(seed)
         states = [rng.normal(size=(b, h)) for _ in range(t)]
         w = rng.normal(size=(b, t))
-        out = ad.weighted_sum(ad.constant(w), ad.constant(np.stack(states, axis=1))).data
+        out = ad.weighted_sum(ad.constant(w[:, None]), ad.constant(np.stack(states, axis=1))).data[:, 0]
         expected = sum(w[:, k:k + 1] * states[k] for k in range(t))
         np.testing.assert_allclose(out, expected, atol=1e-12)

@@ -14,6 +14,7 @@ from turntaking import autodiff as ad
 from turntaking import corpus as cp
 from turntaking import imaginator as im
 
+from oracles.decoder_oracle import per_step_teacher_forced_loss
 from oracles.search_oracle import enumerate_best_sequence, scalar_seq2seq_logprobs
 
 
@@ -163,27 +164,27 @@ class TestEncode:
 
 class TestAttention:
     def test_single_state_returns_it(self):
-        h = ad.constant(np.array([[0.3, -0.5]]))
+        h = ad.constant(np.array([[[0.3, -0.5]]]))
         states = ad.constant(np.array([[[1.0, 2.0]]]))
         ctx, w = im.attention_context(h, states, im.attention_bias(np.ones((1, 1))))
-        np.testing.assert_allclose(ctx.data, [[1.0, 2.0]], atol=1e-15)
-        np.testing.assert_allclose(w.data, [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(ctx.data, [[[1.0, 2.0]]], atol=1e-15)
+        np.testing.assert_allclose(w.data, [[[1.0]]], atol=1e-15)
 
     def test_identical_states_half_weights(self):
-        h = ad.constant(np.array([[0.7, 0.1]]))
+        h = ad.constant(np.array([[[0.7, 0.1]]]))
         states = ad.constant(np.array([[[0.2, 0.9], [0.2, 0.9]]]))
         _, w = im.attention_context(h, states, im.attention_bias(np.ones((1, 2))))
-        np.testing.assert_allclose(w.data, [[0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(w.data, [[[0.5, 0.5]]], atol=1e-12)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(8)
-        h = ad.constant(rng.normal(size=(3, 4)))
+        h = ad.constant(rng.normal(size=(3, 2, 4)))  # two queries per history
         states = ad.constant(np.stack([rng.normal(size=(3, 4)) for _ in range(5)], axis=1))
         mask = np.ones((3, 5))
         mask[1, 3:] = 0.0
         _, w = im.attention_context(h, states, im.attention_bias(mask))
-        np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(w.data[1, 3:] == 0.0)
+        np.testing.assert_allclose(w.data.sum(axis=2), 1.0, atol=1e-9)
+        assert np.all(w.data[1, :, 3:] == 0.0)
 
     def test_fully_masked_rejected(self):
         with pytest.raises(ValueError):
@@ -216,7 +217,7 @@ class TestTrainStep:
         opt = ad.Adam(m.params, lr=5e-3)
         loss = float("inf")
         for step in range(500):
-            loss = im.train_step([s], m, opt, vocab)
+            loss = im.train_step(im.prepare_samples([s], m, vocab), m, opt)
             if loss < 0.1:
                 break
         assert loss < 0.1
@@ -230,7 +231,8 @@ class TestTrainStep:
             s = cp.ImaginatorSample(
                 history=(cp.Utterance(cp.USER, 0, 0, ("w2", "w3")),),
                 target=cp.Utterance(cp.AGENT, 1, 0, ("w4",)), role=cp.AGENT)
-            return [im.train_step([s], m, opt, vocab) for _ in range(5)]
+            batch = im.prepare_samples([s], m, vocab)
+            return [im.train_step(batch, m, opt) for _ in range(5)]
 
         assert run() == run()
 
@@ -241,6 +243,55 @@ class TestTrainStep:
         bad = np.array([cp.BOS, len(vocab) + 3, cp.EOS])
         with pytest.raises(IndexError):
             im.teacher_forced_loss(m, [enc], [bad])
+
+
+def _grads(model, loss):
+    model.params.zero_grads()
+    ad.backward(loss)
+    grads = {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
+    model.params.zero_grads()
+    return grads
+
+
+class TestBatchedDecoder:
+    """The one-pass teacher-forced decoder against the per-step loop it replaced."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_equals_per_step_oracle(self, B, use_attention, seed):
+        rng = np.random.default_rng(seed)
+        vocab = small_vocab()
+        m = tiny_model(seed=seed % 1000, V=len(vocab), use_attention=use_attention)
+        encs = [enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
+                for _ in range(B)]
+        targets = [cp.encode_target(tuple(f"w{i}" for i in rng.integers(0, 5, size=n)), vocab)
+                   for n in rng.integers(0, 6, size=B)]
+        batched = im.teacher_forced_loss(m, encs, targets)
+        oracle = per_step_teacher_forced_loss(m, encs, targets)
+        assert abs(batched.item() - oracle.item()) <= 1e-12 * abs(oracle.item())
+        g_batched, g_oracle = _grads(m, batched), _grads(m, oracle)
+        assert sorted(g_batched) == sorted(g_oracle) == sorted(m.params.names())
+        for name, g in g_oracle.items():
+            err = np.abs(g_batched[name] - g).max()
+            assert err <= 1e-12 * np.abs(g).max(), name
+
+    def test_tape_does_not_grow_with_target_length(self):
+        """One decoder pass records the same number of nodes for 2 steps as for 12."""
+        vocab = small_vocab()
+        m = tiny_model(seed=5, V=len(vocab))
+        enc = enc_of(m, rand_history(np.random.default_rng(1)), vocab)
+
+        def nodes(n_words):
+            loss = im.teacher_forced_loss(m, [enc], [cp.encode_target(("w1",) * n_words, vocab)])
+            seen, stack = set(), [loss]
+            while stack:
+                t = stack.pop()
+                if id(t) not in seen:
+                    seen.add(id(t))
+                    stack.extend(t._parents)
+            return len(seen)
+
+        assert nodes(1) == nodes(11)
 
 
 class TestGreedyDecode:

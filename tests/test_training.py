@@ -20,6 +20,7 @@ from turntaking.corpus import (
     build_vocabulary, encode_history,
 )
 from turntaking.imaginator import ImaginatorModel, greedy_decode
+from turntaking.imaginator import prepare_samples as prepare_imaginator_samples
 from turntaking.imaginator import train_step as imaginator_step
 from turntaking.training import (
     CHECKPOINT_VERSION, Checkpoint, CheckpointError, TrainConfig, TrainResult,
@@ -316,19 +317,20 @@ class TestCheckpoint:
             load_checkpoint(bad)
 
     def test_optimizer_resume_matches_uninterrupted_run(self, vocab, tmp_path):
-        batch = [ImaginatorSample(history=(Utterance(USER, 0, 0, ("book", "a", "table")),),
-                                  target=Utterance(AGENT, 0, 0, ("ok", "done")), role=AGENT)]
+        samples = [ImaginatorSample(history=(Utterance(USER, 0, 0, ("book", "a", "table")),),
+                                    target=Utterance(AGENT, 0, 0, ("ok", "done")), role=AGENT)]
         m_a = tiny_imaginator(vocab)
+        batch = prepare_imaginator_samples(samples, m_a, vocab)
         opt_a = ad.Adam(m_a.params, lr=1e-2)
-        imaginator_step(batch, m_a, opt_a, vocab)
+        imaginator_step(batch, m_a, opt_a)
         path = tmp_path / "mid.ckpt"
         save_checkpoint(m_a, path, vocab.hash(), optimizer=opt_a)
-        imaginator_step(batch, m_a, opt_a, vocab)
+        imaginator_step(batch, m_a, opt_a)
 
         ck = load_checkpoint(path, expected_vocab_hash=vocab.hash())
         opt_b = ad.Adam(ck.model.params, lr=1e-2)
         opt_b.load_state_arrays(ck.optimizer_arrays)
-        imaginator_step(batch, ck.model, opt_b, vocab)
+        imaginator_step(batch, ck.model, opt_b)
         got = ck.model.params.as_arrays()
         for name, want in m_a.params.as_arrays().items():
             assert np.array_equal(want, got[name])
@@ -364,6 +366,22 @@ class TestMetricsLog:
         got = read_metrics(path)
         assert got[:2] == rows
         assert len(got) == 3
+
+    def test_failed_replace_keeps_previous_log(self, tmp_path, monkeypatch):
+        """The log is rewritten whole through a temp file: a failed replace leaves it as it was."""
+        path = tmp_path / "metrics.jsonl"
+        append_metrics(path, [{"epoch": 1, "split": "train", "metric": "loss", "value": 2.5}])
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(corpus.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            append_metrics(path, [{"epoch": 2, "split": "train", "metric": "loss", "value": 2.0}])
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]
 
 
 class TestRunTraining:
