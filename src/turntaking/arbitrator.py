@@ -11,10 +11,13 @@ encoder but classifies directly, with no imagined futures.
 Each Bi-GRU direction (``gru_f`` and ``gru_b``) is three fused tensors:
 ``W`` of shape (input, 3H), ``U`` of shape (H, 3H) and ``b`` of shape (3H,),
 with the gate columns in the order r, z, n. The candidate keeps the reset
-gate inside its recurrent product, n = tanh(x·W_n + (r⊙h)·U_n + b_n). Each
-direction projects the whole text, x·W + b, in one matmul and runs its
-recurrence as one `autodiff.gru` call; the backward direction reads the
-projection in reverse row order.
+gate inside its recurrent product, n = tanh(x·W_n + (r⊙h)·U_n + b_n).
+
+One forward, `batch_logits`, turns B samples into [B, 2] logits for
+training, validation and decisions. All texts of the batch go through one
+encoder call: TextCNN packs them back to back and pools each over its own
+windows; Bi-GRU right-pads them, one `autodiff.gru` call per direction, the
+backward one reading each text reversed within its own length.
 
 Label 1 selects the agent path (reply now); 0 selects the user path (keep
 waiting). Ties break toward 1 so a perfectly undecided agent stays live.
@@ -34,10 +37,13 @@ from .corpus import (
     ArbitratorSample, EncodedHistory, Utterance, Vocabulary,
     encode_history, role_id,
 )
-from .imaginator import ImaginatorModel, beam_decode, embed_records, greedy_decode, project
+from .imaginator import (
+    ImaginatorModel, _history_arrays, beam_decode, embed_records, greedy_decode, project,
+)
 
 DEFAULT_FILTER_WIDTHS = (3, 4, 5)
 DEFAULT_FILTERS_PER_WIDTH = 100
+EVAL_SAMPLES = 64  # samples per forward in evaluate_prepared; bounds the texts encoded at once
 
 
 class ArbitratorModel:
@@ -147,15 +153,15 @@ def _argmax_label(probs: np.ndarray) -> int:
 # encoders
 
 
-def _normalize_for_cnn(enc: EncodedHistory, min_len: int) -> EncodedHistory:
+def _normalize_for_cnn(enc: EncodedHistory, min_len: int, position: int) -> EncodedHistory:
     """Strip trailing PAD records, then pad back up to the widest filter.
 
     Extra trailing padding therefore never changes the window set, which is
-    what makes the encoder output pad-invariant.
+    what makes the encoder output pad-invariant. The error names `position`.
     """
     real = np.nonzero(enc.tokens != PAD)[0]
     if real.size == 0:
-        raise ValueError("cannot encode an all-padding text")
+        raise ValueError(f"cannot encode text {position} of the batch: it is empty or all padding")
     L = int(real[-1]) + 1
     L_eff = max(L, min_len)
 
@@ -170,41 +176,47 @@ def _normalize_for_cnn(enc: EncodedHistory, min_len: int) -> EncodedHistory:
                           turns=fit(enc.turns), subturns=fit(enc.subturns))
 
 
-def textcnn_encode(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
-    """Multi-width convolution, ReLU, max-over-time; output [1, total filters]."""
-    if len(enc) == 0:
-        raise ValueError("cannot encode an empty text")
-    enc = _normalize_for_cnn(enc, max(model.filter_widths))
-    emb = embed_records(model.params, enc)
+def textcnn_encode(model: ArbitratorModel, texts: Sequence[EncodedHistory]) -> ad.Tensor:
+    """Multi-width convolution, ReLU, max-over-time of every text: [N texts, total filters].
+
+    The normalized texts are packed back to back, not padded: one product per
+    width k, and each text's maximum over the windows inside it (k - 1 fewer
+    than its records)."""
+    normed = [_normalize_for_cnn(e, max(model.filter_widths), i) for i, e in enumerate(texts)]
+    lengths = np.array([len(e) for e in normed])
+    starts = np.cumsum(lengths) - lengths
+    packed = EncodedHistory(*(np.concatenate(f) for f in zip(
+        *((e.tokens, e.roles, e.turns, e.subturns) for e in normed))))
+    emb = embed_records(model.params, packed)
     feats = []
     for k in model.filter_widths:
-        windows = ad.unfold_rows(emb, k)
-        fmap = ad.relu(ad.matmul(windows, model.params[f"cnn.W_{k}"],
+        fmap = ad.relu(ad.matmul(ad.unfold_rows(emb, k), model.params[f"cnn.W_{k}"],
                                  bias=model.params[f"cnn.b_{k}"]))
-        pooled = ad.max_over_time(fmap)
-        feats.append(ad.reshape(pooled, (1, model.filters_per_width)))
+        feats.append(ad.max_over_time(fmap, np.stack([starts, starts + lengths - k + 1], axis=1)))
     return ad.concat_cols(feats)
 
 
-def bigru_encode(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
-    """Final forward state concatenated with final backward state: [1, 2h]."""
-    L = len(enc)
-    if L == 0:
-        raise ValueError("cannot encode an empty text")
-    emb = embed_records(model.params, enc)
-    h0 = ad.constant(np.zeros((1, model.gru_hidden)))
+def bigru_encode(model: ArbitratorModel, texts: Sequence[EncodedHistory]) -> ad.Tensor:
+    """Final forward state beside final backward state of every text: [N texts, 2h].
+
+    Texts are right-padded, one `gru` call per direction. The backward one reads
+    each text reversed within its own length, by an index on its records, so
+    padding stays at the end; both final states are read at the last real step."""
+    records, mask, lengths = _history_arrays(texts)
+    if not lengths.all():
+        raise ValueError(f"cannot encode text {np.argmin(lengths)} of the batch: it is empty")
+    N, T = mask.shape
+    t = np.arange(T)[:, None]
+    reverse = (np.where(t < lengths, lengths - 1 - t, t) * N + np.arange(N)).ravel()
+    h0 = ad.constant(np.zeros((N, model.gru_hidden)))
+    last = np.arange(N) * T + lengths - 1
     finals = []
-    for prefix, order in (("gru_f", slice(None)), ("gru_b", slice(None, None, -1))):
-        xw = ad.part(project(emb, model.params, prefix), rows=order)
-        states = ad.gru(xw, model.params[f"{prefix}.U"], h0)
-        finals.append(ad.part(states, rows=slice(L - 1, L)))
+    for prefix, order in (("gru_f", slice(None)), ("gru_b", reverse)):
+        recs = EncodedHistory(records.tokens[order], records.roles[order],
+                              records.turns[order], records.subturns[order])
+        xw = project(embed_records(model.params, recs), model.params, prefix)
+        finals.append(ad.rows(ad.gru(xw, model.params[f"{prefix}.U"], h0), last))
     return ad.concat_cols(finals)
-
-
-def encode_text(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
-    if model.encoder == "textcnn":
-        return textcnn_encode(model, enc)
-    return bigru_encode(model, enc)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +225,7 @@ def encode_text(model: ArbitratorModel, enc: EncodedHistory) -> ad.Tensor:
 
 def fuse_paths(c_his: ad.Tensor, c_agent: ad.Tensor, c_user: ad.Tensor,
                model: ArbitratorModel) -> ad.Tensor:
-    """Score the two dialogue paths and classify: the wait/reply logits [1, 2].
+    """Score the two dialogue paths of B samples from [B, F] features: logits [B, 2].
 
     Purely affine (three stacked linear maps, deliberately no activation)."""
     p = model.params
@@ -266,8 +278,8 @@ def decide_with_imagined(model: ArbitratorModel, history_enc: EncodedHistory,
     flags = [f"empty_{role}_generation"
              for role, empty in ((AGENT, agent_empty), (USER, user_empty)) if empty]
     with ad.no_grad():
-        probs = ad.softmax(_sample_logits(model, PreparedSample(
-            history_enc, agent_ids=agent_ids, user_ids=user_ids))).data[0].copy()
+        probs = ad.softmax(batch_logits(model, [PreparedSample(
+            history_enc, agent_ids=agent_ids, user_ids=user_ids)])).data[0].copy()
     to_text = (lambda ids: tuple(vocab.decode_id(i) for i in ids)) if vocab else tuple
     return Decision(label=_argmax_label(probs), probs=probs,
                     imagined_agent=to_text(agent_ids),
@@ -292,7 +304,7 @@ def baseline_predict(history: Sequence[Utterance], model: ArbitratorModel,
         raise ValueError("baseline_predict needs a model in baseline mode")
     ps = PreparedSample(_history_enc(model, history, vocab))
     with ad.no_grad():
-        probs = ad.softmax(_sample_logits(model, ps)).data[0].copy()
+        probs = ad.softmax(batch_logits(model, [ps])).data[0].copy()
     return Decision(label=_argmax_label(probs), probs=probs)
 
 
@@ -381,20 +393,26 @@ def prepare_samples(samples: Sequence[ArbitratorSample], model: ArbitratorModel,
     return prepared
 
 
-def _sample_logits(model: ArbitratorModel, ps: PreparedSample) -> ad.Tensor:
-    """The wait/reply logits [1, 2] of one sample: the one arbitrator forward."""
-    c_his = encode_text(model, ps.history_enc)
+def batch_logits(model: ArbitratorModel, batch: Sequence[PreparedSample]) -> ad.Tensor:
+    """The wait/reply logits [B, 2] of a batch: the one arbitrator forward.
+
+    All texts go through one encoder call as three role blocks: every
+    history, then (ita mode) every agent and every user imagination.
+    """
+    texts = [ps.history_enc for ps in batch]
     if model.mode == "ita":
-        c_agent = encode_text(model, encode_response_ids(ps.agent_ids, AGENT))
-        c_user = encode_text(model, encode_response_ids(ps.user_ids, USER))
-        return fuse_paths(c_his, c_agent, c_user, model)
-    return ad.matmul(c_his, model.params["head.W"], bias=model.params["head.b"])
+        texts += [encode_response_ids(ps.agent_ids, AGENT) for ps in batch]
+        texts += [encode_response_ids(ps.user_ids, USER) for ps in batch]
+    feats = (textcnn_encode if model.encoder == "textcnn" else bigru_encode)(model, texts)
+    if model.mode == "baseline":
+        return ad.matmul(feats, model.params["head.W"], bias=model.params["head.b"])
+    B = len(batch)
+    return fuse_paths(*(ad.part(feats, rows=slice(i * B, (i + 1) * B)) for i in range(3)), model)
 
 
 def batch_loss(model: ArbitratorModel, batch: Sequence[PreparedSample]) -> ad.Tensor:
-    """Mean NLL of the gold wait/reply labels over the batch, from one [B, 2] logits block."""
-    logits = ad.concat_cols([_sample_logits(model, ps) for ps in batch])
-    nll = ad.log_softmax_nll(ad.reshape(logits, (len(batch), 2)), [ps.label for ps in batch])
+    """Mean NLL of the gold wait/reply labels over the batch."""
+    nll = ad.log_softmax_nll(batch_logits(model, batch), [ps.label for ps in batch])
     return ad.scale(nll, 1.0 / len(batch))
 
 
@@ -408,12 +426,11 @@ def train_step(batch: Sequence[PreparedSample], model: ArbitratorModel,
     return loss.item()
 
 
-def predict_prepared(model: ArbitratorModel, ps: PreparedSample) -> int:
-    with ad.no_grad():
-        return _argmax_label(ad.softmax(_sample_logits(model, ps)).data[0])
-
-
 def evaluate_prepared(model: ArbitratorModel, prepared: Sequence[PreparedSample]) -> float:
-    return accuracy([predict_prepared(model, ps) for ps in prepared],
-                    [ps.label for ps in prepared])
-
+    """Accuracy of the argmax labels, from no-grad forwards of EVAL_SAMPLES samples at a time."""
+    preds = []
+    with ad.no_grad():
+        for start in range(0, len(prepared), EVAL_SAMPLES):
+            probs = ad.softmax(batch_logits(model, prepared[start:start + EVAL_SAMPLES])).data
+            preds.extend(_argmax_label(p) for p in probs)
+    return accuracy(preds, [ps.label for ps in prepared])

@@ -322,17 +322,32 @@ def log_softmax_nll(logits: Tensor, targets, mask=None) -> Tensor:
     return Tensor(out, _parents=(logits,), _bwd=bwd)
 
 
-def max_over_time(a: Tensor) -> Tensor:
-    """Per-column maximum of a (positions, filters) map; ties go to the lowest index."""
-    if a.data.ndim != 2 or a.shape[0] < 1:
-        raise ShapeError(f"max_over_time needs a non-empty (positions, filters) map, got {a.shape}")
-    arg = np.argmax(a.data, axis=0)  # first occurrence wins
+def max_over_time(a: Tensor, segments) -> Tensor:
+    """Per-column maximum of each row segment of a (positions, filters) map: (n, filters).
+
+    segments is an (n, 2) list of sorted, disjoint, non-empty [start, stop) row
+    ranges; rows between them take no part. Within a segment ties go to the
+    lowest row and a NaN wins, as under `np.argmax`."""
+    seg = np.asarray(segments, dtype=np.intp).reshape(-1, 2)
+    starts, stops = seg[:, 0], seg[:, 1]
+    if a.data.ndim != 2 or not len(seg) or starts[0] < 0 or stops[-1] > a.shape[0] or \
+            (stops <= starts).any() or (starts[1:] < stops[:-1]).any():
+        raise ShapeError(f"max_over_time needs a (positions, filters) map and sorted disjoint "
+                         f"non-empty row segments inside it, got {a.shape} and {seg.tolist()}")
+    lengths = stops - starts
+    offsets = np.cumsum(lengths) - lengths  # each segment's first row among the kept rows
+    kept = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+    v = a.data[kept]
+    best = np.maximum.reduceat(v, offsets, axis=0)  # NaN where a segment holds one
+    hit = (v == np.repeat(best, lengths, axis=0)) | np.isnan(v)
+    first = np.minimum.reduceat(np.where(hit, np.arange(len(v))[:, None], len(v)), offsets, axis=0)
+    arg = kept[first]
     cols = np.arange(a.shape[1])
     out = a.data[arg, cols]
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        ga[arg, cols] = g  # one (arg, col) pair per column, so no index repeats
+        ga[arg, cols] = g  # segments are disjoint, so no (row, col) pair repeats
         _acc(a, ga, fresh=True)
 
     return Tensor(out, _parents=(a,), _bwd=bwd)

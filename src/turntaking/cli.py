@@ -24,7 +24,8 @@ from .arbitrator import (
 from .corpus import AGENT, USER, IngestError, Vocabulary
 from .imaginator import beam_decode, evaluate_imaginator
 from .training import (
-    CheckpointError, TrainConfig, TrainingError, build_model, load_checkpoint, run_training,
+    CheckpointError, TrainConfig, TrainingError, append_metrics, build_model, load_checkpoint,
+    run_training,
 )
 
 _DEFAULTS = TrainConfig()
@@ -294,16 +295,14 @@ def cmd_generate(args) -> int:
     encs = [cp.encode_history(s.history, vocab, model.max_history,
                               model.turn_cap, model.subturn_cap) for s in samples]
     decoded = beam_decode(model, encs, beam_width=args.beam_width, max_len=args.max_len)
-    sink = open(_out_file(args.out), "w") if args.out else sys.stdout
-    try:
-        for i, (s, ids) in enumerate(zip(samples, decoded)):
-            rec = {"sample_id": f"{args.split}-{i:05d}", "role": model.role,
-                   "generated": " ".join(vocab.decode_id(t) for t in ids),
-                   "target": " ".join(s.target.tokens)}
-            sink.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if args.out:
-            sink.close()
+    text = "".join(json.dumps({"sample_id": f"{args.split}-{i:05d}", "role": model.role,
+                               "generated": " ".join(vocab.decode_id(t) for t in ids),
+                               "target": " ".join(s.target.tokens)}, sort_keys=True) + "\n"
+                   for i, (s, ids) in enumerate(zip(samples, decoded)))
+    if args.out:
+        cp._write_atomic(_out_file(args.out), text.encode())
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -311,10 +310,10 @@ def cmd_generate(args) -> int:
 # demo
 
 
-def _demo_transcript_write(fh, event: dict) -> None:
-    if fh is not None:
-        fh.write(json.dumps(event, sort_keys=True) + "\n")
-        fh.flush()
+def _demo_transcript_write(path, event: dict) -> None:
+    """Add one event to the transcript, which is rewritten whole and atomically."""
+    if path is not None:
+        append_metrics(path, [event])
 
 
 def cmd_demo(args) -> int:
@@ -334,7 +333,9 @@ def cmd_demo(args) -> int:
         raise CliError(f"{args.arbitrator}: demo needs an ita-mode arbitrator")
     agent_im, user_im = _load_imaginator_pair(args, vocab)
 
-    fh = open(_out_file(args.transcript), "w") if args.transcript else None
+    transcript = _out_file(args.transcript) if args.transcript else None
+    if transcript is not None:
+        cp._write_atomic(transcript, b"")
     history: list[cp.Utterance] = []
     turn, subturn = 0, 0
     _eprint("type user messages one per line; /quit ends the session")
@@ -349,24 +350,24 @@ def cmd_demo(args) -> int:
             if not toks:
                 continue
             history.append(cp.Utterance(USER, turn, subturn, tuple(toks)))
-            _demo_transcript_write(fh, {"event": "user", "turn": turn,
-                                        "subturn": subturn, "text": " ".join(toks)})
+            _demo_transcript_write(transcript, {"event": "user", "turn": turn,
+                                                "subturn": subturn, "text": " ".join(toks)})
             try:
                 decision = ita_predict(history, arb, agent_im, user_im, vocab,
                                        beam_width=args.beam_width,
                                        max_len=args.max_len)
             except ValueError as e:  # a history the models cannot take: wait, and say so
                 _eprint(f"warning: decision failed ({e}); waiting")
-                _demo_transcript_write(fh, {"event": "fallback", "error": str(e)})
+                _demo_transcript_write(transcript, {"event": "fallback", "error": str(e)})
                 subturn += 1
                 continue
             verdict = "REPLY" if decision.label == 1 else "WAIT"
             print(f"{verdict} (p_wait={decision.probs[0]:.3f}, "
                   f"p_reply={decision.probs[1]:.3f})")
-            _demo_transcript_write(fh, {"event": "decision", "label": decision.label,
-                                        "p_wait": decision.probs[0],
-                                        "p_reply": decision.probs[1],
-                                        "flags": list(decision.flags)})
+            _demo_transcript_write(transcript, {"event": "decision", "label": decision.label,
+                                                "p_wait": decision.probs[0],
+                                                "p_reply": decision.probs[1],
+                                                "flags": list(decision.flags)})
             if decision.label == 1:
                 reply = list(decision.imagined_agent)
                 if not reply:
@@ -375,14 +376,13 @@ def cmd_demo(args) -> int:
                     continue
                 print(f"agent> {' '.join(reply)}")
                 history.append(cp.Utterance(AGENT, turn, 0, tuple(reply)))
-                _demo_transcript_write(fh, {"event": "agent", "turn": turn,
-                                            "text": " ".join(reply)})
+                _demo_transcript_write(transcript, {"event": "agent", "turn": turn,
+                                                    "text": " ".join(reply)})
                 turn, subturn = turn + 1, 0
             else:
                 subturn += 1
     finally:
-        if fh is not None:
-            fh.close()
+        if transcript is not None:
             _eprint(f"transcript written to {args.transcript}")
     return 0
 

@@ -388,12 +388,19 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
 
 def evaluate_imaginator(model: ImaginatorModel, samples: Sequence[ImaginatorSample],
                         vocab: Vocabulary, beam_width: int = 4, max_len: int = 40) -> dict:
-    """Corpus BLEU of the model's beam decodes, split by target role.
+    """Corpus BLEU of the model's beam decodes, split by target role; see `bleu_by_role`."""
+    encs = [enc for enc, _ in prepare_samples(samples, model, vocab)]
+    return bleu_by_role(model, samples, encs, vocab, beam_width, max_len)
+
+
+def bleu_by_role(model: ImaginatorModel, samples: Sequence[ImaginatorSample],
+                 encs: Sequence[EncodedHistory], vocab: Vocabulary, beam_width: int,
+                 max_len: int) -> dict:
+    """Corpus BLEU by target role of the beam decodes of samples whose histories are encs.
 
     All histories decode in one `beam_decode` call. A partition with no
     samples reports 0.0.
     """
-    encs = [enc for enc, _ in prepare_samples(samples, model, vocab)]
     cands = {AGENT: [], USER: []}
     refs = {AGENT: [], USER: []}
     for s, ids in zip(samples, beam_decode(model, encs, beam_width=beam_width, max_len=max_len)):

@@ -18,11 +18,10 @@ Two generators:
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import AGENT, USER, Dialogue, Utterance
+from .corpus import AGENT, USER, Dialogue, Utterance, _write_atomic
 
 # user-voice scripts: per topic, body sentences then a closing line ending
 # with the marker; content words deliberately never appear in agent replies
@@ -168,4 +167,4 @@ def make_multiwoz_like(n_dialogues: int = 500, seed: int = 0) -> list[dict]:
 
 
 def write_multiwoz_like(records: list[dict], path) -> None:
-    Path(path).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    _write_atomic(path, (json.dumps(records, indent=1, sort_keys=True) + "\n").encode())

@@ -330,18 +330,19 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
         # width 1 (greedy) keeps validation cheap; the configured beam width
         # applies at evaluation time
         metric_name = "bleu"
-        validate = lambda: im.evaluate_imaginator(
-            model, valid_samples, vocab, beam_width=1,
-            max_len=config.max_decode_len)[f"bleu_on_{model.role}_targets"]
+        valid_encs = [enc for enc, _ in im.prepare_samples(valid_samples, model, vocab)]
+        validate = lambda: im.bleu_by_role(
+            model, valid_samples, valid_encs, vocab, 1,
+            config.max_decode_len)[f"bleu_on_{model.role}_targets"]
         train_items = im.prepare_samples(train_samples, model, vocab)
     else:
         if model.mode == "ita" and imaginators is None:
             raise TrainingError("ita-mode arbitrator training needs both imaginators")
         pair = imaginators if model.mode == "ita" else None
-        train_items = arb.prepare_samples(train_samples, model, vocab, pair,
-                                          max_len=config.max_decode_len)
-        prepared_valid = arb.prepare_samples(valid_samples, model, vocab, pair,
-                                             max_len=config.max_decode_len)
+        # one imagination decode per imaginator for both splits
+        prepared = arb.prepare_samples([*train_samples, *valid_samples], model, vocab, pair,
+                                       max_len=config.max_decode_len)
+        train_items, prepared_valid = prepared[:len(train_samples)], prepared[len(train_samples):]
         step = lambda batch: arb.train_step(batch, model, opt)
         metric_name = "accuracy"
         validate = lambda: arb.evaluate_prepared(model, prepared_valid)

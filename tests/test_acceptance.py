@@ -80,7 +80,10 @@ def _op_losses():
     case("softmax", [(3, 5)], lambda a: ad.sum_all(ad.mul(ad.softmax(a), a)))
     case("log_softmax_nll", [(3, 5)],
          lambda a: ad.log_softmax_nll(a, [1, 0, 4], mask=np.array([1.0, 1.0, 0.0])))
-    case("max_over_time", [(6, 4)], lambda a: ad.sum_all(ad.max_over_time(a)))
+    # two segments with a gap row between them, and random upstream weights
+    up_max = ad.constant(rng.normal(size=(2, 4)))
+    case("max_over_time", [(7, 4)],
+         lambda a: ad.sum_all(ad.mul(ad.max_over_time(a, [(0, 3), (4, 7)]), up_max)))
     case("part", [(4, 5)],  # two overlapping blocks: their grads must add
          lambda a: ad.sum_all(ad.tanh(ad.mul(ad.part(a, rows=slice(0, 3), cols=slice(0, 3)),
                                              ad.part(a, rows=slice(1, 4), cols=slice(2, 5))))))

@@ -2,23 +2,24 @@
 
 The heavy lifting is cross-checked against tests/oracles/classifier_oracle.py,
 a from-scratch scalar reimplementation of the conv, GRU and fusion forward
-passes, plus central finite differences for the gradients.
+passes, plus central finite differences for the gradients. The batched
+forward is pinned to the per-sample path in tests/oracles/arbitrator_oracle.py.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import arbitrator_oracle
 from oracles.classifier_oracle import scalar_bigru, scalar_fuse, scalar_textcnn
 
 from turntaking import autodiff as ad
 from turntaking import arbitrator as arb
 from turntaking.arbitrator import (
     ArbitratorModel, Decision, PreparedSample,
-    accuracy, baseline_predict, batch_loss, bigru_encode, classification_summary,
-    decide_with_imagined, decision_record, encode_text, evaluate_prepared,
-    fuse_paths, ita_predict, predict_prepared, prepare_samples, textcnn_encode,
-    train_step,
+    accuracy, baseline_predict, batch_logits, batch_loss, bigru_encode, classification_summary,
+    decide_with_imagined, decision_record, evaluate_prepared, fuse_paths, ita_predict,
+    prepare_samples, textcnn_encode, train_step,
 )
 from turntaking.corpus import (
     AGENT, EOS, PAD, USER,
@@ -95,7 +96,7 @@ class TestTextCNN:
         rng = np.random.default_rng(11)
         for n in (2, 3, 5, 9, 17):
             enc = rand_records(rng, n)
-            got = textcnn_encode(m, enc).data[0]
+            got = textcnn_encode(m, [enc]).data[0]
             want = scalar_textcnn(arrays, records_tuple(enc), (2, 3), 4)
             assert np.abs(got - want).max() < 1e-12
 
@@ -105,7 +106,7 @@ class TestTextCNN:
         for k in (2, 3):
             arrays[f"cnn.W_{k}"] = np.zeros_like(arrays[f"cnn.W_{k}"])
         m.params.load_arrays(arrays)
-        got = textcnn_encode(m, rand_records(np.random.default_rng(0), 6)).data[0]
+        got = textcnn_encode(m, [rand_records(np.random.default_rng(0), 6)]).data[0]
         want = np.concatenate([np.maximum(arrays["cnn.b_2"], 0.0),
                                np.maximum(arrays["cnn.b_3"], 0.0)])
         assert np.array_equal(got, want)
@@ -113,34 +114,34 @@ class TestTextCNN:
     def test_trailing_pad_invariance(self):
         m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
         enc = rand_records(np.random.default_rng(1), 4)
-        a = textcnn_encode(m, enc).data
-        b = textcnn_encode(m, with_extra_pads(enc, 7)).data
+        a = textcnn_encode(m, [enc]).data
+        b = textcnn_encode(m, [with_extra_pads(enc, 7)]).data
         assert np.array_equal(a, b)
 
     def test_short_input_padded_without_error(self):
         m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
-        out = textcnn_encode(m, rand_records(np.random.default_rng(2), 2))
+        out = textcnn_encode(m, [rand_records(np.random.default_rng(2), 2)])
         assert out.shape == (1, 8)
 
     def test_empty_input_rejected(self):
         m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
         empty = EncodedHistory(*(np.zeros(0, dtype=np.int64),) * 4)
         with pytest.raises(ValueError, match="empty"):
-            textcnn_encode(m, empty)
+            textcnn_encode(m, [empty])
 
     def test_all_padding_input_rejected(self):
         m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
         pads = EncodedHistory(*(np.zeros(3, dtype=np.int64),) * 4)
         with pytest.raises(ValueError, match="padding"):
-            textcnn_encode(m, pads)
+            textcnn_encode(m, [pads])
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 12), extra=st.integers(0, 9), seed=st.integers(0, 10 ** 6))
     def test_pad_invariance_property(self, n, extra, seed):
         m = _cached_cnn()
         enc = rand_records(np.random.default_rng(seed), n)
-        a = textcnn_encode(m, enc).data
-        b = textcnn_encode(m, with_extra_pads(enc, extra)).data
+        a = textcnn_encode(m, [enc]).data
+        b = textcnn_encode(m, [with_extra_pads(enc, extra)]).data
         assert np.array_equal(a, b)
 
 
@@ -172,13 +173,13 @@ class TestBiGRU:
         rng = np.random.default_rng(11)
         for n in (1, 3, 7):
             enc = rand_records(rng, n)
-            got = bigru_encode(m, enc).data[0]
+            got = bigru_encode(m, [enc]).data[0]
             want = scalar_bigru(arrays, records_tuple(enc), 6)
             assert np.abs(got - want).max() < 1e-12
 
     def test_length_one_halves_equal_with_tied_directions(self):
         m = self._tied()
-        f = bigru_encode(m, rand_records(np.random.default_rng(4), 1)).data[0]
+        f = bigru_encode(m, [rand_records(np.random.default_rng(4), 1)]).data[0]
         assert np.array_equal(f[:6], f[6:])
 
     def test_reversal_swaps_halves_with_tied_directions(self):
@@ -186,8 +187,8 @@ class TestBiGRU:
         enc = rand_records(np.random.default_rng(5), 5)
         rev = EncodedHistory(tokens=enc.tokens[::-1].copy(), roles=enc.roles[::-1].copy(),
                              turns=enc.turns[::-1].copy(), subturns=enc.subturns[::-1].copy())
-        a = bigru_encode(m, enc).data[0]
-        b = bigru_encode(m, rev).data[0]
+        a = bigru_encode(m, [enc]).data[0]
+        b = bigru_encode(m, [rev]).data[0]
         assert np.array_equal(a[:6], b[6:])
         assert np.array_equal(a[6:], b[:6])
 
@@ -195,7 +196,7 @@ class TestBiGRU:
         m = self._model()
         empty = EncodedHistory(*(np.zeros(0, dtype=np.int64),) * 4)
         with pytest.raises(ValueError, match="empty"):
-            bigru_encode(m, empty)
+            bigru_encode(m, [empty])
 
 
 class TestFusion:
@@ -281,6 +282,90 @@ class TestDecision:
     def test_label_must_match_argmax(self):
         with pytest.raises(ValueError, match="argmax"):
             Decision(label=1, probs=np.array([0.9, 0.1]))
+
+
+class TestBatchedForward:
+    """`batch_logits` encodes every text of a batch in one call; the per-sample oracle
+    encodes each text alone. Logits, loss and every gradient must agree."""
+
+    _MODELS = {}
+
+    @classmethod
+    def _model(cls, encoder, mode):
+        key = (encoder, mode)
+        if key not in cls._MODELS:
+            cls._MODELS[key] = ArbitratorModel(
+                vocab_size=12, encoder=encoder, mode=mode, token_dim=5, tag_dim=2,
+                filter_widths=(2, 3, 5), filters_per_width=4, gru_hidden=6, seed=17)
+        return cls._MODELS[key]
+
+    @staticmethod
+    def _batch(rng, B):
+        """Histories of 1-9 records, some with trailing PAD; imaginations of 1-6 ids. Many
+        texts are shorter than the widest filter (5) and some are one record long."""
+        batch = []
+        for _ in range(B):
+            enc = rand_records(rng, int(rng.integers(1, 10)))
+            if rng.random() < 0.3:
+                enc = with_extra_pads(enc, int(rng.integers(1, 4)))
+            batch.append(PreparedSample(
+                enc, label=int(rng.integers(0, 2)),
+                agent_ids=[int(i) for i in rng.integers(1, 12, size=int(rng.integers(1, 7)))],
+                user_ids=[int(i) for i in rng.integers(1, 12, size=int(rng.integers(1, 7)))]))
+        return batch
+
+    @staticmethod
+    def _loss_and_grads(model, build):
+        model.params.zero_grads()
+        loss = build()
+        ad.backward(loss)
+        grads = {name: p.grad.copy() for name, p in model.params.items() if p.grad is not None}
+        model.params.zero_grads()
+        return loss.item(), grads
+
+    @settings(max_examples=40, deadline=None)
+    @given(encoder=st.sampled_from(["textcnn", "bigru"]), mode=st.sampled_from(["ita", "baseline"]),
+           B=st.integers(1, 6), seed=st.integers(0, 10 ** 6))
+    def test_equals_per_sample_oracle(self, encoder, mode, B, seed):
+        m = self._model(encoder, mode)
+        batch = self._batch(np.random.default_rng(seed), B)
+        got = batch_logits(m, batch).data
+        want = np.vstack([arbitrator_oracle.sample_logits(m, ps).data for ps in batch])
+        assert got.shape == (B, 2)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        loss, grads = self._loss_and_grads(m, lambda: batch_loss(m, batch))
+        ref_loss, ref_grads = self._loss_and_grads(
+            m, lambda: arbitrator_oracle.batch_loss(m, batch))
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+        assert sorted(grads) == sorted(ref_grads) == sorted(m.params.names())
+        for name, ref in ref_grads.items():
+            err = np.abs(grads[name] - ref).max()
+            assert err <= 1e-12 * np.abs(ref).max(), (name, err)
+
+    @pytest.mark.parametrize("encoder", ["textcnn", "bigru"])
+    def test_evaluate_chunks_match_oracle_labels(self, encoder, monkeypatch):
+        m = self._model(encoder, "ita")
+        batch = self._batch(np.random.default_rng(5), 7)
+        probs = [ad.softmax(arbitrator_oracle.sample_logits(m, ps)).data[0] for ps in batch]
+        want = accuracy([int(p[1] >= p[0]) for p in probs], [ps.label for ps in batch])
+        monkeypatch.setattr(arb, "EVAL_SAMPLES", 3)  # chunks of 3, 3 and 1 samples
+        assert evaluate_prepared(m, batch) == want
+
+    @pytest.mark.parametrize("encoder", ["textcnn", "bigru"])
+    def test_empty_text_error_names_its_position(self, encoder):
+        m = self._model(encoder, "ita")
+        texts = [rand_records(np.random.default_rng(0), 4)] * 2
+        texts.insert(1, EncodedHistory(*(np.zeros(0, dtype=np.int64),) * 4))
+        encode = textcnn_encode if encoder == "textcnn" else bigru_encode
+        with pytest.raises(ValueError, match="text 1 of the batch"):
+            encode(m, texts)
+
+    def test_all_pad_text_error_names_its_position(self):
+        m = self._model("textcnn", "ita")
+        batch = self._batch(np.random.default_rng(1), 3)
+        batch[2].history_enc = EncodedHistory(*(np.zeros(3, dtype=np.int64),) * 4)
+        with pytest.raises(ValueError, match="text 2 of the batch.*padding"):
+            batch_logits(m, batch)
 
 
 class TestGradients:
@@ -401,7 +486,7 @@ class TestPrediction:
         prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)],
                                    m, vocab, tuple(ims), max_len=6)
         assert prepared[0].agent_ids == [EOS] and prepared[0].user_ids == [EOS]
-        assert predict_prepared(m, prepared[0]) in (0, 1)
+        assert evaluate_prepared(m, prepared) in (0.0, 1.0)
         d = ita_predict(utts, m, ims[0], ims[1], vocab, beam_width=2, max_len=6)
         assert d.flags == ("empty_agent_generation", "empty_user_generation")
         assert d.imagined_agent == d.imagined_user == ("<eos>",)

@@ -137,12 +137,12 @@ class TestNll:
 
 class TestMaxOverTime:
     def test_values(self):
-        out = ad.max_over_time(ad.constant([[1.0, 5.0], [3.0, 2.0]])).data
-        assert out.tolist() == [3.0, 5.0]
+        out = ad.max_over_time(ad.constant([[1.0, 5.0], [3.0, 2.0]]), [(0, 2)]).data
+        assert out.tolist() == [[3.0, 5.0]]
 
     def test_tie_routes_gradient_to_lowest_index(self):
         m = ad.constant([[2.0, 0.0], [2.0, 1.0], [1.0, 1.0]])
-        out = ad.max_over_time(m)
+        out = ad.max_over_time(m, [(0, 3)])
         ad.backward(ad.sum_all(out))
         # column 0 ties at rows 0 and 1 -> row 0 takes the gradient
         assert m.grad[:, 0].tolist() == [1.0, 0.0, 0.0]
@@ -150,14 +150,53 @@ class TestMaxOverTime:
         assert m.grad[:, 1].tolist() == [0.0, 1.0, 0.0]
 
     def test_single_row(self):
-        out = ad.max_over_time(ad.constant([[4.0, -2.0, 0.0]]))
-        assert out.data.tolist() == [4.0, -2.0, 0.0]
+        out = ad.max_over_time(ad.constant([[4.0, -2.0, 0.0]]), [(0, 1)])
+        assert out.data.tolist() == [[4.0, -2.0, 0.0]]
 
     @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_matches_numpy_max(self, n, m, seed):
         x = np.random.default_rng(seed).normal(size=(n, m))
-        out = ad.max_over_time(ad.constant(x)).data
-        np.testing.assert_array_equal(out, x.max(axis=0))
+        out = ad.max_over_time(ad.constant(x), [(0, n)]).data
+        np.testing.assert_array_equal(out, x.max(axis=0)[None])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5)), min_size=1, max_size=5),
+           st.integers(1, 4), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_segments_match_numpy_argmax(self, layout, m, tail, seed):
+        """Each segment, after a gap of 0-3 rows, takes np.argmax's row per column: ties
+        (values drawn from a few integers) to the lowest row, and a NaN where one is."""
+        rng = np.random.default_rng(seed)
+        segments, row = [], 0
+        for gap, length in layout:
+            segments.append((row + gap, row + gap + length))
+            row += gap + length
+        x = rng.integers(-2, 3, size=(row + tail, m)).astype(np.float64)
+        x[rng.random(x.shape) < 0.05] = np.nan
+        a = ad.constant(x)
+        out = ad.max_over_time(a, segments)
+        g = rng.normal(size=out.shape)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        want_grad = np.zeros_like(x)
+        for i, (start, stop) in enumerate(segments):
+            arg = start + np.argmax(x[start:stop], axis=0)
+            np.testing.assert_array_equal(out.data[i], x[arg, np.arange(m)])
+            want_grad[arg, np.arange(m)] = g[i]
+        np.testing.assert_array_equal(a.grad, want_grad)
+
+    def test_nan_wins_as_under_argmax(self):
+        x = np.array([[1.0, 2.0], [np.nan, 5.0], [3.0, np.nan], [4.0, 1.0]])
+        a = ad.constant(x)
+        out = ad.max_over_time(a, [(0, 2), (2, 4)])
+        ad.backward(ad.sum_all(out))
+        assert np.isnan(out.data[0, 0]) and out.data[0, 1] == 5.0
+        assert out.data[1, 0] == 4.0 and np.isnan(out.data[1, 1])
+        assert a.grad.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("segments", [[], [(0, 0)], [(2, 1)], [(0, 2), (1, 3)],
+                                          [(2, 3), (0, 1)], [(-1, 1)], [(0, 5)]])
+    def test_bad_segments_rejected(self, segments):
+        with pytest.raises(ad.ShapeError):
+            ad.max_over_time(ad.constant(np.zeros((4, 2))), segments)
 
 
 class TestBackward:
@@ -312,7 +351,7 @@ class TestFiniteDifferences:
         def build():
             cols = ad.unfold_rows(E, 2)
             conv = ad.relu(ad.matmul(cols, F))
-            return ad.sum_all(ad.max_over_time(conv))
+            return ad.sum_all(ad.max_over_time(conv, [(0, 2), (3, 5)]))
 
         assert fd(build, ps) < 1e-6
 

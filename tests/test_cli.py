@@ -287,6 +287,24 @@ class TestGenerate:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and json.loads(lines[0])["sample_id"] == "valid-00000"
 
+    def test_failed_replace_keeps_previous_output(self, prep_dir, artifacts, tmp_path,
+                                                  monkeypatch, capsys):
+        out = tmp_path / "gen.jsonl"
+        argv = ["generate", "--checkpoint", str(artifacts[AGENT]), "--data", str(prep_dir),
+                "--split", "valid", "--seed", "3", "--beam-width", "2", "--max-len", "4",
+                "--out", str(out)]
+        assert run(argv + ["--limit", "2"]) == 0
+        before = out.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.cp.os, "replace", fail)
+        assert run(argv + ["--limit", "5"]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.jsonl"]
+
     def test_arbitrator_checkpoint_rejected(self, prep_dir, artifacts, tmp_path, capsys):
         rc = run(["generate", "--checkpoint", str(artifacts["arbitrator"]),
                   "--data", str(prep_dir), "--seed", "3"])
