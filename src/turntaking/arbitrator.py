@@ -16,8 +16,9 @@ gate inside its recurrent product, n = tanh(x·W_n + (r⊙h)·U_n + b_n).
 One forward, `batch_logits`, turns B samples into [B, 2] logits for
 training, validation and decisions. All texts of the batch go through one
 encoder call: TextCNN packs them back to back and pools each over its own
-windows; Bi-GRU right-pads them, one `autodiff.gru` call per direction, the
-backward one reading each text reversed within its own length.
+windows; Bi-GRU packs them sorted by length, one `autodiff.gru` call per
+direction that steps only over the texts still running, the backward one
+reading each text reversed within its own length.
 
 Label 1 selects the agent path (reply now); 0 selects the user path (keep
 waiting). Ties break toward 1 so a perfectly undecided agent stays live.
@@ -38,7 +39,7 @@ from .corpus import (
     encode_history, role_id,
 )
 from .imaginator import (
-    ImaginatorModel, _history_arrays, beam_decode, embed_records, greedy_decode, project,
+    ImaginatorModel, beam_decode, embed_records, greedy_decode, pack_histories, project,
 )
 
 DEFAULT_FILTER_WIDTHS = (3, 4, 5)
@@ -199,23 +200,19 @@ def textcnn_encode(model: ArbitratorModel, texts: Sequence[EncodedHistory]) -> a
 def bigru_encode(model: ArbitratorModel, texts: Sequence[EncodedHistory]) -> ad.Tensor:
     """Final forward state beside final backward state of every text: [N texts, 2h].
 
-    Texts are right-padded, one `gru` call per direction. The backward one reads
-    each text reversed within its own length, by an index on its records, so
-    padding stays at the end; both final states are read at the last real step."""
-    records, mask, lengths = _history_arrays(texts)
-    if not lengths.all():
-        raise ValueError(f"cannot encode text {np.argmin(lengths)} of the batch: it is empty")
-    N, T = mask.shape
-    t = np.arange(T)[:, None]
-    reverse = (np.where(t < lengths, lengths - 1 - t, t) * N + np.arange(N)).ravel()
-    h0 = ad.constant(np.zeros((N, model.gru_hidden)))
-    last = np.arange(N) * T + lengths - 1
+    The texts run packed by `imaginator.pack_histories`, one `gru` call per
+    direction, so no step computes padding. The backward direction reads
+    each text reversed within its own length, which keeps the packing, so
+    both directions read a text's final state at the row of its last step."""
+    empty = [i for i, e in enumerate(texts) if len(e) == 0]
+    if empty:
+        raise ValueError(f"cannot encode text {empty[0]} of the batch: it is empty")
+    h0 = ad.constant(np.zeros((len(texts), model.gru_hidden)))
     finals = []
-    for prefix, order in (("gru_f", slice(None)), ("gru_b", reverse)):
-        recs = EncodedHistory(records.tokens[order], records.roles[order],
-                              records.turns[order], records.subturns[order])
-        xw = project(embed_records(model.params, recs), model.params, prefix)
-        finals.append(ad.rows(ad.gru(xw, model.params[f"{prefix}.U"], h0), last))
+    for prefix, reverse in (("gru_f", False), ("gru_b", True)):
+        records, sizes, _, last = pack_histories(texts, reverse)
+        xw = project(embed_records(model.params, records), model.params, prefix)
+        finals.append(ad.rows(ad.gru(xw, model.params[f"{prefix}.U"], h0, sizes), last))
     return ad.concat_cols(finals)
 
 
@@ -255,12 +252,24 @@ def _history_enc(model: ArbitratorModel, history: Sequence[Utterance],
 def _imagination(ids: Sequence[int]) -> tuple[list[int], bool]:
     """An imagination with no token other than PAD is empty: it becomes [EOS].
 
-    Returns the ids to encode and whether the imagination was empty. Training
-    and inference both go through here, so they see the same texts.
+    Returns the ids to encode and whether the imagination was empty.
     """
     if all(i == PAD for i in ids):
         return [EOS], True
     return list(ids), False
+
+
+def _imagined(history_enc: EncodedHistory, agent_ids: Sequence[int], user_ids: Sequence[int],
+              label: int | None = None) -> "PreparedSample":
+    """An ita sample with its two imaginations, each empty one replaced and flagged.
+
+    Training and inference both go through here, so they see the same texts.
+    """
+    agent_ids, agent_empty = _imagination(agent_ids)
+    user_ids, user_empty = _imagination(user_ids)
+    flags = tuple(f"empty_{role}_generation"
+                  for role, empty in ((AGENT, agent_empty), (USER, user_empty)) if empty)
+    return PreparedSample(history_enc, label, agent_ids, user_ids, flags)
 
 
 def decide_with_imagined(model: ArbitratorModel, history_enc: EncodedHistory,
@@ -273,18 +282,7 @@ def decide_with_imagined(model: ArbitratorModel, history_enc: EncodedHistory,
     """
     if model.mode != "ita":
         raise ValueError("decide_with_imagined needs a model in ita mode")
-    agent_ids, agent_empty = _imagination(agent_ids)
-    user_ids, user_empty = _imagination(user_ids)
-    flags = [f"empty_{role}_generation"
-             for role, empty in ((AGENT, agent_empty), (USER, user_empty)) if empty]
-    with ad.no_grad():
-        probs = ad.softmax(batch_logits(model, [PreparedSample(
-            history_enc, agent_ids=agent_ids, user_ids=user_ids)])).data[0].copy()
-    to_text = (lambda ids: tuple(vocab.decode_id(i) for i in ids)) if vocab else tuple
-    return Decision(label=_argmax_label(probs), probs=probs,
-                    imagined_agent=to_text(agent_ids),
-                    imagined_user=to_text(user_ids),
-                    flags=tuple(flags))
+    return decide_prepared(model, [_imagined(history_enc, agent_ids, user_ids)], vocab)[0]
 
 
 def ita_predict(history: Sequence[Utterance], model: ArbitratorModel,
@@ -302,10 +300,7 @@ def baseline_predict(history: Sequence[Utterance], model: ArbitratorModel,
     """History-only classification; imagined fields stay empty."""
     if model.mode != "baseline":
         raise ValueError("baseline_predict needs a model in baseline mode")
-    ps = PreparedSample(_history_enc(model, history, vocab))
-    with ad.no_grad():
-        probs = ad.softmax(batch_logits(model, [ps])).data[0].copy()
-    return Decision(label=_argmax_label(probs), probs=probs)
+    return decide_prepared(model, [PreparedSample(_history_enc(model, history, vocab))])[0]
 
 
 def accuracy(predictions: Sequence[int], gold: Sequence[int]) -> float:
@@ -363,11 +358,13 @@ def decision_record(sample_id: str, decision: Decision) -> dict:
 
 @dataclass
 class PreparedSample:
-    """One sample's arbitrator inputs, imaginations included; a decision has no label."""
+    """One sample's arbitrator inputs, imaginations included; a decision has no label.
+    flags names the imaginations that came out empty (see `_imagined`)."""
     history_enc: EncodedHistory
     label: int | None = None
     agent_ids: list[int] = field(default_factory=list)
     user_ids: list[int] = field(default_factory=list)
+    flags: tuple[str, ...] = ()
 
 
 def prepare_samples(samples: Sequence[ArbitratorSample], model: ArbitratorModel,
@@ -382,15 +379,14 @@ def prepare_samples(samples: Sequence[ArbitratorSample], model: ArbitratorModel,
     """
     prepared = [PreparedSample(history_enc=_history_enc(model, s.history, vocab), label=s.label)
                 for s in samples]
-    if imaginators is not None:
-        encs = [ps.history_enc for ps in prepared]
-        agent_im, user_im = imaginators
-        for ps, agent_ids, user_ids in zip(prepared,
-                                           greedy_decode(agent_im, encs, max_len=max_len),
-                                           greedy_decode(user_im, encs, max_len=max_len)):
-            ps.agent_ids = _imagination(agent_ids)[0]
-            ps.user_ids = _imagination(user_ids)[0]
-    return prepared
+    if imaginators is None:
+        return prepared
+    encs = [ps.history_enc for ps in prepared]
+    agent_im, user_im = imaginators
+    return [_imagined(ps.history_enc, agent_ids, user_ids, ps.label)
+            for ps, agent_ids, user_ids in zip(prepared,
+                                               greedy_decode(agent_im, encs, max_len=max_len),
+                                               greedy_decode(user_im, encs, max_len=max_len))]
 
 
 def batch_logits(model: ArbitratorModel, batch: Sequence[PreparedSample]) -> ad.Tensor:
@@ -426,11 +422,24 @@ def train_step(batch: Sequence[PreparedSample], model: ArbitratorModel,
     return loss.item()
 
 
-def evaluate_prepared(model: ArbitratorModel, prepared: Sequence[PreparedSample]) -> float:
-    """Accuracy of the argmax labels, from no-grad forwards of EVAL_SAMPLES samples at a time."""
-    preds = []
+def prepared_probs(model: ArbitratorModel, prepared: Sequence[PreparedSample]) -> np.ndarray:
+    """Wait/reply probabilities [N, 2] of prepared samples, from no-grad `batch_logits`
+    forwards of at most EVAL_SAMPLES samples each."""
     with ad.no_grad():
-        for start in range(0, len(prepared), EVAL_SAMPLES):
-            probs = ad.softmax(batch_logits(model, prepared[start:start + EVAL_SAMPLES])).data
-            preds.extend(_argmax_label(p) for p in probs)
+        return np.concatenate([ad.softmax(batch_logits(model, prepared[i:i + EVAL_SAMPLES])).data
+                               for i in range(0, len(prepared), EVAL_SAMPLES)])
+
+
+def decide_prepared(model: ArbitratorModel, prepared: Sequence[PreparedSample],
+                    vocab: Vocabulary | None = None) -> list[Decision]:
+    """The decisions of prepared samples, their imaginations as words when vocab is given."""
+    to_text = (lambda ids: tuple(vocab.decode_id(i) for i in ids)) if vocab else tuple
+    return [Decision(label=_argmax_label(p), probs=p, imagined_agent=to_text(ps.agent_ids),
+                     imagined_user=to_text(ps.user_ids), flags=ps.flags)
+            for ps, p in zip(prepared, prepared_probs(model, prepared))]
+
+
+def evaluate_prepared(model: ArbitratorModel, prepared: Sequence[PreparedSample]) -> float:
+    """Accuracy of the argmax labels of `prepared_probs`."""
+    preds = [_argmax_label(p) for p in prepared_probs(model, prepared)]
     return accuracy(preds, [ps.label for ps in prepared])

@@ -19,7 +19,10 @@ against central finite differences.
 A recurrence op runs its time loop in plain numpy and is one tape node: its
 backward is one loop back through time that fills the gradients of every gate
 pre-activation, after which the recurrent-weight gradient is a single matrix
-product over all steps (Appleyard et al., arXiv 1604.01946).
+product over all positions (Appleyard et al., arXiv 1604.01946). Its batch is
+packed as by PyTorch's pack_padded_sequence, sorted longest first, so each
+step computes only the sequences still running; `place_rows` puts the packed
+states back into a padded layout.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "concat_cols",
     "reshape",
     "rows",
+    "place_rows",
     "unfold_rows",
     "dot_scores",
     "weighted_sum",
@@ -226,8 +230,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def bwd(g):
-        _acc(a, _grad_for(a, g * b.data))
-        _acc(b, _grad_for(b, g * a.data))
+        _acc(a, _grad_for(a, g * b.data), fresh=True)
+        _acc(b, _grad_for(b, g * a.data), fresh=True)
 
     return Tensor(out, _parents=(a, b), _bwd=bwd)
 
@@ -236,22 +240,22 @@ def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
     def bwd(g):
-        _acc(a, g * (1.0 - out * out))
+        _acc(a, g * (1.0 - out * out), fresh=True)
 
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)), with exp taken once and only of -|x|, so it never overflows."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.data)
 
     def bwd(g):
-        _acc(a, g * out * (1.0 - out))
+        _acc(a, g * out * (1.0 - out), fresh=True)
 
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
@@ -260,7 +264,7 @@ def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        _acc(a, g * (a.data > 0))
+        _acc(a, g * (a.data > 0), fresh=True)
 
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
@@ -442,6 +446,30 @@ def rows(table: Tensor, indices) -> Tensor:
     return Tensor(out, _parents=(table,), _bwd=bwd)
 
 
+def place_rows(a: Tensor, index, n: int) -> Tensor:
+    """The rows of a matrix put at the distinct rows `index` of an (n, d) matrix of zeros.
+
+    This unpacks a packed recurrence into a padded layout. No two rows share a
+    place, so the backward reads each row's gradient back with one gather."""
+    idx = np.asarray(index, dtype=np.intp)
+    if a.data.ndim != 2 or idx.shape != (a.shape[0],):
+        raise ShapeError(f"place_rows needs a matrix and one index per row, got {a.shape} "
+                         f"and {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"row place out of range [0, {n})")
+    taken = np.zeros(n, dtype=bool)
+    taken[idx] = True
+    if np.count_nonzero(taken) != idx.size:
+        raise ShapeError("place_rows needs distinct places")
+    out = np.zeros((n, a.shape[1]))
+    out[idx] = a.data
+
+    def bwd(g):
+        _acc(a, g[idx], fresh=True)
+
+    return Tensor(out, _parents=(a,), _bwd=bwd)
+
+
 def unfold_rows(a: Tensor, width: int) -> Tensor:
     """Sliding windows of ``width`` consecutive rows, flattened per window.
 
@@ -501,64 +529,109 @@ def weighted_sum(weights: Tensor, states: Tensor) -> Tensor:
     return Tensor(out, _parents=(weights, states), _bwd=bwd)
 
 
-def _recurrence_shape(xw: Tensor, u: Tensor, states: Sequence[Tensor], gates: int,
-                      opname: str) -> tuple[int, int, int]:
-    """(T, B, H) of a recurrence whose projected input has `gates` column blocks."""
+def _recurrence_shape(xw: Tensor, u: Tensor, states: Sequence[Tensor], sizes: Sequence[int],
+                      gates: int, opname: str) -> tuple[int, int, list[int]]:
+    """(B, H, sizes as Python ints) of a packed recurrence whose input has `gates` column blocks."""
+    sizes = list(map(int, sizes))
     first = states[0]
-    ok = first.data.ndim == 2 and all(s.shape == first.shape for s in states)
+    ok = first.data.ndim == 2 and all(s.shape == first.shape for s in states) and len(sizes) > 0
     if ok:
         B, H = first.shape
-        ok = (B > 0 and H > 0 and u.shape == (H, gates * H) and xw.data.ndim == 2
-              and xw.shape[1] == gates * H and xw.shape[0] > 0 and xw.shape[0] % B == 0)
+        ok = (B > 0 and H > 0 and sizes[0] == B and sizes[-1] > 0
+              and sizes == sorted(sizes, reverse=True)
+              and u.shape == (H, gates * H) and xw.shape == (sum(sizes), gates * H))
     if not ok:
-        raise ShapeError(f"{opname} needs xw (T*B, {gates}H), u (H, {gates}H) and (B, H) "
-                         f"states, got {xw.shape}, {u.shape} and {[s.shape for s in states]}")
-    return xw.shape[0] // B, B, H
+        raise ShapeError(f"{opname} needs xw (sum(sizes), {gates}H), u (H, {gates}H), (B, H) "
+                         f"states and non-increasing positive sizes starting at B, got "
+                         f"{xw.shape}, {u.shape}, {[s.shape for s in states]} and {sizes}")
+    return B, H, sizes
 
 
-def lstm(xw: Tensor, u: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
-    """An LSTM over whole sequences, as one tape node.
+def _with_carry(g: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
+    """A step's output gradient (n, H) plus what the next step hands back to its first rows."""
+    if carry is None:
+        return g
+    if len(carry) == len(g):
+        return g + carry
+    out = g.copy()  # the sequences that end at this step receive nothing
+    out[:len(carry)] += carry
+    return out
 
-    xw (T*B, 4H) is the projected input x·W + b of every step, time-major:
-    row t*B + b is step t of sequence b, with gate columns f, i, o, g. u
-    (H, 4H) is the recurrent weight and h0, c0 (B, H) the initial states.
-    The result (2*B*T, H) is batch-major: row b*T + t holds h after step t
-    of sequence b and row B*T + b*T + t the matching c, so the first B*T
-    rows reshape to (B, T, H) states. The gate activations of every step
-    are kept for backward only while the tape records.
+
+def _kept(sizes: list[int], widths: Sequence[int]):
+    """Packed (N, width) arrays that a recurrence fills with its step activations
+    for backward while the tape records, and a function giving each step's rows
+    of them (None when nothing is kept, so the activations are fresh arrays)."""
+    if not _recording:
+        return None, lambda o, n: (None,) * len(widths)
+    bufs = tuple(np.empty((sum(sizes), w)) for w in widths)
+    return bufs, lambda o, n: tuple(b[o:o + n] for b in bufs)
+
+
+def _previous_rows(states: np.ndarray, first: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The state before every packed position: `first` at step 0, then each
+    position's row in the step before, which is the row sizes[t - 1] back."""
+    B, N = sizes[0], len(states)
+    if sizes[-1] == B:  # nothing is skipped: the rows B back, in order
+        return np.concatenate([first, states[:N - B]])
+    return np.concatenate([first, states[np.arange(B, N) - np.repeat(sizes[:-1], sizes[1:])]])
+
+
+def lstm(xw: Tensor, u: Tensor, h0: Tensor, c0: Tensor, sizes: Sequence[int]) -> Tensor:
+    """An LSTM over a packed batch of sequences, as one tape node.
+
+    The layout is PyTorch's pack_padded_sequence: the B sequences sorted by
+    length, longest first, and step t holding the sizes[t] sequences longer
+    than t, so sizes is non-increasing and sizes[0] == B. xw (N, 4H), N =
+    sum(sizes), is the projected input x·W + b of the live positions only,
+    time-major: step t's rows follow step t - 1's, its row j being sequence
+    j, with gate columns f, i, o, g. u (H, 4H) is the recurrent weight and
+    h0, c0 (B, H) the initial states. Step t runs its recurrent product and
+    gate math on its sizes[t] rows, and so does the backward. The result
+    (2N, H) is packed as xw is: row j holds h at position j and row N + j
+    the matching c. When every size is B (one decode step, a batch of one,
+    the teacher-forced decoder) nothing is skipped and row t*B + b is step t
+    of sequence b. The gate activations of every step are kept for backward
+    only while the tape records.
     """
-    T, B, H = _recurrence_shape(xw, u, (h0, c0), 4, "lstm")
-    U = u.data
-    pre = xw.data.reshape(T, B, 4 * H)
-    out = np.empty((2, B, T, H))
-    sigs, gs, tcs = [], [], []  # sigmoid(f, i, o), tanh(g) and tanh(c) of every step, for backward
+    B, H, sizes = _recurrence_shape(xw, u, (h0, c0), sizes, 4, "lstm")
+    N = xw.shape[0]
+    U, pre = u.data, xw.data
+    out = np.empty((2, N, H))
+    # sigmoid(f, i, o), tanh(g) and tanh(c) of every position, for backward: one array
+    # each, as rows of a different size every step would fragment the heap
+    _, rows_at = _kept(sizes, (3 * H, H, H))
     h, c = h0.data, c0.data
-    for t in range(T):
-        a = pre[t] + h @ U
-        sig = _sigmoid(a[:, :3 * H])
-        g = np.tanh(a[:, 3 * H:])
+    live, o = B, 0
+    for n in sizes:
+        if n < live:  # the sequences past the first n have ended
+            h, c, live = h[:n], c[:n], n
+        sig_out, g_out, tc_out = rows_at(o, n)
+        a = pre[o:o + n] + h @ U
+        sig = _sigmoid(a[:, :3 * H], out=sig_out)
+        g = np.tanh(a[:, 3 * H:], out=g_out)
         c = sig[:, :H] * c + sig[:, H:2 * H] * g
-        tc = np.tanh(c)
+        tc = np.tanh(c, out=tc_out)
         h = sig[:, 2 * H:] * tc
-        out[0, :, t] = h
-        out[1, :, t] = c
-        if _recording:
-            sigs.append(sig)
-            gs.append(g)
-            tcs.append(tc)
+        out[0, o:o + n] = h
+        out[1, o:o + n] = c
+        o += n
 
     def bwd(grad):
-        G = grad.reshape(2, B, T, H)
-        D = np.empty((T, B, 4 * H))  # gradients of the gate pre-activations
+        G = grad.reshape(2, N, H)
+        D = np.empty((N, 4 * H))  # gradients of the gate pre-activations
         UT = U.T
         dh_next = dc_next = None  # what step t receives from step t + 1
-        for t in reversed(range(T)):
-            sig, g, tc = sigs[t], gs[t], tcs[t]
-            c_prev = c0.data if t == 0 else out[1, :, t - 1]
-            dh = G[0, :, t] if dh_next is None else G[0, :, t] + dh_next
-            dc = G[1, :, t] if dc_next is None else G[1, :, t] + dc_next
+        o = N
+        for t in reversed(range(len(sizes))):
+            n = sizes[t]
+            o -= n
+            sig, g, tc = rows_at(o, n)
+            c_prev = c0.data if t == 0 else out[1, o - sizes[t - 1]:o - sizes[t - 1] + n]
+            dh = _with_carry(G[0, o:o + n], dh_next)
+            dc = _with_carry(G[1, o:o + n], dc_next)
             dc = dc + dh * sig[:, 2 * H:] * (1.0 - tc * tc)
-            d = D[t]
+            d = D[o:o + n]
             d[:, :H] = dc * c_prev
             d[:, H:2 * H] = dc * g
             d[:, 2 * H:3 * H] = dh * tc
@@ -567,74 +640,74 @@ def lstm(xw: Tensor, u: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
             d[:, 3 * H:] = dc * sig[:, H:2 * H] * (1.0 - g * g)
             dh_next = d @ UT
             dc_next = dc * sig[:, :H]
-        D = D.reshape(T * B, 4 * H)
-        h_prev = np.concatenate([h0.data[None], out[0].transpose(1, 0, 2)[:-1]])
-        _acc(u, h_prev.reshape(T * B, H).T @ D, fresh=True)
+        _acc(u, _previous_rows(out[0], h0.data, sizes).T @ D, fresh=True)
         _acc(h0, dh_next, fresh=True)
         _acc(c0, dc_next, fresh=True)
         _acc(xw, D, fresh=True)
 
-    return Tensor(out.reshape(2 * B * T, H), _parents=(xw, u, h0, c0), _bwd=bwd)
+    return Tensor(out.reshape(2 * N, H), _parents=(xw, u, h0, c0), _bwd=bwd)
 
 
-def gru(xw: Tensor, u: Tensor, h0: Tensor) -> Tensor:
-    """A GRU over whole sequences, as one tape node.
+def gru(xw: Tensor, u: Tensor, h0: Tensor, sizes: Sequence[int]) -> Tensor:
+    """A GRU over a packed batch of sequences, as one tape node.
 
-    xw (T*B, 3H) is the projected input of every step, time-major as in
+    xw (N, 3H) is the projected input of the live positions, packed as in
     `lstm`, with gate columns r, z, n; u (H, 3H) is the recurrent weight and
     h0 (B, H) the initial state. The candidate keeps the reset gate inside
     its recurrent product, n = tanh(xw_n + (r*h)·U_n), and h' = z*h + (1-z)*n.
-    The result (B*T, H) is batch-major: row b*T + t holds h after step t of
-    sequence b. As in `lstm`, step activations are kept only while the tape
-    records.
+    The result (N, H) is packed as xw is: row j holds h at position j. As in
+    `lstm`, each step touches its live rows only, forward and backward, and
+    step activations are kept only while the tape records.
     """
-    T, B, H = _recurrence_shape(xw, u, (h0,), 3, "gru")
+    B, H, sizes = _recurrence_shape(xw, u, (h0,), sizes, 3, "gru")
+    N = xw.shape[0]
     # contiguous copies: a product with a column block of u is about twice as slow
     u_rz, u_n = np.ascontiguousarray(u.data[:, :2 * H]), np.ascontiguousarray(u.data[:, 2 * H:])
-    pre = xw.data.reshape(T, B, 3 * H)
-    out = np.empty((B, T, H))
-    rzs, ns, rhs = [], [], []  # sigmoid(r, z), n and r*h of every step, for backward
+    pre = xw.data
+    out = np.empty((N, H))
+    kept, rows_at = _kept(sizes, (2 * H, H, H))  # sigmoid(r, z), n and r*h, as in `lstm`
     h = h0.data
-    for t in range(T):
-        rz = _sigmoid(pre[t, :, :2 * H] + h @ u_rz)
-        rh = rz[:, :H] * h
-        n = np.tanh(pre[t, :, 2 * H:] + rh @ u_n)
+    live, o = B, 0
+    for n in sizes:
+        if n < live:
+            h, live = h[:n], n
+        rz_out, cand_out, rh_out = rows_at(o, n)
+        rz = _sigmoid(pre[o:o + n, :2 * H] + h @ u_rz, out=rz_out)
+        rh = np.multiply(rz[:, :H], h, out=rh_out)
+        cand = np.tanh(pre[o:o + n, 2 * H:] + rh @ u_n, out=cand_out)
         z = rz[:, H:]
-        h = z * h + (1.0 - z) * n
-        out[:, t] = h
-        if _recording:
-            rzs.append(rz)
-            ns.append(n)
-            rhs.append(rh)
+        h = z * h + (1.0 - z) * cand
+        out[o:o + n] = h
+        o += n
 
     def bwd(grad):
-        G = grad.reshape(B, T, H)
-        h_prev = np.concatenate([h0.data[None], out.transpose(1, 0, 2)[:-1]])
-        rz, n = np.stack(rzs), np.stack(ns)
-        r, z = rz[..., :H], rz[..., H:]
-        # the local derivatives of every step, taken outside the time loop
+        h_prev = _previous_rows(out, h0.data, sizes)
+        rz, n, rh = kept
+        r, z = rz[:, :H], rz[:, H:]
+        # the local derivatives of every position, taken outside the time loop
         dan_dh = (1.0 - z) * (1.0 - n * n)
         dz_dh = h_prev - n
         drz_da = rz * (1.0 - rz)
-        D = np.empty((T, B, 3 * H))  # gradients of the gate pre-activations
+        D = np.empty((N, 3 * H))  # gradients of the gate pre-activations
         carry = None  # what step t receives from step t + 1
-        for t in reversed(range(T)):
-            dh = G[:, t] if carry is None else G[:, t] + carry
-            d = D[t]
-            np.multiply(dh, dan_dh[t], out=d[:, 2 * H:])
+        o = N
+        for t in reversed(range(len(sizes))):
+            o -= sizes[t]
+            s = slice(o, o + sizes[t])
+            dh = _with_carry(grad[s], carry)
+            d = D[s]
+            np.multiply(dh, dan_dh[s], out=d[:, 2 * H:])
             drh = d[:, 2 * H:] @ u_n.T
-            np.multiply(drh, h_prev[t], out=d[:, :H])
-            np.multiply(dh, dz_dh[t], out=d[:, H:2 * H])
-            d[:, :2 * H] *= drz_da[t]
-            carry = dh * z[t] + drh * r[t] + d[:, :2 * H] @ u_rz.T
-        D = D.reshape(T * B, 3 * H)
-        du = np.concatenate([h_prev.reshape(T * B, H).T @ D[:, :2 * H],
-                             np.stack(rhs).reshape(T * B, H).T @ D[:, 2 * H:]], axis=1)
+            np.multiply(drh, h_prev[s], out=d[:, :H])
+            np.multiply(dh, dz_dh[s], out=d[:, H:2 * H])
+            d[:, :2 * H] *= drz_da[s]
+            carry = dh * z[s] + drh * r[s] + d[:, :2 * H] @ u_rz.T
+        du = np.concatenate([h_prev.T @ D[:, :2 * H], rh.T @ D[:, 2 * H:]], axis=1)
         _acc(u, du, fresh=True)
         _acc(h0, carry, fresh=True)
         _acc(xw, D, fresh=True)
 
-    return Tensor(out.reshape(B * T, H), _parents=(xw, u, h0), _bwd=bwd)
+    return Tensor(out, _parents=(xw, u, h0), _bwd=bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import corpus as cp
 from .arbitrator import (
-    accuracy, baseline_predict, classification_summary, decide_with_imagined,
-    decision_record, ita_predict, prepare_samples, random_policy_predictions,
+    accuracy, classification_summary, decide_prepared, decision_record, ita_predict,
+    prepare_samples, random_policy_predictions,
 )
 from .corpus import AGENT, USER, IngestError, Vocabulary
 from .imaginator import beam_decode, evaluate_imaginator
@@ -248,13 +248,10 @@ def cmd_evaluate(args) -> int:
                 raise CliError("an ita-mode checkpoint needs --agent-imaginator "
                                "and --user-imaginator for evaluation")
             pair = _load_imaginator_pair(args, vocab)
-            prepared = prepare_samples(samples, model, vocab, pair,
-                                       max_len=args.max_len)
-            decisions = [decide_with_imagined(model, ps.history_enc, ps.agent_ids,
-                                              ps.user_ids, vocab)
-                         for ps in prepared]
         else:
-            decisions = [baseline_predict(s.history, model, vocab) for s in samples]
+            pair = None
+        decisions = decide_prepared(model, prepare_samples(samples, model, vocab, pair,
+                                                           max_len=args.max_len), vocab)
         preds = [d.label for d in decisions]
         summary = classification_summary(preds, gold)
         rand = accuracy(random_policy_predictions(len(gold), seed=args.seed), gold)

@@ -10,7 +10,11 @@ Each LSTM cell (``enc`` and ``dec``) is three fused tensors: ``W`` of shape
 columns in the order f, i, o, g. The input half ``x·W + b`` of every gate is
 computed for a whole sequence in one matmul; the recurrence over it is then
 one `autodiff.lstm` call, one per batch in the encoder and one in the
-teacher-forced decoder. That decoder's step-t input is the gold token t and
+teacher-forced decoder. The encoder's batch is packed (`pack_histories`):
+sorted by length, longest first, each step computing only the histories
+that have not ended, so embeddings, input products and the recurrence skip
+the padding a right-padded batch would hold; `place_rows` returns the states
+to the caller's order. That decoder's step-t input is the gold token t and
 never depends on attention (no input feeding), so attention and logits are
 one batched pass over all B·T_dec decoder states, Luong et al.'s global dot
 attention (arXiv 1508.04025): one `dot_scores` of [B, T_dec, H] queries over
@@ -107,21 +111,30 @@ class ImaginatorModel:
         return cls(**cfg)
 
 
-def _history_arrays(encs: Sequence[EncodedHistory]):
-    """Right-pad encoded histories into one time-major record sequence.
+def pack_histories(encs: Sequence[EncodedHistory], reverse: bool = False):
+    """The records of a batch of histories in the packed layout of `autodiff.lstm`.
 
-    Record t*B + b is position t of history b (PAD records past its end).
-    Returns those records, the [B, T] mask and the length of each history.
+    The histories are sorted by length, longest first (a stable sort), and
+    step t lists record t of every history longer than t, so no record is
+    padding. With reverse, each history is read backwards within its own
+    length, which keeps the layout. Returns the packed records, the number of
+    histories at each step (`sizes`), the place b*T + t in the caller's
+    [B, T] layout of every packed record, and the packed row of each
+    history's last step, in the caller's order.
     """
-    B = len(encs)
-    T = max(len(e) for e in encs)
-    fields = np.zeros((4, T, B), dtype=np.int64)
-    fields[0] = PAD
     lengths = np.array([len(e) for e in encs])
-    for b, e in enumerate(encs):
-        fields[:, :lengths[b], b] = (e.tokens, e.roles, e.turns, e.subturns)
-    mask = (np.arange(T) < lengths[:, None]).astype(np.float64)
-    return EncodedHistory(*fields.reshape(4, T * B)), mask, lengths
+    order = np.argsort(-lengths, kind="stable")
+    live = lengths[order] > np.arange(lengths[order[0]])[:, None]  # [T, B], a prefix of each row
+    step, rank = np.nonzero(live)  # by step, then by rank: the packed order
+    seq = order[rank]
+    starts = np.cumsum(lengths) - lengths
+    src = starts[seq] + (lengths[seq] - 1 - step if reverse else step)
+    records = EncodedHistory(*(np.concatenate(f)[src] for f in zip(
+        *((e.tokens, e.roles, e.turns, e.subturns) for e in encs))))
+    ends = step == lengths[seq] - 1
+    last = np.empty(len(encs), dtype=np.intp)
+    last[seq[ends]] = np.flatnonzero(ends)
+    return records, live.sum(axis=1).tolist(), seq * len(live) + step, last
 
 
 def embed_records(params: ad.ParamSet, enc: EncodedHistory) -> ad.Tensor:
@@ -143,29 +156,33 @@ def lstm_step(xw: ad.Tensor, h_prev: ad.Tensor, c_prev: ad.Tensor,
               params: ad.ParamSet, prefix: str):
     """One LSTM step from the projected input xw [B, 4H] and states [B, H]."""
     B = h_prev.shape[0]
-    out = ad.lstm(xw, params[f"{prefix}.U"], h_prev, c_prev)
+    out = ad.lstm(xw, params[f"{prefix}.U"], h_prev, c_prev, [B])
     return ad.part(out, rows=slice(0, B)), ad.part(out, rows=slice(B, 2 * B))
 
 
 def encode_batch(model: ImaginatorModel, encs: Sequence[EncodedHistory]):
-    """Tape encoder over a right-padded batch.
+    """Tape encoder over a packed batch of histories.
 
-    Returns (stacked states [B,T,H], mask [B,T], final h, final c). The
-    recurrence runs on over padding; the mask keeps padded positions out of
-    attention, and each history's final (h, c) is read at its last real
-    position.
+    Returns (stacked states [B,T,H], mask [B,T], final h, final c) in the
+    order of encs. The recurrence runs on the `pack_histories` layout, so it
+    computes real positions only; one `place_rows` puts the states back in
+    the caller's order with zeros at padding, which the mask keeps out of
+    attention. Each history's final (h, c) is read at its last position.
     """
     if not encs or any(len(e) == 0 for e in encs):
         raise ValueError("cannot encode an empty history")
-    records, mask, lengths = _history_arrays(encs)
-    B, T = mask.shape
-    H = model.hidden
+    records, sizes, places, last = pack_histories(encs)
+    B, T, N, H = len(encs), len(sizes), len(places), model.hidden
     xw = project(embed_records(model.params, records), model.params, "enc")
     zero = ad.constant(np.zeros((B, H)))
-    out = ad.lstm(xw, model.params["enc.U"], zero, zero)
-    states = ad.reshape(ad.part(out, rows=slice(0, B * T)), (B, T, H))
-    last = np.arange(B) * T + lengths - 1
-    return states, mask, ad.rows(out, last), ad.rows(out, B * T + last)
+    out = ad.lstm(xw, model.params["enc.U"], zero, zero, sizes)
+    states = ad.part(out, rows=slice(0, N))
+    if B > 1:  # a batch of one is already in place
+        states = ad.place_rows(states, places, B * T)
+    mask = np.zeros(B * T)
+    mask[places] = 1.0
+    return (ad.reshape(states, (B, T, H)), mask.reshape(B, T),
+            ad.rows(out, last), ad.rows(out, N + last))
 
 
 def attention_bias(mask: np.ndarray) -> np.ndarray:
@@ -218,10 +235,12 @@ def teacher_forced_loss(model: ImaginatorModel, encs: Sequence[EncodedHistory],
     tmask = (np.arange(T_dec) < steps[:, None]).astype(np.float64)
     enc_states, mask, h, c = encode_batch(model, encs)
     xw = project(ad.rows(model.params["emb.token"], ids[:, :-1].T.ravel()), model.params, "dec")
-    hs = ad.lstm(xw, model.params["dec.U"], h, c)
-    # the first B*T_dec rows are h, batch-major: row b*T_dec + t is step t of history b
-    logits = _decoder_logits(model, ad.part(hs, rows=slice(0, B * T_dec)), enc_states,
-                             attention_bias(mask))
+    hs = ad.lstm(xw, model.params["dec.U"], h, c, [B] * T_dec)
+    # the first B*T_dec rows are h, time-major; the head reads them batch-major:
+    # row b*T_dec + t is step t of history b
+    batch_major = (np.arange(B) * T_dec + np.arange(T_dec)[:, None]).ravel()
+    h_dec = ad.place_rows(ad.part(hs, rows=slice(0, B * T_dec)), batch_major, B * T_dec)
+    logits = _decoder_logits(model, h_dec, enc_states, attention_bias(mask))
     return ad.scale(ad.log_softmax_nll(logits, ids[:, 1:].ravel(), mask=tmask.ravel()), 1.0 / B)
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from turntaking import autodiff as ad
-from turntaking.arbitrator import _normalize_for_cnn, encode_response_ids, fuse_paths
-from turntaking.corpus import AGENT, USER
-from turntaking.imaginator import embed_records, project
+from turntaking.arbitrator import (
+    PreparedSample, _normalize_for_cnn, encode_response_ids, fuse_paths,
+)
+from turntaking.corpus import AGENT, EOS, PAD, USER
+from turntaking.imaginator import embed_records, greedy_decode, project
 
 
 def textcnn_text(model, enc) -> ad.Tensor:
@@ -36,7 +38,7 @@ def bigru_text(model, enc) -> ad.Tensor:
     finals = []
     for prefix, order in (("gru_f", slice(None)), ("gru_b", slice(None, None, -1))):
         xw = ad.part(project(emb, model.params, prefix), rows=order)
-        states = ad.gru(xw, model.params[f"{prefix}.U"], h0)
+        states = ad.gru(xw, model.params[f"{prefix}.U"], h0, [1] * L)
         finals.append(ad.part(states, rows=slice(L - 1, L)))
     return ad.concat_cols(finals)
 
@@ -57,3 +59,19 @@ def batch_loss(model, batch) -> ad.Tensor:
     logits = ad.reshape(ad.concat_cols([sample_logits(model, ps) for ps in batch]),
                         (len(batch), 2))
     return ad.scale(ad.log_softmax_nll(logits, [ps.label for ps in batch]), 1.0 / len(batch))
+
+
+def decision(model, history_enc, imaginators, max_len):
+    """(label, [p_wait, p_reply], flags) of one ita sample decided alone: each
+    imaginator decodes this one history greedily, an imagination of nothing but
+    PAD becomes [EOS] and is flagged, and the logits are `sample_logits`."""
+    ids, flags = {}, []
+    for role, imaginator in zip((AGENT, USER), imaginators):
+        ids[role] = greedy_decode(imaginator, [history_enc], max_len=max_len)[0]
+        if all(i == PAD for i in ids[role]):
+            ids[role] = [EOS]
+            flags.append(f"empty_{role}_generation")
+    ps = PreparedSample(history_enc, agent_ids=ids[AGENT], user_ids=ids[USER])
+    with ad.no_grad():
+        probs = ad.softmax(sample_logits(model, ps)).data[0]
+    return int(probs[1] >= probs[0]), probs, flags

@@ -31,10 +31,10 @@ def per_step_teacher_forced_loss(model, encs, targets):
     bias = im.attention_bias(mask)
     H = model.hidden
     xw = im.project(ad.rows(p["emb.token"], inp.T.ravel()), p, "dec")
-    hs = ad.lstm(xw, p["dec.U"], h, c)
+    hs = ad.lstm(xw, p["dec.U"], h, c, [B] * T_dec)
     total = None
     for t in range(T_dec):
-        h_t = ad.part(hs, rows=slice(t, B * T_dec, T_dec))
+        h_t = ad.part(hs, rows=slice(t * B, (t + 1) * B))  # time-major rows
         if model.use_attention:
             scores = ad.dot_scores(ad.reshape(h_t, (B, 1, H)), enc_states, bias)
             ctx = ad.weighted_sum(ad.softmax(scores), enc_states)

@@ -103,14 +103,18 @@ def _op_losses():
          lambda q, s: ad.sum_all(ad.tanh(ad.dot_scores(q, s, score_bias))))
     case("weighted_sum", [(2, 2, 2), (2, 2, 3)],
          lambda w, s: ad.sum_all(ad.weighted_sum(ad.softmax(w), s)))
-    # B=2 sequences of T=3 steps at H=2, nonzero initial states, and random
-    # upstream weights on every output row, h and c alike
-    up_lstm = ad.constant(rng.normal(size=(2 * 2 * 3, 2)))
-    case("lstm", [(3 * 2, 4 * 2), (2, 4 * 2), (2, 2), (2, 2)],
-         lambda xw, u, h0, c0: ad.sum_all(ad.mul(ad.lstm(xw, u, h0, c0), up_lstm)))
-    up_gru = ad.constant(rng.normal(size=(2 * 3, 2)))
-    case("gru", [(3 * 2, 3 * 2), (2, 3 * 2), (2, 2)],
-         lambda xw, u, h0: ad.sum_all(ad.mul(ad.gru(xw, u, h0), up_gru)))
+    # packed batches at H=2: LSTM lengths 3, 2, 1 and GRU lengths 3, 1, so every
+    # step skips a sequence; nonzero initial states and random upstream weights
+    # on every output row, h and c alike
+    up_lstm = ad.constant(rng.normal(size=(2 * 6, 2)))
+    case("lstm", [(6, 4 * 2), (2, 4 * 2), (3, 2), (3, 2)],
+         lambda xw, u, h0, c0: ad.sum_all(ad.mul(ad.lstm(xw, u, h0, c0, [3, 2, 1]), up_lstm)))
+    up_gru = ad.constant(rng.normal(size=(4, 2)))
+    case("gru", [(4, 3 * 2), (2, 3 * 2), (2, 2)],
+         lambda xw, u, h0: ad.sum_all(ad.mul(ad.gru(xw, u, h0, [2, 1, 1]), up_gru)))
+    up_place = ad.constant(rng.normal(size=(5, 2)))
+    case("place_rows", [(3, 2)],
+         lambda a: ad.sum_all(ad.mul(ad.tanh(ad.place_rows(a, [4, 0, 2], 5)), up_place)))
     return cases
 
 

@@ -233,6 +233,31 @@ class TestBackward:
         np.testing.assert_array_equal(inner.grad, g)
         np.testing.assert_array_equal(twice.grad, g)
 
+    def test_fresh_products_match_copies_bit_for_bit(self, monkeypatch):
+        """relu, tanh, sigmoid and mul store the gradient products they allocate
+        without a copy; the gradients equal those of a copy-always store."""
+        def grads():
+            ps = ad.ParamSet(seed=5)
+            x, w = ps.new("x", (3, 4), fan_in=1), ps.new("w", (3, 4), fan_in=1)
+            y = ad.mul(ad.relu(ad.mul(x, w)), ad.sigmoid(ad.tanh(x)))
+            ad.backward(ad.sum_all(ad.mul(ad.add(y, ad.tanh(w)), ad.mul(w, 0.5))))
+            return x.grad.copy(), w.grad.copy()
+
+        stored = grads()
+        copying = ad._acc
+        monkeypatch.setattr(ad, "_acc", lambda t, g, fresh=False: copying(t, g))
+        assert all(np.array_equal(a, b) for a, b in zip(stored, grads()))
+
+    def test_tensor_used_twice_is_not_aliased(self):
+        ps = ad.ParamSet(seed=0)
+        x = ps.new("x", (2, 3), fan_in=1)
+        t1, t2 = ad.tanh(x), ad.tanh(x)
+        ad.backward(ad.sum_all(ad.add(t1, t2)))
+        np.testing.assert_array_equal(x.grad, 2.0 * (1.0 - t1.data ** 2))
+        assert not any(np.shares_memory(x.grad, t.grad) for t in (t1, t2))
+        np.testing.assert_array_equal(t1.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(t2.grad, np.ones((2, 3)))
+
     def test_deterministic_across_runs(self):
         def run():
             ps = ad.ParamSet(seed=11)
@@ -391,61 +416,107 @@ class TestFiniteDifferences:
         assert fd(build, ps) < 1e-6
 
 
+def packed(lengths):
+    """sizes and the (sequence, step) of every packed row, for lengths sorted longest first."""
+    sizes = [sum(L > t for L in lengths) for t in range(lengths[0])]
+    return sizes, [(b, t) for t, n in enumerate(sizes) for b in range(n)]
+
+
+# lengths 1..4 of 1..4 sequences, sorted longest first: ties, all-equal lengths
+# (nothing to skip) and a batch of one all occur
+sorted_lengths = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+    lambda ls: sorted(ls, reverse=True))
+
+
 class TestRecurrences:
-    """The sequence kernels against the scalar per-gate cells of the oracles."""
+    """The packed sequence kernels against the scalar per-gate cells of the oracles,
+    and against each sequence run alone."""
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
-           st.integers(0, 2**32 - 1))
-    def test_lstm_matches_scalar_cell(self, B, T, H, d_in, seed):
+    @given(sorted_lengths, st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_lstm_matches_scalar_cell(self, lengths, H, d_in, seed):
         rng = np.random.default_rng(seed)
         P = {"c.W": rng.normal(size=(d_in, 4 * H)), "c.U": rng.normal(size=(H, 4 * H)),
              "c.b": rng.normal(size=4 * H)}
-        x = rng.normal(size=(T, B, d_in))
+        B, (sizes, where) = len(lengths), packed(lengths)
+        N = len(where)
+        x = rng.normal(size=(N, d_in))
         h0, c0 = rng.normal(size=(B, H)), rng.normal(size=(B, H))
-        xw = x.reshape(T * B, d_in) @ P["c.W"] + P["c.b"]
-        out = ad.lstm(ad.constant(xw), ad.constant(P["c.U"]),
-                      ad.constant(h0), ad.constant(c0)).data
-        assert out.shape == (2 * B * T, H)
-        for b in range(B):
-            h, c = list(h0[b]), list(c0[b])
-            for t in range(T):
-                h, c = _lstm_cell(P, "c", list(x[t, b]), h, c, H)
-                np.testing.assert_allclose(out[b * T + t], h, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(out[B * T + b * T + t], c, rtol=0, atol=1e-12)
+        out = ad.lstm(ad.constant(x @ P["c.W"] + P["c.b"]), ad.constant(P["c.U"]),
+                      ad.constant(h0), ad.constant(c0), sizes).data
+        assert out.shape == (2 * N, H)
+        states = {b: (list(h0[b]), list(c0[b])) for b in range(B)}
+        for j, (b, t) in enumerate(where):
+            h, c = states[b] = _lstm_cell(P, "c", list(x[j]), *states[b], H)
+            np.testing.assert_allclose(out[j], h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out[N + j], c, rtol=0, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
-           st.integers(0, 2**32 - 1))
-    def test_gru_matches_scalar_cell(self, B, T, H, d_in, seed):
+    @given(sorted_lengths, st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_gru_matches_scalar_cell(self, lengths, H, d_in, seed):
         rng = np.random.default_rng(seed)
         P = {"g.W": rng.normal(size=(d_in, 3 * H)), "g.U": rng.normal(size=(H, 3 * H)),
              "g.b": rng.normal(size=3 * H)}
-        x = rng.normal(size=(T, B, d_in))
+        B, (sizes, where) = len(lengths), packed(lengths)
+        x = rng.normal(size=(len(where), d_in))
         h0 = rng.normal(size=(B, H))
-        xw = x.reshape(T * B, d_in) @ P["g.W"] + P["g.b"]
-        out = ad.gru(ad.constant(xw), ad.constant(P["g.U"]), ad.constant(h0)).data
-        assert out.shape == (B * T, H)
+        out = ad.gru(ad.constant(x @ P["g.W"] + P["g.b"]), ad.constant(P["g.U"]),
+                     ad.constant(h0), sizes).data
+        assert out.shape == (len(where), H)
+        states = {b: list(h0[b]) for b in range(B)}
+        for j, (b, t) in enumerate(where):
+            states[b] = _gru_cell(P, "g", list(x[j]), states[b])
+            np.testing.assert_allclose(out[j], states[b], rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["lstm", "gru"]), sorted_lengths, st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_packed_batch_equals_each_sequence_alone(self, op, lengths, H, seed):
+        """Values and every gradient of a packed batch equal B=1 runs of its sequences."""
+        rng = np.random.default_rng(seed)
+        gates, n_states = (4, 2) if op == "lstm" else (3, 1)
+        kernel = getattr(ad, op)
+        B, (sizes, where) = len(lengths), packed(lengths)
+        N = len(where)
+        xw = ad.constant(rng.normal(size=(N, gates * H)))
+        u = ad.constant(rng.normal(size=(H, gates * H)))
+        init = [ad.constant(rng.normal(size=(B, H))) for _ in range(n_states)]
+        up = rng.normal(size=(n_states * N, H))  # upstream weights on every output row
+        out = kernel(xw, u, *init, sizes)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(up))))
+        u_grad = np.zeros_like(u.data)
         for b in range(B):
-            h = list(h0[b])
-            for t in range(T):
-                h = _gru_cell(P, "g", list(x[t, b]), h)
-                np.testing.assert_allclose(out[b * T + t], h, rtol=0, atol=1e-12)
+            rows = [j for j, (s, _) in enumerate(where) if s == b]
+            out_rows = [k * N + j for k in range(n_states) for j in rows]
+            xw_b = ad.constant(xw.data[rows])
+            u_b = ad.constant(u.data)
+            init_b = [ad.constant(s.data[b:b + 1]) for s in init]
+            out_b = kernel(xw_b, u_b, *init_b, [1] * len(rows))
+            np.testing.assert_allclose(out.data[out_rows], out_b.data, rtol=0, atol=1e-12)
+            ad.backward(ad.sum_all(ad.mul(out_b, ad.constant(up[out_rows]))))
+            np.testing.assert_allclose(xw.grad[rows], xw_b.grad, rtol=0, atol=1e-12)
+            for s, s_b in zip(init, init_b):
+                np.testing.assert_allclose(s.grad[b:b + 1], s_b.grad, rtol=0, atol=1e-12)
+            u_grad += u_b.grad
+        np.testing.assert_allclose(u.grad, u_grad, rtol=1e-12, atol=1e-12)
 
     def test_shapes_checked(self):
         z = ad.constant(np.zeros((2, 3)))
-        with pytest.raises(ad.ShapeError):  # 5 rows are no whole number of steps of 2
-            ad.gru(ad.constant(np.zeros((5, 9))), ad.constant(np.zeros((3, 9))), z)
+        with pytest.raises(ad.ShapeError):  # 5 rows, but the sizes add up to 4
+            ad.gru(ad.constant(np.zeros((5, 9))), ad.constant(np.zeros((3, 9))), z, [2, 2])
         with pytest.raises(ad.ShapeError):  # h0 and c0 differ
             ad.lstm(ad.constant(np.zeros((4, 12))), ad.constant(np.zeros((3, 12))), z,
-                    ad.constant(np.zeros((1, 3))))
+                    ad.constant(np.zeros((1, 3))), [2, 2])
+        for sizes in ([1, 2, 1], [2, 1, 1, 0], [3, 1], []):  # growing, empty step, not B
+            with pytest.raises(ad.ShapeError):
+                ad.gru(ad.constant(np.zeros((4, 9))), ad.constant(np.zeros((3, 9))), z, sizes)
 
     def test_no_grad_gives_the_recorded_values(self):
         rng = np.random.default_rng(3)
         args = [ad.constant(rng.normal(size=s)) for s in ((6, 8), (2, 8), (3, 2), (3, 2))]
-        recorded = ad.lstm(*args).data
+        recorded = ad.lstm(*args, [3, 2, 1]).data
         with ad.no_grad():
-            assert np.array_equal(ad.lstm(*args).data, recorded)
+            assert np.array_equal(ad.lstm(*args, [3, 2, 1]).data, recorded)
 
 
 def test_every_op_has_one_gradient_case():
@@ -585,6 +656,20 @@ class TestStructuredOps:
     def test_rows_index_bounds(self):
         with pytest.raises(IndexError):
             ad.rows(ad.constant(np.zeros((3, 2))), [3])
+
+    def test_place_rows_puts_rows_among_zeros(self):
+        a = ad.constant(np.arange(6.0).reshape(3, 2))
+        out = ad.place_rows(a, [4, 0, 2], 5).data
+        np.testing.assert_array_equal(out, [[2, 3], [0, 0], [4, 5], [0, 0], [0, 1]])
+
+    def test_place_rows_checks_places(self):
+        a = ad.constant(np.zeros((3, 2)))
+        with pytest.raises(ad.ShapeError):  # two rows in one place
+            ad.place_rows(a, [1, 0, 1], 4)
+        with pytest.raises(ad.ShapeError):  # one place per row
+            ad.place_rows(a, [1, 0], 4)
+        with pytest.raises(IndexError):
+            ad.place_rows(a, [1, 0, 4], 4)
 
     def test_concat_cols_round_trip(self):
         a = np.ones((2, 2))

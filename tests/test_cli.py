@@ -12,9 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from turntaking import cli
+from oracles import arbitrator_oracle
+from turntaking import arbitrator, cli
 from turntaking.arbitrator import ArbitratorModel
-from turntaking.corpus import AGENT, USER, Vocabulary
+from turntaking.corpus import (
+    AGENT, EOS, USER, Vocabulary, derive_arbitrator_samples, encode_history,
+)
 from turntaking.imaginator import ImaginatorModel
 from turntaking.synthetic import make_multiwoz_like, write_multiwoz_like
 from turntaking.training import load_checkpoint, save_checkpoint
@@ -245,6 +248,40 @@ class TestEvaluate:
         assert set(records[0]) == {"sample_id", "label", "p_wait", "p_reply",
                                    "imagined_agent", "imagined_user", "flags"}
         assert records[0]["sample_id"] == "valid-00000"
+
+    def test_decisions_match_per_sample_oracle(self, prep_dir, artifacts, tmp_path,
+                                               monkeypatch):
+        """The decision file, decided in chunks, equals each sample decided alone: labels
+        and flags exactly, probabilities to 1e-12. The user imaginator is pinned to end
+        at once, so every user imagination is empty and must be flagged."""
+        vocab = Vocabulary.load(artifacts["vocab"])
+        user = load_checkpoint(artifacts[USER]).model
+        user.params["out.b_v"].data[EOS] = 1e4
+        save_checkpoint(user, tmp_path / "user.ckpt", vocab.hash())
+        monkeypatch.setattr(arbitrator, "EVAL_SAMPLES", 4)  # several chunks and a short one
+        argv = ["evaluate", "--checkpoint", str(artifacts["arbitrator"]),
+                "--agent-imaginator", str(artifacts[AGENT]),
+                "--user-imaginator", str(tmp_path / "user.ckpt"),
+                "--data", str(prep_dir), "--split", "valid", "--seed", "3",
+                "--max-len", "4", "--report", str(tmp_path / "arb.txt")]
+        assert run(argv) == 0
+        records = [json.loads(l) for l in
+                   (tmp_path / "arb.decisions.jsonl").read_text().splitlines()]
+
+        args = cli.build_parser().parse_args(argv)
+        _, dialogues, _ = cli._load_data_dir(args.data)
+        samples = [s for d in cli._split_dialogues(dialogues, args)
+                   for s in derive_arbitrator_samples(d)]
+        model = load_checkpoint(artifacts["arbitrator"]).model
+        imaginators = (load_checkpoint(artifacts[AGENT]).model, user)
+        assert len(records) == len(samples) > 4 and len(samples) % 4
+        for rec, s in zip(records, samples):
+            enc = encode_history(s.history, vocab, model.max_history, model.turn_cap,
+                                 model.subturn_cap)
+            label, probs, flags = arbitrator_oracle.decision(model, enc, imaginators, 4)
+            assert rec["label"] == label
+            assert rec["flags"] == flags == ["empty_user_generation"]
+            np.testing.assert_allclose([rec["p_wait"], rec["p_reply"]], probs, rtol=0, atol=1e-12)
 
     def test_ita_checkpoint_needs_imaginator_flags(self, prep_dir, artifacts,
                                                    tmp_path, capsys):

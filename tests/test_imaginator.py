@@ -148,16 +148,21 @@ class TestEncode:
             im.encode_batch(m, [])
 
     def test_padded_batch_matches_single(self):
-        """Right padding must not change any sequence's final (h, c)."""
+        """Each history of a mixed batch (unsorted lengths, ties, length one) encodes as
+        it does alone: states at its positions and final (h, c); padding states are 0."""
         vocab = small_vocab()
         m = tiny_model(seed=6, V=len(vocab))
         rng = np.random.default_rng(2)
-        encs = [enc_of(m, rand_history(rng, n_utts=k), vocab) for k in (1, 3)]
+        encs = [enc_of(m, rand_history(rng, n_utts=k), vocab) for k in (2, 1, 3, 1, 3, 2)]
+        encs.insert(2, cp.EncodedHistory(*(f[:1] for f in (encs[0].tokens, encs[0].roles,
+                                                             encs[0].turns, encs[0].subturns))))
+        assert len({len(e) for e in encs}) < len(encs) and min(len(e) for e in encs) == 1
         stacked, mask, hf, cf = im.encode_batch(m, encs)
         for b, e in enumerate(encs):
             s_single, (h_single, c_single) = encode_one(m, e)
             assert mask[b].tolist() == [1.0] * len(e) + [0.0] * (mask.shape[1] - len(e))
             np.testing.assert_allclose(stacked.data[b, :len(e)], s_single, atol=1e-14)
+            assert not stacked.data[b, len(e):].any()
             np.testing.assert_allclose(hf.data[b], h_single, atol=1e-14)
             np.testing.assert_allclose(cf.data[b], c_single, atol=1e-14)
 
