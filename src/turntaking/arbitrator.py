@@ -295,14 +295,6 @@ def ita_predict(history: Sequence[Utterance], model: ArbitratorModel,
     return decide_with_imagined(model, h_enc, agent_ids, user_ids, vocab)
 
 
-def baseline_predict(history: Sequence[Utterance], model: ArbitratorModel,
-                     vocab: Vocabulary) -> Decision:
-    """History-only classification; imagined fields stay empty."""
-    if model.mode != "baseline":
-        raise ValueError("baseline_predict needs a model in baseline mode")
-    return decide_prepared(model, [PreparedSample(_history_enc(model, history, vocab))])[0]
-
-
 def accuracy(predictions: Sequence[int], gold: Sequence[int]) -> float:
     """Exact-match fraction."""
     if len(predictions) == 0 or len(predictions) != len(gold):

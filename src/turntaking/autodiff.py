@@ -7,14 +7,16 @@ because inputs always exist before their consumers. Inside ``no_grad()`` ops
 record nothing, so a forward pass that needs no gradients (decoding,
 inference) frees its intermediates as it goes.
 
-Shape discipline is strict on purpose: binary elementwise ops accept two
-equal-shape tensors or a tensor and a scalar, never anything broadcast. The
-handful of batched patterns the models need (products with a folded-in bias
-row, block slices, embedding gather, sliding windows, attention of a whole
-[B, Q, H] query axis over [B, T, H] states as batched products, cross-entropy
-straight from logits, and whole LSTM and GRU recurrences) are dedicated ops
-with hand-written backward rules, so every gradient path stays checkable
-against central finite differences.
+Shape discipline is strict on purpose, and nothing is broadcast. There are no
+binary elementwise ops: tanh, relu, softmax and scale map one tensor to a
+result of its own shape, and an op that combines tensors accepts exactly the
+shapes its docstring states (a bias included) and raises ShapeError on any
+other. The handful of batched patterns the models need (products with a
+folded-in bias row, block slices, embedding gather, sliding windows,
+attention of a whole [B, Q, H] query axis over [B, T, H] states as batched
+products, cross-entropy straight from logits, and whole LSTM and GRU
+recurrences) are dedicated ops with hand-written backward rules, so every
+gradient path stays checkable against central finite differences.
 
 A recurrence op runs its time loop in plain numpy and is one tape node: its
 backward is one loop back through time that fills the gradients of every gate
@@ -44,17 +46,13 @@ __all__ = [
     "no_grad",
     "constant",
     "matmul",
-    "add",
-    "mul",
     "tanh",
-    "sigmoid",
     "relu",
     "softmax",
     "log_softmax",
     "log_softmax_nll",
     "max_over_time",
     "part",
-    "sum_all",
     "scale",
     "concat_cols",
     "reshape",
@@ -95,13 +93,11 @@ def no_grad():
 class Tensor:
     """A dense float64 array plus its place in the recorded graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_bwd", "_seq")
+    __slots__ = ("data", "grad", "name", "_parents", "_bwd", "_seq")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 _parents: tuple = (), _bwd=None):
+    def __init__(self, data, name: str | None = None, _parents: tuple = (), _bwd=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
         self.name = name
         if _recording:
             self._parents = _parents
@@ -130,16 +126,16 @@ class Tensor:
 
 def constant(data, name: str | None = None) -> Tensor:
     """Wrap raw values as a non-trainable tensor."""
-    return Tensor(data, requires_grad=False, name=name)
+    return Tensor(data, name=name)
 
 
 def _acc(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add g into t.grad.
 
-    The first gradient is stored as a copy, because add hands one g to both
-    parents and a later += into one of them must not reach the other. A
-    caller that allocated g itself and keeps no other reference to it passes
-    fresh=True, and g is stored as it is.
+    The first gradient is stored as a copy, because reshape and concat_cols
+    hand on views of their own gradient, and a later += into t must not reach
+    it. A caller that allocated g itself and keeps no other reference to it
+    passes fresh=True, and g is stored as it is.
     """
     if t.grad is None:
         t.grad = g if fresh else np.array(g, dtype=np.float64)
@@ -196,46 +192,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     return Tensor(out, _parents=(a, b) if bias is None else (a, b, bias), _bwd=bwd)
 
 
-def _binary_operands(a, b, opname: str):
-    """Resolve the strict elementwise contract: equal shapes, or one scalar."""
-    if not isinstance(a, Tensor):
-        a = constant(a)
-    if not isinstance(b, Tensor):
-        b = constant(b)
-    if a.shape != b.shape and a.data.size != 1 and b.data.size != 1:
-        raise ShapeError(f"{opname} needs equal shapes or a scalar, got {a.shape} and {b.shape}")
-    return a, b
-
-
-def _grad_for(operand: Tensor, g: np.ndarray) -> np.ndarray:
-    # a scalar operand absorbs the summed gradient of the broadcast result
-    if operand.data.size == 1 and g.shape != operand.data.shape:
-        return np.full_like(operand.data, g.sum())
-    return g
-
-
-def add(a, b) -> Tensor:
-    a, b = _binary_operands(a, b, "add")
-    out = a.data + b.data
-
-    def bwd(g):
-        _acc(a, _grad_for(a, g))
-        _acc(b, _grad_for(b, g))
-
-    return Tensor(out, _parents=(a, b), _bwd=bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _binary_operands(a, b, "mul")
-    out = a.data * b.data
-
-    def bwd(g):
-        _acc(a, _grad_for(a, g * b.data), fresh=True)
-        _acc(b, _grad_for(b, g * a.data), fresh=True)
-
-    return Tensor(out, _parents=(a, b), _bwd=bwd)
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
@@ -249,15 +205,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)), with exp taken once and only of -|x|, so it never overflows."""
     e = np.exp(-np.abs(x))
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-
-    def bwd(g):
-        _acc(a, g * out * (1.0 - out), fresh=True)
-
-    return Tensor(out, _parents=(a,), _bwd=bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -378,15 +325,6 @@ def part(a: Tensor, rows: slice = slice(None), cols: slice = slice(None)) -> Ten
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         a.grad[key] += g
-
-    return Tensor(out, _parents=(a,), _bwd=bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = a.data.sum()
-
-    def bwd(g):
-        _acc(a, np.full_like(a.data, float(g)))
 
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
@@ -727,19 +665,12 @@ class ParamSet:
             raise KeyError(f"duplicate parameter name {name!r}")
         fan = fan_in if fan_in is not None else shape[0]
         bound = 1.0 / math.sqrt(max(fan, 1))
-        t = Tensor(self._rng.uniform(-bound, bound, size=shape),
-                   requires_grad=True, name=name)
+        t = Tensor(self._rng.uniform(-bound, bound, size=shape), name=name)
         self._params[name] = t
         return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -767,20 +698,21 @@ class ParamSet:
             p.data = arr.copy()
 
 
+# Adam's moment decay rates and denominator floor (Kingma and Ba's defaults)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction and global gradient-norm clipping.
 
     A parameter with no recorded gradient is treated as having a zero
-    gradient. Gradients are zeroed after every step.
+    gradient. Gradients whose global norm exceeds clip_norm are scaled down to
+    it. Gradients are zeroed after every step.
     """
 
-    def __init__(self, params: ParamSet, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, clip_norm: float | None = 5.0):
+    def __init__(self, params: ParamSet, lr: float = 1e-3, clip_norm: float = 5.0):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
@@ -793,22 +725,21 @@ class Adam:
             if not np.isfinite(g).all():
                 raise TrainingError(f"non-finite gradient for parameter {name!r}")
             grads[name] = g
-        if self.clip_norm is not None:
-            total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if total > self.clip_norm:
-                factor = self.clip_norm / total
-                grads = {name: g * factor for name, g in grads.items()}
+        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if total > self.clip_norm:
+            factor = self.clip_norm / total
+            grads = {name: g * factor for name, g in grads.items()}
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        c1 = 1.0 - BETA1 ** t
+        c2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = grads[name]
             m = self._m.setdefault(name, np.zeros_like(p.data))
             v = self._v.setdefault(name, np.zeros_like(p.data))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m += (1.0 - BETA1) * (g - m)
+            v += (1.0 - BETA2) * (g * g - v)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         self.params.zero_grads()
 
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -408,11 +408,20 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read what `save` writes, one `token<TAB>count` line per id; a line that
+        breaks that form raises an IngestError naming it."""
         tokens, freqs = [], []
-        for line in Path(path).read_text().splitlines():
-            t, f = line.split("\t")
-            tokens.append(t)
-            freqs.append(int(f))
+        for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            token, tab, count = line.partition("\t")
+            if not tab:
+                raise IngestError(f"{path}:{n}: expected 'token<TAB>count', found no tab")
+            if not token or any(c.isspace() for c in token):
+                raise IngestError(f"{path}:{n}: token {token!r} is empty or holds whitespace")
+            try:
+                freqs.append(int(count))
+            except ValueError:
+                raise IngestError(f"{path}:{n}: count {count!r} is not an integer") from None
+            tokens.append(token)
         return cls(tokens, freqs)
 
 

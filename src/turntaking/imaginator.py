@@ -3,7 +3,7 @@
 One imaginator is an LSTM encoder-decoder over tag-extended token records:
 the encoder reads the dialogue history (token/role/turn/subturn embeddings
 concatenated per position), the decoder regenerates the next utterance of
-its role with teacher forcing, optionally attending over encoder states.
+its role with teacher forcing, attending over the encoder states.
 
 Each LSTM cell (``enc`` and ``dec``) is three fused tensors: ``W`` of shape
 (input, 4H), ``U`` of shape (H, 4H) and ``b`` of shape (4H,), with the gate
@@ -53,13 +53,12 @@ _LOWEST = np.finfo(np.float64).min
 
 
 class ImaginatorModel:
-    """Embeddings + encoder/decoder LSTM + optional attention + output head."""
+    """Embeddings + encoder/decoder LSTM + attention + output head."""
 
     def __init__(self, vocab_size: int, role: str, hidden: int = 128,
                  token_dim: int = 100, tag_dim: int = 8,
                  turn_cap: int = DEFAULT_TURN_CAP, subturn_cap: int = DEFAULT_SUBTURN_CAP,
-                 max_history: int = DEFAULT_MAX_HISTORY,
-                 use_attention: bool = True, seed: int = 0):
+                 max_history: int = DEFAULT_MAX_HISTORY, seed: int = 0):
         if role not in (AGENT, USER):
             raise ValueError(f"unknown role {role!r}")
         self.vocab_size = vocab_size
@@ -70,7 +69,6 @@ class ImaginatorModel:
         self.turn_cap = turn_cap
         self.subturn_cap = subturn_cap
         self.max_history = max_history
-        self.use_attention = use_attention
         self.seed = seed
 
         p = ad.ParamSet(seed=seed)
@@ -82,9 +80,8 @@ class ImaginatorModel:
             p.new(f"{prefix}.W", (width, 4 * hidden), fan_in=width)
             p.new(f"{prefix}.U", (hidden, 4 * hidden), fan_in=hidden)
             p.new(f"{prefix}.b", (4 * hidden,), fan_in=hidden)
-        if use_attention:
-            p.new("attn.W_c", (2 * hidden, hidden), fan_in=2 * hidden)
-            p.new("attn.b_c", (hidden,), fan_in=2 * hidden)
+        p.new("attn.W_c", (2 * hidden, hidden), fan_in=2 * hidden)
+        p.new("attn.b_c", (hidden,), fan_in=2 * hidden)
         p.new("out.W_v", (hidden, vocab_size), fan_in=hidden)
         p.new("out.b_v", (vocab_size,), fan_in=hidden)
         self.params = p
@@ -100,14 +97,17 @@ class ImaginatorModel:
             "turn_cap": self.turn_cap,
             "subturn_cap": self.subturn_cap,
             "max_history": self.max_history,
-            "use_attention": self.use_attention,
             "seed": self.seed,
         }
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ImaginatorModel":
+        """The model a `config` describes. Older configs carry `use_attention`;
+        true is accepted, and any other value is refused."""
         cfg = dict(cfg)
         cfg.pop("kind", None)
+        if cfg.pop("use_attention", True) is not True:
+            raise ValueError("imaginators without attention are not supported")
         return cls(**cfg)
 
 
@@ -206,11 +206,10 @@ def _decoder_logits(model: ImaginatorModel, h: ad.Tensor,
                     enc_states: ad.Tensor, bias: np.ndarray) -> ad.Tensor:
     """Vocabulary logits [B*Q, V] from decoder states h [B*Q, H], row b*Q + q being
     step q of history b: Q is 1 in decoding and T_dec under teacher forcing."""
-    if model.use_attention:
-        B, _, H = enc_states.shape
-        ctx, _ = attention_context(ad.reshape(h, (B, -1, H)), enc_states, bias)
-        h = ad.tanh(ad.matmul(ad.concat_cols([h, ad.reshape(ctx, h.shape)]),
-                              model.params["attn.W_c"], bias=model.params["attn.b_c"]))
+    B, _, H = enc_states.shape
+    ctx, _ = attention_context(ad.reshape(h, (B, -1, H)), enc_states, bias)
+    h = ad.tanh(ad.matmul(ad.concat_cols([h, ad.reshape(ctx, h.shape)]),
+                          model.params["attn.W_c"], bias=model.params["attn.b_c"]))
     return ad.matmul(h, model.params["out.W_v"], bias=model.params["out.b_v"])
 
 

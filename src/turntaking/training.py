@@ -123,12 +123,12 @@ class TrainConfig:
             raw = raw.strip()
             if key not in kinds:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            if kinds[key] in ("int", int):
-                values[key] = int(raw)
-            elif kinds[key] in ("float", float):
-                values[key] = float(raw)
-            else:
-                values[key] = raw.strip("'\"")
+            parse = {"int": int, "float": float}.get(kinds[key])  # field types are strings here
+            try:
+                values[key] = parse(raw) if parse else raw.strip("'\"")
+            except ValueError:
+                raise ValueError(f"config line {lineno}: {key} must be {kinds[key]}, "
+                                 f"got {raw!r}") from None
         return cls(**values)
 
     def to_dict(self) -> dict:
@@ -288,10 +288,6 @@ def append_metrics(path, records: Sequence[dict]) -> None:
     path = Path(path)
     new = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
     _write_atomic(path, (path.read_bytes() if path.exists() else b"") + new)
-
-
-def read_metrics(path) -> list[dict]:
-    return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
 
 
 # ---------------------------------------------------------------------------

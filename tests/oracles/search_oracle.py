@@ -51,17 +51,15 @@ def scalar_seq2seq_logprobs(model, enc, token_seq):
     for tok in token_seq:
         x = list(P["emb.token"][prev])
         h, c = _cell(P, "dec", x, h, c, H)
-        out = h
-        if model.use_attention:
-            scores = [sum(h[j] * s[j] for j in range(H)) for s in states]
-            mx = max(scores)
-            es = [math.exp(s - mx) for s in scores]
-            Z = sum(es)
-            ctx = [sum(es[t] / Z * states[t][j] for t in range(len(states))) for j in range(H)]
-            cat = h + ctx
-            Wc, bc = P["attn.W_c"], P["attn.b_c"]
-            out = [math.tanh(sum(cat[i] * Wc[i][j] for i in range(2 * H)) + bc[j])
-                   for j in range(H)]
+        scores = [sum(h[j] * s[j] for j in range(H)) for s in states]
+        mx = max(scores)
+        es = [math.exp(s - mx) for s in scores]
+        Z = sum(es)
+        ctx = [sum(es[t] / Z * states[t][j] for t in range(len(states))) for j in range(H)]
+        cat = h + ctx
+        Wc, bc = P["attn.W_c"], P["attn.b_c"]
+        out = [math.tanh(sum(cat[i] * Wc[i][j] for i in range(2 * H)) + bc[j])
+               for j in range(H)]
         Wv, bv = P["out.W_v"], P["out.b_v"]
         logits = [sum(out[i] * Wv[i][j] for i in range(H)) + bv[j]
                   for j in range(model.vocab_size)]

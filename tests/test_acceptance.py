@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import total
 from oracles.search_oracle import enumerate_best_sequence
 from turntaking import autodiff as ad
 from turntaking import cli
@@ -56,7 +57,9 @@ def record(n: int, ok: bool, detail: str) -> None:
 
 
 def _op_losses():
-    """One scalar loss per differentiable operation, built on fresh params."""
+    """One scalar loss per differentiable operation, built on fresh params: the op's
+    output summed under fixed random weights, so no sum is constant (softmax rows
+    sum to 1) and every output entry is checked."""
     rng = np.random.default_rng(7)
 
     def fresh(shapes):
@@ -68,53 +71,38 @@ def _op_losses():
     def case(name, shapes, build):
         assert name not in cases, f"second case for {name}"
         ps, ts = fresh(shapes)
-        cases[name] = (ps, lambda: build(*ts))
+        w = rng.normal(size=build(*ts).shape)  # one forward gives the output's shape
+        cases[name] = (ps, lambda: total(build(*ts), w))
 
-    case("matmul", [(3, 4), (4, 2), (2,)],
-         lambda a, b, c: ad.sum_all(ad.tanh(ad.matmul(a, b, bias=c))))
-    case("add", [(3, 4), (3, 4)], lambda a, b: ad.sum_all(ad.add(a, b)))
-    case("mul", [(3, 4), (3, 4)], lambda a, b: ad.sum_all(ad.mul(a, b)))
-    case("tanh", [(3, 4)], lambda a: ad.sum_all(ad.tanh(a)))
-    case("sigmoid", [(3, 4)], lambda a: ad.sum_all(ad.sigmoid(a)))
-    case("relu", [(3, 4)], lambda a: ad.sum_all(ad.mul(ad.relu(a), a)))
-    case("softmax", [(3, 5)], lambda a: ad.sum_all(ad.mul(ad.softmax(a), a)))
+    case("matmul", [(3, 4), (4, 2), (2,)], lambda a, b, c: ad.tanh(ad.matmul(a, b, bias=c)))
+    case("tanh", [(3, 4)], ad.tanh)
+    case("relu", [(3, 4)], ad.relu)
+    case("softmax", [(3, 5)], ad.softmax)
     case("log_softmax_nll", [(3, 5)],
          lambda a: ad.log_softmax_nll(a, [1, 0, 4], mask=np.array([1.0, 1.0, 0.0])))
-    # two segments with a gap row between them, and random upstream weights
-    up_max = ad.constant(rng.normal(size=(2, 4)))
-    case("max_over_time", [(7, 4)],
-         lambda a: ad.sum_all(ad.mul(ad.max_over_time(a, [(0, 3), (4, 7)]), up_max)))
+    # two segments with a gap row between them
+    case("max_over_time", [(7, 4)], lambda a: ad.max_over_time(a, [(0, 3), (4, 7)]))
     case("part", [(4, 5)],  # two overlapping blocks: their grads must add
-         lambda a: ad.sum_all(ad.tanh(ad.mul(ad.part(a, rows=slice(0, 3), cols=slice(0, 3)),
-                                             ad.part(a, rows=slice(1, 4), cols=slice(2, 5))))))
-    case("sum_all", [(3, 4)], lambda a: ad.sum_all(a))
-    case("scale", [(3, 4)], lambda a: ad.sum_all(ad.scale(a, 0.37)))
-    case("concat_cols", [(3, 2), (3, 4)],
-         lambda a, b: ad.sum_all(ad.tanh(ad.concat_cols([a, b]))))
-    case("reshape", [(3, 4)],
-         lambda a: ad.sum_all(ad.tanh(ad.reshape(a, (4, 3)))))
-    case("rows", [(6, 3)],
-         lambda t: ad.sum_all(ad.tanh(ad.rows(t, [0, 2, 2, 5]))))
-    case("unfold_rows", [(5, 3)],
-         lambda a: ad.sum_all(ad.tanh(ad.unfold_rows(a, 2))))
+         lambda a: ad.tanh(ad.concat_cols([ad.part(a, rows=slice(0, 3), cols=slice(0, 3)),
+                                           ad.part(a, rows=slice(1, 4), cols=slice(2, 5))])))
+    case("scale", [(3, 4)], lambda a: ad.scale(a, 0.37))
+    case("concat_cols", [(3, 2), (3, 4)], lambda a, b: ad.tanh(ad.concat_cols([a, b])))
+    case("reshape", [(3, 4)], lambda a: ad.tanh(ad.reshape(a, (4, 3))))
+    case("rows", [(6, 3)], lambda t: ad.tanh(ad.rows(t, [0, 2, 2, 5])))
+    case("unfold_rows", [(5, 3)], lambda a: ad.tanh(ad.unfold_rows(a, 2)))
     # two queries per batch entry, and a constant mask bias that takes no gradient
     score_bias = rng.normal(size=(2, 2))
     case("dot_scores", [(2, 2, 3), (2, 2, 3)],
-         lambda q, s: ad.sum_all(ad.tanh(ad.dot_scores(q, s, score_bias))))
+         lambda q, s: ad.tanh(ad.dot_scores(q, s, score_bias)))
     case("weighted_sum", [(2, 2, 2), (2, 2, 3)],
-         lambda w, s: ad.sum_all(ad.weighted_sum(ad.softmax(w), s)))
+         lambda w, s: ad.weighted_sum(ad.softmax(w), s))
     # packed batches at H=2: LSTM lengths 3, 2, 1 and GRU lengths 3, 1, so every
-    # step skips a sequence; nonzero initial states and random upstream weights
-    # on every output row, h and c alike
-    up_lstm = ad.constant(rng.normal(size=(2 * 6, 2)))
+    # step skips a sequence; nonzero initial states, and weights on every output
+    # row, h and c alike
     case("lstm", [(6, 4 * 2), (2, 4 * 2), (3, 2), (3, 2)],
-         lambda xw, u, h0, c0: ad.sum_all(ad.mul(ad.lstm(xw, u, h0, c0, [3, 2, 1]), up_lstm)))
-    up_gru = ad.constant(rng.normal(size=(4, 2)))
-    case("gru", [(4, 3 * 2), (2, 3 * 2), (2, 2)],
-         lambda xw, u, h0: ad.sum_all(ad.mul(ad.gru(xw, u, h0, [2, 1, 1]), up_gru)))
-    up_place = ad.constant(rng.normal(size=(5, 2)))
-    case("place_rows", [(3, 2)],
-         lambda a: ad.sum_all(ad.mul(ad.tanh(ad.place_rows(a, [4, 0, 2], 5)), up_place)))
+         lambda xw, u, h0, c0: ad.lstm(xw, u, h0, c0, [3, 2, 1]))
+    case("gru", [(4, 3 * 2), (2, 3 * 2), (2, 2)], lambda xw, u, h0: ad.gru(xw, u, h0, [2, 1, 1]))
+    case("place_rows", [(3, 2)], lambda a: ad.tanh(ad.place_rows(a, [4, 0, 2], 5)))
     return cases
 
 
@@ -122,7 +110,7 @@ def _lstm_model_check():
     vocab_size, h = 12, 8
     model = ImaginatorModel(vocab_size, cp.AGENT, hidden=h, token_dim=5,
                             tag_dim=2, turn_cap=4, subturn_cap=4,
-                            max_history=32, use_attention=True, seed=11)
+                            max_history=32, seed=11)
     enc = cp.EncodedHistory(tokens=np.array([7, 8, 9, 10]),
                             roles=np.array([1, 1, 0, 0]),
                             turns=np.array([0, 0, 1, 1]),
@@ -204,8 +192,7 @@ def test_criterion_2_decoding_equivalence():
         rng = np.random.default_rng(500 + i)
         model = ImaginatorModel(len(vocab), cp.AGENT if i % 2 else cp.USER,
                                 hidden=6, token_dim=4, tag_dim=2, turn_cap=4,
-                                subturn_cap=4, max_history=32,
-                                use_attention=bool(i % 3), seed=i)
+                                subturn_cap=4, max_history=32, seed=i)
         enc = cp.encode_history(_random_history(rng, vocab), vocab, 32, 4, 4)
         if im.beam_decode(model, [enc], beam_width=1, max_len=6)[0] != \
                 im.greedy_decode(model, [enc], max_len=6)[0]:

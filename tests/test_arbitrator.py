@@ -17,13 +17,13 @@ from turntaking import autodiff as ad
 from turntaking import arbitrator as arb
 from turntaking.arbitrator import (
     ArbitratorModel, Decision, PreparedSample,
-    accuracy, baseline_predict, batch_logits, batch_loss, bigru_encode, classification_summary,
+    accuracy, batch_logits, batch_loss, bigru_encode, classification_summary, decide_prepared,
     decide_with_imagined, decision_record, evaluate_prepared, fuse_paths, ita_predict,
     prepare_samples, textcnn_encode, train_step,
 )
 from turntaking.corpus import (
     AGENT, EOS, PAD, USER,
-    Dialogue, EncodedHistory, Utterance, build_vocabulary, encode_history,
+    ArbitratorSample, Dialogue, EncodedHistory, Utterance, build_vocabulary, encode_history,
 )
 from turntaking.imaginator import ImaginatorModel, beam_decode
 
@@ -59,7 +59,7 @@ class TestModel:
         assert m.params["cnn.W_3"].shape == (3 * 8, 4)
         assert m.params["fuse.W_1"].shape == (16, 8)
         assert m.params["fuse.W_4"].shape == (8, 2)
-        assert "head.W" not in m.params
+        assert "head.W" not in m.params.names()
 
     def test_bigru_baseline_param_layout(self):
         m = ArbitratorModel(vocab_size=12, gru_hidden=6, encoder="bigru", mode="baseline")
@@ -72,7 +72,7 @@ class TestModel:
         assert m.params["gru_b.U"].shape == (6, 18)
         assert m.params["gru_b.b"].shape == (18,)
         assert m.params["head.W"].shape == (12, 2)
-        assert "fuse.W_1" not in m.params
+        assert "fuse.W_1" not in m.params.names()
 
     def test_unknown_encoder_rejected(self):
         with pytest.raises(ValueError, match="encoder"):
@@ -482,7 +482,6 @@ class TestPrediction:
             im.params["out.b_v"].data[:] = 0.0
             im.params["out.b_v"].data[PAD] = 50.0
             ims.append(im)
-        from turntaking.corpus import ArbitratorSample
         prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)],
                                    m, vocab, tuple(ims), max_len=6)
         assert prepared[0].agent_ids == [EOS] and prepared[0].user_ids == [EOS]
@@ -491,22 +490,52 @@ class TestPrediction:
         assert d.flags == ("empty_agent_generation", "empty_user_generation")
         assert d.imagined_agent == d.imagined_user == ("<eos>",)
 
+    @pytest.mark.parametrize("encoder", ["textcnn", "bigru"])
+    def test_ita_predict_at_width_one_is_the_evaluation_decision(self, encoder):
+        """Serving (`ita_predict` at beam width 1) decides as evaluation does
+        (`decide_prepared` on `prepare_samples`): the same label, imaginations and
+        flags, and bit-identical probabilities."""
+        vocab, _ = tiny_vocab_and_history()
+        words = vocab.id_to_token[7:]
+        for seed in range(8):  # at seeds 6 and 7 a width-2 search decodes otherwise
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 5))
+            history = tuple(Utterance(USER if (n - 1 - t) % 2 == 0 else AGENT, t, 0,
+                                      tuple(str(w) for w in rng.choice(words, rng.integers(1, 6))))
+                            for t in range(n))
+            m = ArbitratorModel(vocab_size=len(vocab), encoder=encoder, mode="ita", token_dim=5,
+                                tag_dim=1, filter_widths=(2, 3), filters_per_width=4,
+                                gru_hidden=6, seed=seed)
+            ims = tuple(ImaginatorModel(len(vocab), role, hidden=16, token_dim=8, tag_dim=2,
+                                        seed=10 * seed + i) for i, role in enumerate((AGENT, USER)))
+            if seed == 5:  # an agent imaginator that ends at once: an empty, flagged imagination
+                ims[0].params["out.b_v"].data[EOS] = 50.0
+            served = ita_predict(list(history), m, *ims, vocab, beam_width=1, max_len=8)
+            prepared = prepare_samples([ArbitratorSample(history=history, label=1)], m, vocab,
+                                       ims, max_len=8)
+            evaluated = decide_prepared(m, prepared, vocab)[0]
+            assert (served.label, served.imagined_agent, served.imagined_user, served.flags) == \
+                (evaluated.label, evaluated.imagined_agent, evaluated.imagined_user,
+                 evaluated.flags)
+            assert np.array_equal(served.probs, evaluated.probs)
+            if seed == 5:
+                assert "empty_agent_generation" in served.flags
+
     def test_baseline_probabilities_near_chance_untrained(self):
         vocab, utts = tiny_vocab_and_history()
         m = ArbitratorModel(vocab_size=len(vocab), encoder="textcnn", mode="baseline",
                             token_dim=8, tag_dim=2, seed=0)
-        d = baseline_predict(utts, m, vocab)
+        prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)], m, vocab,
+                                   None)
+        d = decide_prepared(m, prepared, vocab)[0]
         assert abs(d.probs[1] - 0.5) < 0.25
         assert d.imagined_agent == ()
         assert d.imagined_user == ()
         assert d.flags == ()
 
     def test_mode_mismatch_rejected(self):
-        vocab, utts = tiny_vocab_and_history()
-        ita = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1, mode="ita")
+        vocab, _ = tiny_vocab_and_history()
         base = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1, mode="baseline")
-        with pytest.raises(ValueError, match="baseline"):
-            baseline_predict(utts, ita, vocab)
         enc = rand_records(np.random.default_rng(0), 4, vocab=len(vocab))
         with pytest.raises(ValueError, match="ita"):
             decide_with_imagined(base, enc, [EOS], [EOS], vocab)
@@ -515,7 +544,7 @@ class TestPrediction:
         vocab, utts = tiny_vocab_and_history()
         m = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1, mode="baseline")
         with pytest.raises(ValueError, match="user"):
-            baseline_predict(utts[:2], m, vocab)
+            prepare_samples([ArbitratorSample(history=tuple(utts[:2]), label=0)], m, vocab, None)
 
 
 def marker_toy_samples(n=40, seed=42):
@@ -596,7 +625,6 @@ class TestTraining:
         model = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1, seed=3)
         ims = tuple(ImaginatorModel(len(vocab), role, hidden=10, token_dim=6, tag_dim=2, seed=i)
                     for i, role in enumerate((AGENT, USER)))
-        from turntaking.corpus import ArbitratorSample
         raw = [ArbitratorSample(history=tuple(utts), label=0)]
         prepared = prepare_samples(raw, model, vocab, ims, max_len=6)
         assert len(prepared) == 1
@@ -608,7 +636,6 @@ class TestTraining:
         vocab, utts = tiny_vocab_and_history()
         model = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1,
                                 mode="baseline", seed=3)
-        from turntaking.corpus import ArbitratorSample
         prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)],
                                    model, vocab, None)
         assert prepared[0].agent_ids == []

@@ -196,6 +196,17 @@ class TestTrain:
         assert "role = 'user'" in captured.err
         assert "epochs_run = 1" in captured.out
 
+    @pytest.mark.parametrize("line", ["epochs = ten", "learning_rate = fast"])
+    def test_bad_number_in_config_names_its_line(self, prep_dir, tmp_path, capsys, line):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"# tiny run\nseed = 3\n{line}\n")
+        rc = run(["train", "--config", str(cfg_path), "--data", str(prep_dir),
+                  "--out", str(tmp_path / "o")])
+        assert rc == 1
+        key = line.split(" = ")[0]
+        assert f"error: config line 3: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_enum_value_exits_one(self, prep_dir, tmp_path, capsys):
         rc = run(["train", "--kind", "oracle", "--data", str(prep_dir),
                   "--out", str(tmp_path)])

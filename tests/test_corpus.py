@@ -7,6 +7,7 @@ separate streaming pass.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,29 @@ class TestVocabulary:
         assert v2.id_to_token == v.id_to_token
         assert v2.freqs == v.freqs
         assert v2.hash() == v.hash()
+
+    def _saved_with_line(self, tmp_path, line):
+        """A saved vocabulary with `line` put in as its line 9; returns its path."""
+        path = tmp_path / "vocab.tsv"
+        cp.build_vocabulary([make_dialogue("x", (cp.USER, "q w q"))]).save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:8] + [line] + lines[8:]) + "\n")
+        return path
+
+    def test_line_without_tab_is_located_error(self, tmp_path):
+        path = self._saved_with_line(tmp_path, "hello 3")
+        with pytest.raises(cp.IngestError, match=f"^{re.escape(str(path))}:9: .*no tab"):
+            cp.Vocabulary.load(path)
+
+    def test_non_integer_count_is_located_error(self, tmp_path):
+        path = self._saved_with_line(tmp_path, "hello\tmany")
+        with pytest.raises(cp.IngestError, match=f"^{re.escape(str(path))}:9: count 'many' is not an integer"):
+            cp.Vocabulary.load(path)
+
+    def test_token_with_whitespace_is_located_error(self, tmp_path):
+        path = self._saved_with_line(tmp_path, "hello world\t3")
+        with pytest.raises(cp.IngestError, match=f"^{re.escape(str(path))}:9: token 'hello world'"):
+            cp.Vocabulary.load(path)
 
 
 class TestEncodeHistory:

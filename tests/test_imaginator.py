@@ -24,12 +24,10 @@ def small_vocab(n_words: int = 6) -> cp.Vocabulary:
     return cp.build_vocabulary([d])
 
 
-def tiny_model(seed=0, V=13, role=cp.AGENT, hidden=6, token_dim=5, tag_dim=2,
-               use_attention=True):
+def tiny_model(seed=0, V=13, role=cp.AGENT, hidden=6, token_dim=5, tag_dim=2):
     return im.ImaginatorModel(vocab_size=V, role=role, hidden=hidden,
                               token_dim=token_dim, tag_dim=tag_dim,
-                              turn_cap=4, subturn_cap=3, max_history=32,
-                              use_attention=use_attention, seed=seed)
+                              turn_cap=4, subturn_cap=3, max_history=32, seed=seed)
 
 
 def rand_history(rng, n_utts=2, n_words=5):
@@ -262,11 +260,11 @@ class TestBatchedDecoder:
     """The one-pass teacher-forced decoder against the per-step loop it replaced."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_equals_per_step_oracle(self, B, use_attention, seed):
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_equals_per_step_oracle(self, B, seed):
         rng = np.random.default_rng(seed)
         vocab = small_vocab()
-        m = tiny_model(seed=seed % 1000, V=len(vocab), use_attention=use_attention)
+        m = tiny_model(seed=seed % 1000, V=len(vocab))
         encs = [enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
                 for _ in range(B)]
         targets = [cp.encode_target(tuple(f"w{i}" for i in rng.integers(0, 5, size=n)), vocab)
@@ -301,7 +299,7 @@ class TestBatchedDecoder:
 
 class TestGreedyDecode:
     def _rigged(self, bias_token, V=8):
-        m = tiny_model(seed=0, V=V, use_attention=False)
+        m = tiny_model(seed=0, V=V)
         for _, p in m.params.items():
             p.data[:] = 0.0
         m.params["out.b_v"].data[bias_token] = 5.0
@@ -319,7 +317,7 @@ class TestGreedyDecode:
         assert out == [6] * 7
 
     def test_tie_goes_to_lowest_id(self):
-        m = tiny_model(seed=0, V=6, use_attention=False)
+        m = tiny_model(seed=0, V=6)
         for _, p in m.params.items():
             p.data[:] = 0.0  # all logits equal at every step
         enc = cp.EncodedHistory(*(np.array([0]),) * 4)
@@ -338,11 +336,11 @@ class TestGreedyDecode:
 
     @settings(max_examples=40, deadline=None)
     @given(n_utts=st.lists(st.integers(1, 4), min_size=1, max_size=7),
-           seed=st.integers(0, 2**32 - 1), attention=st.booleans(), data=st.data())
-    def test_batch_equals_one_at_a_time(self, n_utts, seed, attention, data):
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_batch_equals_one_at_a_time(self, n_utts, seed, data):
         """Histories of mixed length, in any order, decode as they do alone."""
         vocab = small_vocab()
-        m = tiny_model(seed=seed % 97, V=len(vocab), use_attention=attention)
+        m = tiny_model(seed=seed % 97, V=len(vocab))
         rng = np.random.default_rng(seed)
         encs = [enc_of(m, rand_history(rng, n_utts=n), vocab) for n in n_utts]
         encs = [encs[i] for i in data.draw(st.permutations(range(len(encs))))]
@@ -365,21 +363,21 @@ class TestBeamDecode:
         vocab = small_vocab()
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            m = tiny_model(seed=seed, V=len(vocab), use_attention=bool(seed % 2))
+            m = tiny_model(seed=seed, V=len(vocab))
             enc = enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
             assert im.beam_decode(m, [enc], beam_width=1, max_len=8)[0] == \
                 im.greedy_decode(m, [enc], max_len=8)[0]
 
     @settings(max_examples=30, deadline=None)
     @given(n_utts=st.lists(st.integers(1, 4), min_size=1, max_size=6),
-           seed=st.integers(0, 2**32 - 1), attention=st.booleans(), tied=st.booleans())
-    def test_batch_equals_one_at_a_time(self, n_utts, seed, attention, tied):
+           seed=st.integers(0, 2**32 - 1), tied=st.booleans())
+    def test_batch_equals_one_at_a_time(self, n_utts, seed, tied):
         """Histories of mixed length decode in one batch as they do alone, at every width.
 
         A tied model (all parameters zero) ties every token at every step.
         """
         vocab = small_vocab()
-        m = tiny_model(seed=seed % 89, V=len(vocab), use_attention=attention)
+        m = tiny_model(seed=seed % 89, V=len(vocab))
         for _, p in m.params.items() if tied else ():
             p.data[:] = 0.0
         rng = np.random.default_rng(seed)
@@ -406,8 +404,7 @@ class TestBeamDecode:
                                 turns=np.array([0, 1, 1]), subturns=np.array([0, 0, 1]))
         for seed in range(5):
             m = im.ImaginatorModel(vocab_size=3, role=cp.AGENT, hidden=4, token_dim=3,
-                                   tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16,
-                                   use_attention=True, seed=seed)
+                                   tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16, seed=seed)
             got = im.beam_decode(m, [enc], beam_width=27, max_len=3)[0]
             assert got == enumerate_best_sequence(m, enc, vocab_size=3, max_len=3)
 
@@ -416,8 +413,7 @@ class TestBeamDecode:
         enc = cp.EncodedHistory(tokens=np.array([0, 1, 2]), roles=np.array([0, 1, 1]),
                                 turns=np.array([0, 1, 1]), subturns=np.array([0, 0, 1]))
         m = im.ImaginatorModel(vocab_size=3, role=cp.AGENT, hidden=4, token_dim=3,
-                               tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16,
-                               use_attention=True, seed=0)
+                               tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16, seed=0)
         for _, p in m.params.items():
             p.data[:] = 0.0
         want = enumerate_best_sequence(m, enc, vocab_size=3, max_len=3)
@@ -429,8 +425,7 @@ class TestBeamDecode:
                                 turns=np.array([0, 0]), subturns=np.array([0, 1]))
         for seed in (10, 11, 12):
             m = im.ImaginatorModel(vocab_size=5, role=cp.USER, hidden=4, token_dim=3,
-                                   tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16,
-                                   use_attention=False, seed=seed)
+                                   tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16, seed=seed)
             got = im.beam_decode(m, [enc], beam_width=125, max_len=3)[0]
             assert got == enumerate_best_sequence(m, enc, vocab_size=5, max_len=3)
 
@@ -473,8 +468,7 @@ class TestFullGradient:
     def test_seq2seq_finite_differences(self):
         """Encoder + attention + decoder end to end at V=12, h=8."""
         m = im.ImaginatorModel(vocab_size=12, role=cp.AGENT, hidden=8, token_dim=6,
-                               tag_dim=2, turn_cap=4, subturn_cap=2, max_history=32,
-                               use_attention=True, seed=5)
+                               tag_dim=2, turn_cap=4, subturn_cap=2, max_history=32, seed=5)
         vocab = small_vocab(5)
         hist = [cp.Utterance(cp.USER, 0, 0, ("w0", "w1")),
                 cp.Utterance(cp.AGENT, 1, 0, ("w2",))]

@@ -24,7 +24,7 @@ from turntaking.imaginator import prepare_samples as prepare_imaginator_samples
 from turntaking.imaginator import train_step as imaginator_step
 from turntaking.training import (
     CHECKPOINT_VERSION, Checkpoint, CheckpointError, TrainConfig, TrainResult,
-    append_metrics, build_model, load_checkpoint, read_metrics, run_training, save_checkpoint,
+    append_metrics, build_model, load_checkpoint, run_training, save_checkpoint,
 )
 
 FILLERS = ["red", "blue", "green", "ok", "done", "book", "a", "table"]
@@ -53,6 +53,10 @@ def marker_samples(n, seed):
         out.append(ArbitratorSample(history=(Utterance(USER, 0, 0, tuple(toks)),),
                                     label=label))
     return out
+
+
+def read_jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def toy_arb_config(**overrides):
@@ -316,6 +320,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="header: model config rejected"):
             load_checkpoint(bad)
 
+    def test_attention_key_of_older_checkpoints_accepted(self, vocab, tmp_path):
+        """Checkpoints that still say use_attention: true load and decode as before."""
+        m = tiny_imaginator(vocab)
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(m, path, self.HASH)
+        old = load_checkpoint(self._reframe(path, lambda h: h["model"].update(use_attention=True)))
+        enc = encode_history([Utterance(USER, 0, 0, ("book", "a", "table"))], vocab)
+        assert old.model.config() == m.config()
+        assert greedy_decode(old.model, [enc], max_len=8) == greedy_decode(m, [enc], max_len=8)
+
+    def test_imaginator_without_attention_rejected(self, vocab, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        bad = self._reframe(path, lambda h: h["model"].update(use_attention=False))
+        with pytest.raises(CheckpointError, match="header: model config rejected .*attention"):
+            load_checkpoint(bad)
+
     def test_optimizer_resume_matches_uninterrupted_run(self, vocab, tmp_path):
         samples = [ImaginatorSample(history=(Utterance(USER, 0, 0, ("book", "a", "table")),),
                                     target=Utterance(AGENT, 0, 0, ("ok", "done")), role=AGENT)]
@@ -363,7 +384,7 @@ class TestMetricsLog:
         append_metrics(path, rows)
         append_metrics(path, [{"epoch": 2, "split": "train", "metric": "loss",
                                "value": 2.0, "seconds": 0.1}])
-        got = read_metrics(path)
+        got = read_jsonl(path)
         assert got[:2] == rows
         assert len(got) == 3
 
@@ -395,7 +416,7 @@ class TestRunTraining:
         assert res.metric_name == "accuracy"
         assert res.best_value > 0.5
         assert (tmp_path / "a.ckpt").exists()
-        rows = read_metrics(tmp_path / "m.jsonl")
+        rows = read_jsonl(tmp_path / "m.jsonl")
         assert len(rows) == 2 * res.epochs_run
         for split in ("train", "valid"):
             epochs = [r["epoch"] for r in rows if r["split"] == split]
