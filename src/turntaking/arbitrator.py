@@ -123,12 +123,6 @@ class ArbitratorModel:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ArbitratorModel":
-        cfg = dict(cfg)
-        cfg.pop("kind", None)
-        return cls(**cfg)
-
 
 @dataclass(frozen=True)
 class Decision:

@@ -742,22 +742,6 @@ class Adam:
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         self.params.zero_grads()
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {"adam.step": np.array([float(self.step_count)])}
-        for name in self.params.names():
-            if name in self._m:
-                out[f"adam.m.{name}"] = self._m[name].copy()
-                out[f"adam.v.{name}"] = self._v[name].copy()
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.step_count = int(arrays["adam.step"][0])
-        for name in self.params.names():
-            key = f"adam.m.{name}"
-            if key in arrays:
-                self._m[name] = np.asarray(arrays[key], dtype=np.float64).copy()
-                self._v[name] = np.asarray(arrays[f"adam.v.{name}"], dtype=np.float64).copy()
-
 
 def finite_difference_check(build_loss: Callable[[], Tensor], params: ParamSet,
                             eps: float = 1e-5) -> float:

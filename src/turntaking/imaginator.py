@@ -47,7 +47,7 @@ from .corpus import (
 )
 
 # decoder rows (histories x beam width) searched together; bounds the
-# [rows, T, H] encoder states held at once
+# [rows, T] attention weights held at once
 SEARCH_ROWS = 64
 _LOWEST = np.finfo(np.float64).min
 
@@ -99,16 +99,6 @@ class ImaginatorModel:
             "max_history": self.max_history,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ImaginatorModel":
-        """The model a `config` describes. Older configs carry `use_attention`;
-        true is accepted, and any other value is refused."""
-        cfg = dict(cfg)
-        cfg.pop("kind", None)
-        if cfg.pop("use_attention", True) is not True:
-            raise ValueError("imaginators without attention are not supported")
-        return cls(**cfg)
 
 
 def pack_histories(encs: Sequence[EncodedHistory], reverse: bool = False):
@@ -342,9 +332,6 @@ def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: 
                 h, c = ad.constant(h.data[src]), ad.constant(c.data[src])
                 if eos.all():
                     break
-                if k < K:
-                    enc_states = ad.constant(np.repeat(enc_states.data, K, axis=0))
-                    bias = np.repeat(bias, K, axis=0)
             for b, pool in enumerate(pools):
                 pool.extend((tuple(seqs[r, 1:t + 1].tolist()), float(logp[r]))
                             for r in range(b * K, b * K + K) if logp[r] > -np.inf)

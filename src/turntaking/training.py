@@ -1,9 +1,13 @@
 """Training orchestration and artifact persistence.
 
-One flat config type drives every run. Checkpoints are a self-describing
-binary container (magic, version, content digest, JSON header, raw float64
-tensors) with a human-readable sidecar; loading verifies the digest before
-touching any array, so a corrupt file never yields a partial model.
+One flat config type drives every run, and `model_from_config` is the one
+place a model description becomes a model. A checkpoint holds what the
+program reads back: the parameters, the model config, run metadata and the
+training config as text. Training never resumes from a checkpoint, so it
+holds no optimizer state. The file is a self-describing binary container
+(magic, version, content digest, JSON header, raw float64 tensors) with a
+human-readable sidecar; loading verifies the digest before touching any
+array, so a corrupt file never yields a partial model.
 """
 
 from __future__ import annotations
@@ -135,63 +139,53 @@ class TrainConfig:
         return dataclasses.asdict(self)
 
 
+def model_from_config(cfg: dict):
+    """The freshly initialized model a config describes, as `config()` of a model
+    gives it. Older imaginator configs carry `use_attention`; true is accepted,
+    and any other value is refused."""
+    cfg = dict(cfg)
+    kind = cfg.pop("kind", None)
+    if kind == "imaginator":
+        if cfg.pop("use_attention", True) is not True:
+            raise ValueError("imaginators without attention are not supported")
+        return im.ImaginatorModel(**cfg)
+    if kind == "arbitrator":
+        return arb.ArbitratorModel(**cfg)
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
 def build_model(cfg: TrainConfig, vocab_size: int):
     """The freshly initialized model a run configuration describes."""
+    shared = {"kind": cfg.kind, "vocab_size": vocab_size, "token_dim": cfg.token_dim,
+              "tag_dim": cfg.tag_dim, "turn_cap": cfg.turn_cap,
+              "subturn_cap": cfg.subturn_cap, "max_history": cfg.max_history,
+              "seed": cfg.seed}
     if cfg.kind == "imaginator":
-        return im.ImaginatorModel(vocab_size, cfg.role, hidden=cfg.hidden,
-                                  token_dim=cfg.token_dim, tag_dim=cfg.tag_dim,
-                                  turn_cap=cfg.turn_cap, subturn_cap=cfg.subturn_cap,
-                                  max_history=cfg.max_history, seed=cfg.seed)
-    return arb.ArbitratorModel(vocab_size, encoder=cfg.encoder, mode=cfg.mode,
-                               token_dim=cfg.token_dim, tag_dim=cfg.tag_dim,
-                               filter_widths=cfg.parsed_filter_widths(),
-                               filters_per_width=cfg.filters_per_width,
-                               gru_hidden=cfg.gru_hidden, turn_cap=cfg.turn_cap,
-                               subturn_cap=cfg.subturn_cap,
-                               max_history=cfg.max_history, seed=cfg.seed)
+        return model_from_config({**shared, "role": cfg.role, "hidden": cfg.hidden})
+    return model_from_config({**shared, "encoder": cfg.encoder, "mode": cfg.mode,
+                              "filter_widths": cfg.parsed_filter_widths(),
+                              "filters_per_width": cfg.filters_per_width,
+                              "gru_hidden": cfg.gru_hidden})
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
 
-def _model_from_config(cfg: dict):
-    kind = cfg.get("kind")
-    if kind == "imaginator":
-        return im.ImaginatorModel.from_config(cfg)
-    if kind == "arbitrator":
-        return arb.ArbitratorModel.from_config(cfg)
-    raise CheckpointError(f"header: unknown model kind {kind!r}")
-
-
-def _arrays_blob(arrays: dict[str, np.ndarray]) -> tuple[list, bytes]:
-    index = []
-    chunks = []
-    for name in sorted(arrays):
-        a = np.ascontiguousarray(arrays[name], dtype="<f8")
-        index.append([name, list(a.shape)])
-        chunks.append(a.tobytes(order="C"))
-    return index, b"".join(chunks)
-
-
-def save_checkpoint(model, path, vocab_hash: str, optimizer: Adam | None = None,
-                    metadata: dict | None = None, train_config: TrainConfig | None = None) -> None:
-    """Write the model (and optionally optimizer state) as one atomic file."""
-    arrays = model.params.as_arrays()
-    arr_index, arr_blob = _arrays_blob(arrays)
-    opt_index, opt_blob = (None, b"")
-    if optimizer is not None:
-        opt_index, opt_blob = _arrays_blob(optimizer.state_arrays())
+def save_checkpoint(model, path, vocab_hash: str, metadata: dict | None = None,
+                    train_config: TrainConfig | None = None) -> None:
+    """Write the model's parameters and config, with metadata, as one atomic file."""
+    params = sorted(model.params.items())
     header = {
-        "arrays": arr_index,
+        "arrays": [[name, list(p.data.shape)] for name, p in params],
         "metadata": metadata or {},
         "model": model.config(),
-        "optimizer": opt_index,
         "train_config": train_config.to_text() if train_config else None,
         "vocab_hash": vocab_hash,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = struct.pack("<I", len(header_bytes)) + header_bytes + arr_blob + opt_blob
+    payload = b"".join([struct.pack("<I", len(header_bytes)), header_bytes,
+                        *(p.data.astype("<f8", copy=False).tobytes() for _, p in params)])
     blob = (CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
             + hashlib.sha256(payload).digest() + struct.pack("<Q", len(payload)) + payload)
     path = Path(path)
@@ -206,7 +200,6 @@ def _sidecar_text(header: dict) -> str:
         lines.append(f"model.{k} = {v}")
     for k, v in sorted(header["metadata"].items()):
         lines.append(f"metadata.{k} = {v}")
-    lines.append(f"optimizer_state = {'yes' if header['optimizer'] else 'no'}")
     for name, shape in header["arrays"]:
         lines.append(f"array {name} {tuple(shape)}")
     return "\n".join(lines) + "\n"
@@ -217,26 +210,34 @@ class Checkpoint:
     model: object
     metadata: dict
     vocab_hash: str
-    optimizer_arrays: dict | None
     train_config_text: str | None
 
 
-def _read_arrays(index: list, blob: bytes, offset: int, section: str) -> tuple[dict, int]:
-    out = {}
-    for name, shape in index:
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        if offset + n_bytes > len(blob):
-            raise CheckpointError(f"{section}: array data truncated at {name!r}")
-        flat = np.frombuffer(blob[offset:offset + n_bytes], dtype="<f8")
-        out[name] = flat.reshape(shape).astype(np.float64)
-        offset += n_bytes
-    return out, offset
+def _array_index(entries, key: str) -> list[tuple[str, tuple[int, ...]]]:
+    """The (name, shape) pairs of the header's array index `key`, checked."""
+    if not isinstance(entries, list):
+        raise CheckpointError(f"header: {key} index is not a list")
+    index = []
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list)
+                and all(type(d) is int and d >= 0 for d in entry[1])):
+            raise CheckpointError(f"header: {key} entry {i} is not [name, shape]: {entry!r}")
+        index.append((entry[0], tuple(entry[1])))
+    if len({name for name, _ in index}) != len(index):
+        raise CheckpointError(f"header: {key} index names an array twice")
+    return index
 
 
 def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
     """Read and verify a checkpoint; raises CheckpointError before returning
-    anything if the file fails any structural or integrity check."""
-    blob = Path(path).read_bytes()
+    anything if the file fails any structural or integrity check.
+
+    The parameters are read in place from the file's bytes and copied once,
+    into the model. Files written by older versions may carry an optimizer
+    section after the parameters: its size is checked, and it is skipped.
+    """
+    blob = memoryview(Path(path).read_bytes())
     if len(blob) < 48:
         raise CheckpointError("frame: file shorter than the fixed header")
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -251,31 +252,40 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
         raise CheckpointError("frame: payload truncated")
     if hashlib.sha256(payload).digest() != digest:
         raise CheckpointError("payload: content digest mismatch (corrupt file)")
+    if payload_len < 4:
+        raise CheckpointError("payload: no room for the header length")
     header_len = struct.unpack("<I", payload[:4])[0]
     try:
-        header = json.loads(payload[4:4 + header_len].decode())
+        header = json.loads(bytes(payload[4:4 + header_len]).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"header: undecodable ({e})") from None
-    for key in ("arrays", "optimizer", "model", "vocab_hash", "metadata"):
+    for key in ("arrays", "model", "vocab_hash", "metadata"):
         if not isinstance(header, dict) or key not in header:
             raise CheckpointError(f"header: missing key {key!r}")
     if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
         raise CheckpointError("header: vocabulary hash mismatch")
+    index = _array_index(header["arrays"], "arrays")
+    skipped = _array_index(header.get("optimizer") or [], "optimizer")
     offset = 4 + header_len
-    arrays, offset = _read_arrays(header["arrays"], payload, offset, "parameters")
-    opt_arrays = None
-    if header["optimizer"]:
-        opt_arrays, offset = _read_arrays(header["optimizer"], payload, offset, "optimizer")
+    needed = 8 * sum(math.prod(shape) for _, shape in index + skipped)
+    if needed != payload_len - offset:
+        raise CheckpointError(f"payload: the array index describes {needed} bytes of arrays, "
+                              f"the payload holds {payload_len - offset}")
     try:
-        model = _model_from_config(header["model"])
+        model = model_from_config(header["model"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"header: model config rejected ({e})") from None
+    arrays = {}
+    for name, shape in index:
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(payload, "<f8", count, offset).reshape(shape)
+        offset += 8 * count
     try:
         model.params.load_arrays(arrays)
     except (KeyError, ValueError) as e:
         raise CheckpointError(f"parameters: {e.args[0]}") from None
     return Checkpoint(model=model, metadata=header["metadata"],
-                      vocab_hash=header["vocab_hash"], optimizer_arrays=opt_arrays,
+                      vocab_hash=header["vocab_hash"],
                       train_config_text=header.get("train_config"))
 
 
@@ -379,7 +389,7 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
             best_arrays = model.params.as_arrays()
             bad_epochs = 0
             if checkpoint_path is not None:
-                save_checkpoint(model, checkpoint_path, vocab.hash(), optimizer=opt,
+                save_checkpoint(model, checkpoint_path, vocab.hash(),
                                 metadata={"epoch": epoch, "metric": metric_name,
                                           "best_metric": value, **metadata_extra},
                                 train_config=config)

@@ -26,6 +26,7 @@ from turntaking.corpus import (
     ArbitratorSample, Dialogue, EncodedHistory, Utterance, build_vocabulary, encode_history,
 )
 from turntaking.imaginator import ImaginatorModel, beam_decode
+from turntaking.training import model_from_config
 
 TINY = dict(vocab_size=12, token_dim=5, tag_dim=1, filter_widths=(2, 3),
             filters_per_width=4, seed=3)
@@ -84,7 +85,7 @@ class TestModel:
 
     def test_config_round_trip(self):
         m = ArbitratorModel(**TINY, encoder="bigru", mode="baseline", gru_hidden=6)
-        m2 = ArbitratorModel.from_config(m.config())
+        m2 = model_from_config(m.config())
         assert m2.config() == m.config()
         assert sorted(m2.params.names()) == sorted(m.params.names())
 

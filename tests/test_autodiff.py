@@ -585,26 +585,6 @@ class TestAdam:
             return p.data.copy()
         np.testing.assert_array_equal(run(5.0), run(math.inf))
 
-    def test_state_round_trip(self):
-        ps = ad.ParamSet(seed=6)
-        p = ps.new("p", (2,), fan_in=1)
-        opt = ad.Adam(ps)
-        p.grad = np.array([1.0, -2.0])
-        opt.step()
-        saved = opt.state_arrays()
-
-        ps2 = ad.ParamSet(seed=6)
-        p2 = ps2.new("p", (2,), fan_in=1)
-        ps2.load_arrays(ps.as_arrays())
-        opt2 = ad.Adam(ps2)
-        opt2.load_state_arrays(saved)
-        assert opt2.step_count == 1
-        p.grad = np.array([0.5, 0.5])
-        p2.grad = np.array([0.5, 0.5])
-        opt.step()
-        opt2.step()
-        np.testing.assert_array_equal(p.data, p2.data)
-
 
 class TestParamSet:
     def test_init_bounds_follow_fan_in(self):

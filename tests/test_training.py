@@ -20,8 +20,6 @@ from turntaking.corpus import (
     build_vocabulary, encode_history,
 )
 from turntaking.imaginator import ImaginatorModel, greedy_decode
-from turntaking.imaginator import prepare_samples as prepare_imaginator_samples
-from turntaking.imaginator import train_step as imaginator_step
 from turntaking.training import (
     CHECKPOINT_VERSION, Checkpoint, CheckpointError, TrainConfig, TrainResult,
     append_metrics, build_model, load_checkpoint, run_training, save_checkpoint,
@@ -261,9 +259,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="vocabulary"):
             load_checkpoint(path, expected_vocab_hash="0" * 64)
 
-    def _reframe(self, path, edit):
-        """A copy of the checkpoint with its JSON header passed through edit(header),
-        framed again with a valid digest."""
+    def _reframe(self, path, edit, tail=b""):
+        """A copy of the checkpoint with its JSON header passed through edit(header)
+        and tail appended to its arrays, framed again with a valid digest."""
         blob = path.read_bytes()
         payload = blob[48:]
         n = struct.unpack("<I", payload[:4])[0]
@@ -271,7 +269,7 @@ class TestCheckpoint:
         replaced = edit(header)  # edits in place, or returns a whole new header
         header = header if replaced is None else replaced
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        payload = struct.pack("<I", len(head)) + head + payload[4 + n:]
+        payload = struct.pack("<I", len(head)) + head + payload[4 + n:] + tail
         out = path.with_name("reframed.ckpt")
         out.write_bytes(blob[:8] + hashlib.sha256(payload).digest()
                         + struct.pack("<Q", len(payload)) + payload)
@@ -298,7 +296,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="parameters: parameter name mismatch"):
             load_checkpoint(self._reframe(path, rename))
 
-    @pytest.mark.parametrize("key", ["arrays", "optimizer", "model", "vocab_hash", "metadata"])
+    @pytest.mark.parametrize("key", ["arrays", "model", "vocab_hash", "metadata"])
     def test_header_without_key_rejected(self, vocab, tmp_path, key):
         path = tmp_path / "a.ckpt"
         save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
@@ -337,30 +335,51 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="header: model config rejected .*attention"):
             load_checkpoint(bad)
 
-    def test_optimizer_resume_matches_uninterrupted_run(self, vocab, tmp_path):
-        samples = [ImaginatorSample(history=(Utterance(USER, 0, 0, ("book", "a", "table")),),
-                                    target=Utterance(AGENT, 0, 0, ("ok", "done")), role=AGENT)]
-        m_a = tiny_imaginator(vocab)
-        batch = prepare_imaginator_samples(samples, m_a, vocab)
-        opt_a = ad.Adam(m_a.params, lr=1e-2)
-        imaginator_step(batch, m_a, opt_a)
-        path = tmp_path / "mid.ckpt"
-        save_checkpoint(m_a, path, vocab.hash(), optimizer=opt_a)
-        imaginator_step(batch, m_a, opt_a)
+    @pytest.mark.parametrize("edit, tail, match", [
+        (lambda h: h["arrays"].__setitem__(0, h["arrays"][0][:1]), b"",
+         "header: arrays entry 0 is not"),
+        (lambda h: h["arrays"][0].__setitem__(1, "ab"), b"", "header: arrays entry 0 is not"),
+        (lambda h: h.update(arrays=5), b"", "header: arrays index is not a list"),
+        (lambda h: h["arrays"].append(h["arrays"][0]), b"", "header: arrays index names"),
+        (lambda h: None, bytes(16), "payload: the array index describes"),
+        (lambda h: h["arrays"][0].__setitem__(1, [10**6]), b"", "payload: the array index"),
+    ], ids=["no-shape", "shape-string", "index-not-list", "name-twice", "stray-bytes",
+            "index-past-end"])
+    def test_malformed_array_index_rejected(self, vocab, tmp_path, edit, tail, match):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(self._reframe(path, edit, tail))
 
-        ck = load_checkpoint(path, expected_vocab_hash=vocab.hash())
-        opt_b = ad.Adam(ck.model.params, lr=1e-2)
-        opt_b.load_state_arrays(ck.optimizer_arrays)
-        imaginator_step(batch, ck.model, opt_b)
-        got = ck.model.params.as_arrays()
-        for name, want in m_a.params.as_arrays().items():
-            assert np.array_equal(want, got[name])
+    def test_payload_without_header_length_rejected(self, tmp_path):
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(b"TTCP" + struct.pack("<I", CHECKPOINT_VERSION)
+                         + hashlib.sha256(b"").digest() + struct.pack("<Q", 0))
+        with pytest.raises(CheckpointError, match="payload: no room for the header length"):
+            load_checkpoint(path)
 
-    def test_checkpoint_without_optimizer_reports_none(self, vocab, tmp_path):
+    def test_optimizer_section_of_older_checkpoints_skipped(self, vocab, tmp_path):
+        """Older versions wrote Adam's state after the parameters, or `optimizer: null`
+        without it. Both load to the same parameters; the section's size is checked."""
         m = tiny_imaginator(vocab)
         path = tmp_path / "a.ckpt"
         save_checkpoint(m, path, self.HASH)
-        assert load_checkpoint(path).optimizer_arrays is None
+        want = m.params.as_arrays()
+        state = {"adam.step": np.array([3.0])}
+        for name, a in want.items():
+            state[f"adam.m.{name}"] = 0.5 * a
+            state[f"adam.v.{name}"] = a * a
+        index = [[name, list(state[name].shape)] for name in sorted(state)]
+        section = b"".join(state[name].astype("<f8").tobytes() for name in sorted(state))
+        for edit, tail in ((lambda h: h.update(optimizer=index), section),
+                           (lambda h: h.update(optimizer=None), b"")):
+            got = load_checkpoint(self._reframe(path, edit, tail)).model.params.as_arrays()
+            assert sorted(got) == sorted(want)
+            for name, a in want.items():
+                assert np.array_equal(got[name], a)
+        short = self._reframe(path, lambda h: h.update(optimizer=index), section[:-8])
+        with pytest.raises(CheckpointError, match="payload: the array index describes"):
+            load_checkpoint(short)
 
     def test_decode_identity_after_reload(self, vocab, tmp_path):
         m = tiny_imaginator(vocab)
@@ -421,6 +440,16 @@ class TestRunTraining:
         for split in ("train", "valid"):
             epochs = [r["epoch"] for r in rows if r["split"] == split]
             assert epochs == sorted(epochs)
+
+    def test_checkpoint_holds_parameters_and_header_only(self, vocab, tmp_path):
+        model = toy_arb_model(vocab)
+        run_training(toy_arb_config(), marker_samples(32, 1), marker_samples(16, 2), model,
+                     vocab, checkpoint_path=tmp_path / "a.ckpt")
+        blob = (tmp_path / "a.ckpt").read_bytes()
+        header_len = struct.unpack("<I", blob[48:52])[0]
+        n_values = sum(p.data.size for _, p in model.params.items())
+        assert len(blob) == 48 + 4 + header_len + 8 * n_values
+        assert "optimizer" not in json.loads(blob[52:52 + header_len])
 
     def test_model_left_holding_best_parameters(self, vocab):
         train = marker_samples(32, 1)
