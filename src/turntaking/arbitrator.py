@@ -15,10 +15,11 @@ gate inside its recurrent product, n = tanh(x·W_n + (r⊙h)·U_n + b_n).
 
 One forward, `batch_logits`, turns B samples into [B, 2] logits for
 training, validation and decisions. All texts of the batch go through one
-encoder call: TextCNN packs them back to back and pools each over its own
-windows; Bi-GRU packs them sorted by length, one `autodiff.gru` call per
-direction that steps only over the texts still running, the backward one
-reading each text reversed within its own length.
+encoder call: TextCNN packs them back to back, convolves the pack once per
+filter width with `autodiff.conv_rows` (no window copies), and pools each
+text over its own windows; Bi-GRU packs them sorted by length, one
+`autodiff.gru` call per direction that steps only over the texts still
+running, the backward one reading each text reversed within its own length.
 
 Label 1 selects the agent path (reply now); 0 selects the user path (keep
 waiting). Ties break toward 1 so a perfectly undecided agent stays live.
@@ -174,9 +175,10 @@ def _normalize_for_cnn(enc: EncodedHistory, min_len: int, position: int) -> Enco
 def textcnn_encode(model: ArbitratorModel, texts: Sequence[EncodedHistory]) -> ad.Tensor:
     """Multi-width convolution, ReLU, max-over-time of every text: [N texts, total filters].
 
-    The normalized texts are packed back to back, not padded: one product per
-    width k, and each text's maximum over the windows inside it (k - 1 fewer
-    than its records)."""
+    The normalized texts are packed back to back, not padded: one `conv_rows`
+    per width k over the whole pack, which never copies its windows, and each
+    text's maximum over the windows inside it (k - 1 fewer than its records).
+    Windows that straddle two texts are computed but never pooled."""
     normed = [_normalize_for_cnn(e, max(model.filter_widths), i) for i, e in enumerate(texts)]
     lengths = np.array([len(e) for e in normed])
     starts = np.cumsum(lengths) - lengths
@@ -185,8 +187,8 @@ def textcnn_encode(model: ArbitratorModel, texts: Sequence[EncodedHistory]) -> a
     emb = embed_records(model.params, packed)
     feats = []
     for k in model.filter_widths:
-        fmap = ad.relu(ad.matmul(ad.unfold_rows(emb, k), model.params[f"cnn.W_{k}"],
-                                 bias=model.params[f"cnn.b_{k}"]))
+        fmap = ad.relu(ad.conv_rows(emb, model.params[f"cnn.W_{k}"],
+                                    model.params[f"cnn.b_{k}"], k))
         feats.append(ad.max_over_time(fmap, np.stack([starts, starts + lengths - k + 1], axis=1)))
     return ad.concat_cols(feats)
 

@@ -3,17 +3,22 @@
 The tape is implicit: every op links its output tensor to its inputs and keeps a
 closure that routes gradients backwards. ``backward`` walks the recorded
 subgraph in reverse creation order, which is a valid reverse topological order
-because inputs always exist before their consumers. Inside ``no_grad()`` ops
-record nothing, so a forward pass that needs no gradients (decoding,
-inference) frees its intermediates as it goes.
+because inputs always exist before their consumers. The walk releases the
+graph as it goes, as PyTorch does unless asked to retain it: once a node's rule
+has run, the node drops its gradient, its rule with the arrays the rule saved,
+and its parents, so the forward's intermediates are freed during the walk and
+not after it. Leaves (parameters and constants) keep their gradients. A graph
+can therefore be walked once. Inside ``no_grad()`` ops record nothing, so a
+forward pass that needs no gradients (decoding, inference) frees its
+intermediates as it goes.
 
 Shape discipline is strict on purpose, and nothing is broadcast. There are no
 binary elementwise ops: tanh, relu, softmax and scale map one tensor to a
 result of its own shape, and an op that combines tensors accepts exactly the
 shapes its docstring states (a bias included) and raises ShapeError on any
 other. The handful of batched patterns the models need (products with a
-folded-in bias row, block slices, embedding gather, sliding windows,
-attention of a whole [B, Q, H] query axis over [B, T, H] states as batched
+folded-in bias row, block slices, embedding gather, a 1-d convolution over
+rows, attention of a whole [B, Q, H] query axis over [B, T, H] states as batched
 products, cross-entropy straight from logits, and whole LSTM and GRU
 recurrences) are dedicated ops with hand-written backward rules, so every
 gradient path stays checkable against central finite differences.
@@ -58,7 +63,7 @@ __all__ = [
     "reshape",
     "rows",
     "place_rows",
-    "unfold_rows",
+    "conv_rows",
     "dot_scores",
     "weighted_sum",
     "lstm",
@@ -143,30 +148,51 @@ def _acc(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad += g
 
 
+_RELEASED = object()  # the rule of a node whose graph a backward walk has released
+
+
+def _release(t: Tensor) -> None:
+    """Drop what a walked node kept for the walk: its gradient, its rule (and with it the
+    arrays the rule saved) and its parents. The node keeps its value."""
+    t.grad = None
+    t._bwd = _RELEASED
+    t._parents = ()
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate gradients of ``loss`` into every recorded ancestor.
+    """Accumulate gradients of ``loss`` into every recorded ancestor, releasing the graph.
 
     The loss must be scalar. Nodes are visited in decreasing creation order,
     which is reverse topological for any recorded graph, so the walk is
-    deterministic: identical graphs give bit-identical gradients.
+    deterministic: identical graphs give bit-identical gradients. A node is
+    released once its rule has run, and the walk drops its own reference to
+    it, so an intermediate is freed as soon as nothing outside the graph holds
+    it. A walk that reaches a released node raises RuntimeError before any
+    gradient moves.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    nodes: list[Tensor] = []
+    nodes: list[Tensor | None] = []
     seen: set[int] = set()
     stack = [loss]
     while stack:
         t = stack.pop()
         if id(t) in seen:
             continue
+        if t._bwd is _RELEASED:
+            raise RuntimeError(f"backward reached {t!r}, tape node {t._seq}, whose graph an "
+                               f"earlier backward walked and released; a graph can be "
+                               f"walked once")
         seen.add(id(t))
         nodes.append(t)
         stack.extend(t._parents)
     nodes.sort(key=lambda t: t._seq, reverse=True)
     loss.grad = np.ones_like(loss.data)
-    for t in nodes:
+    for i, t in enumerate(nodes):
+        nodes[i] = None
         if t._bwd is not None:
             t._bwd(t.grad if t.grad is not None else np.zeros_like(t.data))
+            _release(t)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +228,13 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-x)), with exp taken once and only of -|x|, so it never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    """1 / (1 + exp(-x)), computed as 0.5·(1 + tanh(x/2)): the two agree to 2.2e-16,
+    and this form never overflows. Every step after the first writes in place."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def relu(a: Tensor) -> Tensor:
@@ -408,30 +438,43 @@ def place_rows(a: Tensor, index, n: int) -> Tensor:
     return Tensor(out, _parents=(a,), _bwd=bwd)
 
 
-def unfold_rows(a: Tensor, width: int) -> Tensor:
-    """Sliding windows of ``width`` consecutive rows, flattened per window.
+def conv_rows(a: Tensor, w: Tensor, bias: Tensor, width: int) -> Tensor:
+    """A valid 1-d convolution over the rows of a matrix: (l, d) rows and (width·d, n)
+    weights give (l - width + 1, n), plus an (n,) bias on every row.
 
-    (l, d) becomes (l - width + 1, width * d); used as the im2col step for
-    text convolutions.
+    Output row i is the window of rows i .. i + width - 1, flattened, times w.
+    Row block j of w, W_j = w[j·d:(j + 1)·d], meets row i + j of every window
+    i, so the result is the sum over j of a[j:j + l - width + 1] @ W_j: width
+    products of row-shifted views, and no window is ever copied (no im2col).
+    The backward runs the same blocks: a's rows get g @ W_jᵀ at offset j, and
+    W_j gets a[j:j + l - width + 1]ᵀ @ g.
     """
-    if a.data.ndim != 2:
-        raise ShapeError(f"unfold_rows needs a matrix, got {a.shape}")
-    l, d = a.shape
-    if width < 1 or l < width:
-        raise ShapeError(f"unfold_rows width {width} does not fit {l} rows")
+    ok = a.data.ndim == 2 and w.data.ndim == 2 and type(width) is int and width >= 1
+    if ok:
+        l, d = a.shape
+        ok = l >= width and w.shape[0] == width * d and bias.shape == w.shape[1:]
+    if not ok:
+        raise ShapeError(f"conv_rows needs (l,d) rows with l >= width, (width*d,n) weights and "
+                         f"an (n,) bias, got {a.shape}, {w.shape}, {bias.shape} and width "
+                         f"{width!r}")
     n_win = l - width + 1
-    win = np.lib.stride_tricks.sliding_window_view(a.data, (width, d))[:, 0]
-    out = win.reshape(n_win, width * d).copy()
+    blocks = [w.data[j * d:(j + 1) * d] for j in range(width)]
+    out = a.data[:n_win] @ blocks[0]
+    for j in range(1, width):
+        out += a.data[j:j + n_win] @ blocks[j]
+    out += bias.data
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        g = g.reshape(n_win, width, d)
-        # offsets last to first, so each row sums its windows in window order
-        for j in reversed(range(width)):
-            ga[j:j + n_win] += g[:, j]
+        gw = np.empty_like(w.data)
+        for j, block in enumerate(blocks):
+            ga[j:j + n_win] += g @ block.T
+            np.matmul(a.data[j:j + n_win].T, g, out=gw[j * d:(j + 1) * d])
         _acc(a, ga, fresh=True)
+        _acc(w, gw, fresh=True)
+        _acc(bias, g.sum(axis=0), fresh=True)
 
-    return Tensor(out, _parents=(a,), _bwd=bwd)
+    return Tensor(out, _parents=(a, w, bias), _bwd=bwd)
 
 
 def dot_scores(query: Tensor, states: Tensor, bias: np.ndarray | None = None) -> Tensor:

@@ -597,13 +597,15 @@ def _utt_from_record(rec: dict) -> Utterance:
                      subturn_index=rec["subturn"], tokens=tuple(rec["tokens"]))
 
 
-def _write_atomic(path, data: bytes) -> None:
-    """Replace path with data in one step: readers see the old file or the new, never a mix."""
+def _write_atomic(path, *pieces) -> None:
+    """Replace path with the bytes-like pieces, written in order, in one step: readers
+    see the old file or the new, never a mix."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for piece in pieces:
+                fh.write(piece)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

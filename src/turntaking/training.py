@@ -184,12 +184,17 @@ def save_checkpoint(model, path, vocab_hash: str, metadata: dict | None = None,
         "vocab_hash": vocab_hash,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = b"".join([struct.pack("<I", len(header_bytes)), header_bytes,
-                        *(p.data.astype("<f8", copy=False).tobytes() for _, p in params)])
-    blob = (CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
-            + hashlib.sha256(payload).digest() + struct.pack("<Q", len(payload)) + payload)
+    # the payload is the header and then every array's bytes; it is hashed and
+    # written piece by piece, never joined into one copy
+    head = struct.pack("<I", len(header_bytes)) + header_bytes
+    arrays = [np.ascontiguousarray(p.data, dtype="<f8") for _, p in params]
+    digest = hashlib.sha256(head)
+    for a in arrays:
+        digest.update(a)
+    frame = (CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + digest.digest()
+             + struct.pack("<Q", len(head) + sum(a.nbytes for a in arrays)))
     path = Path(path)
-    _write_atomic(path, blob)
+    _write_atomic(path, frame, head, *arrays)
     _write_atomic(path.with_suffix(path.suffix + ".txt"), _sidecar_text(header).encode())
 
 

@@ -3,7 +3,8 @@
 `arbitrator.batch_logits` encodes all texts of a batch in one encoder call;
 the tests pin its logits and gradients to this path, which is how the
 package ran before. It uses the package's tape ops and parameter layout but
-none of its batching: one text is one TextCNN map or one B=1 Bi-GRU pass,
+none of its batching: one text is one TextCNN map, whose windows are copied
+out side by side and multiplied as one matrix, or one B=1 Bi-GRU pass,
 whose backward direction reverses the projected rows of that text alone.
 """
 
@@ -24,9 +25,11 @@ def textcnn_text(model, enc) -> ad.Tensor:
     emb = embed_records(model.params, _normalize_for_cnn(enc, max(model.filter_widths), 0))
     feats = []
     for k in model.filter_widths:
-        fmap = ad.relu(ad.matmul(ad.unfold_rows(emb, k), model.params[f"cnn.W_{k}"],
+        n_win = emb.shape[0] - k + 1  # window i is rows i .. i + k - 1, side by side
+        windows = ad.concat_cols([ad.part(emb, rows=slice(j, j + n_win)) for j in range(k)])
+        fmap = ad.relu(ad.matmul(windows, model.params[f"cnn.W_{k}"],
                                  bias=model.params[f"cnn.b_{k}"]))
-        feats.append(ad.max_over_time(fmap, [(0, fmap.shape[0])]))
+        feats.append(ad.max_over_time(fmap, [(0, n_win)]))
     return ad.concat_cols(feats)
 
 

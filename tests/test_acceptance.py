@@ -89,7 +89,7 @@ def _op_losses():
     case("concat_cols", [(3, 2), (3, 4)], lambda a, b: ad.tanh(ad.concat_cols([a, b])))
     case("reshape", [(3, 4)], lambda a: ad.tanh(ad.reshape(a, (4, 3))))
     case("rows", [(6, 3)], lambda t: ad.tanh(ad.rows(t, [0, 2, 2, 5])))
-    case("unfold_rows", [(5, 3)], lambda a: ad.tanh(ad.unfold_rows(a, 2)))
+    case("conv_rows", [(5, 3), (6, 2), (2,)], lambda a, w, b: ad.tanh(ad.conv_rows(a, w, b, 2)))
     # two queries per batch entry, and a constant mask bias that takes no gradient
     score_bias = rng.normal(size=(2, 2))
     case("dot_scores", [(2, 2, 3), (2, 2, 3)],

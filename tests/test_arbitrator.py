@@ -6,6 +6,8 @@ passes, plus central finite differences for the gradients. The batched
 forward is pinned to the per-sample path in tests/oracles/arbitrator_oracle.py.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -685,3 +687,51 @@ class TestMetrics:
             "imagined_user": "more",
             "flags": ["empty_user_generation"],
         }
+
+
+class TestTrainStepMemory:
+    """A TextCNN training step at the default sizes: filter widths 3, 4 and 5 over
+    124-wide records (100 token and three 8-wide tag columns)."""
+
+    @staticmethod
+    def _setup(B):
+        """The ita model and B samples of 150 records: a 70-record history and two
+        40-id imaginations, none shorter than the widest filter."""
+        rng = np.random.default_rng(0)
+        model = ArbitratorModel(vocab_size=300, encoder="textcnn", mode="ita", seed=0)
+        batch = [PreparedSample(rand_records(rng, 70, vocab=300), label=i % 2,
+                                agent_ids=[int(t) for t in rng.integers(4, 300, size=40)],
+                                user_ids=[int(t) for t in rng.integers(4, 300, size=40)])
+                 for i in range(B)]
+        return model, batch
+
+    def test_peak_below_the_im2col_forward(self):
+        """Copying every window (im2col) would take sum_k (L - k + 1)·k·d float64s for
+        the forward alone, 54.5 MiB at these L = 4800 packed records; a whole step
+        peaks below that, gradients and the Adam update included."""
+        model, batch = self._setup(32)
+        L = 150 * len(batch)
+        d = model.token_dim + 3 * model.tag_dim
+        im2col = sum((L - k + 1) * k * d * 8 for k in model.filter_widths)
+        opt = ad.Adam(model.params)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_step(batch, model, opt)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < im2col, f"peak {peak / 2**20:.1f} MiB, im2col {im2col / 2**20:.1f} MiB"
+
+    def test_leaf_gradients_equal_a_walk_that_releases_nothing(self, monkeypatch):
+        model, batch = self._setup(4)
+
+        def grads():
+            model.params.zero_grads()
+            ad.backward(batch_loss(model, batch))
+            return {name: p.grad.copy() for name, p in model.params.items()}
+
+        released = grads()
+        monkeypatch.setattr(ad, "_release", lambda t: None)
+        kept = grads()
+        assert all(np.array_equal(released[name], g) for name, g in kept.items())

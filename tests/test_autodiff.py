@@ -7,6 +7,7 @@ here.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -33,12 +34,16 @@ class TestElementwise:
         assert out[1] == 1.0
 
     def test_sigmoid_is_the_three_exp_formula(self):
-        """One exp, bit for bit the same as the branchwise form that took three."""
+        """Bit for bit 0.5·(1 + tanh(x/2)), and within one ulp of 1 (2.2e-16) of the
+        branchwise exp form it replaced."""
         x = np.concatenate([np.linspace(-50.0, 50.0, 2001), np.linspace(-800.0, 800.0, 321),
                             [-1e4, -745.0, -744.5, -1e-300, 0.0, 1e-300, 744.5, 745.0, 1e4]])
         old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        assert np.array_equal(ad._sigmoid(x), old)
+        assert np.array_equal(ad._sigmoid(x), 0.5 * (1.0 + np.tanh(x / 2.0)))
+        assert np.abs(ad._sigmoid(x) - old).max() <= 2.0 ** -52
+        out = np.empty_like(x)
+        assert ad._sigmoid(x, out=out) is out and np.array_equal(out, ad._sigmoid(x))
 
     def test_relu_values(self):
         out = ad.relu(ad.constant([-3.0, 0.0, 2.0])).data
@@ -211,8 +216,8 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, np.full((1, 2), 2.0))
 
     def test_shared_gradient_is_not_aliased(self):
-        """concat_cols hands its parents views of its gradient; each parent's later
-        += stays its own."""
+        """concat_cols hands its parents views of its gradient; each leaf's gradient is
+        still its own array, holding the sum of what reached it."""
         ps = ad.ParamSet(seed=0)
         x = ps.new("x", (2, 3), fan_in=1)
         w = ps.new("w", (2, 3), fan_in=1)
@@ -223,9 +228,7 @@ class TestBackward:
         ad.backward(total(ad.concat_cols([twice, outer]), g))
         np.testing.assert_array_equal(x.grad, g[:, 0:3] + g[:, 3:6] + g[:, 6:9])
         np.testing.assert_array_equal(w.grad, g[:, 9:12] + g[:, 12:15])
-        np.testing.assert_array_equal(outer.grad, g[:, 6:15])
-        np.testing.assert_array_equal(inner.grad, g[:, 6:12])
-        np.testing.assert_array_equal(twice.grad, g[:, 0:6])
+        assert x.grad.base is None and w.grad.base is None
 
     def test_fresh_products_match_copies_bit_for_bit(self, monkeypatch):
         """matmul, relu and tanh store the gradient products they allocate without
@@ -249,9 +252,7 @@ class TestBackward:
         t1, t2 = ad.tanh(x), ad.tanh(x)
         ad.backward(total(ad.concat_cols([t1, t2]), 1.0))
         np.testing.assert_array_equal(x.grad, 2.0 * (1.0 - t1.data ** 2))
-        assert not any(np.shares_memory(x.grad, t.grad) for t in (t1, t2))
-        np.testing.assert_array_equal(t1.grad, np.ones((2, 3)))
-        np.testing.assert_array_equal(t2.grad, np.ones((2, 3)))
+        assert x.grad.base is None
 
     def test_deterministic_across_runs(self):
         def run():
@@ -264,6 +265,68 @@ class TestBackward:
             return W.grad.copy()
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)  # bit identical
+
+
+def _recorded(loss):
+    """Every tensor of the recorded graph below loss, loss included."""
+    seen, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+class TestRelease:
+    """backward releases the graph it walks: a graph can be walked once."""
+
+    def _graph(self):
+        ps = ad.ParamSet(seed=2)
+        x, w = ps.new("x", (3, 4), fan_in=1), ps.new("w", (4, 4), fan_in=1)
+        h = ad.tanh(ad.matmul(x, w))
+        y = ad.relu(ad.matmul(h, w))
+        loss = total(ad.concat_cols([y, h, ad.part(x, cols=slice(0, 2))]),
+                     np.linspace(-1.0, 1.0, 30).reshape(3, 10))
+        return ps, loss
+
+    def test_walked_nodes_hold_no_grad_rule_or_parents(self):
+        ps, loss = self._graph()
+        nodes = _recorded(loss)
+        ruled = [t for t in nodes if t._bwd is not None]
+        assert len(ruled) == 8
+        ad.backward(loss)
+        for t in ruled:
+            assert t.grad is None and t._parents == () and t._bwd is ad._RELEASED
+        for name, p in ps.items():
+            assert p.grad is not None and p._bwd is None, name  # leaves keep their gradients
+
+    def test_intermediates_freed_by_the_walk(self):
+        ps = ad.ParamSet(seed=2)
+        x = ps.new("x", (3, 4), fan_in=1)
+        h = ad.tanh(x)
+        alive = weakref.ref(h.data)
+        loss = total(ad.relu(h), 1.0)
+        del h
+        assert alive() is not None  # the recorded graph holds it
+        ad.backward(loss)
+        assert alive() is None and x.grad is not None
+
+    def test_second_walk_raises_and_moves_no_gradient(self):
+        ps, loss = self._graph()
+        ad.backward(loss)
+        grads = {name: p.grad.copy() for name, p in ps.items()}
+        with pytest.raises(RuntimeError, match="walked once"):
+            ad.backward(loss)
+        assert all(np.array_equal(p.grad, grads[name]) for name, p in ps.items())
+
+    def test_new_loss_on_a_walked_graph_raises(self):
+        ps = ad.ParamSet(seed=2)
+        x = ps.new("x", (3, 4), fan_in=1)
+        h = ad.tanh(x)
+        ad.backward(total(h, 1.0))
+        with pytest.raises(RuntimeError, match=r"Tensor\(shape=\(3, 4\)\), tape node"):
+            ad.backward(total(ad.relu(h), 1.0))
 
 
 class TestNoGrad:
@@ -370,10 +433,10 @@ class TestFiniteDifferences:
         ps = ad.ParamSet(seed=3)
         E = ps.new("E", (6, 4), fan_in=6)
         F = ps.new("F", (8, 3), fan_in=8)
+        b = ps.new("b", (3,), fan_in=8)
 
         def build():
-            cols = ad.unfold_rows(E, 2)
-            conv = ad.relu(ad.matmul(cols, F))
+            conv = ad.relu(ad.conv_rows(E, F, b, 2))
             return total(ad.max_over_time(conv, [(0, 2), (3, 5)]), 1.0)
 
         assert fd(build, ps) < 1e-6
@@ -613,16 +676,59 @@ class TestParamSet:
 
 
 class TestStructuredOps:
-    def test_unfold_rows_windows(self):
+    def test_conv_rows_windows(self):
         x = np.arange(12.0).reshape(4, 3)
-        out = ad.unfold_rows(ad.constant(x), 2).data
-        assert out.shape == (3, 6)
-        np.testing.assert_array_equal(out[0], x[0:2].reshape(-1))
-        np.testing.assert_array_equal(out[2], x[2:4].reshape(-1))
+        w = np.arange(12.0).reshape(6, 2) / 7.0
+        out = ad.conv_rows(ad.constant(x), ad.constant(w), ad.constant([0.5, -1.0]), 2).data
+        assert out.shape == (3, 2)
+        for i in range(3):
+            np.testing.assert_allclose(out[i], x[i:i + 2].reshape(-1) @ w + [0.5, -1.0],
+                                       rtol=1e-15)
 
-    def test_unfold_rows_width_must_fit(self):
+    def test_conv_rows_width_must_fit(self):
         with pytest.raises(ad.ShapeError):
-            ad.unfold_rows(ad.constant(np.zeros((2, 3))), 3)
+            ad.conv_rows(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((9, 1))),
+                         ad.constant(np.zeros(1)), 3)
+
+    @pytest.mark.parametrize("a, w, b, width", [
+        ((4, 3), (6, 2), (2,), 0),
+        ((4, 3), (6, 2), (2,), 2.0),
+        ((4, 3), (9, 2), (2,), 2),
+        ((4, 3), (6, 2), (3,), 2),
+        ((4, 3), (6, 2), (1, 2), 2),
+        ((4, 3, 1), (6, 2), (2,), 2),
+        ((4, 3), (6,), (2,), 2),
+    ], ids=["width-0", "width-float", "weight-rows", "bias-length", "bias-matrix",
+            "rows-3d", "weights-1d"])
+    def test_conv_rows_shapes_checked(self, a, w, b, width):
+        with pytest.raises(ad.ShapeError):
+            ad.conv_rows(*(ad.constant(np.zeros(s)) for s in (a, w, b)), width)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 6), st.integers(1, 5), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_conv_rows_equals_im2col(self, width, extra, d, n, seed):
+        """Values and the gradients of rows, weights and bias against a copy of every
+        window (im2col) times the weights as one product."""
+        rng = np.random.default_rng(seed)
+        l = width + extra
+        x, w, b = rng.normal(size=(l, d)), rng.normal(size=(width * d, n)), rng.normal(size=n)
+        g = rng.normal(size=(l - width + 1, n))
+        cols = np.stack([x[i:i + width].reshape(-1) for i in range(l - width + 1)])
+        want_x = np.zeros_like(x)
+        for i, row in enumerate(g @ w.T):
+            want_x[i:i + width] += row.reshape(width, d)
+
+        ps = ad.ParamSet(seed=0)
+        tx, tw, tb = (ps.new(name, v.shape) for name, v in (("x", x), ("w", w), ("b", b)))
+        tx.data, tw.data, tb.data = x.copy(), w.copy(), b.copy()
+        out = ad.conv_rows(tx, tw, tb, width)
+        ad.backward(total(out, g))
+        close = dict(rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, cols @ w + b, **close)
+        np.testing.assert_allclose(tx.grad, want_x, **close)
+        np.testing.assert_allclose(tw.grad, cols.T @ g, **close)
+        np.testing.assert_allclose(tb.grad, g.sum(axis=0), **close)
 
     def test_rows_gather(self):
         table = ad.constant(np.arange(10.0).reshape(5, 2))

@@ -256,6 +256,21 @@ def _grads(model, loss):
     return grads
 
 
+def test_leaf_gradients_equal_a_walk_that_releases_nothing(monkeypatch):
+    """backward releases each node once its rule has run; the gradients of a training
+    step are bit for bit those of a walk that keeps the whole graph."""
+    rng = np.random.default_rng(4)
+    vocab = small_vocab()
+    m = tiny_model(seed=4, V=len(vocab))
+    encs = [enc_of(m, rand_history(rng, n_utts=n), vocab) for n in (4, 1, 3)]
+    targets = [cp.encode_target(("w1", "w2", "w3")[:n], vocab) for n in (3, 0, 2)]
+    released = _grads(m, im.teacher_forced_loss(m, encs, targets))
+    monkeypatch.setattr(ad, "_release", lambda t: None)
+    kept = _grads(m, im.teacher_forced_loss(m, encs, targets))
+    assert sorted(released) == sorted(kept) == sorted(m.params.names())
+    assert all(np.array_equal(released[name], g) for name, g in kept.items())
+
+
 class TestBatchedDecoder:
     """The one-pass teacher-forced decoder against the per-step loop it replaced."""
 

@@ -153,6 +153,27 @@ class TestCheckpoint:
         save_checkpoint(ck.model, p2, ck.vocab_hash, metadata=ck.metadata)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_file_is_the_joined_frame_byte_for_byte(self, vocab, tmp_path):
+        """The streamed write equals the frame built as one joined blob: magic, version,
+        the digest and length of the payload, then the payload (header length, header,
+        every parameter's float64 bytes in name order)."""
+        m = ArbitratorModel(vocab_size=len(vocab), encoder="textcnn", mode="ita",
+                            token_dim=5, tag_dim=1, filters_per_width=3, seed=2)
+        path = tmp_path / "arb.ckpt"
+        save_checkpoint(m, path, self.HASH, metadata={"epoch": 2},
+                        train_config=TrainConfig(kind="arbitrator"))
+        params = sorted(m.params.items())
+        header = json.dumps({
+            "arrays": [[name, list(p.data.shape)] for name, p in params],
+            "metadata": {"epoch": 2}, "model": m.config(),
+            "train_config": TrainConfig(kind="arbitrator").to_text(),
+            "vocab_hash": self.HASH}, sort_keys=True, separators=(",", ":")).encode()
+        payload = b"".join([struct.pack("<I", len(header)), header,
+                            *(p.data.astype("<f8").tobytes() for _, p in params)])
+        want = (b"TTCP" + struct.pack("<I", CHECKPOINT_VERSION)
+                + hashlib.sha256(payload).digest() + struct.pack("<Q", len(payload)) + payload)
+        assert path.read_bytes() == want
+
     def test_sidecar_written(self, vocab, tmp_path):
         m = tiny_imaginator(vocab)
         path = tmp_path / "a.ckpt"
