@@ -16,10 +16,11 @@ gate inside its recurrent product, n = tanh(x·W_n + (r⊙h)·U_n + b_n).
 One forward, `batch_logits`, turns B samples into [B, 2] logits for
 training, validation and decisions. All texts of the batch go through one
 encoder call: TextCNN packs them back to back, convolves the pack once per
-filter width with `autodiff.conv_rows` (no window copies), and pools each
-text over its own windows; Bi-GRU packs them sorted by length, one
-`autodiff.gru` call per direction that steps only over the texts still
-running, the backward one reading each text reversed within its own length.
+filter width with `autodiff.conv_rows` (no window copies, the ReLU folded
+in), and pools each text over its own windows; Bi-GRU packs them sorted by
+length, one `autodiff.gru` call per direction that steps only over the texts
+still running, the backward one reading each text reversed within its own
+length.
 
 Label 1 selects the agent path (reply now); 0 selects the user path (keep
 waiting). Ties break toward 1 so a perfectly undecided agent stays live.
@@ -49,7 +50,10 @@ EVAL_SAMPLES = 64  # samples per forward in evaluate_prepared; bounds the texts 
 
 
 class ArbitratorModel:
-    """Shared text encoder plus either path-fusion (ita) or a direct head."""
+    """Shared text encoder plus either path-fusion (ita) or a direct head.
+
+    The parameters are drawn from `seed`, or are copies of the given `arrays`
+    (`autodiff.ParamSet`), which is how a checkpoint loads."""
 
     def __init__(self, vocab_size: int, encoder: str = "textcnn", mode: str = "ita",
                  token_dim: int = 100, tag_dim: int = 8,
@@ -57,7 +61,8 @@ class ArbitratorModel:
                  filters_per_width: int = DEFAULT_FILTERS_PER_WIDTH,
                  gru_hidden: int = 128,
                  turn_cap: int = DEFAULT_TURN_CAP, subturn_cap: int = DEFAULT_SUBTURN_CAP,
-                 max_history: int = DEFAULT_MAX_HISTORY, seed: int = 0):
+                 max_history: int = DEFAULT_MAX_HISTORY, seed: int = 0,
+                 arrays: dict[str, np.ndarray] | None = None):
         if encoder not in ("textcnn", "bigru"):
             raise ValueError(f"unknown encoder {encoder!r}")
         if mode not in ("ita", "baseline"):
@@ -76,7 +81,7 @@ class ArbitratorModel:
         self.seed = seed
 
         d_total = token_dim + 3 * tag_dim
-        p = ad.ParamSet(seed=seed)
+        p = ad.ParamSet(seed=seed, arrays=arrays)
         p.new("emb.token", (vocab_size, token_dim), fan_in=token_dim)
         p.new("emb.role", (2, tag_dim), fan_in=tag_dim)
         p.new("emb.turn", (turn_cap + 1, tag_dim), fan_in=tag_dim)
@@ -176,9 +181,10 @@ def textcnn_encode(model: ArbitratorModel, texts: Sequence[EncodedHistory]) -> a
     """Multi-width convolution, ReLU, max-over-time of every text: [N texts, total filters].
 
     The normalized texts are packed back to back, not padded: one `conv_rows`
-    per width k over the whole pack, which never copies its windows, and each
-    text's maximum over the windows inside it (k - 1 fewer than its records).
-    Windows that straddle two texts are computed but never pooled."""
+    per width k over the whole pack, which never copies its windows and applies
+    the ReLU in place, and each text's maximum over the windows inside it (k - 1
+    fewer than its records). Windows that straddle two texts are computed but
+    never pooled."""
     normed = [_normalize_for_cnn(e, max(model.filter_widths), i) for i, e in enumerate(texts)]
     lengths = np.array([len(e) for e in normed])
     starts = np.cumsum(lengths) - lengths
@@ -187,8 +193,7 @@ def textcnn_encode(model: ArbitratorModel, texts: Sequence[EncodedHistory]) -> a
     emb = embed_records(model.params, packed)
     feats = []
     for k in model.filter_widths:
-        fmap = ad.relu(ad.conv_rows(emb, model.params[f"cnn.W_{k}"],
-                                    model.params[f"cnn.b_{k}"], k))
+        fmap = ad.conv_rows(emb, model.params[f"cnn.W_{k}"], model.params[f"cnn.b_{k}"], k)
         feats.append(ad.max_over_time(fmap, np.stack([starts, starts + lengths - k + 1], axis=1)))
     return ad.concat_cols(feats)
 

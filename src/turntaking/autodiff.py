@@ -13,15 +13,16 @@ forward pass that needs no gradients (decoding, inference) frees its
 intermediates as it goes.
 
 Shape discipline is strict on purpose, and nothing is broadcast. There are no
-binary elementwise ops: tanh, relu, softmax and scale map one tensor to a
+binary elementwise ops: tanh, softmax and scale map one tensor to a
 result of its own shape, and an op that combines tensors accepts exactly the
 shapes its docstring states (a bias included) and raises ShapeError on any
 other. The handful of batched patterns the models need (products with a
-folded-in bias row, block slices, embedding gather, a 1-d convolution over
-rows, attention of a whole [B, Q, H] query axis over [B, T, H] states as batched
-products, cross-entropy straight from logits, and whole LSTM and GRU
-recurrences) are dedicated ops with hand-written backward rules, so every
-gradient path stays checkable against central finite differences.
+folded-in bias row, block slices, embedding gather, a rectified 1-d
+convolution over rows, attention of a whole [B, Q, H] query axis over
+[B, T, H] states as batched products, cross-entropy straight from logits,
+and whole LSTM and GRU recurrences) are dedicated ops with hand-written
+backward rules, so every gradient path stays checkable against central
+finite differences.
 
 A recurrence op runs its time loop in plain numpy and is one tape node: its
 backward is one loop back through time that fills the gradients of every gate
@@ -52,7 +53,6 @@ __all__ = [
     "constant",
     "matmul",
     "tanh",
-    "relu",
     "softmax",
     "log_softmax",
     "log_softmax_nll",
@@ -237,15 +237,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-
-    def bwd(g):
-        _acc(a, g * (a.data > 0), fresh=True)
-
-    return Tensor(out, _parents=(a,), _bwd=bwd)
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax along the last axis, computed with max subtraction.
 
@@ -379,9 +370,9 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         if p.data.ndim != 2 or p.shape[0] != n:
             raise ShapeError(f"concat_cols row mismatch: {[p.shape for p in parts]}")
     out = np.concatenate([p.data for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def bwd(g):
+        offsets = np.cumsum([0] + [p.shape[1] for p in parts])
         for p, j0, j1 in zip(parts, offsets[:-1], offsets[1:]):
             _acc(p, g[:, j0:j1])
 
@@ -439,15 +430,17 @@ def place_rows(a: Tensor, index, n: int) -> Tensor:
 
 
 def conv_rows(a: Tensor, w: Tensor, bias: Tensor, width: int) -> Tensor:
-    """A valid 1-d convolution over the rows of a matrix: (l, d) rows and (width·d, n)
-    weights give (l - width + 1, n), plus an (n,) bias on every row.
+    """A rectified valid 1-d convolution over the rows of a matrix: (l, d) rows and
+    (width·d, n) weights give (l - width + 1, n), plus an (n,) bias on every row,
+    then max(·, 0).
 
     Output row i is the window of rows i .. i + width - 1, flattened, times w.
     Row block j of w, W_j = w[j·d:(j + 1)·d], meets row i + j of every window
     i, so the result is the sum over j of a[j:j + l - width + 1] @ W_j: width
     products of row-shifted views, and no window is ever copied (no im2col).
-    The backward runs the same blocks: a's rows get g @ W_jᵀ at offset j, and
-    W_j gets a[j:j + l - width + 1]ᵀ @ g.
+    The ReLU is applied in place, so the node keeps its output only: the
+    backward masks g by output > 0, then runs the same blocks: a's rows get
+    g @ W_jᵀ at offset j, and W_j gets a[j:j + l - width + 1]ᵀ @ g.
     """
     ok = a.data.ndim == 2 and w.data.ndim == 2 and type(width) is int and width >= 1
     if ok:
@@ -463,8 +456,10 @@ def conv_rows(a: Tensor, w: Tensor, bias: Tensor, width: int) -> Tensor:
     for j in range(1, width):
         out += a.data[j:j + n_win] @ blocks[j]
     out += bias.data
+    np.maximum(out, 0.0, out=out)
 
     def bwd(g):
+        g = g * (out > 0)
         ga = np.zeros_like(a.data)
         gw = np.empty_like(w.data)
         for j, block in enumerate(blocks):
@@ -588,14 +583,14 @@ def lstm(xw: Tensor, u: Tensor, h0: Tensor, c0: Tensor, sizes: Sequence[int]) ->
         if n < live:  # the sequences past the first n have ended
             h, c, live = h[:n], c[:n], n
         sig_out, g_out, tc_out = rows_at(o, n)
-        a = pre[o:o + n] + h @ U
+        a = h @ U
+        a += pre[o:o + n]
         sig = _sigmoid(a[:, :3 * H], out=sig_out)
         g = np.tanh(a[:, 3 * H:], out=g_out)
-        c = sig[:, :H] * c + sig[:, H:2 * H] * g
+        c = np.multiply(sig[:, :H], c, out=out[1, o:o + n])  # h and c go straight to out
+        c += sig[:, H:2 * H] * g
         tc = np.tanh(c, out=tc_out)
-        h = sig[:, 2 * H:] * tc
-        out[0, o:o + n] = h
-        out[1, o:o + n] = c
+        h = np.multiply(sig[:, 2 * H:], tc, out=out[0, o:o + n])
         o += n
 
     def bwd(grad):
@@ -696,19 +691,33 @@ def gru(xw: Tensor, u: Tensor, h0: Tensor, sizes: Sequence[int]) -> Tensor:
 
 
 class ParamSet:
-    """Named trainable tensors with deterministic seeded initialization."""
+    """Named trainable tensors with deterministic seeded initialization, or with given
+    values: a set built on `arrays` draws nothing, and each parameter is a copy of
+    the named array, made once. The set lets go of each given array as it takes
+    it, so a loaded checkpoint's parameters keep nothing of its file's bytes."""
 
-    def __init__(self, seed: int = 0):
-        self._rng = np.random.default_rng(seed)
+    def __init__(self, seed: int = 0, arrays: dict[str, np.ndarray] | None = None):
+        self._rng = np.random.default_rng(seed) if arrays is None else None
+        self._arrays = None if arrays is None else dict(arrays)
         self._params: dict[str, Tensor] = {}
 
     def new(self, name: str, shape: tuple[int, ...], fan_in: int | None = None) -> Tensor:
-        """Create a parameter initialized uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+        """Create a parameter initialized uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)],
+        or, in a set built on arrays, a copy of the array of that name, whose shape
+        must match."""
         if name in self._params:
             raise KeyError(f"duplicate parameter name {name!r}")
-        fan = fan_in if fan_in is not None else shape[0]
-        bound = 1.0 / math.sqrt(max(fan, 1))
-        t = Tensor(self._rng.uniform(-bound, bound, size=shape), name=name)
+        if self._arrays is None:
+            fan = fan_in if fan_in is not None else shape[0]
+            bound = 1.0 / math.sqrt(max(fan, 1))
+            data = self._rng.uniform(-bound, bound, size=shape)
+        else:
+            if name not in self._arrays:
+                raise KeyError(f"parameter name mismatch: no array for parameter {name!r}")
+            data = np.array(self._arrays.pop(name), dtype=np.float64)
+            if data.shape != tuple(shape):
+                raise ShapeError(f"parameter {name!r} shape {data.shape} != {tuple(shape)}")
+        t = Tensor(data, name=name)
         self._params[name] = t
         return t
 

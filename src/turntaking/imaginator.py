@@ -53,12 +53,16 @@ _LOWEST = np.finfo(np.float64).min
 
 
 class ImaginatorModel:
-    """Embeddings + encoder/decoder LSTM + attention + output head."""
+    """Embeddings + encoder/decoder LSTM + attention + output head.
+
+    The parameters are drawn from `seed`, or are copies of the given `arrays`
+    (`autodiff.ParamSet`), which is how a checkpoint loads."""
 
     def __init__(self, vocab_size: int, role: str, hidden: int = 128,
                  token_dim: int = 100, tag_dim: int = 8,
                  turn_cap: int = DEFAULT_TURN_CAP, subturn_cap: int = DEFAULT_SUBTURN_CAP,
-                 max_history: int = DEFAULT_MAX_HISTORY, seed: int = 0):
+                 max_history: int = DEFAULT_MAX_HISTORY, seed: int = 0,
+                 arrays: dict[str, np.ndarray] | None = None):
         if role not in (AGENT, USER):
             raise ValueError(f"unknown role {role!r}")
         self.vocab_size = vocab_size
@@ -71,7 +75,7 @@ class ImaginatorModel:
         self.max_history = max_history
         self.seed = seed
 
-        p = ad.ParamSet(seed=seed)
+        p = ad.ParamSet(seed=seed, arrays=arrays)
         p.new("emb.token", (vocab_size, token_dim), fan_in=token_dim)
         p.new("emb.role", (2, tag_dim), fan_in=tag_dim)
         p.new("emb.turn", (turn_cap + 1, tag_dim), fan_in=tag_dim)

@@ -7,7 +7,9 @@ training config as text. Training never resumes from a checkpoint, so it
 holds no optimizer state. The file is a self-describing binary container
 (magic, version, content digest, JSON header, raw float64 tensors) with a
 human-readable sidecar; loading verifies the digest before touching any
-array, so a corrupt file never yields a partial model.
+array, so a corrupt file never yields a partial model. Loading draws no
+random initialization: the model is built on the file's arrays, each copied
+once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import arbitrator as arb
 from . import imaginator as im
-from .autodiff import Adam, TrainingError
+from .autodiff import Adam, ShapeError, TrainingError
 from .corpus import AGENT, USER, Vocabulary, _write_atomic
 
 CHECKPOINT_MAGIC = b"TTCP"
@@ -139,19 +141,27 @@ class TrainConfig:
         return dataclasses.asdict(self)
 
 
-def model_from_config(cfg: dict):
-    """The freshly initialized model a config describes, as `config()` of a model
-    gives it. Older imaginator configs carry `use_attention`; true is accepted,
-    and any other value is refused."""
+def model_from_config(cfg: dict, arrays: dict[str, np.ndarray] | None = None):
+    """The model a config describes, as `config()` of a model gives it: freshly
+    initialized, or, given arrays, holding a copy of each as a parameter, with
+    nothing drawn. Every parameter needs an array of its shape and
+    every array a parameter (KeyError or ShapeError otherwise). Older imaginator
+    configs carry `use_attention`; true is accepted, and any other value is
+    refused."""
     cfg = dict(cfg)
     kind = cfg.pop("kind", None)
     if kind == "imaginator":
         if cfg.pop("use_attention", True) is not True:
             raise ValueError("imaginators without attention are not supported")
-        return im.ImaginatorModel(**cfg)
-    if kind == "arbitrator":
-        return arb.ArbitratorModel(**cfg)
-    raise ValueError(f"unknown model kind {kind!r}")
+        model = im.ImaginatorModel(**cfg, arrays=arrays)
+    elif kind == "arbitrator":
+        model = arb.ArbitratorModel(**cfg, arrays=arrays)
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    extra = sorted(set(arrays or ()) - set(model.params.names()))
+    if extra:
+        raise KeyError(f"parameter name mismatch: arrays {extra} name no parameter")
+    return model
 
 
 def build_model(cfg: TrainConfig, vocab_size: int):
@@ -238,9 +248,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
     """Read and verify a checkpoint; raises CheckpointError before returning
     anything if the file fails any structural or integrity check.
 
-    The parameters are read in place from the file's bytes and copied once,
-    into the model. Files written by older versions may carry an optimizer
-    section after the parameters: its size is checked, and it is skipped.
+    The model is built on the arrays read in place from the file's bytes, so
+    nothing is drawn at random, and each parameter is copied once, into the
+    model. Files written by older versions may carry an optimizer section after
+    the parameters: its size is checked, and it is skipped.
     """
     blob = memoryview(Path(path).read_bytes())
     if len(blob) < 48:
@@ -276,19 +287,17 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
     if needed != payload_len - offset:
         raise CheckpointError(f"payload: the array index describes {needed} bytes of arrays, "
                               f"the payload holds {payload_len - offset}")
-    try:
-        model = model_from_config(header["model"])
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"header: model config rejected ({e})") from None
     arrays = {}
     for name, shape in index:
         count = math.prod(shape)
         arrays[name] = np.frombuffer(payload, "<f8", count, offset).reshape(shape)
         offset += 8 * count
     try:
-        model.params.load_arrays(arrays)
-    except (KeyError, ValueError) as e:
+        model = model_from_config(header["model"], arrays)
+    except (KeyError, ShapeError) as e:
         raise CheckpointError(f"parameters: {e.args[0]}") from None
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"header: model config rejected ({e})") from None
     return Checkpoint(model=model, metadata=header["metadata"],
                       vocab_hash=header["vocab_hash"],
                       train_config_text=header.get("train_config"))

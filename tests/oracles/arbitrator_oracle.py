@@ -4,8 +4,9 @@
 the tests pin its logits and gradients to this path, which is how the
 package ran before. It uses the package's tape ops and parameter layout but
 none of its batching: one text is one TextCNN map, whose windows are copied
-out side by side and multiplied as one matrix, or one B=1 Bi-GRU pass,
-whose backward direction reverses the projected rows of that text alone.
+out side by side, multiplied as one matrix and rectified by a ReLU node of
+their own, or one B=1 Bi-GRU pass, whose backward direction reverses the
+projected rows of that text alone.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ from turntaking.corpus import AGENT, EOS, PAD, USER
 from turntaking.imaginator import embed_records, greedy_decode, project
 
 
+def relu(a: ad.Tensor) -> ad.Tensor:
+    """max(a, 0) as a tape node of its own, as the package had it before `conv_rows`
+    took the ReLU in."""
+    return ad.Tensor(np.maximum(a.data, 0.0), _parents=(a,),
+                     _bwd=lambda g: ad._acc(a, g * (a.data > 0), fresh=True))
+
+
 def textcnn_text(model, enc) -> ad.Tensor:
     """[1, total filters] for one text."""
     emb = embed_records(model.params, _normalize_for_cnn(enc, max(model.filter_widths), 0))
@@ -27,7 +35,7 @@ def textcnn_text(model, enc) -> ad.Tensor:
     for k in model.filter_widths:
         n_win = emb.shape[0] - k + 1  # window i is rows i .. i + k - 1, side by side
         windows = ad.concat_cols([ad.part(emb, rows=slice(j, j + n_win)) for j in range(k)])
-        fmap = ad.relu(ad.matmul(windows, model.params[f"cnn.W_{k}"],
+        fmap = relu(ad.matmul(windows, model.params[f"cnn.W_{k}"],
                                  bias=model.params[f"cnn.b_{k}"]))
         feats.append(ad.max_over_time(fmap, [(0, n_win)]))
     return ad.concat_cols(feats)

@@ -76,7 +76,6 @@ def _op_losses():
 
     case("matmul", [(3, 4), (4, 2), (2,)], lambda a, b, c: ad.tanh(ad.matmul(a, b, bias=c)))
     case("tanh", [(3, 4)], ad.tanh)
-    case("relu", [(3, 4)], ad.relu)
     case("softmax", [(3, 5)], ad.softmax)
     case("log_softmax_nll", [(3, 5)],
          lambda a: ad.log_softmax_nll(a, [1, 0, 4], mask=np.array([1.0, 1.0, 0.0])))
@@ -89,7 +88,8 @@ def _op_losses():
     case("concat_cols", [(3, 2), (3, 4)], lambda a, b: ad.tanh(ad.concat_cols([a, b])))
     case("reshape", [(3, 4)], lambda a: ad.tanh(ad.reshape(a, (4, 3))))
     case("rows", [(6, 3)], lambda t: ad.tanh(ad.rows(t, [0, 2, 2, 5])))
-    case("conv_rows", [(5, 3), (6, 2), (2,)], lambda a, w, b: ad.tanh(ad.conv_rows(a, w, b, 2)))
+    # half of these 12 sums are negative, and none is within 0.06 of the ReLU's kink
+    case("conv_rows", [(5, 3), (6, 3), (3,)], lambda a, w, b: ad.tanh(ad.conv_rows(a, w, b, 2)))
     # two queries per batch entry, and a constant mask bias that takes no gradient
     score_bias = rng.normal(size=(2, 2))
     case("dot_scores", [(2, 2, 3), (2, 2, 3)],

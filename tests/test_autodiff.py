@@ -45,10 +45,6 @@ class TestElementwise:
         out = np.empty_like(x)
         assert ad._sigmoid(x, out=out) is out and np.array_equal(out, ad._sigmoid(x))
 
-    def test_relu_values(self):
-        out = ad.relu(ad.constant([-3.0, 0.0, 2.0])).data
-        assert out.tolist() == [0.0, 0.0, 2.0]
-
     def test_tanh_odd(self):
         x = np.array([0.1, -0.7, 2.0])
         a = ad.tanh(ad.constant(x)).data
@@ -231,15 +227,16 @@ class TestBackward:
         assert x.grad.base is None and w.grad.base is None
 
     def test_fresh_products_match_copies_bit_for_bit(self, monkeypatch):
-        """matmul, relu and tanh store the gradient products they allocate without
-        a copy; the gradients equal those of a copy-always store."""
+        """matmul, conv_rows and tanh store the gradient products they allocate
+        without a copy; the gradients equal those of a copy-always store."""
         def grads():
             ps = ad.ParamSet(seed=5)
             x, w = ps.new("x", (3, 4), fan_in=1), ps.new("w", (4, 4), fan_in=1)
-            y = ad.relu(ad.matmul(ad.tanh(x), w))
+            b = ps.new("b", (4,), fan_in=1)
+            y = ad.conv_rows(ad.tanh(x), w, b, 1)
             ad.backward(total(ad.concat_cols([y, ad.tanh(ad.matmul(y, w)), x]),
                               np.linspace(-1.0, 1.0, 36).reshape(3, 12)))
-            return x.grad.copy(), w.grad.copy()
+            return x.grad.copy(), w.grad.copy(), b.grad.copy()
 
         stored = grads()
         copying = ad._acc
@@ -285,7 +282,7 @@ class TestRelease:
         ps = ad.ParamSet(seed=2)
         x, w = ps.new("x", (3, 4), fan_in=1), ps.new("w", (4, 4), fan_in=1)
         h = ad.tanh(ad.matmul(x, w))
-        y = ad.relu(ad.matmul(h, w))
+        y = ad.tanh(ad.matmul(h, w))
         loss = total(ad.concat_cols([y, h, ad.part(x, cols=slice(0, 2))]),
                      np.linspace(-1.0, 1.0, 30).reshape(3, 10))
         return ps, loss
@@ -306,7 +303,7 @@ class TestRelease:
         x = ps.new("x", (3, 4), fan_in=1)
         h = ad.tanh(x)
         alive = weakref.ref(h.data)
-        loss = total(ad.relu(h), 1.0)
+        loss = total(ad.tanh(h), 1.0)
         del h
         assert alive() is not None  # the recorded graph holds it
         ad.backward(loss)
@@ -326,7 +323,7 @@ class TestRelease:
         h = ad.tanh(x)
         ad.backward(total(h, 1.0))
         with pytest.raises(RuntimeError, match=r"Tensor\(shape=\(3, 4\)\), tape node"):
-            ad.backward(total(ad.relu(h), 1.0))
+            ad.backward(total(ad.tanh(h), 1.0))
 
 
 class TestNoGrad:
@@ -436,7 +433,7 @@ class TestFiniteDifferences:
         b = ps.new("b", (3,), fan_in=8)
 
         def build():
-            conv = ad.relu(ad.conv_rows(E, F, b, 2))
+            conv = ad.conv_rows(E, F, b, 2)
             return total(ad.max_over_time(conv, [(0, 2), (3, 5)]), 1.0)
 
         assert fd(build, ps) < 1e-6
@@ -685,6 +682,21 @@ class TestStructuredOps:
             np.testing.assert_allclose(out[i], x[i:i + 2].reshape(-1) @ w + [0.5, -1.0],
                                        rtol=1e-15)
 
+    def test_conv_rows_rectifies(self):
+        """The ReLU is part of the op: negative sums become 0, and so do their gradients."""
+        x = ad.constant(np.array([[1.0], [-2.0], [0.5]]))
+        w, b = ad.constant(np.array([[1.0], [1.0]])), ad.constant(np.array([0.5]))
+        out = ad.conv_rows(x, w, b, 2)  # window sums -1 and -1.5, plus 0.5
+        assert out.data.tolist() == [[0.0], [0.0]]
+        ps = ad.ParamSet(seed=0)
+        y = ps.new("y", (3, 1))
+        y.data = np.array([[3.0], [-4.0], [2.0]])  # window sums -1 and -2
+        ad.backward(total(ad.conv_rows(y, w, ad.constant(np.array([0.5])), 2), 1.0))
+        assert y.grad.tolist() == [[0.0], [0.0], [0.0]]
+        y.grad = None  # with bias 1.5 only the first window is positive
+        ad.backward(total(ad.conv_rows(y, w, ad.constant(np.array([1.5])), 2), 1.0))
+        assert y.grad.tolist() == [[1.0], [1.0], [0.0]]
+
     def test_conv_rows_width_must_fit(self):
         with pytest.raises(ad.ShapeError):
             ad.conv_rows(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((9, 1))),
@@ -709,12 +721,14 @@ class TestStructuredOps:
            st.integers(0, 2**32 - 1))
     def test_conv_rows_equals_im2col(self, width, extra, d, n, seed):
         """Values and the gradients of rows, weights and bias against a copy of every
-        window (im2col) times the weights as one product."""
+        window (im2col) times the weights as one product, then a ReLU."""
         rng = np.random.default_rng(seed)
         l = width + extra
         x, w, b = rng.normal(size=(l, d)), rng.normal(size=(width * d, n)), rng.normal(size=n)
-        g = rng.normal(size=(l - width + 1, n))
         cols = np.stack([x[i:i + width].reshape(-1) for i in range(l - width + 1)])
+        pre = cols @ w + b
+        g_out = rng.normal(size=pre.shape)
+        g = g_out * (pre > 0)  # the gradient that reaches the sums
         want_x = np.zeros_like(x)
         for i, row in enumerate(g @ w.T):
             want_x[i:i + width] += row.reshape(width, d)
@@ -723,9 +737,9 @@ class TestStructuredOps:
         tx, tw, tb = (ps.new(name, v.shape) for name, v in (("x", x), ("w", w), ("b", b)))
         tx.data, tw.data, tb.data = x.copy(), w.copy(), b.copy()
         out = ad.conv_rows(tx, tw, tb, width)
-        ad.backward(total(out, g))
+        ad.backward(total(out, g_out))
         close = dict(rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.data, cols @ w + b, **close)
+        np.testing.assert_allclose(out.data, np.maximum(pre, 0.0), **close)
         np.testing.assert_allclose(tx.grad, want_x, **close)
         np.testing.assert_allclose(tw.grad, cols.T @ g, **close)
         np.testing.assert_allclose(tb.grad, g.sum(axis=0), **close)

@@ -6,9 +6,11 @@ and is the ground truth for beam search; a batch of histories is pinned to
 decoding each history alone, at every width.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from turntaking import autodiff as ad
 from turntaking import corpus as cp
@@ -477,6 +479,48 @@ class TestBeamDecode:
         enc = enc_of(m, rand_history(np.random.default_rng(4)), vocab)
         assert im.beam_decode(m, [enc], beam_width=4, max_len=8)[0] == \
             im.beam_decode(m, [enc], beam_width=4, max_len=8)[0]
+
+
+def _select_reference(scores, width):
+    """The top `width` finite entries of every row by sorting it, value descending
+    and then index ascending; the kept entries listed by flat index, with their
+    values and their ranks within the row."""
+    flat, val, rank = [], [], []
+    for r, row in enumerate(scores.tolist()):
+        finite = [j for j, v in enumerate(row) if v > -math.inf]
+        kept = sorted(sorted(finite, key=lambda j: (-row[j], j))[:width])
+        flat += [r * len(row) + j for j in kept]
+        val += [row[j] for j in kept]
+        rank += list(range(len(kept)))
+    return flat, val, rank
+
+
+@st.composite
+def score_tables(draw):
+    """A width and a [rows, n] table of few distinct values, so that ties at the cut,
+    rows of -inf and rows with fewer than width finite entries are all common."""
+    width = draw(st.integers(1, 5))
+    n_rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    cells = st.sampled_from([-math.inf, -2.5, -0.5, 0.0, 1.5])
+    return draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                         min_size=n_rows, max_size=n_rows)), width
+
+
+class TestSelect:
+    @settings(max_examples=300, deadline=None)
+    @given(score_tables())
+    @example(([[0.0, 1.5, 1.5, 1.5, -0.5]], 2))  # a tie at the cut
+    @example(([[-math.inf] * 4, [0.0, -0.5, 0.0, 1.5]], 2))  # a dead row
+    @example(([[-math.inf, 0.0, -math.inf], [1.5, -0.5, 0.0]], 3))  # fewer finite than width
+    @example(([[0.0, 0.0, -0.5], [-0.5, 0.0, 0.0]], 1))  # width 1, tied maxima
+    def test_select_is_the_sorted_top_width(self, table):
+        rows, width = table
+        scores = np.array(rows, dtype=np.float64)
+        flat, val, rank = im._select(scores, width)
+        want_flat, want_val, want_rank = _select_reference(scores, width)
+        assert flat.tolist() == want_flat
+        assert val.tolist() == want_val
+        assert rank.tolist() == want_rank
 
 
 class TestFullGradient:

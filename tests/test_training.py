@@ -8,6 +8,7 @@ model state is produced.
 import hashlib
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from turntaking.corpus import (
 from turntaking.imaginator import ImaginatorModel, greedy_decode
 from turntaking.training import (
     CHECKPOINT_VERSION, Checkpoint, CheckpointError, TrainConfig, TrainResult,
-    append_metrics, build_model, load_checkpoint, run_training, save_checkpoint,
+    append_metrics, build_model, load_checkpoint, model_from_config, run_training,
+    save_checkpoint,
 )
 
 FILLERS = ["red", "blue", "green", "ok", "done", "book", "a", "table"]
@@ -174,6 +176,62 @@ class TestCheckpoint:
                 + hashlib.sha256(payload).digest() + struct.pack("<Q", len(payload)) + payload)
         assert path.read_bytes() == want
 
+    @staticmethod
+    def _first_offset(path):
+        """The file offset of a checkpoint's first array."""
+        return 52 + struct.unpack("<I", path.read_bytes()[48:52])[0]
+
+    def test_unaligned_arrays_load_bit_identical(self, vocab, tmp_path):
+        """With the first array at each of the 8 file offsets mod 8, a file loads to the
+        same parameters, aligned and writable, and saves again byte for byte."""
+        m = ArbitratorModel(vocab_size=len(vocab), encoder="textcnn", mode="ita",
+                            token_dim=5, tag_dim=1, filters_per_width=3, seed=2)
+        residues = set()
+        for pad in range(8):
+            path = tmp_path / f"a{pad}.ckpt"
+            save_checkpoint(m, path, self.HASH, {"note": "x" * pad})
+            residues.add(self._first_offset(path) % 8)
+            loaded = load_checkpoint(path).model
+            for name, p in m.params.items():
+                got = loaded.params[name].data
+                assert np.array_equal(got, p.data), name
+                assert got.flags.aligned and got.flags.writeable and got.flags.owndata, name
+            save_checkpoint(loaded, tmp_path / "again.ckpt", self.HASH, {"note": "x" * pad})
+            assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+        assert residues == set(range(8))
+
+    @pytest.mark.parametrize("shift", [0, 3], ids=["aligned", "misaligned"])
+    def test_model_keeps_nothing_of_the_given_arrays(self, vocab, shift):
+        """A model built on arrays holds copies of them: the buffer they view, as a
+        loaded file's arrays view its bytes, is freed once the caller lets go of it."""
+        m = tiny_imaginator(vocab)
+        buf = np.zeros(shift + sum(p.data.nbytes for _, p in m.params.items()), np.uint8)
+        arrays, offset = {}, shift
+        for name, p in m.params.items():
+            arrays[name] = np.frombuffer(buf, "<f8", p.data.size, offset).reshape(p.shape)
+            arrays[name][...] = p.data
+            offset += p.data.nbytes
+        freed = weakref.ref(buf)
+        built = model_from_config(m.config(), arrays)
+        del buf, arrays
+        assert freed() is None
+        for name, p in m.params.items():
+            assert np.array_equal(built.params[name].data, p.data), name
+
+    def test_loading_draws_no_initialization(self, vocab, tmp_path, monkeypatch):
+        """Loading builds the model on the file's arrays: no parameter is drawn."""
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+
+        class NoDraws:
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("a parameter was drawn while loading a checkpoint")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+        load_checkpoint(path)
+        with pytest.raises(AssertionError, match="drawn"):
+            tiny_imaginator(vocab)  # the guard holds for a fresh model
+
     def test_sidecar_written(self, vocab, tmp_path):
         m = tiny_imaginator(vocab)
         path = tmp_path / "a.ckpt"
@@ -316,6 +374,18 @@ class TestCheckpoint:
 
         with pytest.raises(CheckpointError, match="parameters: parameter name mismatch"):
             load_checkpoint(self._reframe(path, rename))
+
+    @pytest.mark.parametrize("edit, tail, match", [
+        (lambda h: h["arrays"].append(["zz", [1]]), bytes(8),
+         r"parameters: parameter name mismatch: arrays \['zz'\] name no parameter"),
+        (lambda h: next(e for e in h["arrays"] if e[0] == "enc.b").__setitem__(1, [2, 16]), b"",
+         r"parameters: parameter 'enc.b' shape \(2, 16\) != \(32,\)"),
+    ], ids=["extra-array", "wrong-shape"])
+    def test_arrays_that_do_not_fit_the_model_rejected(self, vocab, tmp_path, edit, tail, match):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(self._reframe(path, edit, tail))
 
     @pytest.mark.parametrize("key", ["arrays", "model", "vocab_hash", "metadata"])
     def test_header_without_key_rejected(self, vocab, tmp_path, key):
