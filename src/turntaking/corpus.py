@@ -43,8 +43,23 @@ class IngestError(ValueError):
     """A source record violated its schema; the message carries a locator."""
 
 
+def _clean_tokens(tokens: Sequence[str]) -> bool:
+    """Whether every token is non-empty and free of `str.isspace()` characters.
+
+    `str.split()` breaks exactly at those characters and drops empty pieces, so
+    joining on spaces and splitting again gives the tokens back just when they
+    are clean: one pass in C, not one `isspace` call per character.
+    """
+    return " ".join(tokens).split() == list(tokens)
+
+
 @dataclass(frozen=True)
 class Utterance:
+    """One message of a dialogue, or one subturn of a split user message.
+
+    The token rule: tokens are non-empty and hold no whitespace character
+    (`str.isspace()`), which `_clean_tokens` checks once per utterance.
+    """
     role: str
     turn_index: int
     subturn_index: int
@@ -59,7 +74,7 @@ class Utterance:
             raise ValueError("agent utterances are never split into subturns")
         if not self.tokens:
             raise ValueError("utterance has no tokens")
-        if any((not t) or any(c.isspace() for c in t) for t in self.tokens):
+        if not _clean_tokens(self.tokens):
             raise ValueError("tokens must be non-empty and whitespace-free")
 
 
@@ -247,7 +262,11 @@ def mask_slots(dialogue: Dialogue, value_map: dict[str, list[str]]) -> Dialogue:
     """Replace annotated slot values with single bracketed placeholder tokens.
 
     Matching is on token subsequences, longest value first, scanning left to
-    right; an empty map is the identity.
+    right; an empty map is the identity. The patterns are indexed by their first
+    token, so an utterance that holds no first token is returned as it is (the
+    same object) after one set test, and at each position of the others only the
+    patterns starting with that position's token are tried, still longest first.
+    An utterance in which nothing matched is returned as it is too.
     """
     if not value_map:
         return dialogue
@@ -259,14 +278,20 @@ def mask_slots(dialogue: Dialogue, value_map: dict[str, list[str]]) -> Dialogue:
                 patterns.append((toks, f"[{name.lower()}]"))
     # longest first so "01223 323737" wins over a bare "01223"
     patterns.sort(key=lambda p: (-len(p[0]), p[0], p[1]))
-    if not patterns:
+    by_first: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+    for pat, repl in patterns:
+        by_first.setdefault(pat[0], []).append((pat, repl))
+    if not by_first:
         return dialogue
 
-    def mask_tokens(tokens: tuple[str, ...]) -> tuple[str, ...]:
+    def mask(u: Utterance) -> Utterance:
+        tokens = u.tokens
+        if by_first.keys().isdisjoint(tokens):
+            return u
         out: list[str] = []
         i = 0
         while i < len(tokens):
-            for pat, repl in patterns:
+            for pat, repl in by_first.get(tokens[i], ()):
                 if tokens[i:i + len(pat)] == pat:
                     out.append(repl)
                     i += len(pat)
@@ -274,13 +299,12 @@ def mask_slots(dialogue: Dialogue, value_map: dict[str, list[str]]) -> Dialogue:
             else:
                 out.append(tokens[i])
                 i += 1
-        return tuple(out)
+        masked = tuple(out)
+        if masked == tokens:
+            return u
+        return Utterance(u.role, u.turn_index, u.subturn_index, masked)
 
-    utts = tuple(
-        Utterance(u.role, u.turn_index, u.subturn_index, mask_tokens(u.tokens))
-        for u in dialogue.utterances
-    )
-    return Dialogue(dialogue.id, utts)
+    return Dialogue(dialogue.id, tuple(mask(u) for u in dialogue.utterances))
 
 
 def _dialogue_rng(seed: int, dialogue_id: str) -> np.random.Generator:
@@ -290,37 +314,36 @@ def _dialogue_rng(seed: int, dialogue_id: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def _boundary_positions(tokens: Sequence[str]) -> list[int]:
-    """Indices i such that tokens[:i+1] | tokens[i+1:] is a legal split."""
-    return [i for i in range(len(tokens) - 1) if tokens[i] in SPLIT_PUNCTUATION]
-
-
 def split_utterances(dialogue: Dialogue, p_split: float, seed: int) -> Dialogue:
     """Split user utterances at sentence punctuation, each boundary with p_split.
 
     The punctuation token stays on the left segment. Segments become
     consecutive subturns of the same turn. Agent utterances pass through.
+    Boundaries are the positions, short of the last, of a token in
+    SPLIT_PUNCTUATION. Each user utterance with k of them draws its k coins
+    with one `rng.random(k)` call from the dialogue's generator, which is the
+    same stream as k scalar draws; a boundary is cut when its coin is below
+    p_split. An utterance without boundaries draws nothing.
     """
     if not 0.0 <= p_split <= 1.0:
         raise ValueError(f"p_split must be a probability, got {p_split}")
     rng = _dialogue_rng(seed, dialogue.id)
     out: list[Utterance] = []
     for u in dialogue.utterances:
-        if u.role != USER:
+        tokens = u.tokens
+        if u.role != USER or SPLIT_PUNCTUATION.isdisjoint(tokens[:-1]):
             out.append(u)
             continue
-        cuts = [i for i in _boundary_positions(u.tokens) if rng.random() < p_split]
+        bounds = [i for i, t in enumerate(tokens[:-1]) if t in SPLIT_PUNCTUATION]
+        cuts = [c for c, coin in zip(bounds, rng.random(len(bounds)).tolist()) if coin < p_split]
         if not cuts:
             out.append(u)
             continue
-        segments = []
         start = 0
-        for c in cuts:
-            segments.append(u.tokens[start:c + 1])
+        for j, c in enumerate(cuts):
+            out.append(Utterance(USER, u.turn_index, j, tokens[start:c + 1]))
             start = c + 1
-        segments.append(u.tokens[start:])
-        for j, seg in enumerate(segments):
-            out.append(Utterance(USER, u.turn_index, j, tuple(seg)))
+        out.append(Utterance(USER, u.turn_index, len(cuts), tokens[start:]))
     return Dialogue(dialogue.id, tuple(out))
 
 
@@ -415,7 +438,7 @@ class Vocabulary:
             token, tab, count = line.partition("\t")
             if not tab:
                 raise IngestError(f"{path}:{n}: expected 'token<TAB>count', found no tab")
-            if not token or any(c.isspace() for c in token):
+            if not _clean_tokens((token,)):
                 raise IngestError(f"{path}:{n}: token {token!r} is empty or holds whitespace")
             try:
                 freqs.append(int(count))

@@ -663,6 +663,41 @@ class TestParamSet:
         with pytest.raises(KeyError):
             ps.new("w", (2,), fan_in=2)
 
+    def test_draw_is_bit_identical_to_uniform(self):
+        """The in-place draw gives `uniform(-b, b)`'s values, parameter after parameter."""
+        shapes = [((3,), None), ((7, 5), None), ((40, 12), 9), ((1,), 1), ((300, 64), 64)]
+        ps, rng = ad.ParamSet(seed=17), np.random.default_rng(17)
+        for k, (shape, fan_in) in enumerate(shapes):
+            b = 1.0 / math.sqrt(max(fan_in if fan_in is not None else shape[0], 1))
+            got = ps.new(f"p{k}", shape, fan_in=fan_in).data
+            assert np.array_equal(got, rng.uniform(-b, b, size=shape)), shape
+
+    def test_parameters_sit_on_64_byte_boundaries(self):
+        """Drawn, given and restored parameters all start on a PARAM_ALIGN boundary, and
+        a restore writes into the storage the parameter already has."""
+        shapes = [(1,), (3,), (5, 7), (33, 9), (128, 512)]
+        drawn = ad.ParamSet(seed=0)
+        for k, shape in enumerate(shapes):
+            drawn.new(f"p{k}", shape)
+        raw = np.zeros(1 + sum(math.prod(sh) for sh in shapes))
+        given, offset = {}, 1  # views one float past the buffer's start
+        for name, p in drawn.items():
+            given[name] = raw[offset:offset + p.data.size].reshape(p.shape)
+            given[name][...] = p.data
+            offset += p.data.size
+        built = ad.ParamSet(arrays=given)
+        for k, shape in enumerate(shapes):
+            built.new(f"p{k}", shape)
+        storage = {name: p.data for name, p in drawn.items()}
+        drawn.load_arrays({name: a * 2.0 for name, a in built.as_arrays().items()})
+        assert ad.PARAM_ALIGN == 64
+        for name, p in drawn.items():
+            assert p.data is storage[name], name
+            assert np.array_equal(p.data, 2.0 * built[name].data), name
+            for t in (p, built[name]):
+                assert t.data.ctypes.data % 64 == 0 and t.data.flags.c_contiguous, name
+            assert not np.shares_memory(built[name].data, raw), name
+
     def test_load_arrays_checks_names_and_shapes(self):
         ps = ad.ParamSet(seed=0)
         ps.new("a", (2,), fan_in=2)

@@ -8,12 +8,15 @@ separate streaming pass.
 
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import corpus_oracle as oracle
 from turntaking import corpus as cp
+from turntaking import synthetic
 
 
 def utt(role, turn, sub, text):
@@ -115,7 +118,89 @@ class TestIngest:
             cp.ingest_source(path, "generic-jsonl")
 
 
+# characters str.split() breaks at (and str.isspace() holds for), next to plain ones
+_SPACES = ["\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", " ",
+           "\x85", "\xa0", "\u1680", "\u2000", "\u2028", "\u2029", "\u3000"]
+_tokens = st.lists(st.text(st.sampled_from(["a", "b", ".", "\u200b", "\x00"] + _SPACES),
+                           max_size=4), max_size=5)
+
+
+class TestTokenRule:
+    """`_clean_tokens` is the per-character rule, one join-and-split in C."""
+
+    def test_every_code_point(self):
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]
+        assert [cp._clean_tokens((c,)) for c in chars] == [not c.isspace() for c in chars]
+        assert [cp._clean_tokens(("a", f"b{c}b")) for c in chars] == [not c.isspace() for c in chars]
+
+    @settings(max_examples=300)
+    @given(_tokens)
+    def test_equals_the_per_character_rule(self, tokens):
+        assert cp._clean_tokens(tokens) == oracle.clean_tokens(tokens)
+        assert cp._clean_tokens(tuple(tokens)) == oracle.clean_tokens(tokens)
+
+    @settings(max_examples=200)
+    @given(_tokens.filter(bool))
+    def test_utterance_accepts_exactly_clean_tokens(self, tokens):
+        if oracle.clean_tokens(tokens):
+            assert cp.Utterance(cp.USER, 0, 0, tuple(tokens)).tokens == tuple(tokens)
+        else:
+            with pytest.raises(ValueError, match="whitespace-free"):
+                cp.Utterance(cp.USER, 0, 0, tuple(tokens))
+
+    @pytest.mark.parametrize("token", ["", "a\tb", "\xa0", "x\u3000", "\u1680y", " "])
+    def test_each_bad_token_rejected(self, token):
+        with pytest.raises(ValueError, match="whitespace-free"):
+            cp.Utterance(cp.AGENT, 0, 0, ("ok", token))
+
+
+# slot values built from few words, so that values overlap, repeat, share a
+# first token or are prefixes of one another
+_slot_word = st.sampled_from(["a", "b", "c", "A", "."])
+_value_maps = st.dictionaries(
+    st.sampled_from(["name", "Phone", "area"]),
+    st.lists(st.lists(_slot_word, max_size=3).map(" ".join), max_size=4),
+    max_size=3)
+
+
+@st.composite
+def slot_dialogues(draw):
+    utts = tuple(cp.Utterance(cp.USER if t % 2 == 0 else cp.AGENT, t, 0,
+                              tuple(draw(st.lists(st.sampled_from(["a", "b", "c", "d", "."]),
+                                                  min_size=1, max_size=10))))
+                 for t in range(draw(st.integers(1, 4))))
+    return cp.Dialogue("x", utts)
+
+
 class TestMaskSlots:
+    @settings(max_examples=400)
+    @given(slot_dialogues(), _value_maps)
+    def test_equals_the_every_pattern_scan(self, d, value_map):
+        got = cp.mask_slots(d, value_map)
+        assert got == oracle.mask_slots(d, value_map)
+        for before, after in zip(d.utterances, got.utterances):
+            if after.tokens == before.tokens:
+                assert after is before
+
+    @pytest.mark.parametrize("value_map", [
+        {"x": ["a b", "a"], "y": ["a b c"]},  # prefixes, shared first token
+        {"x": ["b c"], "y": ["a b"]},  # overlapping values
+        {"x": ["a", "a", "A"], "y": ["a"]},  # repeated values, two names
+        {"x": ["", "  "]},  # values with no tokens
+        {},
+    ])
+    def test_chosen_maps_equal_the_every_pattern_scan(self, value_map):
+        d = make_dialogue("x", (cp.USER, "a b c a b a . b c"), (cp.AGENT, "c a b c a"))
+        assert cp.mask_slots(d, value_map) == oracle.mask_slots(d, value_map)
+
+    def test_utterance_without_a_value_is_the_same_object(self):
+        d = make_dialogue("x", (cp.USER, "call 01223 323737 now"), (cp.AGENT, "sure ."),
+                          (cp.USER, "and 01223 again"))
+        masked = cp.mask_slots(d, {"phone": ["01223 323737"]})
+        assert masked.utterances[0] is not d.utterances[0]
+        assert masked.utterances[1] is d.utterances[1]  # no first token of a value
+        assert masked.utterances[2] is d.utterances[2]  # a first token, but no value
+
     def test_empty_map_is_identity(self):
         d = make_dialogue("x", (cp.USER, "call 01223 323737 now"))
         assert cp.mask_slots(d, {}) is d
@@ -217,6 +302,11 @@ class TestSplit:
         for subs in by_turn.values():
             assert subs == list(range(len(subs)))
 
+    @settings(max_examples=200)
+    @given(dialogues(), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**31))
+    def test_equals_one_scalar_draw_per_boundary(self, d, p, seed):
+        assert cp.split_utterances(d, p, seed) == oracle.split_utterances(d, p, seed)
+
     def test_expected_subturns_monotone_in_p(self):
         # statistical check over >= 1000 user turns
         ds = []
@@ -239,6 +329,18 @@ class TestSplit:
         means = [mean_subturns(p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert means[0] == 1.0
         assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
+
+
+class TestModifyCorpus:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 1009])
+    def test_equals_the_oracle_pipeline(self, tmp_path, seed):
+        path = tmp_path / "raw.json"
+        synthetic.write_multiwoz_like(synthetic.make_multiwoz_like(60, seed), path)
+        dialogues, annotations, _ = cp.ingest_source(path, "multiwoz-like")
+        for p in (0.0, 0.5, 1.0):
+            got = cp.modify_corpus(dialogues, annotations, p, seed)
+            assert got == oracle.modify_corpus(dialogues, annotations, p, seed)
+        assert any("[" in t for d in got for u in d.utterances for t in u.tokens)
 
 
 class TestSampleDerivation:
@@ -360,6 +462,12 @@ class TestVocabulary:
     def test_token_with_whitespace_is_located_error(self, tmp_path):
         path = self._saved_with_line(tmp_path, "hello world\t3")
         with pytest.raises(cp.IngestError, match=f"^{re.escape(str(path))}:9: token 'hello world'"):
+            cp.Vocabulary.load(path)
+
+    @pytest.mark.parametrize("token", ["", "no\xa0break", "\u3000", "a\u1680b"])
+    def test_empty_or_unicode_space_token_is_located_error(self, tmp_path, token):
+        path = self._saved_with_line(tmp_path, f"{token}\t3")
+        with pytest.raises(cp.IngestError, match=f"^{re.escape(str(path))}:9: token "):
             cp.Vocabulary.load(path)
 
 

@@ -9,6 +9,7 @@ import hashlib
 import json
 import struct
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,24 +182,52 @@ class TestCheckpoint:
         """The file offset of a checkpoint's first array."""
         return 52 + struct.unpack("<I", path.read_bytes()[48:52])[0]
 
-    def test_unaligned_arrays_load_bit_identical(self, vocab, tmp_path):
+    def test_unaligned_arrays_load_bit_identical(self, vocab, tmp_path, monkeypatch):
         """With the first array at each of the 8 file offsets mod 8, a file loads to the
-        same parameters, aligned and writable, and saves again byte for byte."""
+        same parameters, writable, 64-byte aligned and sharing no memory with the
+        file's bytes, and saves again byte for byte."""
         m = ArbitratorModel(vocab_size=len(vocab), encoder="textcnn", mode="ita",
                             token_dim=5, tag_dim=1, filters_per_width=3, seed=2)
+        read, blobs = Path.read_bytes, []
+
+        def read_and_keep(self):
+            blobs.append(read(self))
+            return blobs[-1]
+
+        monkeypatch.setattr(Path, "read_bytes", read_and_keep)
         residues = set()
         for pad in range(8):
             path = tmp_path / f"a{pad}.ckpt"
             save_checkpoint(m, path, self.HASH, {"note": "x" * pad})
             residues.add(self._first_offset(path) % 8)
             loaded = load_checkpoint(path).model
+            file_bytes = np.frombuffer(blobs[-1], np.uint8)
             for name, p in m.params.items():
                 got = loaded.params[name].data
                 assert np.array_equal(got, p.data), name
-                assert got.flags.aligned and got.flags.writeable and got.flags.owndata, name
+                assert got.flags.writeable and got.ctypes.data % 64 == 0, name
+                assert not np.shares_memory(got, file_bytes), name
             save_checkpoint(loaded, tmp_path / "again.ckpt", self.HASH, {"note": "x" * pad})
             assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
         assert residues == set(range(8))
+
+    def test_model_parameters_drawn_loaded_and_restored_are_aligned(self, vocab, tmp_path):
+        """Every parameter of a fresh model and of the model a checkpoint loads to starts
+        on a 64-byte boundary, and still does after `load_arrays`, which writes into
+        the storage the parameters already have."""
+        path = tmp_path / "a.ckpt"
+        for fresh in (tiny_imaginator(vocab),
+                      ArbitratorModel(vocab_size=len(vocab), encoder="bigru", mode="ita",
+                                      token_dim=5, tag_dim=1, gru_hidden=3, seed=2)):
+            save_checkpoint(fresh, path, self.HASH)
+            loaded = load_checkpoint(path).model
+            storage = [p.data for _, p in loaded.params.items()]
+            fresh.params.load_arrays(loaded.params.as_arrays())
+            loaded.params.load_arrays(fresh.params.as_arrays())
+            assert all(p.data is a for (_, p), a in zip(loaded.params.items(), storage))
+            for model in (fresh, loaded):
+                for name, p in model.params.items():
+                    assert p.data.ctypes.data % 64 == 0, name
 
     @pytest.mark.parametrize("shift", [0, 3], ids=["aligned", "misaligned"])
     def test_model_keeps_nothing_of_the_given_arrays(self, vocab, shift):
@@ -224,8 +253,10 @@ class TestCheckpoint:
         save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
 
         class NoDraws:
-            def uniform(self, *args, **kwargs):
+            def random(self, *args, **kwargs):
                 raise AssertionError("a parameter was drawn while loading a checkpoint")
+
+            uniform = random
 
         monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
         load_checkpoint(path)
