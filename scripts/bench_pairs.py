@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change pairs of the benchmark, in one command.
+
+Run from the repository root:
+
+    python3 scripts/bench_pairs.py --parent REV --workload W --seeds 1,2,3,1009 --seconds 40
+
+REV is checked out into a temporary git worktree, which is removed on exit.
+For each seed, bench/run.py runs once in that worktree (the parent) and once in
+this working tree (the change), with `--trace 0`, and the side that runs first
+alternates from pair to pair. The script then prints, for each end-to-end
+metric of BENCHMARK.json, each side's median and quartiles and the number of
+pairs in which the change reads better, and whether the claim rule holds: the
+change better in at least nine tenths of the pairs (ties count for neither),
+and the medians further apart than the parent's interquartile range. It flags
+every pair whose digests differ, whose runs are not both `correct`, or whose
+`failed` counts differ. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CLAIM_SHARE = 0.9
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `bench/run.py --trace 0` run in `tree`: its correctness, failed count,
+    digest and end-to-end metric values."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"bench/run.py in {tree} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    result = json.loads(lines[-1])
+    digest = re.search(r"\bdigest (\S+)", proc.stdout)
+    return {"correct": result["correct"], "failed": result["failed"],
+            "digest": digest.group(1) if digest else None,
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
+    """One row per end-to-end metric over (parent run, change run) pairs.
+
+    `metrics` are BENCHMARK.json's end-to-end entries ("name", "better"). A row
+    holds both sides' quartiles, the pairs in which the change is better, the
+    pairs with both values, and whether the claim rule holds."""
+    rows = []
+    for m in metrics:
+        name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
+        both = [(p["metrics"].get(name), c["metrics"].get(name)) for p, c in pairs]
+        both = [(p, c) for p, c in both if p is not None and c is not None]
+        if not both:
+            rows.append({"name": name, "pairs": 0, "better": 0, "claim": False})
+            continue
+        parent = _quartiles([p for p, _ in both])
+        change = _quartiles([c for _, c in both])
+        better = sum(sign * (c - p) < 0 for p, c in both)
+        apart = sign * (change[1] - parent[1]) < 0 and \
+            abs(change[1] - parent[1]) > parent[2] - parent[0]
+        rows.append({"name": name, "parent": parent, "change": change,
+                     "pairs": len(both), "better": better,
+                     "claim": better >= CLAIM_SHARE * len(both) and apart})
+    return rows
+
+
+def pair_flags(seeds: list[int], pairs: list[tuple[dict, dict]]) -> list[str]:
+    """A line for every pair whose digests differ, whose runs are not both
+    correct, or whose failed counts differ."""
+    flags = []
+    for i, (seed, (p, c)) in enumerate(zip(seeds, pairs)):
+        where = f"pair {i + 1} (seed {seed})"
+        if p["digest"] != c["digest"]:
+            flags.append(f"{where}: digests differ, parent {p['digest']}, change {c['digest']}")
+        for side, r in (("parent", p), ("change", c)):
+            if not r["correct"]:
+                flags.append(f"{where}: the {side} run is not correct")
+        if p["failed"] != c["failed"]:
+            flags.append(f"{where}: failed {p['failed']} (parent) != {c['failed']} (change)")
+    return flags
+
+
+def render(rows: list[dict], flags: list[str]) -> str:
+    def q(t):
+        return f"{t[1]:.6g} [{t[0]:.6g}, {t[2]:.6g}]"
+
+    lines = [f"{'metric':<14} {'parent median [q1, q3]':<36} {'change median [q1, q3]':<36} "
+             f"better  claim"]
+    for r in rows:
+        if not r["pairs"]:
+            lines.append(f"{r['name']:<14} no values")
+            continue
+        lines.append(f"{r['name']:<14} {q(r['parent']):<36} {q(r['change']):<36} "
+                     f"{r['better']}/{r['pairs']:<5} {'holds' if r['claim'] else 'not met'}")
+    lines += flags or ["every pair: digests equal, both runs correct, failed counts equal"]
+    return "\n".join(lines) + "\n"
+
+
+def _git(*args: str) -> None:
+    subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="the parent revision")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="comma-separated, one pair each")
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    parent_tree = tmp / "parent"
+    pairs = []
+    try:
+        _git("worktree", "add", "--detach", str(parent_tree), args.parent)
+        for i, seed in enumerate(seeds):
+            order = [("parent", parent_tree), ("change", ROOT)]
+            runs = {side: run_bench(tree, args.workload, seed, args.seconds)
+                    for side, tree in (order if i % 2 == 0 else order[::-1])}
+            pairs.append((runs["parent"], runs["change"]))
+            print(f"pair {i + 1} seed {seed} ({order[i % 2][0]} first): " + "  ".join(
+                f"{m['name']} {runs['parent']['metrics'].get(m['name'])} -> "
+                f"{runs['change']['metrics'].get(m['name'])}" for m in metrics), flush=True)
+    finally:
+        try:
+            _git("worktree", "remove", "--force", str(parent_tree))
+        except subprocess.CalledProcessError:
+            _git("worktree", "prune")
+        shutil.rmtree(tmp, ignore_errors=True)
+    sys.stdout.write(render(summarize(pairs, metrics), pair_flags(seeds, pairs)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,10 +31,22 @@ product over all positions (Appleyard et al., arXiv 1604.01946). Its batch is
 packed as by PyTorch's pack_padded_sequence, sorted longest first, so each
 step computes only the sequences still running; `place_rows` puts the packed
 states back into a padded layout.
+
+Freed memory stays in the process. A training step or a set-up frees arrays
+that the next one allocates again at the same sizes, and at glibc's default
+thresholds every array above 128 KiB is a fresh mapping that free returns to
+the OS, so the next step faulted its pages in again: about 52,000 minor page
+faults per quickstart-synthetic round, 32,000 per booking-default round and
+3,400 per booking set-up, against fewer than 30 each with the settings below.
+So on import, where the C library exposes mallopt (glibc), `_keep_freed_memory`
+sets M_MMAP_THRESHOLD to 32 MiB, which keeps every array the models allocate
+on the heap, and M_TRIM_THRESHOLD to 256 MiB, more than any working set freed
+between two steps. Where mallopt is missing nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from contextlib import contextmanager
@@ -702,6 +714,39 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     buf = np.empty(nbytes + PARAM_ALIGN, dtype=np.uint8)
     start = -buf.ctypes.data % PARAM_ALIGN
     return buf[start:start + nbytes].view(np.float64).reshape(shape)
+
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# Above every array the workloads allocate (the largest, booking's placed
+# encoder states, is about 8.4 MiB), and glibc's ceiling on 64-bit hosts.
+_MMAP_THRESHOLD = 32 << 20
+# More than any working set freed between two training steps or two set-ups.
+_TRIM_THRESHOLD = 256 << 20
+
+
+def _keep_freed_memory() -> bool:
+    """Keep freed arrays in the process, where the C library exposes mallopt.
+
+    glibc serves an allocation above its mmap threshold with a fresh mapping
+    that free returns to the OS, and trims the top of the heap once more than
+    its trim threshold is free, so a step that frees and re-allocates the same
+    arrays faults their pages in again. This sets both thresholds; both are
+    set because setting either one turns off glibc's dynamic adjustment of
+    both (mallopt(3)). Returns whether both calls succeeded; without mallopt it
+    sets nothing and returns False.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),  # a list: both calls run
+                mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)])
+
+
+_keep_freed_memory()
 
 
 class ParamSet:

@@ -56,14 +56,22 @@ def _write_manifest(out_dir: Path, names: list[str]) -> None:
 
 
 def _load_data_dir(data: str):
-    """Read a preprocess output directory back into memory."""
+    """Read a preprocess output directory back into memory. Its vocabulary must
+    hash to the `vocab_hash` that its processed corpus's header records."""
     d = Path(data)
     proc, voc = d / "processed.jsonl", d / "vocab.tsv"
     for p in (proc, voc):
         if not p.exists():
             raise CliError(f"{p}: not found (expected a preprocess output directory)")
     header, dialogues = cp.read_processed(proc)
-    return header, dialogues, Vocabulary.load(voc)
+    vocab = Vocabulary.load(voc)
+    recorded = header.get("vocab_hash") if isinstance(header, dict) else None
+    if recorded is None:
+        raise CliError(f"{proc}: header records no vocab_hash to check {voc} against")
+    if recorded != vocab.hash():
+        raise CliError(f"{voc}: vocabulary hash {vocab.hash()} does not match "
+                       f"vocab_hash {recorded} recorded in {proc}")
+    return header, dialogues, vocab
 
 
 def _load_model(path: str, vocab: Vocabulary, expect_kind: str | None = None):

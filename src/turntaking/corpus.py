@@ -646,9 +646,10 @@ def _read_records(path, build):
     """The header and the built records of a JSONL file written by `_write_records`.
 
     A line that is not JSON, lacks a key or holds an invalid record raises
-    IngestError located at "<path>:<line>".
+    IngestError located at "<path>:<line>", and so does a file with no lines,
+    at line 1.
     """
-    header, items = None, []
+    header, items, n = None, [], 0
     with open(path) as fh:
         for n, line in enumerate(fh, start=1):
             try:
@@ -665,6 +666,8 @@ def _read_records(path, build):
                 raise IngestError(f"{path}:{n}: missing key {e}") from None
             except (TypeError, ValueError) as e:
                 raise IngestError(f"{path}:{n}: invalid record ({e})") from None
+    if n == 0:
+        raise IngestError(f"{path}:1: empty file, no header line")
     return header, items
 
 

@@ -7,7 +7,13 @@ here.
 """
 
 import math
+import os
+import platform
+import subprocess
+import sys
+import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -705,6 +711,43 @@ class TestParamSet:
             ps.load_arrays({"b": np.zeros(2)})
         with pytest.raises(ad.ShapeError):
             ps.load_arrays({"a": np.zeros(3)})
+
+
+# Allocates, touches and frees a 16 MiB float64 array, then prints the minor page
+# faults that allocating and touching it once more costs.
+_SECOND_TOUCH = """
+import resource
+import numpy as np
+import turntaking.autodiff
+
+def touch():
+    a = np.empty(2 << 20)
+    a[:] = 1.0
+    return a
+
+touch()  # freed at once
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+a = touch()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestFreedMemory:
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="the thresholds are set through glibc's mallopt")
+    def test_freed_array_is_reused_without_faults(self):
+        """At glibc's default thresholds each 16 MiB array is a fresh mapping, and
+        touching it again costs hundreds to thousands of faults (by the host's
+        transparent huge page setting)."""
+        src = Path(ad.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", _SECOND_TOUCH], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) < 64
+
+    def test_missing_mallopt_sets_nothing(self, monkeypatch):
+        monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert ad._keep_freed_memory() is False
 
 
 class TestStructuredOps:

@@ -1,0 +1,80 @@
+"""The summary of scripts/bench_pairs.py on hand-made runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "setup_s", "better": "lower"}, {"name": "round_s", "better": "lower"}]
+
+
+def _run(setup_s, round_s=1.0, digest="d", correct=True, failed=0):
+    return {"correct": correct, "failed": failed, "digest": digest,
+            "metrics": {"setup_s": setup_s, "round_s": round_s}}
+
+
+def _rows(pairs):
+    return {r["name"]: r for r in bench_pairs.summarize(pairs, METRICS)}
+
+
+class TestSummary:
+    def test_quartiles_and_pairs_better(self):
+        pairs = [(_run(p), _run(c)) for p, c in zip([4, 1, 3, 2, 5], [1, 2, 3, 4, 0])]
+        row = _rows(pairs)["setup_s"]
+        assert row["parent"] == (2.0, 3.0, 4.0)
+        assert row["change"] == (1.0, 2.0, 3.0)
+        assert row["pairs"] == 5 and row["better"] == 2  # the tie counts for neither side
+        assert row["claim"] is False
+
+    def test_claim_holds_at_nine_of_ten_with_medians_apart(self):
+        parent = [10.0, 10.5, 11.0, 11.5, 12.0, 10.2, 10.8, 11.2, 11.8, 10.0]
+        change = [p - 3.0 for p in parent[:9]] + [10.1]
+        row = _rows([(_run(p), _run(c)) for p, c in zip(parent, change)])["setup_s"]
+        assert row["better"] == 9 and row["claim"] is True
+
+    def test_claim_not_met_at_eight_of_ten(self):
+        parent = [10.0] * 10
+        change = [7.0] * 8 + [10.0, 12.0]
+        row = _rows([(_run(p), _run(c)) for p, c in zip(parent, change)])["setup_s"]
+        assert row["better"] == 8 and row["claim"] is False
+
+    def test_claim_not_met_when_medians_within_parent_spread(self):
+        parent = [1.0, 5.0, 9.0, 2.0, 8.0, 3.0, 7.0, 4.0, 6.0, 10.0]
+        change = [p - 0.5 for p in parent]
+        row = _rows([(_run(p), _run(c)) for p, c in zip(parent, change)])["setup_s"]
+        assert row["better"] == 10 and row["claim"] is False
+
+    def test_higher_is_better_counts_the_other_way(self):
+        pairs = [(_run(1.0), _run(2.0))]
+        row = bench_pairs.summarize(pairs, [{"name": "setup_s", "better": "higher"}])[0]
+        assert row["better"] == 1
+
+    def test_metric_absent_from_every_pair(self):
+        row = bench_pairs.summarize([(_run(1.0), _run(2.0))],
+                                    [{"name": "peak_rss_mb", "better": "lower"}])[0]
+        assert row == {"name": "peak_rss_mb", "pairs": 0, "better": 0, "claim": False}
+
+    def test_render_names_every_metric(self):
+        pairs = [(_run(2.0), _run(1.0))]
+        text = bench_pairs.render(bench_pairs.summarize(pairs, METRICS), [])
+        assert "setup_s" in text and "round_s" in text
+        assert "digests equal" in text
+
+
+class TestFlags:
+    @pytest.mark.parametrize("change, want", [
+        (_run(1.0, digest="e"), "digests differ, parent d, change e"),
+        (_run(1.0, correct=False), "the change run is not correct"),
+        (_run(1.0, failed=2), "failed 0 (parent) != 2 (change)"),
+    ])
+    def test_each_fault_is_flagged(self, change, want):
+        flags = bench_pairs.pair_flags([1009], [(_run(1.0), change)])
+        assert flags == [f"pair 1 (seed 1009): {want}"]
+
+    def test_clean_pairs_raise_no_flag(self):
+        assert bench_pairs.pair_flags([1, 2], [(_run(1.0), _run(2.0))] * 2) == []

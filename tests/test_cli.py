@@ -151,6 +151,13 @@ class TestStats:
         assert f"error: {path}:2: missing key 'utterances'" in capsys.readouterr().err
 
 
+    def test_empty_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert run(["stats", "--data", str(path)]) == 1
+        assert f"error: {path}:1: empty file" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_ita_without_imaginators_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -312,6 +319,56 @@ class TestEvaluate:
                   "--data", str(other), "--report", str(tmp_path / "r.txt")])
         assert rc == 1
         assert "vocabulary hash mismatch" in capsys.readouterr().err
+
+
+class TestDataDirVocabulary:
+    """A data directory whose vocab.tsv is not the one its corpus was processed with."""
+
+    @pytest.fixture(scope="class")
+    def foreign_vocab(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("foreign")
+        write_multiwoz_like(make_multiwoz_like(10, seed=99), root / "raw.json")
+        assert run(["preprocess", "--input", str(root / "raw.json"), "--format",
+                    "multiwoz-like", "--seed", "1", "--out", str(root / "prep")]) == 0
+        return root / "prep" / "vocab.tsv"
+
+    def _argv(self, command, data, artifacts, tmp_path):
+        return {
+            "train": ["train", "--kind", "imaginator", "--role", "agent", "--data", data,
+                      "--out", str(tmp_path / "out")] + TINY_TRAIN,
+            "evaluate": ["evaluate", "--checkpoint", str(artifacts[AGENT]), "--data", data,
+                         "--seed", "3", "--report", str(tmp_path / "r.txt")],
+            "generate": ["generate", "--checkpoint", str(artifacts[AGENT]), "--data", data,
+                         "--seed", "3", "--limit", "1"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "generate"])
+    def test_swapped_vocab_rejected(self, command, prep_dir, artifacts, foreign_vocab,
+                                    tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "processed.jsonl").write_bytes((prep_dir / "processed.jsonl").read_bytes())
+        (data / "vocab.tsv").write_bytes(foreign_vocab.read_bytes())
+        assert run(self._argv(command, str(data), artifacts, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {data / 'vocab.tsv'}: vocabulary hash" in err
+        assert f"recorded in {data / 'processed.jsonl'}" in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "generate"])
+    def test_header_without_vocab_hash_rejected(self, command, prep_dir, artifacts,
+                                                tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        first, rest = (prep_dir / "processed.jsonl").read_text().split("\n", 1)
+        header = json.loads(first)
+        del header["header"]["vocab_hash"]
+        (data / "processed.jsonl").write_text(json.dumps(header) + "\n" + rest)
+        (data / "vocab.tsv").write_bytes((prep_dir / "vocab.tsv").read_bytes())
+        assert run(self._argv(command, str(data), artifacts, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {data / 'processed.jsonl'}: header records no vocab_hash "
+                f"to check {data / 'vocab.tsv'} against") in err
 
 
 class TestGenerate:

@@ -621,6 +621,14 @@ class TestFiles:
             read(path)
         assert str(exc.value).startswith(want)
 
+    @pytest.mark.parametrize("read", [cp.read_processed, cp.read_arbitrator_samples,
+                                      cp.read_imaginator_samples])
+    def test_empty_file_raises_located_error(self, tmp_path, read):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        with pytest.raises(cp.IngestError, match=f"^{re.escape(str(path))}:1: empty file"):
+            read(path)
+
     def test_byte_identical_rewrite(self, tmp_path):
         ds = [make_dialogue(str(i), (cp.USER, "a . b . c"), (cp.AGENT, "d"))
               for i in range(20)]
