@@ -5,27 +5,37 @@ Run from the repository root:
 
     python3 scripts/bench_pairs.py --parent REV --workload W --seeds 1,2,3,1009 --seconds 40
 
-REV is checked out into a temporary git worktree, which is removed on exit.
-For each seed, bench/run.py runs once in that worktree (the parent) and once in
-this working tree (the change), with `--trace 0`, and the side that runs first
-alternates from pair to pair. The script then prints, for each end-to-end
-metric of BENCHMARK.json, each side's median and quartiles and the number of
-pairs in which the change reads better, and whether the claim rule holds: the
-change better in at least nine tenths of the pairs (ties count for neither),
-and the medians further apart than the parent's interquartile range. It flags
-every pair whose digests differ, whose runs are not both `correct`, or whose
-`failed` counts differ. Standard library only.
+REV's files are extracted with `git archive` into a temporary directory, which
+is removed on exit. For each seed, bench/run.py runs once in that directory (the
+parent) and once in this working tree (the change), with `--trace 0`, and the
+side that runs first alternates from pair to pair. The script then prints, for
+each end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
+number of pairs in which the change reads better, and two verdicts:
+
+- the claim rule: the change better in at least nine tenths of the pairs (ties
+  count for neither), and the medians further apart than the parent's
+  interquartile range;
+- the no-regression rule, against the metric's `bound`, a fraction of the
+  parent's median: `unresolved` when the parent's interquartile range is wider
+  than the bound, unless every change run beats every parent run; otherwise
+  `worse` when the change's median is worse than the parent's by more than the
+  bound, and `within bound` when it is not.
+
+It flags every pair whose digests differ, whose runs are not both `correct`, or
+whose `failed` counts differ. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -60,9 +70,10 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One row per end-to-end metric over (parent run, change run) pairs.
 
-    `metrics` are BENCHMARK.json's end-to-end entries ("name", "better"). A row
-    holds both sides' quartiles, the pairs in which the change is better, the
-    pairs with both values, and whether the claim rule holds."""
+    `metrics` are BENCHMARK.json's end-to-end entries ("name", "better",
+    "bound"). A row holds both sides' quartiles, the pairs in which the change is
+    better, the pairs with both values, whether the claim rule holds, and the
+    no-regression verdict."""
     rows = []
     for m in metrics:
         name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
@@ -76,9 +87,18 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         better = sum(sign * (c - p) < 0 for p, c in both)
         apart = sign * (change[1] - parent[1]) < 0 and \
             abs(change[1] - parent[1]) > parent[2] - parent[0]
+        bound = m["bound"] * abs(parent[1])
+        if parent[2] - parent[0] > bound and \
+                max(sign * c for _, c in both) >= min(sign * p for p, _ in both):
+            verdict = "unresolved"
+        elif sign * (change[1] - parent[1]) > bound:
+            verdict = "worse"
+        else:
+            verdict = "within bound"
         rows.append({"name": name, "parent": parent, "change": change,
                      "pairs": len(both), "better": better,
-                     "claim": better >= CLAIM_SHARE * len(both) and apart})
+                     "claim": better >= CLAIM_SHARE * len(both) and apart,
+                     "verdict": verdict})
     return rows
 
 
@@ -103,19 +123,16 @@ def render(rows: list[dict], flags: list[str]) -> str:
         return f"{t[1]:.6g} [{t[0]:.6g}, {t[2]:.6g}]"
 
     lines = [f"{'metric':<14} {'parent median [q1, q3]':<36} {'change median [q1, q3]':<36} "
-             f"better  claim"]
+             f"better  claim    no regression"]
     for r in rows:
         if not r["pairs"]:
             lines.append(f"{r['name']:<14} no values")
             continue
         lines.append(f"{r['name']:<14} {q(r['parent']):<36} {q(r['change']):<36} "
-                     f"{r['better']}/{r['pairs']:<5} {'holds' if r['claim'] else 'not met'}")
+                     f"{r['better']}/{r['pairs']:<5} {'holds' if r['claim'] else 'not met':<8} "
+                     f"{r['verdict']}")
     lines += flags or ["every pair: digests equal, both runs correct, failed counts equal"]
     return "\n".join(lines) + "\n"
-
-
-def _git(*args: str) -> None:
-    subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True)
 
 
 def main(argv=None) -> int:
@@ -128,11 +145,13 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent_tree = tmp / "parent"
+    parent_tree = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     pairs = []
     try:
-        _git("worktree", "add", "--detach", str(parent_tree), args.parent)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent_tree, filter="data")
         for i, seed in enumerate(seeds):
             order = [("parent", parent_tree), ("change", ROOT)]
             runs = {side: run_bench(tree, args.workload, seed, args.seconds)
@@ -142,11 +161,7 @@ def main(argv=None) -> int:
                 f"{m['name']} {runs['parent']['metrics'].get(m['name'])} -> "
                 f"{runs['change']['metrics'].get(m['name'])}" for m in metrics), flush=True)
     finally:
-        try:
-            _git("worktree", "remove", "--force", str(parent_tree))
-        except subprocess.CalledProcessError:
-            _git("worktree", "prune")
-        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(parent_tree, ignore_errors=True)
     sys.stdout.write(render(summarize(pairs, metrics), pair_flags(seeds, pairs)))
     return 0
 

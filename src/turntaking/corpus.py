@@ -432,7 +432,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """Read what `save` writes, one `token<TAB>count` line per id; a line that
-        breaks that form raises an IngestError naming it."""
+        breaks that form, or lists a token again, raises an IngestError naming it."""
         tokens, freqs = [], []
         for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
             token, tab, count = line.partition("\t")
@@ -445,7 +445,15 @@ class Vocabulary:
             except ValueError:
                 raise IngestError(f"{path}:{n}: count {count!r} is not an integer") from None
             tokens.append(token)
-        return cls(tokens, freqs)
+        try:
+            return cls(tokens, freqs)
+        except ValueError as e:  # locate the fault here, off the path of a valid file
+            first: dict[str, int] = {}
+            for n, token in enumerate(tokens, start=1):
+                if first.setdefault(token, n) != n:
+                    raise IngestError(f"{path}:{n}: token {token!r} already listed "
+                                      f"at line {first[token]}") from None
+            raise IngestError(f"{path}: {e}") from None
 
 
 def build_vocabulary(dialogues: Iterable[Dialogue], min_freq: int = 1) -> Vocabulary:
@@ -616,8 +624,11 @@ def _utt_record(u: Utterance) -> dict:
 
 
 def _utt_from_record(rec: dict) -> Utterance:
+    tokens = rec["tokens"]
+    if type(tokens) is not list:  # a string would pass as its characters
+        raise ValueError(f"tokens must be a list of strings, not {type(tokens).__name__}")
     return Utterance(role=rec["role"], turn_index=rec["turn"],
-                     subturn_index=rec["subturn"], tokens=tuple(rec["tokens"]))
+                     subturn_index=rec["subturn"], tokens=tuple(tokens))
 
 
 def _write_atomic(path, *pieces) -> None:

@@ -1,14 +1,21 @@
-"""End-to-end experiment runners.
+"""End-to-end experiment runners: one protocol, two corpus front ends.
 
-Each experiment trains the two generators and the two arbitrator variants on
-a generated corpus, writes every artifact (checkpoints, metrics, report) to
-an output directory, and returns the headline numbers as a plain dict. The
-synthetic run uses compact model sizes tuned for minutes-scale CPU budgets;
-the booking-corpus run keeps the package defaults.
+`synthetic_experiment` builds the scripted marker corpus and trains at compact
+model sizes; `directional_experiment` takes the booking corpus through the raw
+pipeline (generation to JSON, ingestion, slot masking, probabilistic subturn
+splitting) and keeps the package defaults. Both then run `_run`: split the
+corpus and build the vocabulary on its training split; train the agent and user
+imaginators; beam-score both on the union of the two roles' validation samples;
+derive arbitrator samples for all three splits and report the test split's
+class prior and a seeded random policy; train the ITA and the history-only
+baseline arbitrator and score each on the validation split (its best epoch) and
+the test split. Every artifact goes to the output directory, and the report,
+one key set for both corpora, is also returned as a plain dict.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -25,95 +32,60 @@ from .synthetic import make_multiwoz_like, make_synthetic_corpus, write_multiwoz
 from .training import TrainConfig, build_model, run_training
 
 
-def _imaginator_config(base: TrainConfig, role: str) -> TrainConfig:
-    cfg = TrainConfig(**{**base.to_dict(), "kind": "imaginator", "role": role})
-    return cfg
-
-
-def _train_imaginator(cfg: TrainConfig, train_d, valid_d, vocab, out_dir):
-    role = cfg.role
-    tr = [s for d in train_d for s in derive_imaginator_samples(d, role)]
-    va = [s for d in valid_d for s in derive_imaginator_samples(d, role)]
-    model = build_model(cfg, len(vocab))
-    res = run_training(cfg, tr, va, model, vocab,
-                       metrics_path=out_dir / f"imaginator_{role}_metrics.jsonl",
-                       checkpoint_path=out_dir / f"imaginator_{role}.ckpt")
-    return model, res
-
-
-def _train_arbitrator(cfg: TrainConfig, mode, train_s, valid_s, vocab, imaginators, out_dir):
-    cfg = TrainConfig(**{**cfg.to_dict(), "kind": "arbitrator", "mode": mode})
-    model = build_model(cfg, len(vocab))
-    res = run_training(cfg, train_s, valid_s, model, vocab,
-                       imaginators=imaginators if mode == "ita" else None,
-                       metrics_path=out_dir / f"arbitrator_{mode}_metrics.jsonl",
-                       checkpoint_path=out_dir / f"arbitrator_{mode}.ckpt")
-    return model, res
-
-
-def _evaluate_both_imaginators(models, valid_d, vocab, beam_width, max_len):
-    union = [s for d in valid_d for r in (AGENT, USER)
-             for s in derive_imaginator_samples(d, r)]
-    out = {}
-    for role, model in models.items():
-        scores = evaluate_imaginator(model, union, vocab, beam_width=beam_width,
-                                     max_len=max_len)
-        out[f"{role}_bleu_on_agent_targets"] = scores["bleu_on_agent_targets"]
-        out[f"{role}_bleu_on_user_targets"] = scores["bleu_on_user_targets"]
-    return out
-
-
-def synthetic_experiment(out_dir, n_dialogues: int = 2000, seed: int = 0,
-                         imaginator_epochs: int = 10, arbitrator_epochs: int = 8) -> dict:
-    """Train everything on the scripted marker corpus; minutes on a CPU."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
-    dialogues = make_synthetic_corpus(n_dialogues, seed)
-    train_d, valid_d, test_d = split_corpus(dialogues, seed)
-    vocab = build_vocabulary(train_d)
+def _run(out_dir: Path, report: dict, dialogues, im_cfg: TrainConfig,
+         arb_cfg: TrainConfig, t0: float) -> dict:
+    """The protocol on `dialogues`, started at `t0`: `report` holds the corpus's own
+    fields and gains the results; each run's role or mode is set on its config here."""
+    train_d, valid_d, test_d = split_corpus(dialogues, im_cfg.seed, im_cfg.valid_frac,
+                                            im_cfg.test_frac)
+    vocab = build_vocabulary(train_d, im_cfg.min_freq)
     vocab.save(out_dir / "vocab.tsv")
+    report.update(vocab_size=len(vocab), splits=[len(train_d), len(valid_d), len(test_d)])
 
-    base = TrainConfig(seed=seed, epochs=imaginator_epochs, batch_size=32,
-                       learning_rate=5e-3, patience=3, hidden=48, token_dim=24,
-                       tag_dim=4, filter_widths="2,3", filters_per_width=32,
-                       beam_width=4, max_decode_len=16)
-    report: dict = {"corpus": "synthetic", "n_dialogues": n_dialogues, "seed": seed,
-                    "vocab_size": len(vocab),
-                    "splits": [len(train_d), len(valid_d), len(test_d)]}
-
-    models = {}
+    imaginators = {}
     for role in (AGENT, USER):
         t1 = time.monotonic()
-        model, res = _train_imaginator(_imaginator_config(base, role), train_d,
-                                       valid_d, vocab, out_dir)
-        models[role] = model
+        cfg = dataclasses.replace(im_cfg, role=role)
+        imaginators[role] = build_model(cfg, len(vocab))
+        tr, va = ([s for d in split for s in derive_imaginator_samples(d, role)]
+                  for split in (train_d, valid_d))
+        res = run_training(cfg, tr, va, imaginators[role], vocab,
+                           metrics_path=out_dir / f"imaginator_{role}_metrics.jsonl",
+                           checkpoint_path=out_dir / f"imaginator_{role}.ckpt")
         report[f"{role}_imaginator_best_valid_bleu"] = res.best_value
         report[f"{role}_imaginator_epochs"] = res.epochs_run
         report[f"{role}_imaginator_seconds"] = round(time.monotonic() - t1, 1)
 
     t1 = time.monotonic()
-    report.update(_evaluate_both_imaginators(models, valid_d, vocab,
-                                             base.beam_width, base.max_decode_len))
+    union = [s for d in valid_d for r in (AGENT, USER) for s in derive_imaginator_samples(d, r)]
+    for role, model in imaginators.items():
+        scores = evaluate_imaginator(model, union, vocab, beam_width=im_cfg.beam_width,
+                                     max_len=im_cfg.max_decode_len)
+        for target in (AGENT, USER):
+            report[f"{role}_bleu_on_{target}_targets"] = scores[f"bleu_on_{target}_targets"]
     report["imaginator_eval_seconds"] = round(time.monotonic() - t1, 1)
 
-    arb_train = [s for d in train_d for s in derive_arbitrator_samples(d)]
-    arb_valid = [s for d in valid_d for s in derive_arbitrator_samples(d)]
-    report["arbitrator_samples"] = [len(arb_train), len(arb_valid)]
-    labels = [s.label for s in arb_train] + [s.label for s in arb_valid]
-    prior_reply = sum(labels) / len(labels)
-    report["class_prior_reply"] = prior_reply
-    report["class_prior_majority"] = max(prior_reply, 1.0 - prior_reply)
-    report["random_policy_accuracy"] = accuracy(
-        random_policy_predictions(len(labels), seed=seed + 7), labels)
+    arb_train, arb_valid, arb_test = ([s for d in split for s in derive_arbitrator_samples(d)]
+                                      for split in (train_d, valid_d, test_d))
+    report["arbitrator_samples"] = [len(arb_train), len(arb_valid), len(arb_test)]
+    test_labels = [s.label for s in arb_test]
+    prior_reply = sum(test_labels) / len(test_labels)
+    report["test_prior_reply"] = prior_reply
+    report["test_prior_majority"] = max(prior_reply, 1.0 - prior_reply)
+    report["random_policy_test_accuracy"] = accuracy(
+        random_policy_predictions(len(test_labels), seed=im_cfg.seed + 7), test_labels)
 
-    arb_cfg = TrainConfig(**{**base.to_dict(), "kind": "arbitrator",
-                             "epochs": arbitrator_epochs, "learning_rate": 1e-3})
     for mode in ("ita", "baseline"):
         t1 = time.monotonic()
-        _, res = _train_arbitrator(arb_cfg, mode, arb_train, arb_valid, vocab,
-                                   (models[AGENT], models[USER]), out_dir)
+        cfg = dataclasses.replace(arb_cfg, mode=mode)
+        pair = (imaginators[AGENT], imaginators[USER]) if mode == "ita" else None
+        model = build_model(cfg, len(vocab))
+        res = run_training(cfg, arb_train, arb_valid, model, vocab, imaginators=pair,
+                           metrics_path=out_dir / f"arbitrator_{mode}_metrics.jsonl",
+                           checkpoint_path=out_dir / f"arbitrator_{mode}.ckpt")
+        prepared = prepare_samples(arb_test, model, vocab, pair, max_len=cfg.max_decode_len)
         report[f"{mode}_valid_accuracy"] = res.best_value
+        report[f"{mode}_test_accuracy"] = evaluate_prepared(model, prepared)
         report[f"{mode}_epochs"] = res.epochs_run
         report[f"{mode}_seconds"] = round(time.monotonic() - t1, 1)
 
@@ -123,67 +95,36 @@ def synthetic_experiment(out_dir, n_dialogues: int = 2000, seed: int = 0,
     return report
 
 
+def synthetic_experiment(out_dir, n_dialogues: int = 2000, seed: int = 0,
+                         imaginator_epochs: int = 10, arbitrator_epochs: int = 8) -> dict:
+    """The protocol on the scripted marker corpus, at compact model sizes."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.monotonic()
+    im_cfg = TrainConfig(seed=seed, epochs=imaginator_epochs, batch_size=32,
+                         learning_rate=5e-3, patience=3, hidden=48, token_dim=24,
+                         tag_dim=4, filter_widths="2,3", filters_per_width=32,
+                         beam_width=4, max_decode_len=16)
+    arb_cfg = dataclasses.replace(im_cfg, kind="arbitrator", epochs=arbitrator_epochs,
+                                  learning_rate=1e-3)
+    report = {"corpus": "synthetic", "n_dialogues": n_dialogues, "seed": seed}
+    return _run(out_dir, report, make_synthetic_corpus(n_dialogues, seed), im_cfg, arb_cfg, t0)
+
+
 def directional_experiment(out_dir, n_dialogues: int = 500, seed: int = 0,
                            epochs: int = 10) -> dict:
-    """Booking-corpus run at package-default model sizes.
-
-    The corpus goes through the full raw pipeline: generation to JSON, slot
-    masking, probabilistic subturn splitting, then training. The headline
-    comparison is ITA-vs-baseline test accuracy.
-    """
+    """The protocol on the booking corpus, through the full raw pipeline, at
+    package-default model sizes; the headline comparison is ITA-vs-baseline
+    test accuracy."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     raw_path = out_dir / "raw_corpus.json"
     write_multiwoz_like(make_multiwoz_like(n_dialogues, seed), raw_path)
     dialogues, annotations, skipped = ingest_source(raw_path, "multiwoz-like")
-    cfg_defaults = TrainConfig(seed=seed, epochs=epochs, patience=3)
-    modified = modify_corpus(dialogues, annotations, cfg_defaults.p_split, seed)
-    train_d, valid_d, test_d = split_corpus(dialogues=modified, seed=seed)
-    vocab = build_vocabulary(train_d)
-    vocab.save(out_dir / "vocab.tsv")
-
-    report: dict = {"corpus": "multiwoz-like", "n_dialogues": n_dialogues,
-                    "seed": seed, "skipped": skipped, "vocab_size": len(vocab),
-                    "splits": [len(train_d), len(valid_d), len(test_d)]}
-
-    models = {}
-    for role in (AGENT, USER):
-        t1 = time.monotonic()
-        model, res = _train_imaginator(_imaginator_config(cfg_defaults, role), train_d,
-                                       valid_d, vocab, out_dir)
-        models[role] = model
-        report[f"{role}_imaginator_best_valid_bleu"] = res.best_value
-        report[f"{role}_imaginator_seconds"] = round(time.monotonic() - t1, 1)
-
-    report.update(_evaluate_both_imaginators(models, valid_d, vocab,
-                                             cfg_defaults.beam_width,
-                                             cfg_defaults.max_decode_len))
-
-    arb_train = [s for d in train_d for s in derive_arbitrator_samples(d)]
-    arb_valid = [s for d in valid_d for s in derive_arbitrator_samples(d)]
-    arb_test = [s for d in test_d for s in derive_arbitrator_samples(d)]
-    test_labels = [s.label for s in arb_test]
-    report["arbitrator_samples"] = [len(arb_train), len(arb_valid), len(arb_test)]
-    prior_reply = sum(test_labels) / len(test_labels)
-    report["test_prior_reply"] = prior_reply
-    report["test_prior_majority"] = max(prior_reply, 1.0 - prior_reply)
-    report["random_policy_test_accuracy"] = accuracy(
-        random_policy_predictions(len(test_labels), seed=seed + 7), test_labels)
-
-    arb_cfg = TrainConfig(**{**cfg_defaults.to_dict(), "kind": "arbitrator"})
-    for mode in ("ita", "baseline"):
-        t1 = time.monotonic()
-        model, res = _train_arbitrator(arb_cfg, mode, arb_train, arb_valid, vocab,
-                                       (models[AGENT], models[USER]), out_dir)
-        pair = (models[AGENT], models[USER]) if mode == "ita" else None
-        prepared = prepare_samples(arb_test, model, vocab, pair,
-                                   max_len=arb_cfg.max_decode_len)
-        report[f"{mode}_valid_accuracy"] = res.best_value
-        report[f"{mode}_test_accuracy"] = evaluate_prepared(model, prepared)
-        report[f"{mode}_seconds"] = round(time.monotonic() - t1, 1)
-
-    report["total_seconds"] = round(time.monotonic() - t0, 1)
-    _write_atomic(out_dir / "report.json",
-                  (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
-    return report
+    im_cfg = TrainConfig(seed=seed, epochs=epochs, patience=3)
+    arb_cfg = dataclasses.replace(im_cfg, kind="arbitrator")
+    report = {"corpus": "multiwoz-like", "n_dialogues": n_dialogues, "seed": seed,
+              "skipped": skipped}
+    return _run(out_dir, report, modify_corpus(dialogues, annotations, im_cfg.p_split, seed),
+                im_cfg, arb_cfg, t0)

@@ -266,6 +266,8 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
     payload = blob[48:48 + payload_len]
     if len(payload) != payload_len:
         raise CheckpointError("frame: payload truncated")
+    if len(blob) > 48 + payload_len:
+        raise CheckpointError(f"frame: {len(blob) - 48 - payload_len} bytes after the payload")
     if hashlib.sha256(payload).digest() != digest:
         raise CheckpointError("payload: content digest mismatch (corrupt file)")
     if payload_len < 4:
@@ -334,7 +336,9 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
 
     Shuffling derives a fresh rng from seed XOR epoch. An epoch that does
     not improve validation counts against patience; training stops once
-    bad epochs reach it (so patience 0 runs exactly one epoch). The model is
+    bad epochs reach it (so patience 0 runs exactly one epoch). It also stops
+    after an epoch that reads 1.0, the maximum of both BLEU and accuracy: only
+    a strictly higher value is kept, so no later epoch could be. The model is
     left holding the best-validation parameters, never anything worse.
     """
     if not len(train_samples):
@@ -409,7 +413,7 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
                                 train_config=config)
         else:
             bad_epochs += 1
-        if bad_epochs >= config.patience:
+        if bad_epochs >= config.patience or value >= 1.0:
             break
 
     model.params.load_arrays(best_arrays)

@@ -10,7 +10,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "setup_s", "better": "lower"}, {"name": "round_s", "better": "lower"}]
+METRICS = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+           {"name": "round_s", "better": "lower", "bound": 0.25}]
 
 
 def _run(setup_s, round_s=1.0, digest="d", correct=True, failed=0):
@@ -51,18 +52,41 @@ class TestSummary:
 
     def test_higher_is_better_counts_the_other_way(self):
         pairs = [(_run(1.0), _run(2.0))]
-        row = bench_pairs.summarize(pairs, [{"name": "setup_s", "better": "higher"}])[0]
+        row = bench_pairs.summarize(
+            pairs, [{"name": "setup_s", "better": "higher", "bound": 0.25}])[0]
         assert row["better"] == 1
 
     def test_metric_absent_from_every_pair(self):
         row = bench_pairs.summarize([(_run(1.0), _run(2.0))],
-                                    [{"name": "peak_rss_mb", "better": "lower"}])[0]
+                                    [{"name": "peak_rss_mb", "better": "lower",
+                                      "bound": 0.1}])[0]
         assert row == {"name": "peak_rss_mb", "pairs": 0, "better": 0, "claim": False}
+
+    @pytest.mark.parametrize("parent, change, want", [
+        ([10.0, 10.2, 9.8, 10.1], [11.0, 11.2, 10.8, 11.1], "within bound"),
+        ([10.0, 10.2, 9.8, 10.1], [13.0, 13.2, 12.8, 13.1], "worse"),
+        ([10.0, 10.2, 9.8, 10.1], [7.0, 7.2, 6.8, 7.1], "within bound"),
+        ([6.0, 14.0, 8.0, 12.0], [7.0, 13.0, 9.0, 11.0], "unresolved"),
+        ([6.0, 14.0, 8.0, 12.0], [17.0, 19.0, 18.0, 20.0], "unresolved"),
+        ([6.0, 14.0, 8.0, 12.0], [5.0, 5.5, 4.0, 5.8], "within bound"),
+    ], ids=["slightly-worse", "worse", "better", "spread-wide", "spread-wide-worse",
+            "spread-wide-every-change-run-better"])
+    def test_no_regression_verdict(self, parent, change, want):
+        rows = _rows([(_run(p), _run(c)) for p, c in zip(parent, change)])
+        assert rows["setup_s"]["verdict"] == want
+
+    def test_no_regression_verdict_when_higher_is_better(self):
+        metric = [{"name": "setup_s", "better": "higher", "bound": 0.1}]
+        pairs = [(_run(p), _run(c)) for p, c in zip([10.0, 10.1, 9.9], [8.5, 8.6, 8.4])]
+        assert bench_pairs.summarize(pairs, metric)[0]["verdict"] == "worse"
+        pairs = [(_run(p), _run(c)) for p, c in zip([10.0, 10.1, 9.9], [9.5, 9.6, 9.4])]
+        assert bench_pairs.summarize(pairs, metric)[0]["verdict"] == "within bound"
 
     def test_render_names_every_metric(self):
         pairs = [(_run(2.0), _run(1.0))]
         text = bench_pairs.render(bench_pairs.summarize(pairs, METRICS), [])
         assert "setup_s" in text and "round_s" in text
+        assert "within bound" in text
         assert "digests equal" in text
 
 

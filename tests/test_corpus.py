@@ -464,6 +464,20 @@ class TestVocabulary:
         with pytest.raises(cp.IngestError, match=f"^{re.escape(str(path))}:9: token 'hello world'"):
             cp.Vocabulary.load(path)
 
+    def test_token_listed_twice_is_located_error(self, tmp_path):
+        path = self._saved_with_line(tmp_path, "q\t5")
+        with pytest.raises(cp.IngestError,
+                           match=f"^{re.escape(str(path))}:9: token 'q' already listed at line 8$"):
+            cp.Vocabulary.load(path)
+
+    def test_file_without_reserved_tokens_is_located_error(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        cp.build_vocabulary([make_dialogue("x", (cp.USER, "q w q"))]).save(path)
+        path.write_text("\n".join(path.read_text().splitlines()[7:]) + "\n")
+        with pytest.raises(cp.IngestError, match=f"^{re.escape(str(path))}: vocabulary must "
+                                                 f"start with the reserved tokens$"):
+            cp.Vocabulary.load(path)
+
     @pytest.mark.parametrize("token", ["", "no\xa0break", "\u3000", "a\u1680b"])
     def test_empty_or_unicode_space_token_is_located_error(self, tmp_path, token):
         path = self._saved_with_line(tmp_path, f"{token}\t3")
@@ -588,7 +602,8 @@ class TestFiles:
         _, ima2 = cp.read_imaginator_samples(tmp_path / "ima.jsonl")
         assert arb2 == arb and ima2 == ima
 
-    @pytest.mark.parametrize("kind", ["bad_json", "missing_key", "invalid_record"])
+    @pytest.mark.parametrize("kind", ["bad_json", "missing_key", "invalid_record",
+                                      "string_tokens"])
     @pytest.mark.parametrize("reader", ["processed", "arbitrator", "imaginator"])
     def test_bad_line_raises_located_error(self, tmp_path, reader, kind):
         d = make_dialogue("a", (cp.USER, "hello"), (cp.AGENT, "hi"), (cp.USER, "bye"))
@@ -611,11 +626,16 @@ class TestFiles:
             del rec[key]
             lines[2] = json.dumps(rec)
             want = f"{path}:3: missing key '{key}'"
-        else:
+        elif kind == "invalid_record":
             first = rec["utterances"][0] if reader == "processed" else rec["history"][0]
             first["role"] = "narrator"
             lines[2] = json.dumps(rec)
             want = f"{path}:3: invalid record (unknown role 'narrator')"
+        else:  # a string, not a list: its characters must not pass as tokens
+            first = rec["utterances"][0] if reader == "processed" else rec["history"][0]
+            first["tokens"] = "hello"
+            lines[2] = json.dumps(rec)
+            want = f"{path}:3: invalid record (tokens must be a list of strings, not str)"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(cp.IngestError) as exc:
             read(path)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from turntaking import arbitrator
 from turntaking import autodiff as ad
 from turntaking import corpus
 from turntaking.arbitrator import ArbitratorModel, evaluate_prepared, prepare_samples
@@ -329,6 +330,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(bad)
 
+    def test_bytes_after_the_frame_rejected(self, vocab, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        path.write_bytes(path.read_bytes() + bytes(3))
+        with pytest.raises(CheckpointError, match="^frame: 3 bytes after the payload$"):
+            load_checkpoint(path)
+
     def test_single_bit_corruption_rejected(self, vocab, tmp_path):
         m = tiny_imaginator(vocab)
         path = tmp_path / "a.ckpt"
@@ -587,6 +595,21 @@ class TestRunTraining:
                            marker_samples(8, 2), model, vocab)
         assert res.epochs_run == 1
         assert res.best_epoch == 1
+
+    def test_run_stops_after_an_epoch_at_the_ceiling(self, vocab, monkeypatch):
+        """Validation reads 1.0 at epoch 1: no later epoch could be kept, so the run
+        stops there, holding what patience 3 would have restored after epoch 4."""
+        monkeypatch.setattr(arbitrator, "evaluate_prepared", lambda model, prepared: 1.0)
+        train, valid = marker_samples(16, 1), marker_samples(8, 2)
+        one = toy_arb_model(vocab)
+        run_training(toy_arb_config(epochs=1), train, valid, one, vocab)
+        model = toy_arb_model(vocab)
+        res = run_training(toy_arb_config(patience=3), train, valid, model, vocab)
+        assert (res.epochs_run, res.best_epoch, res.best_value) == (1, 1, 1.0)
+        assert len(res.history) == 2
+        got = model.params.as_arrays()
+        for name, a in one.params.as_arrays().items():
+            assert np.array_equal(got[name], a)
 
     def test_equal_seeds_equal_history(self, vocab):
         train = marker_samples(32, 1)
