@@ -288,8 +288,10 @@ def decide_with_imagined(model: ArbitratorModel, history_enc: EncodedHistory,
 
 def ita_predict(history: Sequence[Utterance], model: ArbitratorModel,
                 agent_imaginator: ImaginatorModel, user_imaginator: ImaginatorModel,
-                vocab: Vocabulary, beam_width: int = 4, max_len: int = 40) -> Decision:
-    """Imagine both continuations, then arbitrate between the two paths."""
+                vocab: Vocabulary, beam_width: int = 1, max_len: int = 40) -> Decision:
+    """Imagine both continuations, then arbitrate between the two paths. The
+    default width 1 is the greedy decode that `prepare_samples` trains the
+    arbitrator on; `max_len` should be the `max_decode_len` it was trained with."""
     h_enc = _history_enc(model, history, vocab)
     agent_ids = beam_decode(agent_imaginator, [h_enc], beam_width=beam_width, max_len=max_len)[0]
     user_ids = beam_decode(user_imaginator, [h_enc], beam_width=beam_width, max_len=max_len)[0]

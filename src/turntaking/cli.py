@@ -29,6 +29,7 @@ from .training import (
 )
 
 _DEFAULTS = TrainConfig()
+SPLITS = ("train", "valid", "test")  # the order of `corpus.split_corpus`'s parts
 
 
 class CliError(RuntimeError):
@@ -74,17 +75,26 @@ def _load_data_dir(data: str):
     return header, dialogues, vocab
 
 
-def _load_model(path: str, vocab: Vocabulary, expect_kind: str | None = None):
-    ck = load_checkpoint(path, expected_vocab_hash=vocab.hash())
+def _load_trained(path: str, vocab: Vocabulary, expect_kind: str | None = None):
+    """A checkpoint's model and the `TrainConfig` it was trained with. Runs take
+    their split, decode length and width from that config, so a checkpoint without
+    one, or with one that does not parse, is refused rather than run on defaults."""
+    try:
+        ck = load_checkpoint(path, expected_vocab_hash=vocab.hash())
+        if not isinstance(ck.train_config_text, str):
+            raise CliError("checkpoint records no training config")
+        cfg = TrainConfig.from_text(ck.train_config_text)
+    except (CliError, CheckpointError, ValueError) as e:
+        raise CliError(f"{path}: {e}") from None
     kind = ck.model.config()["kind"]
     if expect_kind is not None and kind != expect_kind:
         raise CliError(f"{path}: checkpoint holds {kind!r}, expected {expect_kind}")
-    return ck.model
+    return ck.model, cfg
 
 
 def _load_imaginator_pair(args, vocab: Vocabulary):
-    agent = _load_model(args.agent_imaginator, vocab, "imaginator")
-    user = _load_model(args.user_imaginator, vocab, "imaginator")
+    agent, _ = _load_trained(args.agent_imaginator, vocab, "imaginator")
+    user, _ = _load_trained(args.user_imaginator, vocab, "imaginator")
     if agent.role != AGENT:
         raise CliError(f"{args.agent_imaginator}: role is {agent.role!r}, expected agent")
     if user.role != USER:
@@ -105,11 +115,11 @@ def _out_file(path) -> Path:
 def cmd_preprocess(args) -> int:
     _announce({"input": args.input, "format": args.format, "p_split": args.p_split,
                "seed": args.seed, "min_freq": args.min_freq, "out": args.out})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dialogues, annotations, skipped = cp.ingest_source(args.input, args.format)
     if not dialogues:
         raise CliError(f"{args.input}: no usable dialogues")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     modified = cp.modify_corpus(dialogues, annotations, args.p_split, args.seed)
     vocab = cp.build_vocabulary(modified, args.min_freq)
     header = {"source": Path(args.input).name, "format": args.format,
@@ -214,11 +224,18 @@ def cmd_train(args) -> int:
 # evaluate / generate
 
 
-def _split_dialogues(dialogues, args):
-    train_d, valid_d, test_d = cp.split_corpus(dialogues, args.seed,
-                                               valid_frac=args.valid_frac,
-                                               test_frac=args.test_frac)
-    return {"train": train_d, "valid": valid_d, "test": test_d}[args.split]
+def _load_run(args, expect_kind: str | None = None, **more):
+    """The vocabulary, model and training config of an evaluate or generate run, and
+    the part of the corpus that `--split` names under the split it was trained on."""
+    _, dialogues, vocab = _load_data_dir(args.data)
+    model, cfg = _load_trained(args.checkpoint, vocab, expect_kind)
+    width = {"beam_width": cfg.beam_width} if model.config()["kind"] == "imaginator" else {}
+    _announce({"checkpoint": args.checkpoint, "data": args.data, "split": args.split,
+               "seed": cfg.seed, "valid_frac": cfg.valid_frac, "test_frac": cfg.test_frac,
+               "max_decode_len": cfg.max_decode_len, **width, **more})
+    parts = cp.split_corpus(dialogues, cfg.seed, valid_frac=cfg.valid_frac,
+                            test_frac=cfg.test_frac)
+    return vocab, model, cfg, parts[SPLITS.index(args.split)]
 
 
 def _report_lines(pairs: dict) -> str:
@@ -226,11 +243,7 @@ def _report_lines(pairs: dict) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    _announce({"checkpoint": args.checkpoint, "data": args.data,
-               "split": args.split, "seed": args.seed, "report": args.report})
-    _, dialogues, vocab = _load_data_dir(args.data)
-    part = _split_dialogues(dialogues, args)
-    model = _load_model(args.checkpoint, vocab)
+    vocab, model, cfg, part = _load_run(args, report=args.report)
     kind = model.config()["kind"]
 
     if kind == "imaginator":
@@ -238,9 +251,8 @@ def cmd_evaluate(args) -> int:
                    for s in cp.derive_imaginator_samples(d, r)]
         if not samples:
             raise CliError(f"split {args.split!r} has no imaginator samples")
-        scores = evaluate_imaginator(model, samples, vocab,
-                                     beam_width=args.beam_width,
-                                     max_len=args.max_len)
+        scores = evaluate_imaginator(model, samples, vocab, beam_width=cfg.beam_width,
+                                     max_len=cfg.max_decode_len)
         pairs = {"kind": kind, "role": model.role, "split": args.split,
                  "samples": len(samples),
                  "bleu_on_agent_targets": f"{scores['bleu_on_agent_targets']:.6f}",
@@ -259,10 +271,10 @@ def cmd_evaluate(args) -> int:
         else:
             pair = None
         decisions = decide_prepared(model, prepare_samples(samples, model, vocab, pair,
-                                                           max_len=args.max_len), vocab)
+                                                           max_len=cfg.max_decode_len), vocab)
         preds = [d.label for d in decisions]
         summary = classification_summary(preds, gold)
-        rand = accuracy(random_policy_predictions(len(gold), seed=args.seed), gold)
+        rand = accuracy(random_policy_predictions(len(gold), seed=cfg.seed), gold)
         prior = max(sum(gold) / len(gold), 1.0 - sum(gold) / len(gold))
         pairs = {"kind": kind, "mode": model.mode, "split": args.split,
                  "samples": len(samples)}
@@ -285,12 +297,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    _announce({"checkpoint": args.checkpoint, "data": args.data,
-               "split": args.split, "beam_width": args.beam_width,
-               "max_len": args.max_len, "limit": args.limit})
-    _, dialogues, vocab = _load_data_dir(args.data)
-    part = _split_dialogues(dialogues, args)
-    model = _load_model(args.checkpoint, vocab, "imaginator")
+    if args.limit < 0:
+        raise CliError(f"--limit must not be negative, got {args.limit}")
+    vocab, model, cfg, part = _load_run(args, "imaginator", limit=args.limit)
     samples = [s for d in part for s in cp.derive_imaginator_samples(d, model.role)]
     if args.limit:
         samples = samples[:args.limit]
@@ -299,7 +308,7 @@ def cmd_generate(args) -> int:
 
     encs = [cp.encode_history(s.history, vocab, model.max_history,
                               model.turn_cap, model.subturn_cap) for s in samples]
-    decoded = beam_decode(model, encs, beam_width=args.beam_width, max_len=args.max_len)
+    decoded = beam_decode(model, encs, beam_width=cfg.beam_width, max_len=cfg.max_decode_len)
     text = "".join(json.dumps({"sample_id": f"{args.split}-{i:05d}", "role": model.role,
                                "generated": " ".join(vocab.decode_id(t) for t in ids),
                                "target": " ".join(s.target.tokens)}, sort_keys=True) + "\n"
@@ -326,17 +335,18 @@ def cmd_demo(args) -> int:
 
     A turn is one user message group plus the agent reply that closes it:
     WAIT extends the current turn with another subturn, REPLY emits the
-    imagined agent response and starts the next turn.
+    imagined agent response and starts the next turn. Imaginations are decoded
+    as the arbitrator was trained on them: greedily, to the `max_decode_len`
+    of its training config.
     """
-    _announce({"arbitrator": args.arbitrator, "agent_imaginator": args.agent_imaginator,
-               "user_imaginator": args.user_imaginator, "vocab": args.vocab,
-               "beam_width": args.beam_width, "max_len": args.max_len,
-               "transcript": args.transcript})
     vocab = Vocabulary.load(args.vocab)
-    arb = _load_model(args.arbitrator, vocab, "arbitrator")
+    arb, cfg = _load_trained(args.arbitrator, vocab, "arbitrator")
     if arb.mode != "ita":
         raise CliError(f"{args.arbitrator}: demo needs an ita-mode arbitrator")
     agent_im, user_im = _load_imaginator_pair(args, vocab)
+    _announce({"arbitrator": args.arbitrator, "agent_imaginator": args.agent_imaginator,
+               "user_imaginator": args.user_imaginator, "vocab": args.vocab,
+               "max_decode_len": cfg.max_decode_len, "transcript": args.transcript})
 
     transcript = _out_file(args.transcript) if args.transcript else None
     if transcript is not None:
@@ -359,8 +369,7 @@ def cmd_demo(args) -> int:
                                                 "subturn": subturn, "text": " ".join(toks)})
             try:
                 decision = ita_predict(history, arb, agent_im, user_im, vocab,
-                                       beam_width=args.beam_width,
-                                       max_len=args.max_len)
+                                       max_len=cfg.max_decode_len)
             except ValueError as e:  # a history the models cannot take: wait, and say so
                 _eprint(f"warning: decision failed ({e}); waiting")
                 _demo_transcript_write(transcript, {"event": "fallback", "error": str(e)})
@@ -432,48 +441,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train, subparser=p)
 
     p = subs.add_parser("evaluate", help="report metrics for a checkpoint")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True,
+                   help="checkpoint written by train; its training config sets the split, "
+                        "the decode length and an imaginator's beam width (an arbitrator "
+                        "imagines greedily, as it was trained)")
     p.add_argument("--data", required=True, help="preprocess output directory")
-    p.add_argument("--split", choices=["train", "valid", "test"], default="test")
+    p.add_argument("--split", choices=SPLITS, default="test",
+                   help="part of the split the checkpoint was trained on")
     p.add_argument("--report", required=True, help="report file to write")
     p.add_argument("--decisions", default=None,
                    help="decision record file (arbitrator checkpoints; default "
                         "next to the report)")
     p.add_argument("--agent-imaginator", default=None)
     p.add_argument("--user-imaginator", default=None)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed,
-                   help="split seed; must match the training run")
-    p.add_argument("--valid-frac", type=float, default=_DEFAULTS.valid_frac)
-    p.add_argument("--test-frac", type=float, default=_DEFAULTS.test_frac)
-    p.add_argument("--beam-width", type=int, default=_DEFAULTS.beam_width,
-                   help="beam width for imaginator checkpoints only; an arbitrator "
-                        "imagines greedily, as in its training")
-    p.add_argument("--max-len", type=int, default=_DEFAULTS.max_decode_len)
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("generate", help="decode next utterances with an "
                         "imaginator checkpoint")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="imaginator checkpoint written by "
+                   "train; its training config sets the split, decode length and beam width")
     p.add_argument("--data", required=True, help="preprocess output directory")
-    p.add_argument("--split", choices=["train", "valid", "test"], default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--out", default=None, help="output JSONL (default stdout)")
-    p.add_argument("--limit", type=int, default=0, help="decode at most N samples")
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed,
-                   help="split seed; must match the training run")
-    p.add_argument("--valid-frac", type=float, default=_DEFAULTS.valid_frac)
-    p.add_argument("--test-frac", type=float, default=_DEFAULTS.test_frac)
-    p.add_argument("--beam-width", type=int, default=_DEFAULTS.beam_width)
-    p.add_argument("--max-len", type=int, default=_DEFAULTS.max_decode_len)
+    p.add_argument("--limit", type=int, default=0, help="decode at most N samples (0: all)")
     p.set_defaults(func=cmd_generate)
 
     p = subs.add_parser("demo", help="interactive wait-or-reply session")
-    p.add_argument("--arbitrator", required=True, help="ita arbitrator checkpoint")
+    p.add_argument("--arbitrator", required=True, help="ita arbitrator checkpoint; "
+                   "its training config sets the decode length")
     p.add_argument("--agent-imaginator", required=True)
     p.add_argument("--user-imaginator", required=True)
     p.add_argument("--vocab", required=True, help="vocab.tsv path")
     p.add_argument("--transcript", default=None, help="JSONL transcript file")
-    p.add_argument("--beam-width", type=int, default=_DEFAULTS.beam_width)
-    p.add_argument("--max-len", type=int, default=_DEFAULTS.max_decode_len)
     p.set_defaults(func=cmd_demo)
 
     return parser

@@ -172,6 +172,39 @@ def ingest_source(path, format: str):
     raise ValueError(f"unknown corpus format {format!r}")
 
 
+def _walk_records(located, messages: str, speaker: str):
+    """Dialogues, slot annotations and the skipped count of raw records, each given
+    as (locator, default id, parsed JSON). A record must be an object whose
+    `messages` key holds a list of objects with `speaker` and `text` keys, and
+    whose optional `slots` is an object; otherwise IngestError at the locator."""
+    dialogues, annotations, skipped = [], {}, 0
+    for loc, n, rec in located:
+        if not isinstance(rec, dict):
+            raise IngestError(f"{loc}: expected an object, got {type(rec).__name__}")
+        if messages not in rec:
+            raise IngestError(f"{loc}: missing {messages!r}")
+        if not isinstance(rec[messages], list):
+            raise IngestError(f"{loc}.{messages}: expected a list")
+        slots = rec.get("slots", {})
+        if not isinstance(slots, dict):
+            raise IngestError(f"{loc}.slots: expected an object")
+        did = str(rec.get("id", n))
+        raw = []
+        for m, msg in enumerate(rec[messages]):
+            if not isinstance(msg, dict) or speaker not in msg or "text" not in msg:
+                raise IngestError(f"{loc}.{messages}[{m}]: need {speaker!r} and 'text'")
+            raw.append((_normalize_speaker(msg[speaker], f"{loc}.{messages}[{m}]"),
+                        str(msg["text"])))
+        d = _assemble_dialogue(did, raw)
+        if d is None:
+            skipped += 1
+            continue
+        dialogues.append(d)
+        annotations[did] = {str(k): [str(v) for v in (vs if isinstance(vs, list) else [vs])]
+                            for k, vs in slots.items()}
+    return dialogues, annotations, skipped
+
+
 def _ingest_multiwoz(path: Path):
     try:
         records = json.loads(path.read_text())
@@ -179,28 +212,8 @@ def _ingest_multiwoz(path: Path):
         raise IngestError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(records, list):
         raise IngestError(f"{path}: expected a top-level list of dialogues")
-    dialogues, annotations, skipped = [], {}, 0
-    for n, rec in enumerate(records):
-        loc = f"{path}:dialogue[{n}]"
-        if not isinstance(rec, dict) or "turns" not in rec:
-            raise IngestError(f"{loc}: missing 'turns'")
-        did = str(rec.get("id", n))
-        raw = []
-        for m, turn in enumerate(rec["turns"]):
-            if not isinstance(turn, dict) or "speaker" not in turn or "text" not in turn:
-                raise IngestError(f"{loc}.turns[{m}]: need 'speaker' and 'text'")
-            raw.append((_normalize_speaker(turn["speaker"], f"{loc}.turns[{m}]"), str(turn["text"])))
-        d = _assemble_dialogue(did, raw)
-        if d is None:
-            skipped += 1
-            continue
-        slots = rec.get("slots", {})
-        value_map = {}
-        for name, vals in slots.items():
-            value_map[str(name)] = [str(v) for v in (vals if isinstance(vals, list) else [vals])]
-        dialogues.append(d)
-        annotations[did] = value_map
-    return dialogues, annotations, skipped
+    return _walk_records(((f"{path}:dialogue[{n}]", n, rec) for n, rec in enumerate(records)),
+                         "turns", "speaker")
 
 
 def _ingest_dailydialogue(path: Path, delimiter: str = "__eou__"):
@@ -229,28 +242,17 @@ def _ingest_dailydialogue(path: Path, delimiter: str = "__eou__"):
 
 
 def _ingest_jsonl(path: Path):
-    dialogues, skipped = [], 0
-    for n, line in enumerate(path.read_text().splitlines()):
-        if not line.strip():
-            continue
-        loc = f"{path}:{n + 1}"
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise IngestError(f"{loc}: bad JSON ({e})") from None
-        if "utterances" not in rec:
-            raise IngestError(f"{loc}: missing 'utterances'")
-        did = str(rec.get("id", n))
-        raw = []
-        for m, u in enumerate(rec["utterances"]):
-            if "role" not in u or "text" not in u:
-                raise IngestError(f"{loc}.utterances[{m}]: need 'role' and 'text'")
-            raw.append((_normalize_speaker(u["role"], f"{loc}.utterances[{m}]"), str(u["text"])))
-        d = _assemble_dialogue(did, raw)
-        if d is None:
-            skipped += 1
-        else:
-            dialogues.append(d)
+    def located():
+        for n, line in enumerate(path.read_text().splitlines()):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise IngestError(f"{path}:{n + 1}: bad JSON ({e})") from None
+            yield f"{path}:{n + 1}", n, rec
+
+    dialogues, _, skipped = _walk_records(located(), "utterances", "role")
     return dialogues, {}, skipped
 
 

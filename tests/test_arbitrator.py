@@ -495,7 +495,7 @@ class TestPrediction:
 
     @pytest.mark.parametrize("encoder", ["textcnn", "bigru"])
     def test_ita_predict_at_width_one_is_the_evaluation_decision(self, encoder):
-        """Serving (`ita_predict` at beam width 1) decides as evaluation does
+        """Serving (`ita_predict` at its default width, 1) decides as evaluation does
         (`decide_prepared` on `prepare_samples`): the same label, imaginations and
         flags, and bit-identical probabilities."""
         vocab, _ = tiny_vocab_and_history()
@@ -513,7 +513,7 @@ class TestPrediction:
                                         seed=10 * seed + i) for i, role in enumerate((AGENT, USER)))
             if seed == 5:  # an agent imaginator that ends at once: an empty, flagged imagination
                 ims[0].params["out.b_v"].data[EOS] = 50.0
-            served = ita_predict(list(history), m, *ims, vocab, beam_width=1, max_len=8)
+            served = ita_predict(list(history), m, *ims, vocab, max_len=8)
             prepared = prepare_samples([ArbitratorSample(history=history, label=1)], m, vocab,
                                        ims, max_len=8)
             evaluated = decide_prepared(m, prepared, vocab)[0]

@@ -8,6 +8,7 @@ tests check plumbing, not model quality.
 import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from oracles import arbitrator_oracle
 from turntaking import arbitrator, cli
 from turntaking.arbitrator import ArbitratorModel
 from turntaking.corpus import (
-    AGENT, EOS, USER, Vocabulary, derive_arbitrator_samples, encode_history,
+    AGENT, EOS, USER, Utterance, Vocabulary, derive_arbitrator_samples,
+    derive_imaginator_samples, encode_history, split_corpus,
 )
-from turntaking.imaginator import ImaginatorModel
+from turntaking.imaginator import ImaginatorModel, beam_decode, evaluate_imaginator
 from turntaking.synthetic import make_multiwoz_like, write_multiwoz_like
-from turntaking.training import load_checkpoint, save_checkpoint
+from turntaking.training import TrainConfig, load_checkpoint, save_checkpoint
 
 TINY_TRAIN = ["--epochs", "1", "--batch-size", "16", "--hidden", "8",
               "--token-dim", "8", "--tag-dim", "2", "--gru-hidden", "8",
@@ -30,6 +32,12 @@ TINY_TRAIN = ["--epochs", "1", "--batch-size", "16", "--hidden", "8",
 
 def run(argv):
     return cli.main(argv)
+
+
+def _valid_dialogues(prep_dir):
+    """The valid part of the split that TINY_TRAIN trains on: seed 3, default fractions."""
+    _, dialogues, _ = cli._load_data_dir(str(prep_dir))
+    return split_corpus(dialogues, 3)[1]
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +138,24 @@ class TestPreprocess:
         left = sorted(p.name for p in tmp_path.iterdir())
         assert left == sorted(PREP_FILES[:2] + ["manifest.json"])
 
+    @pytest.mark.parametrize("fmt,content,where", [
+        ("generic-jsonl", '"utterances"\n', ":1: expected an object, got str"),
+        ("generic-jsonl", '{"utterances": ["role: user, text: hi"]}\n',
+         ":1.utterances[0]: need 'role' and 'text'"),
+        ("generic-jsonl", '{"utterances": 5}\n', ":1.utterances: expected a list"),
+        ("multiwoz-like", '[{"turns": 5}]', ":dialogue[0].turns: expected a list"),
+        ("multiwoz-like", '[{"turns": [{"speaker": "user", "text": "hi"}], "slots": [1]}]',
+         ":dialogue[0].slots: expected an object"),
+    ])
+    def test_record_of_wrong_shape_is_located_error(self, tmp_path, capsys, fmt, content,
+                                                     where):
+        path = tmp_path / "raw"
+        path.write_text(content)
+        assert run(["preprocess", "--input", str(path), "--format", fmt,
+                    "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {path}{where}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_flag_rejected(self, raw_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["preprocess", "--input", str(raw_path), "--format",
@@ -189,7 +215,6 @@ class TestTrain:
             assert (tmp_path / name).exists(), name
 
     def test_flags_override_config_file(self, prep_dir, tmp_path, capsys):
-        from turntaking.training import TrainConfig
         cfg = TrainConfig(kind="imaginator", role="user", epochs=3, hidden=8,
                           token_dim=8, tag_dim=2, batch_size=16, beam_width=2,
                           max_decode_len=4, seed=3)
@@ -225,8 +250,7 @@ class TestEvaluate:
     def test_imaginator_report(self, prep_dir, artifacts, tmp_path, capsys):
         report = tmp_path / "report.txt"
         rc = run(["evaluate", "--checkpoint", str(artifacts[AGENT]),
-                  "--data", str(prep_dir), "--split", "valid", "--seed", "3",
-                  "--beam-width", "2", "--max-len", "4",
+                  "--data", str(prep_dir), "--split", "valid",
                   "--report", str(report)])
         assert rc == 0
         text = report.read_text()
@@ -239,8 +263,7 @@ class TestEvaluate:
         for name in ("a.txt", "b.txt"):
             path = tmp_path / name
             rc = run(["evaluate", "--checkpoint", str(artifacts[AGENT]),
-                      "--data", str(prep_dir), "--split", "valid", "--seed", "3",
-                      "--beam-width", "2", "--max-len", "4",
+                      "--data", str(prep_dir), "--split", "valid",
                       "--report", str(path)])
             assert rc == 0
             reports.append(path.read_bytes())
@@ -251,8 +274,7 @@ class TestEvaluate:
         rc = run(["evaluate", "--checkpoint", str(artifacts["arbitrator"]),
                   "--agent-imaginator", str(artifacts[AGENT]),
                   "--user-imaginator", str(artifacts[USER]),
-                  "--data", str(prep_dir), "--split", "valid", "--seed", "3",
-                  "--max-len", "4", "--report", str(report)])
+                  "--data", str(prep_dir), "--split", "valid", "--report", str(report)])
         assert rc == 0
         text = report.read_text()
         for key in ("accuracy = ", "random_policy_accuracy = ",
@@ -273,23 +295,21 @@ class TestEvaluate:
         and flags exactly, probabilities to 1e-12. The user imaginator is pinned to end
         at once, so every user imagination is empty and must be flagged."""
         vocab = Vocabulary.load(artifacts["vocab"])
-        user = load_checkpoint(artifacts[USER]).model
+        ck = load_checkpoint(artifacts[USER])
+        user = ck.model
         user.params["out.b_v"].data[EOS] = 1e4
-        save_checkpoint(user, tmp_path / "user.ckpt", vocab.hash())
+        save_checkpoint(user, tmp_path / "user.ckpt", vocab.hash(),
+                        train_config=TrainConfig.from_text(ck.train_config_text))
         monkeypatch.setattr(arbitrator, "EVAL_SAMPLES", 4)  # several chunks and a short one
         argv = ["evaluate", "--checkpoint", str(artifacts["arbitrator"]),
                 "--agent-imaginator", str(artifacts[AGENT]),
                 "--user-imaginator", str(tmp_path / "user.ckpt"),
-                "--data", str(prep_dir), "--split", "valid", "--seed", "3",
-                "--max-len", "4", "--report", str(tmp_path / "arb.txt")]
+                "--data", str(prep_dir), "--split", "valid", "--report", str(tmp_path / "arb.txt")]
         assert run(argv) == 0
         records = [json.loads(l) for l in
                    (tmp_path / "arb.decisions.jsonl").read_text().splitlines()]
 
-        args = cli.build_parser().parse_args(argv)
-        _, dialogues, _ = cli._load_data_dir(args.data)
-        samples = [s for d in cli._split_dialogues(dialogues, args)
-                   for s in derive_arbitrator_samples(d)]
+        samples = [s for d in _valid_dialogues(prep_dir) for s in derive_arbitrator_samples(d)]
         model = load_checkpoint(artifacts["arbitrator"]).model
         imaginators = (load_checkpoint(artifacts[AGENT]).model, user)
         assert len(records) == len(samples) > 4 and len(samples) % 4
@@ -304,8 +324,7 @@ class TestEvaluate:
     def test_ita_checkpoint_needs_imaginator_flags(self, prep_dir, artifacts,
                                                    tmp_path, capsys):
         rc = run(["evaluate", "--checkpoint", str(artifacts["arbitrator"]),
-                  "--data", str(prep_dir), "--seed", "3",
-                  "--report", str(tmp_path / "r.txt")])
+                  "--data", str(prep_dir), "--report", str(tmp_path / "r.txt")])
         assert rc == 1
         assert "--agent-imaginator" in capsys.readouterr().err
 
@@ -337,9 +356,9 @@ class TestDataDirVocabulary:
             "train": ["train", "--kind", "imaginator", "--role", "agent", "--data", data,
                       "--out", str(tmp_path / "out")] + TINY_TRAIN,
             "evaluate": ["evaluate", "--checkpoint", str(artifacts[AGENT]), "--data", data,
-                         "--seed", "3", "--report", str(tmp_path / "r.txt")],
+                         "--report", str(tmp_path / "r.txt")],
             "generate": ["generate", "--checkpoint", str(artifacts[AGENT]), "--data", data,
-                         "--seed", "3", "--limit", "1"],
+                         "--limit", "1"],
         }[command]
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "generate"])
@@ -375,8 +394,7 @@ class TestGenerate:
     def test_emits_one_record_per_sample(self, prep_dir, artifacts, tmp_path):
         out = tmp_path / "gen.jsonl"
         rc = run(["generate", "--checkpoint", str(artifacts[AGENT]),
-                  "--data", str(prep_dir), "--split", "valid", "--seed", "3",
-                  "--beam-width", "2", "--max-len", "4", "--limit", "5",
+                  "--data", str(prep_dir), "--split", "valid", "--limit", "5",
                   "--out", str(out)])
         assert rc == 0
         records = [json.loads(l) for l in out.read_text().splitlines()]
@@ -386,8 +404,7 @@ class TestGenerate:
 
     def test_stdout_when_no_out_flag(self, prep_dir, artifacts, capsys):
         rc = run(["generate", "--checkpoint", str(artifacts[AGENT]),
-                  "--data", str(prep_dir), "--split", "valid", "--seed", "3",
-                  "--beam-width", "2", "--max-len", "4", "--limit", "2"])
+                  "--data", str(prep_dir), "--split", "valid", "--limit", "2"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and json.loads(lines[0])["sample_id"] == "valid-00000"
@@ -396,8 +413,7 @@ class TestGenerate:
                                                   monkeypatch, capsys):
         out = tmp_path / "gen.jsonl"
         argv = ["generate", "--checkpoint", str(artifacts[AGENT]), "--data", str(prep_dir),
-                "--split", "valid", "--seed", "3", "--beam-width", "2", "--max-len", "4",
-                "--out", str(out)]
+                "--split", "valid", "--out", str(out)]
         assert run(argv + ["--limit", "2"]) == 0
         before = out.read_bytes()
 
@@ -410,11 +426,141 @@ class TestGenerate:
         assert out.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.jsonl"]
 
+    def test_negative_limit_refused(self, prep_dir, artifacts, tmp_path, capsys):
+        out = tmp_path / "gen.jsonl"
+        assert run(["generate", "--checkpoint", str(artifacts[AGENT]), "--data", str(prep_dir),
+                    "--limit", "-1", "--out", str(out)]) == 1
+        assert "error: --limit must not be negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_arbitrator_checkpoint_rejected(self, prep_dir, artifacts, tmp_path, capsys):
         rc = run(["generate", "--checkpoint", str(artifacts["arbitrator"]),
-                  "--data", str(prep_dir), "--seed", "3"])
+                  "--data", str(prep_dir)])
         assert rc == 1
         assert "expected imaginator" in capsys.readouterr().err
+
+
+REMOVED_FLAGS = [(c, f) for c in ("evaluate", "generate")
+                 for f in ("--seed", "--valid-frac", "--test-frac", "--beam-width", "--max-len")]
+REMOVED_FLAGS += [("demo", "--beam-width"), ("demo", "--max-len")]
+
+
+class TestRunsAsTrained:
+    """evaluate, generate and demo take the split, decode length and beam width
+    from the checkpoint's training config; TINY_TRAIN records seed 3, width 2 and
+    4 tokens, so each output here equals one made with those values spelt out."""
+
+    def _argv(self, command, checkpoint, prep_dir, artifacts, tmp_path):
+        return {
+            "evaluate": ["evaluate", "--checkpoint", str(checkpoint), "--data", str(prep_dir),
+                         "--split", "valid", "--report", str(tmp_path / "r.txt"),
+                         "--agent-imaginator", str(artifacts[AGENT]),
+                         "--user-imaginator", str(artifacts[USER])],
+            "generate": ["generate", "--checkpoint", str(checkpoint), "--data", str(prep_dir),
+                         "--split", "valid", "--out", str(tmp_path / "gen.jsonl")],
+            "demo": ["demo", "--arbitrator", str(checkpoint),
+                     "--agent-imaginator", str(artifacts[AGENT]),
+                     "--user-imaginator", str(artifacts[USER]),
+                     "--vocab", str(artifacts["vocab"]),
+                     "--transcript", str(tmp_path / "t.jsonl")],
+        }[command]
+
+    def test_evaluate_imaginator(self, prep_dir, artifacts, tmp_path):
+        assert run(self._argv("evaluate", artifacts[AGENT], prep_dir, artifacts, tmp_path)) == 0
+        vocab = Vocabulary.load(artifacts["vocab"])
+        samples = [s for d in _valid_dialogues(prep_dir) for r in (AGENT, USER)
+                   for s in derive_imaginator_samples(d, r)]
+        scores = evaluate_imaginator(load_checkpoint(artifacts[AGENT]).model, samples, vocab,
+                                     beam_width=2, max_len=4)
+        assert (tmp_path / "r.txt").read_text() == (
+            f"kind = imaginator\nrole = agent\nsplit = valid\nsamples = {len(samples)}\n"
+            f"bleu_on_agent_targets = {scores['bleu_on_agent_targets']:.6f}\n"
+            f"bleu_on_user_targets = {scores['bleu_on_user_targets']:.6f}\n")
+
+    def test_evaluate_arbitrator(self, prep_dir, artifacts, tmp_path):
+        argv = self._argv("evaluate", artifacts["arbitrator"], prep_dir, artifacts, tmp_path)
+        assert run(argv) == 0
+        vocab = Vocabulary.load(artifacts["vocab"])
+        model, *pair = [load_checkpoint(artifacts[k]).model for k in ("arbitrator", AGENT, USER)]
+        samples = [s for d in _valid_dialogues(prep_dir) for s in derive_arbitrator_samples(d)]
+        decisions = arbitrator.decide_prepared(
+            model, arbitrator.prepare_samples(samples, model, vocab, pair, max_len=4), vocab)
+        assert (tmp_path / "r.decisions.jsonl").read_text() == "".join(
+            json.dumps(arbitrator.decision_record(f"valid-{i:05d}", d), sort_keys=True) + "\n"
+            for i, d in enumerate(decisions))
+        gold = [s.label for s in samples]
+        lines = (tmp_path / "r.txt").read_text().splitlines()
+        acc = arbitrator.accuracy([d.label for d in decisions], gold)
+        rand = arbitrator.accuracy(arbitrator.random_policy_predictions(len(gold), seed=3), gold)
+        assert f"accuracy = {acc:.6f}" in lines
+        assert f"random_policy_accuracy = {rand:.6f}" in lines
+
+    def test_generate(self, prep_dir, artifacts, tmp_path):
+        assert run(self._argv("generate", artifacts[AGENT], prep_dir, artifacts, tmp_path)) == 0
+        vocab = Vocabulary.load(artifacts["vocab"])
+        model = load_checkpoint(artifacts[AGENT]).model
+        samples = [s for d in _valid_dialogues(prep_dir)
+                   for s in derive_imaginator_samples(d, AGENT)]
+        encs = [encode_history(s.history, vocab, model.max_history, model.turn_cap,
+                               model.subturn_cap) for s in samples]
+        records = [json.loads(l) for l in (tmp_path / "gen.jsonl").read_text().splitlines()]
+        assert [(r["generated"], r["target"]) for r in records] == [
+            (" ".join(vocab.decode_id(t) for t in ids), " ".join(s.target.tokens))
+            for s, ids in zip(samples, beam_decode(model, encs, beam_width=2, max_len=4))]
+
+    def test_demo_imagines_greedily_to_the_trained_length(self, artifacts, tmp_path,
+                                                          monkeypatch):
+        real, calls = cli.ita_predict, []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ita_predict", spy)
+        monkeypatch.setattr("sys.stdin", io.StringIO("i need a hotel\n/quit\n"))
+        assert run(self._argv("demo", artifacts["arbitrator"], None, artifacts, tmp_path)) == 0
+        assert calls == [{"max_len": 4}]
+        events = [json.loads(l) for l in (tmp_path / "t.jsonl").read_text().splitlines()]
+        decision = next(e for e in events if e["event"] == "decision")
+        models = [load_checkpoint(artifacts[k]).model for k in ("arbitrator", AGENT, USER)]
+        expected = arbitrator.ita_predict([Utterance(USER, 0, 0, ("i", "need", "a", "hotel"))],
+                                          *models, Vocabulary.load(artifacts["vocab"]),
+                                          beam_width=1, max_len=4)
+        assert (decision["label"], decision["p_wait"], decision["p_reply"], decision["flags"]) \
+            == (expected.label, expected.probs[0], expected.probs[1], list(expected.flags))
+
+    @pytest.mark.parametrize("defect", ["missing", "unparsable"])
+    @pytest.mark.parametrize("command", ["evaluate", "generate", "demo"])
+    def test_checkpoint_without_usable_config_refused(self, command, defect, prep_dir,
+                                                      artifacts, tmp_path, monkeypatch, capsys):
+        vocab = Vocabulary.load(artifacts["vocab"])
+        bad = tmp_path / "bad.ckpt"
+        config = None if defect == "missing" else SimpleNamespace(to_text=lambda: "seed = three\n")
+        source = artifacts["arbitrator" if command == "demo" else AGENT]
+        save_checkpoint(load_checkpoint(source).model, bad, vocab.hash(), train_config=config)
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello\n/quit\n"))
+        assert run(self._argv(command, bad, prep_dir, artifacts, tmp_path)) == 1
+        reason = ("checkpoint records no training config" if defect == "missing"
+                  else "config line 1: seed must be int, got 'three'")
+        assert f"error: {bad}: {reason}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt", "bad.ckpt.txt"]
+
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+    def test_removed_flag_is_usage_error(self, command, flag, prep_dir, artifacts, tmp_path,
+                                         capsys):
+        argv = self._argv(command, artifacts[AGENT], prep_dir, artifacts, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "generate", "demo"])
+    def test_help_lists_no_removed_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert [f for c, f in REMOVED_FLAGS if c == command and f in out] == []
 
 
 def _rigged_demo_models(vocab: Vocabulary, tmp_path, reply: bool):
@@ -436,9 +582,10 @@ def _rigged_demo_models(vocab: Vocabulary, tmp_path, reply: bool):
         arr["out.b_v"][7] = 50.0
         m.params.load_arrays(arr)
         paths[role] = tmp_path / f"demo_{role}.ckpt"
-        save_checkpoint(m, paths[role], vocab.hash())
+        save_checkpoint(m, paths[role], vocab.hash(), train_config=TrainConfig(role=role))
     paths["arb"] = tmp_path / "demo_arb.ckpt"
-    save_checkpoint(arb, paths["arb"], vocab.hash())
+    save_checkpoint(arb, paths["arb"], vocab.hash(),
+                    train_config=TrainConfig(kind="arbitrator", max_decode_len=3))
     return paths
 
 
@@ -452,7 +599,6 @@ class TestDemo:
                   "--agent-imaginator", str(paths[AGENT]),
                   "--user-imaginator", str(paths[USER]),
                   "--vocab", str(artifacts["vocab"]),
-                  "--beam-width", "2", "--max-len", "3",
                   "--transcript", str(transcript)])
         events = [json.loads(l) for l in transcript.read_text().splitlines()]
         return rc, events, transcript
@@ -524,7 +670,8 @@ class TestDemo:
         base = ArbitratorModel(len(vocab), mode="baseline", token_dim=8, tag_dim=2,
                                filter_widths=(2,), filters_per_width=4, seed=0)
         ck = tmp_path / "base.ckpt"
-        save_checkpoint(base, ck, vocab.hash())
+        save_checkpoint(base, ck, vocab.hash(),
+                        train_config=TrainConfig(kind="arbitrator", mode="baseline"))
         paths = _rigged_demo_models(vocab, tmp_path, reply=True)
         monkeypatch.setattr("sys.stdin", io.StringIO("/quit\n"))
         rc = run(["demo", "--arbitrator", str(ck),
