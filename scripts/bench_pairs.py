@@ -12,9 +12,9 @@ side that runs first alternates from pair to pair. The script then prints, for
 each end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
 number of pairs in which the change reads better, and two verdicts:
 
-- the claim rule: the change better in at least nine tenths of the pairs (ties
-  count for neither), and the medians further apart than the parent's
-  interquartile range;
+- the claim rule: at least ten pairs, the change better in at least nine
+  tenths of them (ties count for neither), and the medians further apart than
+  the parent's interquartile range; where it is not met, the parts that fail;
 - the no-regression rule, against the metric's `bound`, a fraction of the
   parent's median: `unresolved` when the parent's interquartile range is wider
   than the bound, unless every change run beats every parent run; otherwise
@@ -41,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_SHARE = 0.9
+CLAIM_MIN_PAIRS = 10
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -72,8 +73,8 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
 
     `metrics` are BENCHMARK.json's end-to-end entries ("name", "better",
     "bound"). A row holds both sides' quartiles, the pairs in which the change is
-    better, the pairs with both values, whether the claim rule holds, and the
-    no-regression verdict."""
+    better, the pairs with both values, whether the claim rule holds, the parts of
+    it that fail, and the no-regression verdict."""
     rows = []
     for m in metrics:
         name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
@@ -87,6 +88,10 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         better = sum(sign * (c - p) < 0 for p, c in both)
         apart = sign * (change[1] - parent[1]) < 0 and \
             abs(change[1] - parent[1]) > parent[2] - parent[0]
+        unmet = [why for why, fails in (
+            (f"{len(both)} < {CLAIM_MIN_PAIRS} pairs", len(both) < CLAIM_MIN_PAIRS),
+            (f"better in {better}/{len(both)}", better < CLAIM_SHARE * len(both)),
+            ("medians not apart by the parent's IQR", not apart)) if fails]
         bound = m["bound"] * abs(parent[1])
         if parent[2] - parent[0] > bound and \
                 max(sign * c for _, c in both) >= min(sign * p for p, _ in both):
@@ -97,8 +102,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
             verdict = "within bound"
         rows.append({"name": name, "parent": parent, "change": change,
                      "pairs": len(both), "better": better,
-                     "claim": better >= CLAIM_SHARE * len(both) and apart,
-                     "verdict": verdict})
+                     "claim": not unmet, "unmet": unmet, "verdict": verdict})
     return rows
 
 
@@ -123,14 +127,14 @@ def render(rows: list[dict], flags: list[str]) -> str:
         return f"{t[1]:.6g} [{t[0]:.6g}, {t[2]:.6g}]"
 
     lines = [f"{'metric':<14} {'parent median [q1, q3]':<36} {'change median [q1, q3]':<36} "
-             f"better  claim    no regression"]
+             f"better  claim    no regression why the claim is not met"]
     for r in rows:
         if not r["pairs"]:
             lines.append(f"{r['name']:<14} no values")
             continue
         lines.append(f"{r['name']:<14} {q(r['parent']):<36} {q(r['change']):<36} "
                      f"{r['better']}/{r['pairs']:<5} {'holds' if r['claim'] else 'not met':<8} "
-                     f"{r['verdict']}")
+                     f"{r['verdict']:<13} {'; '.join(r['unmet'])}".rstrip())
     lines += flags or ["every pair: digests equal, both runs correct, failed counts equal"]
     return "\n".join(lines) + "\n"
 

@@ -2,16 +2,16 @@
 
 Subcommands: preprocess, stats, train, evaluate, generate, demo. Every run
 prints its resolved configuration to stderr; data goes to files or stdout,
-diagnostics to stderr. Each output directory gets a manifest.json listing the
-written artifacts with their sha256 digests, so reruns can be compared
-byte-for-byte.
+diagnostics to stderr. `preprocess` writes processed.jsonl, vocab.tsv and
+stats.txt; `train` writes model.ckpt, its model.ckpt.txt sidecar, metrics.jsonl
+and train_config.txt. Nothing else is written, and rerunning `preprocess` with
+equal flags writes byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -44,16 +44,6 @@ def _announce(pairs: dict) -> None:
     _eprint("resolved configuration:")
     for k, v in pairs.items():
         _eprint(f"  {k} = {v}")
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(out_dir: Path, names: list[str]) -> None:
-    digests = {n: _sha256_file(out_dir / n) for n in sorted(names)}
-    cp._write_atomic(out_dir / "manifest.json",
-                     (json.dumps(digests, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _load_data_dir(data: str):
@@ -128,18 +118,9 @@ def cmd_preprocess(args) -> int:
               "vocab_hash": vocab.hash()}
 
     cp.write_processed(modified, out / "processed.jsonl", header)
-    arb = [s for d in modified for s in cp.derive_arbitrator_samples(d)]
-    cp.write_arbitrator_samples(arb, out / "arbitrator_samples.jsonl", header)
-    names = ["processed.jsonl", "arbitrator_samples.jsonl", "vocab.tsv", "stats.txt"]
-    for role in (AGENT, USER):
-        ims = [s for d in modified for s in cp.derive_imaginator_samples(d, role)]
-        name = f"imaginator_{role}_samples.jsonl"
-        cp.write_imaginator_samples(ims, out / name, header)
-        names.append(name)
     vocab.save(out / "vocab.tsv")
     report = cp.render_stats(cp.compute_stats(modified, vocab_size=len(vocab)))
     cp._write_atomic(out / "stats.txt", report.encode())
-    _write_manifest(out, names)
     if skipped:
         _eprint(f"skipped {skipped} malformed dialogue(s)")
     print(report, end="")
@@ -212,8 +193,6 @@ def cmd_train(args) -> int:
                        imaginators=imaginators, metrics_path=metrics_path,
                        checkpoint_path=out / "model.ckpt")
     cp._write_atomic(out / "train_config.txt", cfg.to_text().encode())
-    _write_manifest(out, ["model.ckpt", "model.ckpt.txt", "metrics.jsonl",
-                          "train_config.txt"])
     print(f"{res.metric_name} = {res.best_value:.6f}")
     print(f"best_epoch = {res.best_epoch}")
     print(f"epochs_run = {res.epochs_run}")

@@ -29,7 +29,6 @@ AGENT = "agent"
 USER = "user"
 
 PAD, UNK, BOS, EOS, SEP = 0, 1, 2, 3, 4
-AGENT_TAG_ID, USER_TAG_ID = 5, 6
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>", "<sep>", "<agent>", "<user>")
 
 SPLIT_PUNCTUATION = frozenset({".", "!", "?", ";"})
@@ -252,8 +251,7 @@ def _ingest_jsonl(path: Path):
                 raise IngestError(f"{path}:{n + 1}: bad JSON ({e})") from None
             yield f"{path}:{n + 1}", n, rec
 
-    dialogues, _, skipped = _walk_records(located(), "utterances", "role")
-    return dialogues, {}, skipped
+    return _walk_records(located(), "utterances", "role")
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +611,7 @@ def render_stats(stats: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# processed-corpus and sample files (line-delimited JSON with a header line)
+# processed-corpus files (line-delimited JSON with a header line)
 
 
 def _dumps(obj) -> str:
@@ -650,25 +648,28 @@ def _write_atomic(path, *pieces) -> None:
         raise
 
 
-def _write_records(path, header: dict, records: Iterable[dict]) -> None:
-    lines = [_dumps({"header": header})] + [_dumps(r) for r in records]
+def write_processed(dialogues: Iterable[Dialogue], path, header: dict) -> None:
+    lines = [_dumps({"header": header})] + [
+        _dumps({"id": d.id, "utterances": [_utt_record(u) for u in d.utterances]})
+        for d in dialogues]
     _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
-def _read_records(path, build):
-    """The header and the built records of a JSONL file written by `_write_records`.
+def read_processed(path):
+    """The header and the dialogues of a file written by `write_processed`.
 
     A line that is not JSON, lacks a key or holds an invalid record raises
     IngestError located at "<path>:<line>", and so does a file with no lines,
     at line 1.
     """
-    header, items, n = None, [], 0
+    header, dialogues, n = None, [], 0
     with open(path) as fh:
         for n, line in enumerate(fh, start=1):
             try:
                 rec = json.loads(line)
                 if n > 1:
-                    items.append(build(rec))
+                    dialogues.append(Dialogue(id=rec["id"], utterances=tuple(
+                        _utt_from_record(u) for u in rec["utterances"])))
                 elif isinstance(rec, dict) and "header" in rec:
                     header = rec["header"]
                 else:
@@ -681,42 +682,7 @@ def _read_records(path, build):
                 raise IngestError(f"{path}:{n}: invalid record ({e})") from None
     if n == 0:
         raise IngestError(f"{path}:1: empty file, no header line")
-    return header, items
-
-
-def write_processed(dialogues: Iterable[Dialogue], path, header: dict) -> None:
-    _write_records(path, header, ({"id": d.id,
-                                   "utterances": [_utt_record(u) for u in d.utterances]}
-                                  for d in dialogues))
-
-
-def read_processed(path):
-    return _read_records(path, lambda rec: Dialogue(
-        id=rec["id"], utterances=tuple(_utt_from_record(u) for u in rec["utterances"])))
-
-
-def write_arbitrator_samples(samples: Iterable[ArbitratorSample], path, header: dict) -> None:
-    _write_records(path, header, ({"history": [_utt_record(u) for u in s.history],
-                                   "label": s.label} for s in samples))
-
-
-def read_arbitrator_samples(path):
-    return _read_records(path, lambda rec: ArbitratorSample(
-        history=tuple(_utt_from_record(u) for u in rec["history"]),
-        label=int(rec["label"])))
-
-
-def write_imaginator_samples(samples: Iterable[ImaginatorSample], path, header: dict) -> None:
-    _write_records(path, header, ({"history": [_utt_record(u) for u in s.history],
-                                   "target": _utt_record(s.target),
-                                   "role": s.role} for s in samples))
-
-
-def read_imaginator_samples(path):
-    return _read_records(path, lambda rec: ImaginatorSample(
-        history=tuple(_utt_from_record(u) for u in rec["history"]),
-        target=_utt_from_record(rec["target"]),
-        role=rec["role"]))
+    return header, dialogues
 
 
 def split_corpus(dialogues: Sequence[Dialogue], seed: int,

@@ -80,8 +80,9 @@ class TrainConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.patience < 0:
-            raise ValueError(f"patience must be non-negative, got {self.patience}")
+        for name in ("patience", "turn_cap", "subturn_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0.0 <= self.p_split <= 1.0:
             raise ValueError(f"p_split must be in [0, 1], got {self.p_split}")
         for name, frac in (("valid_frac", self.valid_frac), ("test_frac", self.test_frac)):

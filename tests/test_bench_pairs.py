@@ -38,6 +38,13 @@ class TestSummary:
         row = _rows([(_run(p), _run(c)) for p, c in zip(parent, change)])["setup_s"]
         assert row["better"] == 9 and row["claim"] is True
 
+    def test_claim_not_met_below_ten_pairs(self):
+        parent = [10.0, 10.5, 11.0, 11.5, 12.0, 10.2, 10.8, 11.2, 11.8]
+        rows = bench_pairs.summarize([(_run(p), _run(p - 3.0)) for p in parent], METRICS)
+        assert rows[0]["better"] == 9 and rows[0]["claim"] is False
+        assert rows[0]["unmet"] == ["9 < 10 pairs"]
+        assert "not met  within bound  9 < 10 pairs" in bench_pairs.render(rows, [])
+
     def test_claim_not_met_at_eight_of_ten(self):
         parent = [10.0] * 10
         change = [7.0] * 8 + [10.0, 12.0]

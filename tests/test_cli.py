@@ -18,7 +18,7 @@ from turntaking import arbitrator, cli
 from turntaking.arbitrator import ArbitratorModel
 from turntaking.corpus import (
     AGENT, EOS, USER, Utterance, Vocabulary, derive_arbitrator_samples,
-    derive_imaginator_samples, encode_history, split_corpus,
+    derive_imaginator_samples, encode_history, read_processed, split_corpus,
 )
 from turntaking.imaginator import ImaginatorModel, beam_decode, evaluate_imaginator
 from turntaking.synthetic import make_multiwoz_like, write_multiwoz_like
@@ -78,21 +78,13 @@ def artifacts(prep_dir, tmp_path_factory):
     return paths
 
 
-PREP_FILES = ["processed.jsonl", "arbitrator_samples.jsonl",
-              "imaginator_agent_samples.jsonl", "imaginator_user_samples.jsonl",
-              "vocab.tsv", "stats.txt", "manifest.json"]
+PREP_FILES = ["processed.jsonl", "stats.txt", "vocab.tsv"]
+TRAIN_FILES = ["metrics.jsonl", "model.ckpt", "model.ckpt.txt", "train_config.txt"]
 
 
 class TestPreprocess:
     def test_writes_all_artifacts(self, prep_dir, capsys):
-        for name in PREP_FILES:
-            assert (prep_dir / name).exists(), name
-
-    def test_manifest_digests_match_files(self, prep_dir):
-        manifest = json.loads((prep_dir / "manifest.json").read_text())
-        assert sorted(manifest) == sorted(n for n in PREP_FILES if n != "manifest.json")
-        for name, digest in manifest.items():
-            assert cli._sha256_file(prep_dir / name) == digest
+        assert sorted(p.name for p in prep_dir.iterdir()) == PREP_FILES
 
     def test_rerun_byte_identical(self, raw_path, prep_dir, tmp_path):
         rc = run(["preprocess", "--input", str(raw_path), "--format",
@@ -122,22 +114,6 @@ class TestPreprocess:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_failed_replace_keeps_previous_manifest(self, prep_dir, tmp_path, monkeypatch):
-        for name in PREP_FILES[:2]:
-            (tmp_path / name).write_bytes((prep_dir / name).read_bytes())
-        cli._write_manifest(tmp_path, PREP_FILES[:1])
-        before = (tmp_path / "manifest.json").read_bytes()
-
-        def fail(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cli.cp.os, "replace", fail)
-        with pytest.raises(OSError, match="disk full"):
-            cli._write_manifest(tmp_path, PREP_FILES[:2])
-        assert (tmp_path / "manifest.json").read_bytes() == before
-        left = sorted(p.name for p in tmp_path.iterdir())
-        assert left == sorted(PREP_FILES[:2] + ["manifest.json"])
-
     @pytest.mark.parametrize("fmt,content,where", [
         ("generic-jsonl", '"utterances"\n', ":1: expected an object, got str"),
         ("generic-jsonl", '{"utterances": ["role: user, text: hi"]}\n',
@@ -155,6 +131,23 @@ class TestPreprocess:
                     "--out", str(tmp_path / "o")]) == 1
         assert f"error: {path}{where}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_generic_jsonl_masks_slots_as_multiwoz_like_does(self, tmp_path):
+        messages = [("user", "call 01223 323737 please"), ("agent", "calling")]
+        slots = {"phone": "01223 323737"}
+        raws = {"multiwoz-like": json.dumps([{"id": "d", "slots": slots, "turns": [
+                    {"speaker": r, "text": t} for r, t in messages]}]),
+                "generic-jsonl": json.dumps({"id": "d", "slots": slots, "utterances": [
+                    {"role": r, "text": t} for r, t in messages]}) + "\n"}
+        tokens = {}
+        for fmt, text in raws.items():
+            (tmp_path / fmt).write_text(text)
+            assert run(["preprocess", "--input", str(tmp_path / fmt), "--format", fmt,
+                        "--p-split", "0", "--out", str(tmp_path / f"{fmt}-out")]) == 0
+            _, (d,) = read_processed(tmp_path / f"{fmt}-out" / "processed.jsonl")
+            tokens[fmt] = [u.tokens for u in d.utterances]
+        assert tokens["generic-jsonl"] == tokens["multiwoz-like"]
+        assert tokens["multiwoz-like"][0] == ("call", "[phone]", "please")
 
     def test_unknown_flag_rejected(self, raw_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -210,9 +203,7 @@ class TestTrain:
         assert "resolved configuration:" in captured.err
         assert "seed = 3" in captured.err
         assert "bleu = " in captured.out
-        for name in ("model.ckpt", "model.ckpt.txt", "metrics.jsonl",
-                     "train_config.txt", "manifest.json"):
-            assert (tmp_path / name).exists(), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == TRAIN_FILES
 
     def test_flags_override_config_file(self, prep_dir, tmp_path, capsys):
         cfg = TrainConfig(kind="imaginator", role="user", epochs=3, hidden=8,
@@ -227,6 +218,15 @@ class TestTrain:
         assert "epochs = 1" in captured.err
         assert "role = 'user'" in captured.err
         assert "epochs_run = 1" in captured.out
+
+    @pytest.mark.parametrize("flag, value", [("--turn-cap", "-1"), ("--subturn-cap", "-2")])
+    def test_negative_cap_is_clean_error(self, prep_dir, tmp_path, capsys, flag, value):
+        rc = run(["train", flag, value, "--data", str(prep_dir),
+                  "--out", str(tmp_path / "o")] + TINY_TRAIN)
+        assert rc == 1
+        key = flag[2:].replace("-", "_")
+        assert f"error: {key} must be non-negative, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line", ["epochs = ten", "learning_rate = fast"])
     def test_bad_number_in_config_names_its_line(self, prep_dir, tmp_path, capsys, line):

@@ -592,30 +592,14 @@ class TestFiles:
         assert header["seed"] == 3
         assert back == ds
 
-    def test_sample_files_round_trip(self, tmp_path):
-        d = make_dialogue("a", (cp.USER, "hello"), (cp.AGENT, "hi"), (cp.USER, "bye"))
-        arb = cp.derive_arbitrator_samples(d)
-        ima = cp.derive_imaginator_samples(d, cp.AGENT)
-        cp.write_arbitrator_samples(arb, tmp_path / "arb.jsonl", header={"seed": 0})
-        cp.write_imaginator_samples(ima, tmp_path / "ima.jsonl", header={"seed": 0})
-        _, arb2 = cp.read_arbitrator_samples(tmp_path / "arb.jsonl")
-        _, ima2 = cp.read_imaginator_samples(tmp_path / "ima.jsonl")
-        assert arb2 == arb and ima2 == ima
-
     @pytest.mark.parametrize("kind", ["bad_json", "missing_key", "invalid_record",
                                       "string_tokens"])
-    @pytest.mark.parametrize("reader", ["processed", "arbitrator", "imaginator"])
-    def test_bad_line_raises_located_error(self, tmp_path, reader, kind):
+    @pytest.mark.parametrize("write, read", [(cp.write_processed, cp.read_processed)],
+                             ids=["processed"])
+    def test_bad_line_raises_located_error(self, tmp_path, write, read, kind):
         d = make_dialogue("a", (cp.USER, "hello"), (cp.AGENT, "hi"), (cp.USER, "bye"))
         path = tmp_path / "f.jsonl"
-        write, read, records, key = {
-            "processed": (cp.write_processed, cp.read_processed, [d, d], "utterances"),
-            "arbitrator": (cp.write_arbitrator_samples, cp.read_arbitrator_samples,
-                           cp.derive_arbitrator_samples(d), "label"),
-            "imaginator": (cp.write_imaginator_samples, cp.read_imaginator_samples,
-                           cp.derive_imaginator_samples(d, cp.AGENT) * 2, "target"),
-        }[reader]
-        write(records, path, header={"seed": 0})
+        write([d, d], path, header={"seed": 0})
         lines = path.read_text().splitlines()
         assert len(lines) >= 3
         rec = json.loads(lines[2])
@@ -623,17 +607,15 @@ class TestFiles:
             lines[2] = lines[2][:-1]
             want = f"{path}:3: bad JSON"
         elif kind == "missing_key":
-            del rec[key]
+            del rec["utterances"]
             lines[2] = json.dumps(rec)
-            want = f"{path}:3: missing key '{key}'"
+            want = f"{path}:3: missing key 'utterances'"
         elif kind == "invalid_record":
-            first = rec["utterances"][0] if reader == "processed" else rec["history"][0]
-            first["role"] = "narrator"
+            rec["utterances"][0]["role"] = "narrator"
             lines[2] = json.dumps(rec)
             want = f"{path}:3: invalid record (unknown role 'narrator')"
         else:  # a string, not a list: its characters must not pass as tokens
-            first = rec["utterances"][0] if reader == "processed" else rec["history"][0]
-            first["tokens"] = "hello"
+            rec["utterances"][0]["tokens"] = "hello"
             lines[2] = json.dumps(rec)
             want = f"{path}:3: invalid record (tokens must be a list of strings, not str)"
         path.write_text("\n".join(lines) + "\n")
@@ -641,8 +623,7 @@ class TestFiles:
             read(path)
         assert str(exc.value).startswith(want)
 
-    @pytest.mark.parametrize("read", [cp.read_processed, cp.read_arbitrator_samples,
-                                      cp.read_imaginator_samples])
+    @pytest.mark.parametrize("read", [cp.read_processed])
     def test_empty_file_raises_located_error(self, tmp_path, read):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -14,11 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "turntaking"
 
-# Referenced by no program module, on purpose. The gradient checker is the tool
-# the test suite checks every backward rule with; the two readers are the read
-# side of the sample files that `preprocess` writes.
-ALLOWED = {"autodiff.finite_difference_check", "corpus.read_arbitrator_samples",
-           "corpus.read_imaginator_samples"}
+# Referenced by no program module, on purpose: the gradient checker is the tool
+# the test suite checks every backward rule with.
+ALLOWED = {"autodiff.finite_difference_check"}
 
 
 def _public_names() -> dict[str, set[str]]:
