@@ -6,9 +6,14 @@ Run from the repository root:
     python3 scripts/bench_pairs.py --parent REV --workload W --seeds 1,2,3,1009 --seconds 40
 
 REV's files are extracted with `git archive` into a temporary directory, which
-is removed on exit. For each seed, bench/run.py runs once in that directory (the
-parent) and once in this working tree (the change), with `--trace 0`, and the
-side that runs first alternates from pair to pair. The script then prints, for
+is removed on exit. Before the first pair, `src` and `bench` of both trees are
+byte-compiled, so that both sides import from bytecode: a run that compiles
+the modules it imports reads higher serve `peak_rss_mb` (0.9 to 2.9 MB on a
+2-vCPU host), and a tree without `__pycache__` compiles them on its first run,
+or on every run under PYTHONDONTWRITEBYTECODE. For each seed, bench/run.py
+runs once in that directory (the parent) and once in this working tree (the
+change), with `--trace 0`, and the side that runs first alternates from pair to
+pair. The script then prints, for
 each end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
 number of pairs in which the change reads better, and two verdicts:
 
@@ -42,6 +47,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_SHARE = 0.9
 CLAIM_MIN_PAIRS = 10
+
+
+def compile_tree(tree: Path) -> None:
+    """Write the bytecode of every module under `src` and `bench` of `tree`."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
+                   cwd=tree, check=True, capture_output=True)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -156,6 +167,8 @@ def main(argv=None) -> int:
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(parent_tree, filter="data")
+        for tree in (parent_tree, ROOT):
+            compile_tree(tree)
         for i, seed in enumerate(seeds):
             order = [("parent", parent_tree), ("change", ROOT)]
             runs = {side: run_bench(tree, args.workload, seed, args.seconds)

@@ -250,6 +250,17 @@ def _history_enc(model: ArbitratorModel, history: Sequence[Utterance],
                           model.turn_cap, model.subturn_cap)
 
 
+def check_same_encoding(model: ArbitratorModel, *imaginators: ImaginatorModel) -> None:
+    """Raise ValueError unless each imaginator encodes histories as the arbitrator does:
+    an ita run encodes each history once, for both imaginators, with the model's caps."""
+    for imaginator in imaginators:
+        for name in ("max_history", "turn_cap", "subturn_cap"):
+            mine, theirs = getattr(imaginator, name), getattr(model, name)
+            if mine != theirs:
+                raise ValueError(f"{imaginator.role} imaginator {name} is {mine}, "
+                                 f"the arbitrator's is {theirs}")
+
+
 def _imagination(ids: Sequence[int]) -> tuple[list[int], bool]:
     """An imagination with no token other than PAD is empty: it becomes [EOS].
 
@@ -275,7 +286,7 @@ def _imagined(history_enc: EncodedHistory, agent_ids: Sequence[int], user_ids: S
 
 def decide_with_imagined(model: ArbitratorModel, history_enc: EncodedHistory,
                          agent_ids: Sequence[int], user_ids: Sequence[int],
-                         vocab: Vocabulary | None = None) -> Decision:
+                         vocab: Vocabulary) -> Decision:
     """ITA decision from already-generated responses (token ids only).
 
     Empty generations (nothing but PAD) are replaced by a single EOS token
@@ -292,6 +303,7 @@ def ita_predict(history: Sequence[Utterance], model: ArbitratorModel,
     """Imagine both continuations, then arbitrate between the two paths. The
     default width 1 is the greedy decode that `prepare_samples` trains the
     arbitrator on; `max_len` should be the `max_decode_len` it was trained with."""
+    check_same_encoding(model, agent_imaginator, user_imaginator)
     h_enc = _history_enc(model, history, vocab)
     agent_ids = beam_decode(agent_imaginator, [h_enc], beam_width=beam_width, max_len=max_len)[0]
     user_ids = beam_decode(user_imaginator, [h_enc], beam_width=beam_width, max_len=max_len)[0]
@@ -376,6 +388,7 @@ def prepare_samples(samples: Sequence[ArbitratorSample], model: ArbitratorModel,
                 for s in samples]
     if imaginators is None:
         return prepared
+    check_same_encoding(model, *imaginators)
     encs = [ps.history_enc for ps in prepared]
     agent_im, user_im = imaginators
     return [_imagined(ps.history_enc, agent_ids, user_ids, ps.label)
@@ -426,11 +439,11 @@ def prepared_probs(model: ArbitratorModel, prepared: Sequence[PreparedSample]) -
 
 
 def decide_prepared(model: ArbitratorModel, prepared: Sequence[PreparedSample],
-                    vocab: Vocabulary | None = None) -> list[Decision]:
-    """The decisions of prepared samples, their imaginations as words when vocab is given."""
-    to_text = (lambda ids: tuple(vocab.decode_id(i) for i in ids)) if vocab else tuple
-    return [Decision(label=_argmax_label(p), probs=p, imagined_agent=to_text(ps.agent_ids),
-                     imagined_user=to_text(ps.user_ids), flags=ps.flags)
+                    vocab: Vocabulary) -> list[Decision]:
+    """The decisions of prepared samples, their imaginations as words."""
+    return [Decision(label=_argmax_label(p), probs=p,
+                     imagined_agent=tuple(map(vocab.decode_id, ps.agent_ids)),
+                     imagined_user=tuple(map(vocab.decode_id, ps.user_ids)), flags=ps.flags)
             for ps, p in zip(prepared, prepared_probs(model, prepared))]
 
 

@@ -4,8 +4,8 @@ Subcommands: preprocess, stats, train, evaluate, generate, demo. Every run
 prints its resolved configuration to stderr; data goes to files or stdout,
 diagnostics to stderr. `preprocess` writes processed.jsonl, vocab.tsv and
 stats.txt; `train` writes model.ckpt, its model.ckpt.txt sidecar, metrics.jsonl
-and train_config.txt. Nothing else is written, and rerunning `preprocess` with
-equal flags writes byte-identical files.
+and train_config.txt. Nothing else is written, a rerun replaces each file, and
+rerunning `preprocess` with equal flags writes byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from pathlib import Path
 
 from . import corpus as cp
 from .arbitrator import (
-    accuracy, classification_summary, decide_prepared, decision_record, ita_predict,
-    prepare_samples, random_policy_predictions,
+    accuracy, check_same_encoding, classification_summary, decide_prepared, decision_record,
+    ita_predict, prepare_samples, random_policy_predictions,
 )
 from .corpus import AGENT, USER, IngestError, Vocabulary
 from .imaginator import beam_decode, evaluate_imaginator
 from .training import (
-    CheckpointError, TrainConfig, TrainingError, append_metrics, build_model, load_checkpoint,
-    run_training,
+    CheckpointError, TrainConfig, TrainingError, build_model, load_checkpoint, run_training,
+    write_jsonl,
 )
 
 _DEFAULTS = TrainConfig()
@@ -82,14 +82,19 @@ def _load_trained(path: str, vocab: Vocabulary, expect_kind: str | None = None):
     return ck.model, cfg
 
 
-def _load_imaginator_pair(args, vocab: Vocabulary):
-    agent, _ = _load_trained(args.agent_imaginator, vocab, "imaginator")
-    user, _ = _load_trained(args.user_imaginator, vocab, "imaginator")
-    if agent.role != AGENT:
-        raise CliError(f"{args.agent_imaginator}: role is {agent.role!r}, expected agent")
-    if user.role != USER:
-        raise CliError(f"{args.user_imaginator}: role is {user.role!r}, expected user")
-    return agent, user
+def _load_imaginator_pair(args, vocab: Vocabulary, arbitrator):
+    """The agent and user imaginators of an ita run, each encoding as `arbitrator` does."""
+    pair = []
+    for path, role in ((args.agent_imaginator, AGENT), (args.user_imaginator, USER)):
+        model, _ = _load_trained(path, vocab, "imaginator")
+        try:
+            if model.role != role:
+                raise ValueError(f"role is {model.role!r}, expected {role}")
+            check_same_encoding(arbitrator, model)
+        except ValueError as e:
+            raise CliError(f"{path}: {e}") from None
+        pair.append(model)
+    return tuple(pair)
 
 
 def _out_file(path) -> Path:
@@ -108,8 +113,6 @@ def cmd_preprocess(args) -> int:
     dialogues, annotations, skipped = cp.ingest_source(args.input, args.format)
     if not dialogues:
         raise CliError(f"{args.input}: no usable dialogues")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     modified = cp.modify_corpus(dialogues, annotations, args.p_split, args.seed)
     vocab = cp.build_vocabulary(modified, args.min_freq)
     header = {"source": Path(args.input).name, "format": args.format,
@@ -117,6 +120,8 @@ def cmd_preprocess(args) -> int:
               "min_freq": args.min_freq, "skipped": skipped,
               "vocab_hash": vocab.hash()}
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     cp.write_processed(modified, out / "processed.jsonl", header)
     vocab.save(out / "vocab.tsv")
     report = cp.render_stats(cp.compute_stats(modified, vocab_size=len(vocab)))
@@ -182,15 +187,12 @@ def cmd_train(args) -> int:
         train_s = [s for d in train_d for s in cp.derive_arbitrator_samples(d)]
         valid_s = [s for d in valid_d for s in cp.derive_arbitrator_samples(d)]
         if cfg.mode == "ita":
-            imaginators = _load_imaginator_pair(args, vocab)
+            imaginators = _load_imaginator_pair(args, vocab, model)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    metrics_path = out / "metrics.jsonl"
-    if metrics_path.exists():
-        metrics_path.unlink()
     res = run_training(cfg, train_s, valid_s, model, vocab,
-                       imaginators=imaginators, metrics_path=metrics_path,
+                       imaginators=imaginators, metrics_path=out / "metrics.jsonl",
                        checkpoint_path=out / "model.ckpt")
     cp._write_atomic(out / "train_config.txt", cfg.to_text().encode())
     print(f"{res.metric_name} = {res.best_value:.6f}")
@@ -246,7 +248,7 @@ def cmd_evaluate(args) -> int:
             if not (args.agent_imaginator and args.user_imaginator):
                 raise CliError("an ita-mode checkpoint needs --agent-imaginator "
                                "and --user-imaginator for evaluation")
-            pair = _load_imaginator_pair(args, vocab)
+            pair = _load_imaginator_pair(args, vocab, model)
         else:
             pair = None
         decisions = decide_prepared(model, prepare_samples(samples, model, vocab, pair,
@@ -267,9 +269,8 @@ def cmd_evaluate(args) -> int:
     if decisions is not None:
         dec_path = Path(args.decisions) if args.decisions else \
             Path(args.report).with_suffix(".decisions.jsonl")
-        lines = [json.dumps(decision_record(f"{args.split}-{i:05d}", d), sort_keys=True) + "\n"
-                 for i, d in enumerate(decisions)]
-        cp._write_atomic(_out_file(dec_path), "".join(lines).encode())
+        write_jsonl(_out_file(dec_path), [decision_record(f"{args.split}-{i:05d}", d)
+                                          for i, d in enumerate(decisions)])
         _eprint(f"decision records written to {dec_path}")
     print(report, end="")
     return 0
@@ -303,12 +304,6 @@ def cmd_generate(args) -> int:
 # demo
 
 
-def _demo_transcript_write(path, event: dict) -> None:
-    """Add one event to the transcript, which is rewritten whole and atomically."""
-    if path is not None:
-        append_metrics(path, [event])
-
-
 def cmd_demo(args) -> int:
     """Interactive loop: one user message per line, decision after each.
 
@@ -322,14 +317,20 @@ def cmd_demo(args) -> int:
     arb, cfg = _load_trained(args.arbitrator, vocab, "arbitrator")
     if arb.mode != "ita":
         raise CliError(f"{args.arbitrator}: demo needs an ita-mode arbitrator")
-    agent_im, user_im = _load_imaginator_pair(args, vocab)
+    agent_im, user_im = _load_imaginator_pair(args, vocab, arb)
     _announce({"arbitrator": args.arbitrator, "agent_imaginator": args.agent_imaginator,
                "user_imaginator": args.user_imaginator, "vocab": args.vocab,
                "max_decode_len": cfg.max_decode_len, "transcript": args.transcript})
 
     transcript = _out_file(args.transcript) if args.transcript else None
-    if transcript is not None:
-        cp._write_atomic(transcript, b"")
+    events: list[dict] = []
+
+    def record(*new: dict) -> None:  # the transcript is rewritten whole, atomically
+        events.extend(new)
+        if transcript is not None:
+            write_jsonl(transcript, events)
+
+    record()  # an empty transcript before the first event
     history: list[cp.Utterance] = []
     turn, subturn = 0, 0
     _eprint("type user messages one per line; /quit ends the session")
@@ -344,23 +345,20 @@ def cmd_demo(args) -> int:
             if not toks:
                 continue
             history.append(cp.Utterance(USER, turn, subturn, tuple(toks)))
-            _demo_transcript_write(transcript, {"event": "user", "turn": turn,
-                                                "subturn": subturn, "text": " ".join(toks)})
+            record({"event": "user", "turn": turn, "subturn": subturn, "text": " ".join(toks)})
             try:
                 decision = ita_predict(history, arb, agent_im, user_im, vocab,
                                        max_len=cfg.max_decode_len)
             except ValueError as e:  # a history the models cannot take: wait, and say so
                 _eprint(f"warning: decision failed ({e}); waiting")
-                _demo_transcript_write(transcript, {"event": "fallback", "error": str(e)})
+                record({"event": "fallback", "error": str(e)})
                 subturn += 1
                 continue
             verdict = "REPLY" if decision.label == 1 else "WAIT"
             print(f"{verdict} (p_wait={decision.probs[0]:.3f}, "
                   f"p_reply={decision.probs[1]:.3f})")
-            _demo_transcript_write(transcript, {"event": "decision", "label": decision.label,
-                                                "p_wait": decision.probs[0],
-                                                "p_reply": decision.probs[1],
-                                                "flags": list(decision.flags)})
+            record({"event": "decision", "label": decision.label, "p_wait": decision.probs[0],
+                    "p_reply": decision.probs[1], "flags": list(decision.flags)})
             if decision.label == 1:
                 reply = list(decision.imagined_agent)
                 if not reply:
@@ -369,8 +367,7 @@ def cmd_demo(args) -> int:
                     continue
                 print(f"agent> {' '.join(reply)}")
                 history.append(cp.Utterance(AGENT, turn, 0, tuple(reply)))
-                _demo_transcript_write(transcript, {"event": "agent", "turn": turn,
-                                                    "text": " ".join(reply)})
+                record({"event": "agent", "turn": turn, "text": " ".join(reply)})
                 turn, subturn = turn + 1, 0
             else:
                 subturn += 1

@@ -104,11 +104,6 @@ class ArbitratorSample:
 class ImaginatorSample:
     history: tuple[Utterance, ...]
     target: Utterance
-    role: str
-
-    def __post_init__(self):
-        if self.target.role != self.role:
-            raise ValueError("target role must match the sample role")
 
 
 def tokenize(text: str) -> list[str]:
@@ -215,28 +210,21 @@ def _ingest_multiwoz(path: Path):
                          "turns", "speaker")
 
 
-def _ingest_dailydialogue(path: Path, delimiter: str = "__eou__"):
-    """One dialogue per line, utterances separated by the delimiter.
+def _ingest_dailydialogue(path: Path):
+    """One dialogue per line, utterances separated by `__eou__`; a line with none
+    is skipped.
 
     Speakers are unannotated in this layout; they alternate starting with the
     user.
     """
     dialogues, skipped = [], 0
     for n, line in enumerate(path.read_text().splitlines()):
-        if not line.strip():
-            skipped += 1
-            continue
-        pieces = [p.strip() for p in line.split(delimiter)]
-        pieces = [p for p in pieces if p]
+        pieces = list(filter(None, (p.strip() for p in line.split("__eou__"))))
         if not pieces:
             skipped += 1
             continue
         raw = [(USER if i % 2 == 0 else AGENT, p) for i, p in enumerate(pieces)]
-        d = _assemble_dialogue(str(n), raw)
-        if d is None:
-            skipped += 1
-        else:
-            dialogues.append(d)
+        dialogues.append(_assemble_dialogue(str(n), raw))
     return dialogues, {}, skipped
 
 
@@ -385,7 +373,7 @@ def derive_imaginator_samples(dialogue: Dialogue, role: str) -> list[ImaginatorS
         raise ValueError(f"unknown role {role!r}")
     utts = dialogue.utterances
     return [
-        ImaginatorSample(history=utts[:i], target=u, role=role)
+        ImaginatorSample(history=utts[:i], target=u)
         for i, u in enumerate(utts)
         if u.role == role and i > 0
     ]

@@ -49,6 +49,8 @@ from .corpus import (
 # decoder rows (histories x beam width) searched together; bounds the
 # [rows, T] attention weights held at once
 SEARCH_ROWS = 64
+LENGTH_ALPHA = 0.7  # a finished hypothesis scores log-probability / length^LENGTH_ALPHA
+BLEU_MAX_N = 4  # BLEU pools n-grams of orders 1 to BLEU_MAX_N
 _LOWEST = np.finfo(np.float64).min
 
 
@@ -286,7 +288,7 @@ def _select(scores: np.ndarray, width: int):
 
 
 def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: int,
-            max_len: int, alpha: float) -> list[list[int]]:
+            max_len: int) -> list[list[int]]:
     """Length-wise beam search over a batch of histories; returns their id lists.
 
     Each history owns beam_width decoder rows (slots); a dead slot holds
@@ -296,8 +298,9 @@ def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: 
     equally long sequences, so the lowest flat (slot, token) index is the
     lowest sequence. An expansion that emits EOS retires to the history's
     pool and its slot stays dead (the frontier is not refilled, so width 1 is
-    exactly greedy). Survivors at max_len join the pool; the best by
-    score / length^alpha, ties to the lowest sequence, is returned without EOS.
+    exactly greedy, and each pool holds one hypothesis). Survivors at max_len
+    join the pool; the best by score / length^LENGTH_ALPHA, ties to the lowest
+    sequence, is returned without EOS.
     """
     if beam_width < 1 or max_len < 1:
         raise ValueError("beam_width and max_len must be >= 1")
@@ -339,7 +342,7 @@ def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: 
             for b, pool in enumerate(pools):
                 pool.extend((tuple(seqs[r, 1:t + 1].tolist()), float(logp[r]))
                             for r in range(b * K, b * K + K) if logp[r] > -np.inf)
-                best_seq, _ = min(pool, key=lambda p: (-p[1] / (len(p[0]) ** alpha), p[0]))
+                best_seq, _ = min(pool, key=lambda p: (-p[1] / len(p[0]) ** LENGTH_ALPHA, p[0]))
                 out.append([i for i in best_seq if i != EOS])
     return out
 
@@ -347,13 +350,13 @@ def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: 
 def greedy_decode(model: ImaginatorModel, encs: Sequence[EncodedHistory],
                   max_len: int = 40) -> list[list[int]]:
     """Argmax decoding, the search at width 1: ties to the lowest id, EOS stops and is dropped."""
-    return _search(model, encs, 1, max_len, 1.0)
+    return _search(model, encs, 1, max_len)
 
 
 def beam_decode(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: int = 4,
-                max_len: int = 40, alpha: float = 0.7) -> list[list[int]]:
-    """Beam search of every history with score/length^alpha normalization; see `_search`."""
-    return _search(model, encs, beam_width, max_len, alpha)
+                max_len: int = 40) -> list[list[int]]:
+    """Beam search of every history, scores normalized by length; see `_search`."""
+    return _search(model, encs, beam_width, max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +367,8 @@ def _ngrams(seq: Sequence, n: int) -> Counter:
     return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
 
 
-def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
-         max_n: int = 4) -> float:
-    """Corpus-level BLEU with clipped n-gram counts pooled over all pairs.
+def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence]) -> float:
+    """Corpus-level BLEU to order BLEU_MAX_N, clipped n-gram counts pooled over all pairs.
 
     Orders that produce no candidate n-grams at all (short corpora) drop out
     of the geometric mean; an order with candidates but zero matches floors
@@ -374,12 +376,12 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
     """
     if not candidates or len(candidates) != len(references):
         raise ValueError("need equally many candidates and references, at least one pair")
-    matches = [0] * (max_n + 1)
-    totals = [0] * (max_n + 1)
+    matches = [0] * (BLEU_MAX_N + 1)
+    totals = [0] * (BLEU_MAX_N + 1)
     c_len = sum(len(c) for c in candidates)
     r_len = sum(len(r) for r in references)
     for cand, ref in zip(candidates, references):
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_MAX_N + 1):
             totals[n] += max(len(cand) - n + 1, 0)
             if len(cand) >= n:
                 rc = _ngrams(ref, n)
@@ -387,7 +389,7 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
                     matches[n] += min(k, rc[g])
     if c_len == 0:
         return 0.0
-    effective = [n for n in range(1, max_n + 1) if totals[n] > 0]
+    effective = [n for n in range(1, BLEU_MAX_N + 1) if totals[n] > 0]
     if not effective or any(matches[n] == 0 for n in effective):
         return 0.0
     log_p = sum(math.log(matches[n] / totals[n]) for n in effective) / len(effective)

@@ -7,9 +7,10 @@ training config as text. Training never resumes from a checkpoint, so it
 holds no optimizer state. The file is a self-describing binary container
 (magic, version, content digest, JSON header, raw float64 tensors) with a
 human-readable sidecar; loading verifies the digest before touching any
-array, so a corrupt file never yields a partial model. Loading draws no
-random initialization: the model is built on the file's arrays, each copied
-once.
+array, so a corrupt file never yields a partial model, and loads only in the
+layout this version writes. Loading draws no random initialization: the model
+is built on the file's arrays, each copied once. A run writes its metrics log
+whole, so a rerun replaces it, as it does the checkpoint.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class TrainConfig:
                     "beam_width": self.beam_width, "max_decode_len": self.max_decode_len,
                     "max_history": self.max_history, "min_freq": self.min_freq}
         for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:  # nan fails both comparisons
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("patience", "turn_cap", "subturn_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
@@ -119,6 +120,7 @@ class TrainConfig:
     def from_text(cls, text: str) -> "TrainConfig":
         kinds = {f.name: f.type for f in dataclasses.fields(cls)}
         values: dict = {}
+        set_at: dict[str, int] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -130,6 +132,9 @@ class TrainConfig:
             raw = raw.strip()
             if key not in kinds:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            if key in set_at:
+                raise ValueError(f"config line {lineno}: {key} already set at line {set_at[key]}")
+            set_at[key] = lineno
             parse = {"int": int, "float": float}.get(kinds[key])  # field types are strings here
             try:
                 values[key] = parse(raw) if parse else raw.strip("'\"")
@@ -146,14 +151,10 @@ def model_from_config(cfg: dict, arrays: dict[str, np.ndarray] | None = None):
     """The model a config describes, as `config()` of a model gives it: freshly
     initialized, or, given arrays, holding a copy of each as a parameter, with
     nothing drawn. Every parameter needs an array of its shape and
-    every array a parameter (KeyError or ShapeError otherwise). Older imaginator
-    configs carry `use_attention`; true is accepted, and any other value is
-    refused."""
+    every array a parameter (KeyError or ShapeError otherwise)."""
     cfg = dict(cfg)
     kind = cfg.pop("kind", None)
     if kind == "imaginator":
-        if cfg.pop("use_attention", True) is not True:
-            raise ValueError("imaginators without attention are not supported")
         model = im.ImaginatorModel(**cfg, arrays=arrays)
     elif kind == "arbitrator":
         model = arb.ArbitratorModel(**cfg, arrays=arrays)
@@ -229,19 +230,19 @@ class Checkpoint:
     train_config_text: str | None
 
 
-def _array_index(entries, key: str) -> list[tuple[str, tuple[int, ...]]]:
-    """The (name, shape) pairs of the header's array index `key`, checked."""
+def _array_index(entries) -> list[tuple[str, tuple[int, ...]]]:
+    """The (name, shape) pairs of the header's array index, checked."""
     if not isinstance(entries, list):
-        raise CheckpointError(f"header: {key} index is not a list")
+        raise CheckpointError("header: arrays index is not a list")
     index = []
     for i, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
                 and isinstance(entry[1], list)
                 and all(type(d) is int and d >= 0 for d in entry[1])):
-            raise CheckpointError(f"header: {key} entry {i} is not [name, shape]: {entry!r}")
+            raise CheckpointError(f"header: arrays entry {i} is not [name, shape]: {entry!r}")
         index.append((entry[0], tuple(entry[1])))
     if len({name for name, _ in index}) != len(index):
-        raise CheckpointError(f"header: {key} index names an array twice")
+        raise CheckpointError("header: arrays index names an array twice")
     return index
 
 
@@ -251,8 +252,7 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
 
     The model is built on the arrays read in place from the file's bytes, so
     nothing is drawn at random, and each parameter is copied once, into the
-    model. Files written by older versions may carry an optimizer section after
-    the parameters: its size is checked, and it is skipped.
+    model.
     """
     blob = memoryview(Path(path).read_bytes())
     if len(blob) < 48:
@@ -283,10 +283,9 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
             raise CheckpointError(f"header: missing key {key!r}")
     if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
         raise CheckpointError("header: vocabulary hash mismatch")
-    index = _array_index(header["arrays"], "arrays")
-    skipped = _array_index(header.get("optimizer") or [], "optimizer")
+    index = _array_index(header["arrays"])
     offset = 4 + header_len
-    needed = 8 * sum(math.prod(shape) for _, shape in index + skipped)
+    needed = 8 * sum(math.prod(shape) for _, shape in index)
     if needed != payload_len - offset:
         raise CheckpointError(f"payload: the array index describes {needed} bytes of arrays, "
                               f"the payload holds {payload_len - offset}")
@@ -307,14 +306,12 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# metrics log
+# JSONL logs
 
 
-def append_metrics(path, records: Sequence[dict]) -> None:
-    """Add records to a JSONL log by rewriting it whole, atomically: old lines, then new."""
-    path = Path(path)
-    new = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
-    _write_atomic(path, (path.read_bytes() if path.exists() else b"") + new)
+def write_jsonl(path, records: Sequence[dict]) -> None:
+    """Replace path with one JSON line per record, keys sorted, atomically."""
+    _write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode())
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +416,6 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
 
     model.params.load_arrays(best_arrays)
     if metrics_path is not None:
-        append_metrics(metrics_path, history)
+        write_jsonl(metrics_path, history)
     return TrainResult(metric_name=metric_name, best_value=best_value,
                        best_epoch=best_epoch, epochs_run=epochs_run, history=history)

@@ -389,7 +389,7 @@ def _overfit_imaginator():
                             max_history=32, seed=31)
     sample = cp.ImaginatorSample(
         history=(cp.Utterance(cp.USER, 0, 0, ("w0", "w1", "w2")),),
-        target=cp.Utterance(cp.AGENT, 0, 0, ("w3", "w4")), role=cp.AGENT)
+        target=cp.Utterance(cp.AGENT, 0, 0, ("w3", "w4")))
     opt = ad.Adam(model.params, lr=5e-3, clip_norm=5.0)
     batch = im.prepare_samples([sample], model, vocab)
     for step in range(1, 501):

@@ -524,6 +524,26 @@ class TestPrediction:
             if seed == 5:
                 assert "empty_agent_generation" in served.flags
 
+    @pytest.mark.parametrize("field, value", [("max_history", 64), ("turn_cap", 2),
+                                              ("subturn_cap", 3)])
+    @pytest.mark.parametrize("path", ["prepare_samples", "ita_predict"])
+    def test_imaginator_encoding_otherwise_refused(self, field, value, path):
+        """Both paths encode each history once, as the arbitrator does, for both
+        imaginators; an imaginator built to encode otherwise is refused by name."""
+        vocab, utts = tiny_vocab_and_history()
+        m = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1,
+                            filter_widths=(2, 3), filters_per_width=4, seed=3)
+        ims = (ImaginatorModel(len(vocab), AGENT, hidden=10, token_dim=6, tag_dim=2, seed=0),
+               ImaginatorModel(len(vocab), USER, hidden=10, token_dim=6, tag_dim=2, seed=1,
+                               **{field: value}))
+        want = f"^user imaginator {field} is {value}, the arbitrator's is {getattr(m, field)}$"
+        with pytest.raises(ValueError, match=want):
+            if path == "ita_predict":
+                ita_predict(utts, m, *ims, vocab, max_len=6)
+            else:
+                prepare_samples([ArbitratorSample(history=tuple(utts), label=1)], m, vocab, ims,
+                                max_len=6)
+
     def test_baseline_probabilities_near_chance_untrained(self):
         vocab, utts = tiny_vocab_and_history()
         m = ArbitratorModel(vocab_size=len(vocab), encoder="textcnn", mode="baseline",

@@ -109,3 +109,15 @@ class TestFlags:
 
     def test_clean_pairs_raise_no_flag(self):
         assert bench_pairs.pair_flags([1, 2], [(_run(1.0), _run(2.0))] * 2) == []
+
+
+def test_compile_tree_leaves_bytecode_for_every_module(tmp_path):
+    """Both sides of a pair import from bytecode, whichever tree ran before."""
+    modules = ["src/pkg/__init__.py", "src/pkg/mod.py", "bench/run.py", "bench/tests/test_x.py"]
+    for name in modules + ["scripts/other.py"]:
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("X = 1\n")
+    bench_pairs.compile_tree(tmp_path)
+    for name in modules:
+        assert Path(importlib.util.cache_from_source(str(tmp_path / name))).is_file(), name
+    assert not (tmp_path / "scripts" / "__pycache__").exists()

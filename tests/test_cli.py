@@ -132,6 +132,17 @@ class TestPreprocess:
         assert f"error: {path}{where}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--p-split", "2", "p_split must be a probability, got 2.0"),
+        ("--min-freq", "0", "min_freq must be >= 1, got 0"),
+    ])
+    def test_bad_flag_value_leaves_no_output_directory(self, raw_path, tmp_path, capsys,
+                                                       flag, value, message):
+        assert run(["preprocess", "--input", str(raw_path), "--format", "multiwoz-like",
+                    flag, value, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_generic_jsonl_masks_slots_as_multiwoz_like_does(self, tmp_path):
         messages = [("user", "call 01223 323737 please"), ("agent", "calling")]
         slots = {"phone": "01223 323737"}
@@ -228,6 +239,13 @@ class TestTrain:
         assert f"error: {key} must be non-negative, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_clip_norm_is_clean_error(self, prep_dir, tmp_path, capsys):
+        rc = run(["train", "--clip-norm", "nan", "--data", str(prep_dir),
+                  "--out", str(tmp_path / "o")] + TINY_TRAIN)
+        assert rc == 1
+        assert "error: clip_norm must be positive and finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line", ["epochs = ten", "learning_rate = fast"])
     def test_bad_number_in_config_names_its_line(self, prep_dir, tmp_path, capsys, line):
         cfg_path = tmp_path / "cfg.txt"
@@ -244,6 +262,41 @@ class TestTrain:
                   "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestImaginatorEncoding:
+    """An ita run encodes each history once, as its arbitrator does, for both
+    imaginators; an imaginator trained to encode otherwise is refused by path."""
+
+    @pytest.fixture(scope="class")
+    def capped_user(self, prep_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("capped")
+        assert run(["train", "--kind", "imaginator", "--role", "user", "--turn-cap", "2",
+                    "--data", str(prep_dir), "--out", str(out)] + TINY_TRAIN) == 0
+        return out / "model.ckpt"
+
+    def test_train_refuses(self, prep_dir, artifacts, capped_user, tmp_path, capsys):
+        rc = run(["train", "--kind", "arbitrator", "--mode", "ita",
+                  "--agent-imaginator", str(artifacts[AGENT]),
+                  "--user-imaginator", str(capped_user),
+                  "--data", str(prep_dir), "--out", str(tmp_path / "o")] + TINY_TRAIN)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {capped_user}: user imaginator turn_cap is 2, the arbitrator's is 16" \
+            in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_evaluate_refuses(self, prep_dir, artifacts, capped_user, tmp_path, capsys):
+        rc = run(["evaluate", "--checkpoint", str(artifacts["arbitrator"]),
+                  "--agent-imaginator", str(artifacts[AGENT]),
+                  "--user-imaginator", str(capped_user),
+                  "--data", str(prep_dir), "--split", "train",
+                  "--report", str(tmp_path / "r" / "arb.txt")])
+        assert rc == 1
+        assert f"error: {capped_user}: user imaginator turn_cap is 2, the arbitrator's is 16" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 class TestEvaluate:

@@ -66,3 +66,17 @@ def test_test_accuracy_reproduces_from_the_checkpoints(runs, name):
         prepared = prepare_samples(samples, ckpt.model, vocab,
                                    pair if mode == "ita" else None, max_len=max_len)
         assert evaluate_prepared(ckpt.model, prepared) == report[f"{mode}_test_accuracy"]
+
+
+def test_rerun_into_the_same_directory_replaces_each_log(tmp_path):
+    """A second run writes each metrics log afresh, as it does the checkpoints and
+    the report: the rows equal the first run's, `seconds` aside."""
+    logs = []
+    for _ in range(2):
+        synthetic_experiment(tmp_path, n_dialogues=60, seed=SEED, imaginator_epochs=2,
+                             arbitrator_epochs=1)
+        logs.append({p.name: [{k: v for k, v in json.loads(line).items() if k != "seconds"}
+                              for line in p.read_text().splitlines()]
+                     for p in sorted(tmp_path.glob("*_metrics.jsonl"))})
+    assert len(logs[0]) == 4
+    assert logs[1] == logs[0]

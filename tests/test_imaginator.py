@@ -207,7 +207,7 @@ class TestTrainStep:
         m.params["out.b_v"].data *= 0.0
         s = cp.ImaginatorSample(
             history=(cp.Utterance(cp.USER, 0, 0, ("w0",)),),
-            target=cp.Utterance(cp.AGENT, 1, 0, ("w1",)), role=cp.AGENT)
+            target=cp.Utterance(cp.AGENT, 1, 0, ("w1",)))
         enc = enc_of(m, s.history, vocab)
         tids = cp.encode_target(s.target.tokens, vocab)
         loss = im.teacher_forced_loss(m, [enc], [tids]).item()
@@ -218,7 +218,7 @@ class TestTrainStep:
         m = tiny_model(seed=7, V=len(vocab), hidden=24, token_dim=12, tag_dim=3)
         s = cp.ImaginatorSample(
             history=(cp.Utterance(cp.USER, 0, 0, ("w0", "w1", "w0")),),
-            target=cp.Utterance(cp.AGENT, 1, 0, ("w1", "w0")), role=cp.AGENT)
+            target=cp.Utterance(cp.AGENT, 1, 0, ("w1", "w0")))
         opt = ad.Adam(m.params, lr=5e-3)
         loss = float("inf")
         for step in range(500):
@@ -235,7 +235,7 @@ class TestTrainStep:
             opt = ad.Adam(m.params, lr=1e-2)
             s = cp.ImaginatorSample(
                 history=(cp.Utterance(cp.USER, 0, 0, ("w2", "w3")),),
-                target=cp.Utterance(cp.AGENT, 1, 0, ("w4",)), role=cp.AGENT)
+                target=cp.Utterance(cp.AGENT, 1, 0, ("w4",)))
             batch = im.prepare_samples([s], m, vocab)
             return [im.train_step(batch, m, opt) for _ in range(5)]
 

@@ -25,8 +25,8 @@ from turntaking.corpus import (
 from turntaking.imaginator import ImaginatorModel, greedy_decode
 from turntaking.training import (
     CHECKPOINT_VERSION, Checkpoint, CheckpointError, TrainConfig, TrainResult,
-    append_metrics, build_model, load_checkpoint, model_from_config, run_training,
-    save_checkpoint,
+    build_model, load_checkpoint, model_from_config, run_training, save_checkpoint,
+    write_jsonl,
 )
 
 FILLERS = ["red", "blue", "green", "ok", "done", "book", "a", "table"]
@@ -94,6 +94,17 @@ class TestTrainConfig:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError, match="p_split"):
             TrainConfig(p_split=1.5)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_floats_rejected(self, name, value):
+        """nan passed `value <= 0`; with clip_norm nan, Adam never clips."""
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            TrainConfig.from_text(f"{name} = {value}\n")
+
+    def test_key_set_twice_rejected(self):
+        with pytest.raises(ValueError, match="^config line 2: epochs already set at line 1$"):
+            TrainConfig.from_text("epochs = 1\nepochs = 5\n")
 
     def test_enumerated_fields_validated(self):
         with pytest.raises(ValueError, match="kind"):
@@ -448,15 +459,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="header: model config rejected"):
             load_checkpoint(bad)
 
-    def test_attention_key_of_older_checkpoints_accepted(self, vocab, tmp_path):
-        """Checkpoints that still say use_attention: true load and decode as before."""
-        m = tiny_imaginator(vocab)
+    def test_attention_key_rejected(self, vocab, tmp_path):
+        """A checkpoint loads only in the layout this version writes: a model config
+        naming `use_attention`, even as true, is refused."""
         path = tmp_path / "a.ckpt"
-        save_checkpoint(m, path, self.HASH)
-        old = load_checkpoint(self._reframe(path, lambda h: h["model"].update(use_attention=True)))
-        enc = encode_history([Utterance(USER, 0, 0, ("book", "a", "table"))], vocab)
-        assert old.model.config() == m.config()
-        assert greedy_decode(old.model, [enc], max_len=8) == greedy_decode(m, [enc], max_len=8)
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        bad = self._reframe(path, lambda h: h["model"].update(use_attention=True))
+        with pytest.raises(CheckpointError, match="header: model config rejected .*"
+                                                  "unexpected keyword argument 'use_attention'"):
+            load_checkpoint(bad)
 
     def test_imaginator_without_attention_rejected(self, vocab, tmp_path):
         path = tmp_path / "a.ckpt"
@@ -488,28 +499,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="payload: no room for the header length"):
             load_checkpoint(path)
 
-    def test_optimizer_section_of_older_checkpoints_skipped(self, vocab, tmp_path):
-        """Older versions wrote Adam's state after the parameters, or `optimizer: null`
-        without it. Both load to the same parameters; the section's size is checked."""
+    def test_optimizer_section_rejected(self, vocab, tmp_path):
+        """Adam's state after the parameters, as versions before the current layout
+        wrote it, is bytes that the array index does not describe."""
         m = tiny_imaginator(vocab)
         path = tmp_path / "a.ckpt"
         save_checkpoint(m, path, self.HASH)
-        want = m.params.as_arrays()
         state = {"adam.step": np.array([3.0])}
-        for name, a in want.items():
+        for name, a in m.params.as_arrays().items():
             state[f"adam.m.{name}"] = 0.5 * a
             state[f"adam.v.{name}"] = a * a
         index = [[name, list(state[name].shape)] for name in sorted(state)]
         section = b"".join(state[name].astype("<f8").tobytes() for name in sorted(state))
-        for edit, tail in ((lambda h: h.update(optimizer=index), section),
-                           (lambda h: h.update(optimizer=None), b"")):
-            got = load_checkpoint(self._reframe(path, edit, tail)).model.params.as_arrays()
-            assert sorted(got) == sorted(want)
-            for name, a in want.items():
-                assert np.array_equal(got[name], a)
-        short = self._reframe(path, lambda h: h.update(optimizer=index), section[:-8])
-        with pytest.raises(CheckpointError, match="payload: the array index describes"):
-            load_checkpoint(short)
+        bad = self._reframe(path, lambda h: h.update(optimizer=index), section)
+        with pytest.raises(CheckpointError, match=r"payload: the array index describes \d+ "
+                                                  r"bytes of arrays, the payload holds \d+"):
+            load_checkpoint(bad)
 
     def test_decode_identity_after_reload(self, vocab, tmp_path):
         m = tiny_imaginator(vocab)
@@ -526,21 +531,20 @@ class TestCheckpoint:
 
 
 class TestMetricsLog:
-    def test_append_and_read_round_trip(self, tmp_path):
+    def test_write_replaces_the_log(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         rows = [{"epoch": 1, "split": "train", "metric": "loss", "value": 2.5, "seconds": 0.1},
                 {"epoch": 1, "split": "valid", "metric": "accuracy", "value": 0.5, "seconds": 0.2}]
-        append_metrics(path, rows)
-        append_metrics(path, [{"epoch": 2, "split": "train", "metric": "loss",
-                               "value": 2.0, "seconds": 0.1}])
-        got = read_jsonl(path)
-        assert got[:2] == rows
-        assert len(got) == 3
+        write_jsonl(path, rows)
+        assert read_jsonl(path) == rows
+        write_jsonl(path, rows[1:])
+        assert read_jsonl(path) == rows[1:]
+        assert path.read_text() == json.dumps(rows[1], sort_keys=True) + "\n"
 
     def test_failed_replace_keeps_previous_log(self, tmp_path, monkeypatch):
         """The log is rewritten whole through a temp file: a failed replace leaves it as it was."""
         path = tmp_path / "metrics.jsonl"
-        append_metrics(path, [{"epoch": 1, "split": "train", "metric": "loss", "value": 2.5}])
+        write_jsonl(path, [{"epoch": 1, "split": "train", "metric": "loss", "value": 2.5}])
         before = path.read_bytes()
 
         def fail(*args):
@@ -548,7 +552,7 @@ class TestMetricsLog:
 
         monkeypatch.setattr(corpus.os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            append_metrics(path, [{"epoch": 2, "split": "train", "metric": "loss", "value": 2.0}])
+            write_jsonl(path, [{"epoch": 2, "split": "train", "metric": "loss", "value": 2.0}])
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]
@@ -570,6 +574,18 @@ class TestRunTraining:
         for split in ("train", "valid"):
             epochs = [r["epoch"] for r in rows if r["split"] == split]
             assert epochs == sorted(epochs)
+
+    def test_rerun_replaces_the_log(self, vocab, tmp_path):
+        """A second run into the same paths replaces the log, as it does the checkpoint."""
+        logs = []
+        for _ in range(2):
+            res = run_training(toy_arb_config(epochs=3), marker_samples(16, 1),
+                               marker_samples(8, 2), toy_arb_model(vocab), vocab,
+                               metrics_path=tmp_path / "m.jsonl")
+            logs.append([{k: v for k, v in r.items() if k != "seconds"}
+                         for r in read_jsonl(tmp_path / "m.jsonl")])
+        assert len(logs[1]) == 2 * res.epochs_run
+        assert logs[1] == logs[0]
 
     def test_checkpoint_holds_parameters_and_header_only(self, vocab, tmp_path):
         model = toy_arb_model(vocab)
@@ -636,7 +652,7 @@ class TestRunTraining:
 
     def test_imaginator_run_reports_bleu(self, vocab):
         samples = [ImaginatorSample(history=(Utterance(USER, 0, 0, ("book", "a", "table")),),
-                                    target=Utterance(AGENT, 0, 0, ("ok", "done")), role=AGENT)
+                                    target=Utterance(AGENT, 0, 0, ("ok", "done")))
                    for _ in range(8)]
         cfg = TrainConfig(seed=5, epochs=3, batch_size=4, learning_rate=5e-3,
                           kind="imaginator", patience=3, max_decode_len=6)
@@ -649,7 +665,7 @@ class TestRunTraining:
 
     def test_divergence_error_names_epoch_and_step(self, vocab):
         samples = [ImaginatorSample(history=(Utterance(USER, 0, 0, ("book", "a", "table")),),
-                                    target=Utterance(AGENT, 0, 0, ("ok", "done")), role=AGENT)]
+                                    target=Utterance(AGENT, 0, 0, ("ok", "done")))]
         model = ImaginatorModel(vocab_size=len(vocab), role=AGENT, hidden=12,
                                 token_dim=6, tag_dim=2, seed=2)
         arrays = model.params.as_arrays()
