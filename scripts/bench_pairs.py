@@ -27,7 +27,11 @@ number of pairs in which the change reads better, and two verdicts:
   bound, and `within bound` when it is not.
 
 It flags every pair whose digests differ, whose runs are not both `correct`, or
-whose `failed` counts differ. Standard library only.
+whose `failed` counts differ. Below the verdicts it prints, as information with
+no claim and no verdict, each side's median of the INFO metrics that the
+workload reports: CPU time beside wall time, and the quality guards, which show
+that a change whose digests differ on purpose still does the same work.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_SHARE = 0.9
 CLAIM_MIN_PAIRS = 10
+# metrics bench/run.py prints by name that the summary shows without a verdict
+INFO = ("round_cpu_s", "imaginator_valid_bleu", "arbitrator_valid_accuracy", "decision_ms.p50")
 
 
 def compile_tree(tree: Path) -> None:
@@ -55,9 +61,20 @@ def compile_tree(tree: Path) -> None:
                    cwd=tree, check=True, capture_output=True)
 
 
+def named_values(stdout: str) -> dict[str, float]:
+    """The INFO metrics of a bench/run.py output, from the lines that print each metric
+    by name (`  round_cpu_s   0.51 s`); a metric printed as `-` or not printed is absent."""
+    values = {}
+    for name in INFO:
+        found = re.search(rf"^\s+{re.escape(name)}\s+(\S+)", stdout, re.MULTILINE)
+        if found and found.group(1) != "-":
+            values[name] = float(found.group(1))
+    return values
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `bench/run.py --trace 0` run in `tree`: its correctness, failed count,
-    digest and end-to-end metric values."""
+    digest, end-to-end metric values and `named_values`."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
@@ -69,7 +86,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     digest = re.search(r"\bdigest (\S+)", proc.stdout)
     return {"correct": result["correct"], "failed": result["failed"],
             "digest": digest.group(1) if digest else None,
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "info": named_values(proc.stdout)}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -133,7 +151,20 @@ def pair_flags(seeds: list[int], pairs: list[tuple[dict, dict]]) -> list[str]:
     return flags
 
 
-def render(rows: list[dict], flags: list[str]) -> str:
+def info_rows(pairs: list[tuple[dict, dict]]) -> list[dict]:
+    """Each side's median of every INFO metric that a run of the pairs reports, and the
+    number of runs behind each median."""
+    rows = []
+    for name in INFO:
+        sides = [[run["info"][name] for run in side if name in run.get("info", {})]
+                 for side in zip(*pairs)]
+        if any(sides):
+            rows.append({"name": name, **{key: (statistics.median(v) if v else None, len(v))
+                                          for key, v in zip(("parent", "change"), sides)}})
+    return rows
+
+
+def render(rows: list[dict], flags: list[str], info: list[dict] = ()) -> str:
     def q(t):
         return f"{t[1]:.6g} [{t[0]:.6g}, {t[2]:.6g}]"
 
@@ -147,6 +178,12 @@ def render(rows: list[dict], flags: list[str]) -> str:
                      f"{r['better']}/{r['pairs']:<5} {'holds' if r['claim'] else 'not met':<8} "
                      f"{r['verdict']:<13} {'; '.join(r['unmet'])}".rstrip())
     lines += flags or ["every pair: digests equal, both runs correct, failed counts equal"]
+    if info:
+        lines.append("information, no claim and no verdict: parent median -> change median (runs)")
+    for r in info:
+        (p, n_p), (c, n_c) = r["parent"], r["change"]
+        lines.append(f"  {r['name']:<26} {'-' if p is None else f'{p:.6g}'} -> "
+                     f"{'-' if c is None else f'{c:.6g}'} ({n_p}, {n_c})")
     return "\n".join(lines) + "\n"
 
 
@@ -179,7 +216,8 @@ def main(argv=None) -> int:
                 f"{runs['change']['metrics'].get(m['name'])}" for m in metrics), flush=True)
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)
-    sys.stdout.write(render(summarize(pairs, metrics), pair_flags(seeds, pairs)))
+    sys.stdout.write(render(summarize(pairs, metrics), pair_flags(seeds, pairs),
+                            info_rows(pairs)))
     return 0
 
 

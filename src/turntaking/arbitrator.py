@@ -53,7 +53,9 @@ class ArbitratorModel:
     """Shared text encoder plus either path-fusion (ita) or a direct head.
 
     The parameters are drawn from `seed`, or are copies of the given `arrays`
-    (`autodiff.ParamSet`), which is how a checkpoint loads."""
+    (`autodiff.ParamSet`), which is how a checkpoint loads. They are held at
+    `dtype`, and the model computes in it: float32 to train and serve, float64
+    for the gradient checks."""
 
     def __init__(self, vocab_size: int, encoder: str = "textcnn", mode: str = "ita",
                  token_dim: int = 100, tag_dim: int = 8,
@@ -62,7 +64,7 @@ class ArbitratorModel:
                  gru_hidden: int = 128,
                  turn_cap: int = DEFAULT_TURN_CAP, subturn_cap: int = DEFAULT_SUBTURN_CAP,
                  max_history: int = DEFAULT_MAX_HISTORY, seed: int = 0,
-                 arrays: dict[str, np.ndarray] | None = None):
+                 arrays: dict[str, np.ndarray] | None = None, dtype: str = "float32"):
         if encoder not in ("textcnn", "bigru"):
             raise ValueError(f"unknown encoder {encoder!r}")
         if mode not in ("ita", "baseline"):
@@ -81,7 +83,8 @@ class ArbitratorModel:
         self.seed = seed
 
         d_total = token_dim + 3 * tag_dim
-        p = ad.ParamSet(seed=seed, arrays=arrays)
+        p = ad.ParamSet(seed=seed, arrays=arrays, dtype=dtype)
+        self.dtype = p.dtype
         p.new("emb.token", (vocab_size, token_dim), fan_in=token_dim)
         p.new("emb.role", (2, tag_dim), fan_in=tag_dim)
         p.new("emb.turn", (turn_cap + 1, tag_dim), fan_in=tag_dim)
@@ -127,6 +130,7 @@ class ArbitratorModel:
             "subturn_cap": self.subturn_cap,
             "max_history": self.max_history,
             "seed": self.seed,
+            "dtype": self.dtype.name,
         }
 
 
@@ -208,7 +212,7 @@ def bigru_encode(model: ArbitratorModel, texts: Sequence[EncodedHistory]) -> ad.
     empty = [i for i, e in enumerate(texts) if len(e) == 0]
     if empty:
         raise ValueError(f"cannot encode text {empty[0]} of the batch: it is empty")
-    h0 = ad.constant(np.zeros((len(texts), model.gru_hidden)))
+    h0 = ad.constant(np.zeros((len(texts), model.gru_hidden), model.dtype))
     finals = []
     for prefix, reverse in (("gru_f", False), ("gru_b", True)):
         records, sizes, _, last = pack_histories(texts, reverse)
@@ -432,10 +436,14 @@ def train_step(batch: Sequence[PreparedSample], model: ArbitratorModel,
 
 def prepared_probs(model: ArbitratorModel, prepared: Sequence[PreparedSample]) -> np.ndarray:
     """Wait/reply probabilities [N, 2] of prepared samples, from no-grad `batch_logits`
-    forwards of at most EVAL_SAMPLES samples each."""
+    forwards of at most EVAL_SAMPLES samples each. The softmax is taken in float64
+    whatever the model's dtype, so each row sums to 1 within float64 rounding, as
+    a `Decision` requires."""
     with ad.no_grad():
-        return np.concatenate([ad.softmax(batch_logits(model, prepared[i:i + EVAL_SAMPLES])).data
-                               for i in range(0, len(prepared), EVAL_SAMPLES)])
+        return np.concatenate([
+            ad.softmax(ad.constant(batch_logits(model, prepared[i:i + EVAL_SAMPLES]).data
+                                   .astype(np.float64, copy=False))).data
+            for i in range(0, len(prepared), EVAL_SAMPLES)])
 
 
 def decide_prepared(model: ArbitratorModel, prepared: Sequence[PreparedSample],

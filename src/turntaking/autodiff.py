@@ -1,4 +1,4 @@
-"""Dense float64 tensors with a recorded reverse-mode tape and an Adam optimizer.
+"""Dense float32 or float64 tensors with a recorded reverse-mode tape and an Adam optimizer.
 
 The tape is implicit: every op links its output tensor to its inputs and keeps a
 closure that routes gradients backwards. ``backward`` walks the recorded
@@ -11,6 +11,16 @@ not after it. Leaves (parameters and constants) keep their gradients. A graph
 can therefore be walked once. Inside ``no_grad()`` ops record nothing, so a
 forward pass that needs no gradients (decoding, inference) frees its
 intermediates as it goes.
+
+Precision belongs to a parameter set: `ParamSet` holds every parameter at
+its dtype, float32 or float64 (float64 by default), and a model built on one
+computes in that dtype throughout. Every op computes in its operands' dtype
+and never upcasts: an op that combines tensors, or a tensor and a constant
+array (a bias, a mask), raises DTypeError, naming both dtypes, when they
+differ, as it raises ShapeError on shapes it does not accept. A tensor keeps
+the dtype of a floating array it is given; other values become float64.
+Central finite differences mean something at float64 only, so
+`finite_difference_check` refuses any other set.
 
 Shape discipline is strict on purpose, and nothing is broadcast. There are no
 binary elementwise ops: tanh, softmax and scale map one tensor to a
@@ -88,6 +98,18 @@ class ShapeError(ValueError):
     """Operand shapes violate an op contract."""
 
 
+class DTypeError(ValueError):
+    """The operands of one op hold different dtypes; no op upcasts."""
+
+
+def _same_dtype(opname: str, first: np.ndarray, *others: np.ndarray | None) -> None:
+    """Raise DTypeError unless every array given has the dtype of `first`."""
+    for other in others:
+        if other is not None and other.dtype != first.dtype:
+            raise DTypeError(f"{opname} needs operands of one dtype, got {first.dtype} "
+                             f"and {other.dtype}")
+
+
 class TrainingError(RuntimeError):
     """A training step produced non-finite values."""
 
@@ -108,12 +130,13 @@ def no_grad():
 
 
 class Tensor:
-    """A dense float64 array plus its place in the recorded graph."""
+    """A dense float32 or float64 array plus its place in the recorded graph."""
 
     __slots__ = ("data", "grad", "name", "_parents", "_bwd", "_seq")
 
     def __init__(self, data, name: str | None = None, _parents: tuple = (), _bwd=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.name = name
         if _recording:
@@ -155,7 +178,7 @@ def _acc(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     passes fresh=True, and g is stored as it is.
     """
     if t.grad is None:
-        t.grad = g if fresh else np.array(g, dtype=np.float64)
+        t.grad = g if fresh else np.array(g)
     else:
         t.grad += g
 
@@ -217,6 +240,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
             (bias is not None and bias.shape != b.shape[1:]):
         raise ShapeError(f"matmul needs (m,k) x (k,n) and an (n,) bias, got {a.shape}, "
                          f"{b.shape} and {getattr(bias, 'shape', None)}")
+    _same_dtype("matmul", a.data, b.data, None if bias is None else bias.data)
     out = a.data @ b.data
     if bias is not None:
         out += bias.data
@@ -252,8 +276,8 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def softmax(a: Tensor) -> Tensor:
     """Softmax along the last axis, computed with max subtraction.
 
-    Outputs are strictly positive and every row sums to 1 up to float64
-    rounding, for any finite input.
+    Outputs are strictly positive and every row sums to 1 up to rounding at the
+    input's dtype, for any finite input.
     """
     x = a.data
     if x.size == 0:
@@ -281,6 +305,7 @@ def log_softmax_nll(logits: Tensor, targets, mask=None) -> Tensor:
 
     Rows with mask 0 contribute exactly 0 to the loss and to the gradient
     (padding convention); row i's gradient is mask_i * (softmax_i - onehot_i).
+    A given mask is an array of the logits' dtype.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"log_softmax_nll needs (n, vocab) logits, got {logits.shape}")
@@ -290,9 +315,10 @@ def log_softmax_nll(logits: Tensor, targets, mask=None) -> Tensor:
         raise ShapeError(f"log_softmax_nll targets must have shape ({n},), got {t.shape}")
     if n and (t.min() < 0 or t.max() >= vocab):
         raise IndexError(f"target id out of vocabulary range [0, {vocab})")
-    m = np.ones(n) if mask is None else np.asarray(mask, dtype=np.float64)
+    m = np.ones(n, logits.data.dtype) if mask is None else np.asarray(mask)
     if m.shape != (n,):
         raise ShapeError(f"log_softmax_nll mask must have shape ({n},), got {m.shape}")
+    _same_dtype("log_softmax_nll", logits.data, m)
     logp = log_softmax(logits.data)
     picked = np.arange(n), t
     out = -(m * logp[picked]).sum()
@@ -381,6 +407,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     for p in parts:
         if p.data.ndim != 2 or p.shape[0] != n:
             raise ShapeError(f"concat_cols row mismatch: {[p.shape for p in parts]}")
+    _same_dtype("concat_cols", *(p.data for p in parts))
     out = np.concatenate([p.data for p in parts], axis=1)
 
     def bwd(g):
@@ -432,7 +459,7 @@ def place_rows(a: Tensor, index, n: int) -> Tensor:
     taken[idx] = True
     if np.count_nonzero(taken) != idx.size:
         raise ShapeError("place_rows needs distinct places")
-    out = np.zeros((n, a.shape[1]))
+    out = np.zeros((n, a.shape[1]), a.data.dtype)
     out[idx] = a.data
 
     def bwd(g):
@@ -462,6 +489,7 @@ def conv_rows(a: Tensor, w: Tensor, bias: Tensor, width: int) -> Tensor:
         raise ShapeError(f"conv_rows needs (l,d) rows with l >= width, (width*d,n) weights and "
                          f"an (n,) bias, got {a.shape}, {w.shape}, {bias.shape} and width "
                          f"{width!r}")
+    _same_dtype("conv_rows", a.data, w.data, bias.data)
     n_win = l - width + 1
     blocks = [w.data[j * d:(j + 1) * d] for j in range(width)]
     out = a.data[:n_win] @ blocks[0]
@@ -486,12 +514,14 @@ def conv_rows(a: Tensor, w: Tensor, bias: Tensor, width: int) -> Tensor:
 
 def dot_scores(query: Tensor, states: Tensor, bias: np.ndarray | None = None) -> Tensor:
     """Scores (b, q, t) of queries (b, q, h) against states (b, t, h), plus a constant (b, t)
-    bias, such as an attention mask, on every query's row; the bias takes no gradient."""
+    bias, such as an attention mask, on every query's row; the bias takes no gradient
+    and is an array of the queries' dtype."""
     if query.data.ndim != 3 or states.data.ndim != 3 or \
             states.shape[0] != query.shape[0] or states.shape[2] != query.shape[2]:
         raise ShapeError(f"dot_scores needs (b,q,h) and (b,t,h), got {query.shape} and {states.shape}")
     if bias is not None and bias.shape != states.shape[:2]:
         raise ShapeError(f"dot_scores bias must have shape {states.shape[:2]}, got {bias.shape}")
+    _same_dtype("dot_scores", query.data, states.data, bias)
     out = query.data @ states.data.transpose(0, 2, 1)
     if bias is not None:
         out += bias[:, None, :]
@@ -508,6 +538,7 @@ def weighted_sum(weights: Tensor, states: Tensor) -> Tensor:
     if weights.data.ndim != 3 or states.data.ndim != 3 or \
             states.shape[0] != weights.shape[0] or states.shape[1] != weights.shape[2]:
         raise ShapeError(f"weighted_sum needs (b,q,t) and (b,t,h), got {weights.shape} and {states.shape}")
+    _same_dtype("weighted_sum", weights.data, states.data)
     out = weights.data @ states.data
 
     def bwd(g):
@@ -532,6 +563,7 @@ def _recurrence_shape(xw: Tensor, u: Tensor, states: Sequence[Tensor], sizes: Se
         raise ShapeError(f"{opname} needs xw (sum(sizes), {gates}H), u (H, {gates}H), (B, H) "
                          f"states and non-increasing positive sizes starting at B, got "
                          f"{xw.shape}, {u.shape}, {[s.shape for s in states]} and {sizes}")
+    _same_dtype(opname, xw.data, u.data, *(s.data for s in states))
     return B, H, sizes
 
 
@@ -546,13 +578,14 @@ def _with_carry(g: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _kept(sizes: list[int], widths: Sequence[int]):
-    """Packed (N, width) arrays that a recurrence fills with its step activations
-    for backward while the tape records, and a function giving each step's rows
-    of them (None when nothing is kept, so the activations are fresh arrays)."""
+def _kept(sizes: list[int], widths: Sequence[int], dtype: np.dtype):
+    """Packed (N, width) arrays of `dtype` that a recurrence fills with its step
+    activations for backward while the tape records, and a function giving each
+    step's rows of them (None when nothing is kept, so the activations are fresh
+    arrays)."""
     if not _recording:
         return None, lambda o, n: (None,) * len(widths)
-    bufs = tuple(np.empty((sum(sizes), w)) for w in widths)
+    bufs = tuple(np.empty((sum(sizes), w), dtype) for w in widths)
     return bufs, lambda o, n: tuple(b[o:o + n] for b in bufs)
 
 
@@ -585,10 +618,10 @@ def lstm(xw: Tensor, u: Tensor, h0: Tensor, c0: Tensor, sizes: Sequence[int]) ->
     B, H, sizes = _recurrence_shape(xw, u, (h0, c0), sizes, 4, "lstm")
     N = xw.shape[0]
     U, pre = u.data, xw.data
-    out = np.empty((2, N, H))
+    out = np.empty((2, N, H), pre.dtype)
     # sigmoid(f, i, o), tanh(g) and tanh(c) of every position, for backward: one array
     # each, as rows of a different size every step would fragment the heap
-    _, rows_at = _kept(sizes, (3 * H, H, H))
+    _, rows_at = _kept(sizes, (3 * H, H, H), pre.dtype)
     h, c = h0.data, c0.data
     live, o = B, 0
     for n in sizes:
@@ -607,7 +640,7 @@ def lstm(xw: Tensor, u: Tensor, h0: Tensor, c0: Tensor, sizes: Sequence[int]) ->
 
     def bwd(grad):
         G = grad.reshape(2, N, H)
-        D = np.empty((N, 4 * H))  # gradients of the gate pre-activations
+        D = np.empty((N, 4 * H), pre.dtype)  # gradients of the gate pre-activations
         UT = U.T
         dh_next = dc_next = None  # what step t receives from step t + 1
         o = N
@@ -652,8 +685,8 @@ def gru(xw: Tensor, u: Tensor, h0: Tensor, sizes: Sequence[int]) -> Tensor:
     # contiguous copies: a product with a column block of u is about twice as slow
     u_rz, u_n = np.ascontiguousarray(u.data[:, :2 * H]), np.ascontiguousarray(u.data[:, 2 * H:])
     pre = xw.data
-    out = np.empty((N, H))
-    kept, rows_at = _kept(sizes, (2 * H, H, H))  # sigmoid(r, z), n and r*h, as in `lstm`
+    out = np.empty((N, H), pre.dtype)
+    kept, rows_at = _kept(sizes, (2 * H, H, H), pre.dtype)  # sigmoid(r, z), n and r*h, as in `lstm`
     h = h0.data
     live, o = B, 0
     for n in sizes:
@@ -676,7 +709,7 @@ def gru(xw: Tensor, u: Tensor, h0: Tensor, sizes: Sequence[int]) -> Tensor:
         dan_dh = (1.0 - z) * (1.0 - n * n)
         dz_dh = h_prev - n
         drz_da = rz * (1.0 - rz)
-        D = np.empty((N, 3 * H))  # gradients of the gate pre-activations
+        D = np.empty((N, 3 * H), pre.dtype)  # gradients of the gate pre-activations
         carry = None  # what step t receives from step t + 1
         o = N
         for t in reversed(range(len(sizes))):
@@ -706,14 +739,14 @@ def gru(xw: Tensor, u: Tensor, h0: Tensor, sizes: Sequence[int]) -> Tensor:
 PARAM_ALIGN = 64
 
 
-def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized C-contiguous float64 array whose data starts on a
+def _aligned_empty(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """An uninitialized C-contiguous array of `dtype` whose data starts on a
     PARAM_ALIGN-byte boundary. numpy serves large arrays 16 bytes past one, and
     BLAS runs the recurrent products slower on them."""
-    nbytes = math.prod(shape) * 8
+    nbytes = math.prod(shape) * dtype.itemsize
     buf = np.empty(nbytes + PARAM_ALIGN, dtype=np.uint8)
     start = -buf.ctypes.data % PARAM_ALIGN
-    return buf[start:start + nbytes].view(np.float64).reshape(shape)
+    return buf[start:start + nbytes].view(dtype).reshape(shape)
 
 
 # glibc's mallopt parameter numbers (malloc.h)
@@ -749,18 +782,27 @@ def _keep_freed_memory() -> bool:
 _keep_freed_memory()
 
 
-class ParamSet:
-    """Named trainable tensors with deterministic seeded initialization, or with given
-    values: a set built on `arrays` draws nothing, and each parameter is a copy of
-    the named array, made once. The set lets go of each given array as it takes
-    it, so a loaded checkpoint's parameters keep nothing of its file's bytes.
+# the dtypes a parameter set can hold
+PARAM_DTYPES = ("float32", "float64")
 
-    Every parameter's data is allocated once, on a PARAM_ALIGN-byte boundary, and
-    is filled in place: by the draw, by the copy of a given array, and by every
-    later `load_arrays`.
+
+class ParamSet:
+    """Named trainable tensors of one dtype with deterministic seeded initialization,
+    or with given values: a set built on `arrays` draws nothing, and each parameter
+    is a copy of the named array at the set's dtype, made once. The set lets go of
+    each given array as it takes it, so a loaded checkpoint's parameters keep
+    nothing of its file's bytes.
+
+    Every parameter's data is allocated once, at the set's dtype (float32 or
+    float64), on a PARAM_ALIGN-byte boundary, and is filled in place: by a copy
+    of the draw, by the copy of a given array, and by every later `load_arrays`.
     """
 
-    def __init__(self, seed: int = 0, arrays: dict[str, np.ndarray] | None = None):
+    def __init__(self, seed: int = 0, arrays: dict[str, np.ndarray] | None = None,
+                 dtype="float64"):
+        if dtype is None or np.dtype(dtype).name not in PARAM_DTYPES:
+            raise ValueError(f"parameter dtype must be one of {PARAM_DTYPES}, got {dtype!r}")
+        self.dtype = np.dtype(dtype)
         self._rng = np.random.default_rng(seed) if arrays is None else None
         self._arrays = None if arrays is None else dict(arrays)
         self._params: dict[str, Tensor] = {}
@@ -770,26 +812,24 @@ class ParamSet:
         or, in a set built on arrays, a copy of the array of that name, whose shape
         must match.
 
-        The draw is `random(out=data)`, then `data *= b - -b` and `data += -b`: the
-        same operations, in the same order, as `uniform(-b, b)`, so the values are
-        bit-identical to it, written straight into the aligned storage."""
+        The draw is float64 `uniform(-b, b)`, copied into the aligned storage; a
+        float32 set holds those values rounded, so a seed names one model at both
+        dtypes."""
         if name in self._params:
             raise KeyError(f"duplicate parameter name {name!r}")
         shape = tuple(shape)
         if self._arrays is None:
             fan = fan_in if fan_in is not None else shape[0]
             bound = 1.0 / math.sqrt(max(fan, 1))
-            data = _aligned_empty(shape)
-            self._rng.random(out=data)
-            data *= bound - -bound
-            data += -bound
+            data = _aligned_empty(shape, self.dtype)
+            data[...] = self._rng.uniform(-bound, bound, shape)
         else:
             if name not in self._arrays:
                 raise KeyError(f"parameter name mismatch: no array for parameter {name!r}")
-            given = np.asarray(self._arrays.pop(name), dtype=np.float64)
+            given = np.asarray(self._arrays.pop(name))
             if given.shape != shape:
                 raise ShapeError(f"parameter {name!r} shape {given.shape} != {shape}")
-            data = _aligned_empty(shape)
+            data = _aligned_empty(shape, self.dtype)
             data[...] = given
         t = Tensor(data, name=name)
         self._params[name] = t
@@ -819,7 +859,7 @@ class ParamSet:
         if missing or extra:
             raise KeyError(f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, p in self._params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
+            arr = np.asarray(arrays[name])
             if arr.shape != p.data.shape:
                 raise ShapeError(f"parameter {name!r} shape {arr.shape} != {p.data.shape}")
             p.data[...] = arr
@@ -834,7 +874,9 @@ class Adam:
 
     A parameter with no recorded gradient is treated as having a zero
     gradient. Gradients whose global norm exceeds clip_norm are scaled down to
-    it. Gradients are zeroed after every step.
+    it. Gradients are zeroed after every step. Each parameter's moments, and
+    its update, are computed at the parameter's dtype; the global norm is summed
+    in float64, where no finite float32 gradient's square overflows.
     """
 
     def __init__(self, params: ParamSet, lr: float = 1e-3, clip_norm: float = 5.0):
@@ -852,7 +894,8 @@ class Adam:
             if not np.isfinite(g).all():
                 raise TrainingError(f"non-finite gradient for parameter {name!r}")
             grads[name] = g
-        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        total = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum())
+                              for g in grads.values()))
         if total > self.clip_norm:
             factor = self.clip_norm / total
             grads = {name: g * factor for name, g in grads.items()}
@@ -877,10 +920,15 @@ def finite_difference_check(build_loss: Callable[[], Tensor], params: ParamSet,
     ``build_loss`` must rebuild the full forward graph from the current
     parameter values on every call. The error metric is
     |analytic - numeric| / max(1, |analytic|, |numeric|), i.e. relative for
-    large gradients with an absolute floor for tiny ones.
+    large gradients with an absolute floor for tiny ones. The set must be
+    float64: at float32 a perturbation of 1e-5 is within the rounding of the
+    loss, and the check would measure the rounding.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"perturbation {eps} outside [1e-7, 1e-3]")
+    if params.dtype != np.float64:
+        raise ValueError(f"finite_difference_check needs a float64 parameter set, "
+                         f"got {params.dtype}")
     params.zero_grads()
     backward(build_loss())
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

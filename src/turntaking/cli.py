@@ -155,26 +155,49 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                        help=f"config key {f.name} (default {f.default!r})")
 
 
-def _resolve_config(args) -> TrainConfig:
+def _resolve_config(args) -> tuple[TrainConfig, dict[str, str]]:
+    """The config file's keys, overridden by the flags given, over the defaults; and
+    for each key set, where it was set: its flag, or the config file."""
     base: dict = {}
     if args.config:
-        base = TrainConfig.from_text(Path(args.config).read_text()).to_dict()
+        base = TrainConfig.values_from_text(Path(args.config).read_text())
     names = {f.name for f in dataclasses.fields(TrainConfig)}
     overrides = {k: getattr(args, k) for k in names if hasattr(args, k)}
-    return TrainConfig(**{**base, **overrides})
+    given = {**{k: f"{args.config}: {k}" for k in base},
+             **{k: "--" + k.replace("_", "-") for k in overrides}}
+    return TrainConfig(**{**base, **overrides}), given
+
+
+def _as_preprocessed(cfg: TrainConfig, given: dict[str, str], header: dict,
+                     data: str) -> TrainConfig:
+    """cfg with the p_split and min_freq that `data` was preprocessed with, as its
+    processed.jsonl header records them. A key that the flags or the config file
+    set to another value is refused: it would name a corpus the run does not read."""
+    proc = Path(data) / "processed.jsonl"
+    recorded = {}
+    for key, types in (("p_split", (int, float)), ("min_freq", (int,))):
+        value = header.get(key)
+        if type(value) not in types:
+            raise CliError(f"{proc}: header records no usable {key}, got {value!r}")
+        if key in given and getattr(cfg, key) != value:
+            raise CliError(f"{given[key]} {getattr(cfg, key)} does not match {proc} "
+                           f"({key} {value}, set by preprocess)")
+        recorded[key] = value
+    return dataclasses.replace(cfg, **recorded)
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, given = _resolve_config(args)
     if cfg.kind == "arbitrator" and cfg.mode == "ita" and not (
             args.agent_imaginator and args.user_imaginator):
         args.subparser.error(
             "--kind arbitrator --mode ita requires --agent-imaginator and "
             "--user-imaginator checkpoint paths")
+    header, dialogues, vocab = _load_data_dir(args.data)
+    cfg = _as_preprocessed(cfg, given, header, args.data)
     _eprint("resolved configuration:")
     _eprint(cfg.to_text().rstrip())
 
-    _, dialogues, vocab = _load_data_dir(args.data)
     train_d, valid_d, _ = cp.split_corpus(dialogues, cfg.seed,
                                           valid_frac=cfg.valid_frac,
                                           test_frac=cfg.test_frac)

@@ -58,13 +58,15 @@ class ImaginatorModel:
     """Embeddings + encoder/decoder LSTM + attention + output head.
 
     The parameters are drawn from `seed`, or are copies of the given `arrays`
-    (`autodiff.ParamSet`), which is how a checkpoint loads."""
+    (`autodiff.ParamSet`), which is how a checkpoint loads. They are held at
+    `dtype`, and the model computes in it: float32 to train and serve, float64
+    for the gradient checks."""
 
     def __init__(self, vocab_size: int, role: str, hidden: int = 128,
                  token_dim: int = 100, tag_dim: int = 8,
                  turn_cap: int = DEFAULT_TURN_CAP, subturn_cap: int = DEFAULT_SUBTURN_CAP,
                  max_history: int = DEFAULT_MAX_HISTORY, seed: int = 0,
-                 arrays: dict[str, np.ndarray] | None = None):
+                 arrays: dict[str, np.ndarray] | None = None, dtype: str = "float32"):
         if role not in (AGENT, USER):
             raise ValueError(f"unknown role {role!r}")
         self.vocab_size = vocab_size
@@ -77,7 +79,8 @@ class ImaginatorModel:
         self.max_history = max_history
         self.seed = seed
 
-        p = ad.ParamSet(seed=seed, arrays=arrays)
+        p = ad.ParamSet(seed=seed, arrays=arrays, dtype=dtype)
+        self.dtype = p.dtype
         p.new("emb.token", (vocab_size, token_dim), fan_in=token_dim)
         p.new("emb.role", (2, tag_dim), fan_in=tag_dim)
         p.new("emb.turn", (turn_cap + 1, tag_dim), fan_in=tag_dim)
@@ -104,6 +107,7 @@ class ImaginatorModel:
             "subturn_cap": self.subturn_cap,
             "max_history": self.max_history,
             "seed": self.seed,
+            "dtype": self.dtype.name,
         }
 
 
@@ -170,19 +174,20 @@ def encode_batch(model: ImaginatorModel, encs: Sequence[EncodedHistory]):
     records, sizes, places, last = pack_histories(encs)
     B, T, N, H = len(encs), len(sizes), len(places), model.hidden
     xw = project(embed_records(model.params, records), model.params, "enc")
-    zero = ad.constant(np.zeros((B, H)))
+    zero = ad.constant(np.zeros((B, H), model.dtype))
     out = ad.lstm(xw, model.params["enc.U"], zero, zero, sizes)
     states = ad.part(out, rows=slice(0, N))
     if B > 1:  # a batch of one is already in place
         states = ad.place_rows(states, places, B * T)
-    mask = np.zeros(B * T)
+    mask = np.zeros(B * T, model.dtype)
     mask[places] = 1.0
     return (ad.reshape(states, (B, T, H)), mask.reshape(B, T),
             ad.rows(out, last), ad.rows(out, N + last))
 
 
 def attention_bias(mask: np.ndarray) -> np.ndarray:
-    """The additive attention mask [B, T]: 0 at live positions, -1e30 at padding.
+    """The additive attention mask [B, T], of the mask's dtype: 0 at live positions,
+    -1e30 at padding.
 
     Raises if any row of the mask is entirely off: its weights would be meaningless.
     """
@@ -227,7 +232,7 @@ def teacher_forced_loss(model: ImaginatorModel, encs: Sequence[EncodedHistory],
     for b, t in enumerate(targets):
         ids[b, :len(t)] = t
     # steps past a target's end are masked out: they add nothing to loss or gradients
-    tmask = (np.arange(T_dec) < steps[:, None]).astype(np.float64)
+    tmask = (np.arange(T_dec) < steps[:, None]).astype(model.dtype)
     enc_states, mask, h, c = encode_batch(model, encs)
     xw = project(ad.rows(model.params["emb.token"], ids[:, :-1].T.ravel()), model.params, "dec")
     hs = ad.lstm(xw, model.params["dec.U"], h, c, [B] * T_dec)

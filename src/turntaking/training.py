@@ -11,6 +11,13 @@ array, so a corrupt file never yields a partial model, and loads only in the
 layout this version writes. Loading draws no random initialization: the model
 is built on the file's arrays, each copied once. A run writes its metrics log
 whole, so a rerun replaces it, as it does the checkpoint.
+
+The model config names the dtype the model holds its parameters at
+(`"dtype"`, float32 for every model the program builds). On disk the arrays
+stay float64 whatever that dtype: float32 to float64 and back is exact, so a
+float32 model round-trips bit for bit. Format version 3 is the first with
+the key; a version-2 file, written before it and trained at float64, is
+refused rather than loaded narrowed to float32.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .autodiff import Adam, ShapeError, TrainingError
 from .corpus import AGENT, USER, Vocabulary, _write_atomic
 
 CHECKPOINT_MAGIC = b"TTCP"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -118,6 +125,11 @@ class TrainConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "TrainConfig":
+        return cls(**cls.values_from_text(text))
+
+    @classmethod
+    def values_from_text(cls, text: str) -> dict:
+        """The keys a config text sets, with their parsed values; the rest keep defaults."""
         kinds = {f.name: f.type for f in dataclasses.fields(cls)}
         values: dict = {}
         set_at: dict[str, int] = {}
@@ -141,7 +153,7 @@ class TrainConfig:
             except ValueError:
                 raise ValueError(f"config line {lineno}: {key} must be {kinds[key]}, "
                                  f"got {raw!r}") from None
-        return cls(**values)
+        return values
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -281,6 +293,8 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
     for key in ("arrays", "model", "vocab_hash", "metadata"):
         if not isinstance(header, dict) or key not in header:
             raise CheckpointError(f"header: missing key {key!r}")
+    if isinstance(header["model"], dict) and "dtype" not in header["model"]:
+        raise CheckpointError("header: the model config names no dtype")
     if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
         raise CheckpointError("header: vocabulary hash mismatch")
     index = _array_index(header["arrays"])

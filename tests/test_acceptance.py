@@ -110,7 +110,7 @@ def _lstm_model_check():
     vocab_size, h = 12, 8
     model = ImaginatorModel(vocab_size, cp.AGENT, hidden=h, token_dim=5,
                             tag_dim=2, turn_cap=4, subturn_cap=4,
-                            max_history=32, seed=11)
+                            max_history=32, seed=11, dtype="float64")
     enc = cp.EncodedHistory(tokens=np.array([7, 8, 9, 10]),
                             roles=np.array([1, 1, 0, 0]),
                             turns=np.array([0, 0, 1, 1]),
@@ -129,7 +129,8 @@ def _history_for(model):
 def _textcnn_model_check():
     model = ArbitratorModel(12, encoder="textcnn", mode="ita", token_dim=8,
                             tag_dim=2, filter_widths=(2, 3), filters_per_width=4,
-                            turn_cap=4, subturn_cap=4, max_history=32, seed=12)
+                            turn_cap=4, subturn_cap=4, max_history=32, seed=12,
+                            dtype="float64")
     ps = PreparedSample(history_enc=_history_for(model), label=1,
                         agent_ids=[7, 10, cp.EOS], user_ids=[8, cp.EOS])
     return model.params, lambda: arb_batch_loss(model, [ps])
@@ -138,7 +139,7 @@ def _textcnn_model_check():
 def _bigru_model_check():
     model = ArbitratorModel(12, encoder="bigru", mode="baseline", token_dim=5,
                             tag_dim=2, gru_hidden=8, turn_cap=4, subturn_cap=4,
-                            max_history=32, seed=13)
+                            max_history=32, seed=13, dtype="float64")
     ps = PreparedSample(history_enc=_history_for(model), label=0)
     return model.params, lambda: arb_batch_loss(model, [ps])
 

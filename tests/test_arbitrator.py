@@ -94,7 +94,7 @@ class TestModel:
 
 class TestTextCNN:
     def test_matches_scalar_sliding_window_oracle(self):
-        m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
+        m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita", dtype="float64")
         arrays = m.params.as_arrays()
         rng = np.random.default_rng(11)
         for n in (2, 3, 5, 9, 17):
@@ -153,14 +153,14 @@ _CNN_CACHE = []
 
 def _cached_cnn():
     if not _CNN_CACHE:
-        _CNN_CACHE.append(ArbitratorModel(**TINY, encoder="textcnn", mode="ita"))
+        _CNN_CACHE.append(ArbitratorModel(**TINY, encoder="textcnn", mode="ita", dtype="float64"))
     return _CNN_CACHE[0]
 
 
 class TestBiGRU:
-    def _model(self, seed=5):
+    def _model(self, seed=5, dtype="float32"):
         return ArbitratorModel(vocab_size=12, token_dim=5, tag_dim=1, gru_hidden=6,
-                               encoder="bigru", mode="baseline", seed=seed)
+                               encoder="bigru", mode="baseline", seed=seed, dtype=dtype)
 
     def _tied(self):
         m = self._model()
@@ -171,7 +171,7 @@ class TestBiGRU:
         return m
 
     def test_matches_scalar_recurrence_oracle(self):
-        m = self._model()
+        m = self._model(dtype="float64")
         arrays = m.params.as_arrays()
         rng = np.random.default_rng(11)
         for n in (1, 3, 7):
@@ -208,7 +208,7 @@ class TestFusion:
         return [rng.normal(size=8) for _ in range(3)]
 
     def test_matches_scalar_oracle(self):
-        m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
+        m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita", dtype="float64")
         c_his, c_a, c_u = self._features()
         got = ad.softmax(fuse_paths(ad.constant(c_his.reshape(1, -1)),
                                     ad.constant(c_a.reshape(1, -1)),
@@ -217,7 +217,7 @@ class TestFusion:
         assert np.abs(got - want).max() < 1e-12
 
     def test_zero_classifier_gives_uniform(self):
-        m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
+        m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita", dtype="float64")
         arrays = m.params.as_arrays()
         arrays["fuse.W_4"] = np.zeros_like(arrays["fuse.W_4"])
         arrays["fuse.b_4"] = np.zeros_like(arrays["fuse.b_4"])
@@ -232,7 +232,7 @@ class TestFusion:
         # swapping the two path features, the two path-specific affine maps,
         # the row blocks of the combiner and the output columns of the
         # classifier must exactly reverse the distribution
-        m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
+        m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita", dtype="float64")
         arrays = m.params.as_arrays()
         c_his, c_a, c_u = self._features()
         p = ad.softmax(fuse_paths(ad.constant(c_his.reshape(1, -1)),
@@ -246,7 +246,7 @@ class TestFusion:
         swapped["fuse.W_3"] = np.vstack([arrays["fuse.W_3"][F:], arrays["fuse.W_3"][:F]])
         swapped["fuse.W_4"] = arrays["fuse.W_4"][:, ::-1].copy()
         swapped["fuse.b_4"] = arrays["fuse.b_4"][::-1].copy()
-        m2 = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
+        m2 = ArbitratorModel(**TINY, encoder="textcnn", mode="ita", dtype="float64")
         m2.params.load_arrays(swapped)
         p_swapped = ad.softmax(fuse_paths(ad.constant(c_his.reshape(1, -1)),
                                           ad.constant(c_u.reshape(1, -1)),
@@ -299,7 +299,8 @@ class TestBatchedForward:
         if key not in cls._MODELS:
             cls._MODELS[key] = ArbitratorModel(
                 vocab_size=12, encoder=encoder, mode=mode, token_dim=5, tag_dim=2,
-                filter_widths=(2, 3, 5), filters_per_width=4, gru_hidden=6, seed=17)
+                filter_widths=(2, 3, 5), filters_per_width=4, gru_hidden=6, seed=17,
+                dtype="float64")
         return cls._MODELS[key]
 
     @staticmethod
@@ -373,7 +374,7 @@ class TestBatchedForward:
 
 class TestGradients:
     def test_full_ita_textcnn_gradient(self):
-        m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
+        m = ArbitratorModel(**TINY, encoder="textcnn", mode="ita", dtype="float64")
         ps = PreparedSample(history_enc=rand_records(np.random.default_rng(7), 6),
                             label=1, agent_ids=[4, 7, EOS], user_ids=[5, EOS])
         err = ad.finite_difference_check(lambda: batch_loss(m, [ps]), m.params)
@@ -381,7 +382,7 @@ class TestGradients:
 
     def test_bigru_gradient_h8(self):
         m = ArbitratorModel(vocab_size=12, token_dim=5, tag_dim=1, gru_hidden=8,
-                            encoder="bigru", mode="baseline", seed=9)
+                            encoder="bigru", mode="baseline", seed=9, dtype="float64")
         ps = PreparedSample(history_enc=rand_records(np.random.default_rng(13), 5), label=0)
         err = ad.finite_difference_check(lambda: batch_loss(m, [ps]), m.params)
         assert err < 1e-4
@@ -587,9 +588,10 @@ def marker_toy_samples(n=40, seed=42):
     return samples
 
 
-def _toy_model(seed=1):
+def _toy_model(seed=1, dtype="float32"):
     return ArbitratorModel(vocab_size=20, token_dim=8, tag_dim=2, filter_widths=(2, 3),
-                           filters_per_width=8, encoder="textcnn", mode="ita", seed=seed)
+                           filters_per_width=8, encoder="textcnn", mode="ita", seed=seed,
+                           dtype=dtype)
 
 
 def _run_toy_epochs(model, samples, epochs, lr=5e-3, batch=8):
@@ -637,7 +639,7 @@ class TestTraining:
             train_step(samples, model, ad.Adam(model.params))
 
     def test_batch_loss_is_mean_of_singles(self):
-        model = _toy_model()
+        model = _toy_model(dtype="float64")
         samples = marker_toy_samples(n=2)
         merged = batch_loss(model, samples).item()
         singles = [batch_loss(model, [s]).item() for s in samples]
@@ -755,3 +757,37 @@ class TestTrainStepMemory:
         monkeypatch.setattr(ad, "_release", lambda t: None)
         kept = grads()
         assert all(np.array_equal(released[name], g) for name, g in kept.items())
+
+
+class TestSinglePrecision:
+    """Models default to float32; a float64 copy is the reference."""
+
+    def test_textcnn_ita_float32_agrees_with_a_float64_copy(self):
+        """Loss and gradients of a float32 TextCNN ITA arbitrator and of a float64 one on
+        the same (float32-exact) parameters agree within 1e-4, relative to the float64
+        loss and to each parameter's largest float64 gradient."""
+        m32 = ArbitratorModel(**TINY, encoder="textcnn", mode="ita")
+        m64 = ArbitratorModel(**TINY, encoder="textcnn", mode="ita", dtype="float64",
+                              arrays=m32.params.as_arrays())
+        batch = TestBatchedForward._batch(np.random.default_rng(4), 5)
+        (loss32, g32), (loss64, g64) = (TestBatchedForward._loss_and_grads(
+            m, lambda m=m: batch_loss(m, batch)) for m in (m32, m64))
+        assert abs(loss32 - loss64) <= 1e-4 * abs(loss64)
+        assert sorted(g32) == sorted(g64) == sorted(m32.params.names())
+        for name, ref in g64.items():
+            assert g32[name].dtype == np.float32, name
+            assert np.abs(g32[name] - ref).max() <= 1e-4 * np.abs(ref).max(), name
+
+    def test_ita_predict_on_float32_models_gives_float64_probabilities(self):
+        """The two-way softmax of a decision is taken in float64, so the probabilities
+        sum to 1 within 1e-9, as a Decision requires."""
+        vocab, utts = tiny_vocab_and_history()
+        m = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1,
+                            filter_widths=(2, 3), filters_per_width=4, seed=3)
+        ims = [ImaginatorModel(len(vocab), role, hidden=10, token_dim=6, tag_dim=2, seed=i)
+               for i, role in enumerate((AGENT, USER))]
+        assert {x.dtype for x in (m, *ims)} == {np.dtype(np.float32)}
+        for history in (utts, utts[:1]):
+            d = ita_predict(history, m, ims[0], ims[1], vocab, max_len=6)
+            assert d.probs.dtype == np.float64
+            assert abs(d.probs.sum() - 1.0) <= 1e-9

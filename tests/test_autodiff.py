@@ -886,3 +886,105 @@ class TestStructuredOps:
         out = ad.weighted_sum(ad.constant(w[:, None]), ad.constant(np.stack(states, axis=1))).data[:, 0]
         expected = sum(w[:, k:k + 1] * states[k] for k in range(t))
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def _at(dtype, *shapes, seed=0):
+    rng = np.random.default_rng(seed)
+    return [ad.constant(rng.normal(size=s).astype(dtype)) for s in shapes]
+
+
+# each combining op with its operands at float32 but one, which is float64: (op name,
+# a call taking the float32 tensors and the float64 one)
+_MIXED = [
+    ("matmul", lambda f, d: ad.matmul(f((2, 3)), d((3, 4)))),
+    ("matmul", lambda f, d: ad.matmul(f((2, 3)), f((3, 4)), bias=d((4,)))),
+    ("concat_cols", lambda f, d: ad.concat_cols([f((2, 3)), d((2, 1))])),
+    ("conv_rows", lambda f, d: ad.conv_rows(f((5, 2)), d((4, 3)), f((3,)), 2)),
+    ("conv_rows", lambda f, d: ad.conv_rows(f((5, 2)), f((4, 3)), d((3,)), 2)),
+    ("dot_scores", lambda f, d: ad.dot_scores(f((2, 1, 4)), d((2, 5, 4)))),
+    ("dot_scores", lambda f, d: ad.dot_scores(f((2, 1, 4)), f((2, 5, 4)), np.zeros((2, 5)))),
+    ("weighted_sum", lambda f, d: ad.weighted_sum(f((2, 1, 5)), d((2, 5, 4)))),
+    ("lstm", lambda f, d: ad.lstm(f((3, 8)), f((2, 8)), d((2, 2)), d((2, 2)), [2, 1])),
+    ("lstm", lambda f, d: ad.lstm(f((3, 8)), d((2, 8)), f((2, 2)), f((2, 2)), [2, 1])),
+    ("gru", lambda f, d: ad.gru(f((3, 6)), f((2, 6)), d((2, 2)), [2, 1])),
+    ("log_softmax_nll", lambda f, d: ad.log_softmax_nll(f((2, 3)), [0, 1], np.ones(2))),
+]
+
+
+class TestDTypes:
+    """Every op computes in its operands' dtype; mixed dtypes are refused, never upcast."""
+
+    @pytest.mark.parametrize("opname, call", _MIXED, ids=[f"{n}-{i}" for i, (n, _) in
+                                                           enumerate(_MIXED)])
+    def test_mixed_operands_refused(self, opname, call):
+        f = lambda s: _at(np.float32, s)[0]
+        d = lambda s: _at(np.float64, s)[0]
+        with pytest.raises(ad.DTypeError, match=rf"^{opname} needs operands of one dtype, "
+                                                rf"got float(32 and float64|64 and float32)$"):
+            call(f, d)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_and_gradients_keep_the_dtype(self, dtype):
+        """A graph through every kind of op, forward and backward, holds `dtype` only."""
+        x, w, b, u, h0, cw, cb = _at(dtype, (5, 3), (3, 8), (8,), (2, 8), (2, 2), (4, 2), (2,))
+        xw = ad.matmul(x, w, bias=b)
+        hs = ad.part(ad.lstm(xw, u, h0, h0, [2, 2, 1]), rows=slice(0, 5))
+        conv = ad.conv_rows(ad.tanh(hs), cw, cb, 2)
+        pooled = ad.max_over_time(conv, [[0, 2], [2, 4]])
+        states = ad.reshape(ad.place_rows(ad.concat_cols([hs, hs]), [0, 1, 2, 3, 5], 6),
+                            (2, 3, 4))
+        q = ad.reshape(ad.scale(ad.concat_cols([pooled, pooled]), 0.5), (2, 1, 4))
+        weights = ad.softmax(ad.dot_scores(q, states, np.zeros((2, 3), dtype)))
+        ctx = ad.reshape(ad.weighted_sum(weights, states), (2, 4))
+        loss = ad.log_softmax_nll(ctx, [1, 3], np.ones(2, dtype))
+        assert loss.data.dtype == dtype
+        ad.backward(loss)
+        for t in (x, w, b, u, h0, cw, cb):
+            assert t.grad.dtype == dtype
+
+    def test_tensor_keeps_floats_and_makes_the_rest_float64(self):
+        assert ad.constant(np.zeros(2, np.float32)).data.dtype == np.float32
+        assert ad.constant([1, 2]).data.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_param_set_holds_its_dtype(self, dtype):
+        """Drawn, given and restored parameters and Adam's update all stay at the set's
+        dtype, in aligned storage; a float32 set draws the float64 values, rounded."""
+        ps = ad.ParamSet(seed=3, dtype=dtype)
+        w = ps.new("w", (33, 9), fan_in=16)
+        assert ps.dtype == dtype and w.data.dtype == dtype and w.data.ctypes.data % 64 == 0
+        # the float64 draw of the same seed, rounded: one model at both dtypes
+        assert np.array_equal(w.data, ad.ParamSet(seed=3).new("w", (33, 9), fan_in=16)
+                              .data.astype(dtype))
+        given = ad.ParamSet(arrays={"w": w.data.astype(np.float64)}, dtype=dtype)
+        assert np.array_equal(given.new("w", (33, 9)).data, w.data)
+        assert given["w"].data.dtype == dtype
+        storage = w.data
+        ps.load_arrays({"w": np.ones((33, 9))})
+        assert w.data is storage and w.data.dtype == dtype
+        w.grad = np.ones((33, 9), dtype)
+        opt = ad.Adam(ps)
+        opt.step()
+        assert w.data.dtype == dtype and opt._m["w"].dtype == opt._v["w"].dtype == dtype
+
+    def test_clip_norm_of_float32_gradients_summed_in_float64(self):
+        """A finite float32 gradient whose square overflows float32 is still clipped to
+        clip_norm, not scaled to zero: Adam's first step moves the parameter by lr."""
+        ps = ad.ParamSet(seed=0, dtype="float32")
+        p = ps.new("p", (1,), fan_in=1)
+        p.data[:] = 0.0
+        p.grad = np.array([3e19], np.float32)
+        ad.Adam(ps, lr=1e-3, clip_norm=5.0).step()
+        np.testing.assert_allclose(p.data, [-1e-3], rtol=1e-4)
+
+    @pytest.mark.parametrize("dtype", ["float16", "int64", None])
+    def test_param_set_refuses_other_dtypes(self, dtype):
+        with pytest.raises(ValueError, match="parameter dtype must be one of"):
+            ad.ParamSet(dtype=dtype)
+
+    def test_finite_differences_refuse_float32(self):
+        """At float32 a 1e-5 perturbation is within the loss's rounding."""
+        ps = ad.ParamSet(seed=0, dtype="float32")
+        ps.new("x", (2,), fan_in=1)
+        with pytest.raises(ValueError, match="needs a float64 parameter set, got float32"):
+            ad.finite_difference_check(lambda: total(ps["x"], 1.0), ps)

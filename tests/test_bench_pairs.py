@@ -121,3 +121,38 @@ def test_compile_tree_leaves_bytecode_for_every_module(tmp_path):
     for name in modules:
         assert Path(importlib.util.cache_from_source(str(tmp_path / name))).is_file(), name
     assert not (tmp_path / "scripts" / "__pycache__").exists()
+
+
+_OUTPUT = """workload booking-default  seed 1  seconds 40  trace 0
+  setup_s                                    0.0231 s
+  round_s                                    0.544 s
+  round_cpu_s                                0.51 s
+  imaginator_train_samples_per_s             1377.72 samples/s
+  imaginator_valid_bleu                      0.1257 bleu
+  arbitrator_valid_accuracy                  - accuracy
+  attempted 11  failed 0  checks {"rounds_identical": true}  digest abc
+"""
+
+
+class TestInformation:
+    """CPU time and the quality guards are shown beside the claim rows, with no verdict."""
+
+    def test_named_values_read_from_the_run_output(self):
+        assert bench_pairs.named_values(_OUTPUT) == {"round_cpu_s": 0.51,
+                                                     "imaginator_valid_bleu": 0.1257}
+
+    def test_each_side_median_rendered_without_a_verdict(self):
+        def run(cpu, bleu):
+            return {**_run(1.0), "info": {"round_cpu_s": cpu, "imaginator_valid_bleu": bleu}}
+
+        pairs = [(run(0.5, 0.12), run(0.3, 0.12)), (run(0.7, 0.12), run(0.2, 0.13)),
+                 (run(0.6, 0.12), {**_run(1.0), "info": {}})]
+        info = bench_pairs.info_rows(pairs)
+        assert info == [{"name": "round_cpu_s", "parent": (0.6, 3), "change": (0.25, 2)},
+                        {"name": "imaginator_valid_bleu", "parent": (0.12, 3),
+                         "change": (0.125, 2)}]
+        text = bench_pairs.render(bench_pairs.summarize(pairs, METRICS), [], info)
+        tail = text.split("information")[1].splitlines()
+        assert tail[1].split() == ["round_cpu_s", "0.6", "->", "0.25", "(3,", "2)"]
+        assert tail[2].split() == ["imaginator_valid_bleu", "0.12", "->", "0.125", "(3,", "2)"]
+        assert not any(w in line for line in tail for w in ("holds", "not met", "bound"))

@@ -22,7 +22,7 @@ from turntaking.corpus import (
 )
 from turntaking.imaginator import ImaginatorModel, beam_decode, evaluate_imaginator
 from turntaking.synthetic import make_multiwoz_like, write_multiwoz_like
-from turntaking.training import TrainConfig, load_checkpoint, save_checkpoint
+from turntaking.training import TrainConfig, load_checkpoint, model_from_config, save_checkpoint
 
 TINY_TRAIN = ["--epochs", "1", "--batch-size", "16", "--hidden", "8",
               "--token-dim", "8", "--tag-dim", "2", "--gru-hidden", "8",
@@ -257,6 +257,40 @@ class TestTrain:
         assert f"error: config line 3: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value, recorded", [("min_freq", 50, 1), ("p_split", 1.0, 0.4)])
+    def test_preprocess_setting_that_disagrees_is_refused(self, prep_dir, tmp_path, capsys,
+                                                          source, key, value, recorded):
+        """p_split and min_freq are applied by preprocess: train refuses another value."""
+        argv = ["train", "--data", str(prep_dir), "--out", str(tmp_path / "o")] + TINY_TRAIN
+        if source == "flag":
+            named = "--" + key.replace("_", "-")
+            argv += [named, str(value)]
+        else:
+            named = f"{tmp_path / 'cfg.txt'}: {key}"
+            (tmp_path / "cfg.txt").write_text(f"{key} = {value}\n")
+            argv += ["--config", str(tmp_path / "cfg.txt")]
+        assert run(argv) == 1
+        assert (f"error: {named} {value} does not match {prep_dir / 'processed.jsonl'} "
+                f"({key} {recorded}, set by preprocess)") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_records_the_preprocess_settings(self, raw_path, tmp_path):
+        """The run records the p_split and min_freq its data was preprocessed with, in
+        train_config.txt and the checkpoint, given as equal flags or not given at all."""
+        data = tmp_path / "prep"
+        assert run(["preprocess", "--input", str(raw_path), "--format", "multiwoz-like",
+                    "--p-split", "0.0", "--min-freq", "2", "--seed", "3",
+                    "--out", str(data)]) == 0
+        for extra in ([], ["--min-freq", "2", "--p-split", "0"]):
+            out = tmp_path / f"o{len(extra)}"
+            assert run(["train", "--data", str(data), "--out", str(out)] + TINY_TRAIN
+                       + extra) == 0
+            for text in ((out / "train_config.txt").read_text(),
+                         load_checkpoint(out / "model.ckpt").train_config_text):
+                cfg = TrainConfig.from_text(text)
+                assert (cfg.p_split, cfg.min_freq) == (0.0, 2)
+
     def test_bad_enum_value_exits_one(self, prep_dir, tmp_path, capsys):
         rc = run(["train", "--kind", "oracle", "--data", str(prep_dir),
                   "--out", str(tmp_path)])
@@ -346,25 +380,30 @@ class TestEvaluate:
                                                monkeypatch):
         """The decision file, decided in chunks, equals each sample decided alone: labels
         and flags exactly, probabilities to 1e-12. The user imaginator is pinned to end
-        at once, so every user imagination is empty and must be flagged."""
+        at once, so every user imagination is empty and must be flagged. All three
+        checkpoints are float64 copies of the trained ones, to compare to 1e-12."""
         vocab = Vocabulary.load(artifacts["vocab"])
-        ck = load_checkpoint(artifacts[USER])
-        user = ck.model
-        user.params["out.b_v"].data[EOS] = 1e4
-        save_checkpoint(user, tmp_path / "user.ckpt", vocab.hash(),
-                        train_config=TrainConfig.from_text(ck.train_config_text))
+        models = {}
+        for name in (AGENT, USER, "arbitrator"):
+            ck = load_checkpoint(artifacts[name])
+            models[name] = model_from_config({**ck.model.config(), "dtype": "float64"},
+                                             ck.model.params.as_arrays())
+            if name == USER:
+                models[name].params["out.b_v"].data[EOS] = 1e4
+            save_checkpoint(models[name], tmp_path / f"{name}.ckpt", vocab.hash(),
+                            train_config=TrainConfig.from_text(ck.train_config_text))
         monkeypatch.setattr(arbitrator, "EVAL_SAMPLES", 4)  # several chunks and a short one
-        argv = ["evaluate", "--checkpoint", str(artifacts["arbitrator"]),
-                "--agent-imaginator", str(artifacts[AGENT]),
-                "--user-imaginator", str(tmp_path / "user.ckpt"),
+        argv = ["evaluate", "--checkpoint", str(tmp_path / "arbitrator.ckpt"),
+                "--agent-imaginator", str(tmp_path / f"{AGENT}.ckpt"),
+                "--user-imaginator", str(tmp_path / f"{USER}.ckpt"),
                 "--data", str(prep_dir), "--split", "valid", "--report", str(tmp_path / "arb.txt")]
         assert run(argv) == 0
         records = [json.loads(l) for l in
                    (tmp_path / "arb.decisions.jsonl").read_text().splitlines()]
 
         samples = [s for d in _valid_dialogues(prep_dir) for s in derive_arbitrator_samples(d)]
-        model = load_checkpoint(artifacts["arbitrator"]).model
-        imaginators = (load_checkpoint(artifacts[AGENT]).model, user)
+        model = models["arbitrator"]
+        imaginators = (models[AGENT], models[USER])
         assert len(records) == len(samples) > 4 and len(samples) % 4
         for rec, s in zip(records, samples):
             enc = encode_history(s.history, vocab, model.max_history, model.turn_cap,

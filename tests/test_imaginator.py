@@ -26,10 +26,10 @@ def small_vocab(n_words: int = 6) -> cp.Vocabulary:
     return cp.build_vocabulary([d])
 
 
-def tiny_model(seed=0, V=13, role=cp.AGENT, hidden=6, token_dim=5, tag_dim=2):
+def tiny_model(seed=0, V=13, role=cp.AGENT, hidden=6, token_dim=5, tag_dim=2, dtype="float32"):
     return im.ImaginatorModel(vocab_size=V, role=role, hidden=hidden,
                               token_dim=token_dim, tag_dim=tag_dim,
-                              turn_cap=4, subturn_cap=3, max_history=32, seed=seed)
+                              turn_cap=4, subturn_cap=3, max_history=32, seed=seed, dtype=dtype)
 
 
 def rand_history(rng, n_utts=2, n_words=5):
@@ -64,7 +64,7 @@ class TestModel:
 
 class TestLstmStep:
     def test_zero_params_halve_cell_state(self):
-        m = tiny_model(V=5, hidden=3, token_dim=2, tag_dim=1)
+        m = tiny_model(V=5, hidden=3, token_dim=2, tag_dim=1, dtype="float64")
         for _, p in m.params.items():
             p.data[:] = 0.0
         c0 = np.array([[0.4, -0.2, 1.0]])
@@ -75,7 +75,7 @@ class TestLstmStep:
         np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
     def test_zero_everything_fixed_point(self):
-        m = tiny_model(V=5, hidden=3, token_dim=2, tag_dim=1)
+        m = tiny_model(V=5, hidden=3, token_dim=2, tag_dim=1, dtype="float64")
         for _, p in m.params.items():
             p.data[:] = 0.0
         z = ad.constant(np.zeros((1, 3)))
@@ -110,7 +110,7 @@ def encode_one(model, enc):
 class TestEncode:
     def test_length_one_equals_single_step_from_zero(self):
         vocab = small_vocab()
-        m = tiny_model(seed=1, V=len(vocab))
+        m = tiny_model(seed=1, V=len(vocab), dtype="float64")
         enc = enc_of(m, [cp.Utterance(cp.USER, 0, 0, ("w2",))], vocab)
         states, (h, c) = encode_one(m, enc)
         assert len(states) == 1
@@ -281,7 +281,7 @@ class TestBatchedDecoder:
     def test_equals_per_step_oracle(self, B, seed):
         rng = np.random.default_rng(seed)
         vocab = small_vocab()
-        m = tiny_model(seed=seed % 1000, V=len(vocab))
+        m = tiny_model(seed=seed % 1000, V=len(vocab), dtype="float64")
         encs = [enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
                 for _ in range(B)]
         targets = [cp.encode_target(tuple(f"w{i}" for i in rng.integers(0, 5, size=n)), vocab)
@@ -527,7 +527,8 @@ class TestFullGradient:
     def test_seq2seq_finite_differences(self):
         """Encoder + attention + decoder end to end at V=12, h=8."""
         m = im.ImaginatorModel(vocab_size=12, role=cp.AGENT, hidden=8, token_dim=6,
-                               tag_dim=2, turn_cap=4, subturn_cap=2, max_history=32, seed=5)
+                               tag_dim=2, turn_cap=4, subturn_cap=2, max_history=32, seed=5,
+                               dtype="float64")
         vocab = small_vocab(5)
         hist = [cp.Utterance(cp.USER, 0, 0, ("w0", "w1")),
                 cp.Utterance(cp.AGENT, 1, 0, ("w2",))]
@@ -575,3 +576,47 @@ class TestEvaluate:
         samples = cp.derive_imaginator_samples(d, cp.AGENT)
         out = im.evaluate_imaginator(m, samples, vocab, beam_width=1, max_len=4)
         assert out["bleu_on_user_targets"] == 0.0
+
+
+class TestSinglePrecision:
+    """Models default to float32; a float64 copy is the reference."""
+
+    def test_float32_agrees_with_a_float64_copy(self):
+        """Loss and gradients of a float32 model and of a float64 model on the same
+        (float32-exact) parameters agree within 1e-4, relative to the float64 loss and
+        to each parameter's largest float64 gradient."""
+        rng = np.random.default_rng(8)
+        vocab = small_vocab()
+        m32 = tiny_model(seed=7, V=len(vocab))
+        m64 = tiny_model(seed=7, V=len(vocab), dtype="float64")
+        m64.params.load_arrays(m32.params.as_arrays())
+        encs = [enc_of(m32, rand_history(rng, n_utts=k), vocab) for k in (1, 3, 2)]
+        targets = [cp.encode_target(("w1", "w0", "w2"), vocab), cp.encode_target(("w3",), vocab),
+                   cp.encode_target(("w4", "w4"), vocab)]
+        loss32 = im.teacher_forced_loss(m32, encs, targets)
+        loss64 = im.teacher_forced_loss(m64, encs, targets)
+        assert loss32.data.dtype == np.float32 and loss64.data.dtype == np.float64
+        assert abs(loss32.item() - loss64.item()) <= 1e-4 * abs(loss64.item())
+        g32, g64 = _grads(m32, loss32), _grads(m64, loss64)
+        assert sorted(g32) == sorted(g64) == sorted(m32.params.names())
+        for name, ref in g64.items():
+            assert g32[name].dtype == np.float32, name
+            assert np.abs(g32[name] - ref).max() <= 1e-4 * np.abs(ref).max(), name
+
+    def test_float32_decode_holds_no_float64_state(self):
+        """Ops refuse mixed dtypes, so a float64 (B, H) state in a float32 model's decode
+        would raise: the decode runs, its encoder states are float32, and a float64
+        state handed to the decoder step is refused."""
+        rng = np.random.default_rng(3)
+        vocab = small_vocab()
+        m = tiny_model(seed=2, V=len(vocab))
+        encs = [enc_of(m, rand_history(rng, n_utts=k), vocab) for k in (2, 1, 3)]
+        states, mask, h, c = im.encode_batch(m, encs)
+        assert {states.data.dtype, mask.dtype, h.data.dtype, c.data.dtype} == {np.dtype(np.float32)}
+        assert len(im.beam_decode(m, encs, beam_width=3, max_len=5)) == 3
+        assert len(im.greedy_decode(m, encs, max_len=5)) == 3
+        xw = im.project(ad.rows(m.params["emb.token"], [cp.BOS] * 3), m.params, "dec")
+        zero = ad.constant(np.zeros((3, m.hidden)))
+        with pytest.raises(ad.DTypeError, match="lstm needs operands of one dtype, "
+                                                "got float32 and float64"):
+            im.lstm_step(xw, zero, zero, m.params, "dec")

@@ -246,12 +246,12 @@ class TestCheckpoint:
         """A model built on arrays holds copies of them: the buffer they view, as a
         loaded file's arrays view its bytes, is freed once the caller lets go of it."""
         m = tiny_imaginator(vocab)
-        buf = np.zeros(shift + sum(p.data.nbytes for _, p in m.params.items()), np.uint8)
+        buf = np.zeros(shift + sum(8 * p.data.size for _, p in m.params.items()), np.uint8)
         arrays, offset = {}, shift
         for name, p in m.params.items():
             arrays[name] = np.frombuffer(buf, "<f8", p.data.size, offset).reshape(p.shape)
             arrays[name][...] = p.data
-            offset += p.data.nbytes
+            offset += 8 * p.data.size
         freed = weakref.ref(buf)
         built = model_from_config(m.config(), arrays)
         del buf, arrays
@@ -412,6 +412,48 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="unsupported format version 1"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_round_trip_keeps_the_dtype_bit_exact(self, vocab, tmp_path, dtype):
+        """A model loads at the dtype it was saved at, bit for bit: the header and the
+        sidecar name the dtype, and the arrays are float64 on disk whatever it is."""
+        m = ImaginatorModel(vocab_size=len(vocab), role=AGENT, hidden=8, token_dim=5,
+                            tag_dim=2, seed=4, dtype=dtype)
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(m, path, self.HASH)
+        blob = path.read_bytes()
+        n = struct.unpack("<I", blob[48:52])[0]
+        assert json.loads(blob[52:52 + n])["model"]["dtype"] == dtype
+        assert len(blob) - 52 - n == 8 * sum(p.data.size for _, p in m.params.items())
+        assert f"model.dtype = {dtype}\n" in (tmp_path / "a.ckpt.txt").read_text()
+        loaded = load_checkpoint(path).model
+        assert loaded.dtype == dtype
+        for name, p in m.params.items():
+            got = loaded.params[name].data
+            assert got.dtype == dtype and np.array_equal(got, p.data), name
+
+    def test_version_two_rejected(self, vocab, tmp_path):
+        """A version-2 file predates the dtype key and was trained at float64: it is
+        refused, not loaded narrowed to float32."""
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        blob = bytearray(self._reframe(path, lambda h: h["model"].pop("dtype") and None)
+                         .read_bytes())
+        blob[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="^frame: unsupported format version 2$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h["model"].pop("dtype") and None, "header: the model config names no dtype"),
+        (lambda h: h["model"].update(dtype="float16"),
+         r"header: model config rejected \(parameter dtype must be one of"),
+    ], ids=["missing", "float16"])
+    def test_model_config_dtype_checked(self, vocab, tmp_path, edit, match):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(self._reframe(path, edit))
 
     def test_per_gate_parameter_names_rejected(self, vocab, tmp_path):
         path = tmp_path / "a.ckpt"
