@@ -27,7 +27,10 @@ number of pairs in which the change reads better, and two verdicts:
   bound, and `within bound` when it is not.
 
 It flags every pair whose digests differ, whose runs are not both `correct`, or
-whose `failed` counts differ. Below the verdicts it prints, as information with
+whose `failed` counts differ. A run that exits non-zero is flagged with its
+side, seed, exit code and the tail of its stderr; its pair is left out of the
+medians, the pairs after it still run, and the script exits 1 after printing the
+summary of the completed pairs. Below the verdicts it prints, as information with
 no claim and no verdict, each side's median of the INFO metrics that the
 workload reports: CPU time beside wall time, and the quality guards, which show
 that a change whose digests differ on purpose still does the same work.
@@ -74,14 +77,14 @@ def named_values(stdout: str) -> dict[str, float]:
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `bench/run.py --trace 0` run in `tree`: its correctness, failed count,
-    digest, end-to-end metric values and `named_values`."""
+    digest, end-to-end metric values and `named_values`; or, for a run that exits
+    non-zero or prints nothing, its exit code and the tail of its stderr."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"bench/run.py in {tree} exited {proc.returncode}: "
-                           f"{proc.stderr.strip()[-500:]}")
+        return {"exit": proc.returncode, "stderr": proc.stderr.strip()[-500:]}
     result = json.loads(lines[-1])
     digest = re.search(r"\bdigest (\S+)", proc.stdout)
     return {"correct": result["correct"], "failed": result["failed"],
@@ -136,11 +139,17 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
 
 
 def pair_flags(seeds: list[int], pairs: list[tuple[dict, dict]]) -> list[str]:
-    """A line for every pair whose digests differ, whose runs are not both
-    correct, or whose failed counts differ."""
+    """A line for every run that exited non-zero, and for every completed pair whose
+    digests differ, whose runs are not both correct, or whose failed counts differ."""
     flags = []
     for i, (seed, (p, c)) in enumerate(zip(seeds, pairs)):
         where = f"pair {i + 1} (seed {seed})"
+        exited = [(side, r) for side, r in (("parent", p), ("change", c)) if "exit" in r]
+        for side, r in exited:
+            flags.append(f"{where}: the {side} run exited {r['exit']}, pair left out of the "
+                         f"medians: {r['stderr']}")
+        if exited:
+            continue
         if p["digest"] != c["digest"]:
             flags.append(f"{where}: digests differ, parent {p['digest']}, change {c['digest']}")
         for side, r in (("parent", p), ("change", c)):
@@ -187,6 +196,11 @@ def render(rows: list[dict], flags: list[str], info: list[dict] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _shown(run: dict, name: str):
+    """A run's value of metric `name` for the per-pair line, or how it exited."""
+    return f"exit {run['exit']}" if "exit" in run else run["metrics"].get(name)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the parent revision")
@@ -212,13 +226,14 @@ def main(argv=None) -> int:
                     for side, tree in (order if i % 2 == 0 else order[::-1])}
             pairs.append((runs["parent"], runs["change"]))
             print(f"pair {i + 1} seed {seed} ({order[i % 2][0]} first): " + "  ".join(
-                f"{m['name']} {runs['parent']['metrics'].get(m['name'])} -> "
-                f"{runs['change']['metrics'].get(m['name'])}" for m in metrics), flush=True)
+                f"{m['name']} {_shown(runs['parent'], m['name'])} -> "
+                f"{_shown(runs['change'], m['name'])}" for m in metrics), flush=True)
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)
-    sys.stdout.write(render(summarize(pairs, metrics), pair_flags(seeds, pairs),
-                            info_rows(pairs)))
-    return 0
+    done = [(p, c) for p, c in pairs if "exit" not in p and "exit" not in c]
+    sys.stdout.write(render(summarize(done, metrics), pair_flags(seeds, pairs),
+                            info_rows(done)))
+    return 0 if len(done) == len(pairs) else 1
 
 
 if __name__ == "__main__":

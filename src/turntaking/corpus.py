@@ -615,6 +615,9 @@ def _utt_from_record(rec: dict) -> Utterance:
     tokens = rec["tokens"]
     if type(tokens) is not list:  # a string would pass as its characters
         raise ValueError(f"tokens must be a list of strings, not {type(tokens).__name__}")
+    for key in ("turn", "subturn"):  # encode_history's int64 cast would truncate 1.5 or true
+        if type(rec[key]) is not int:
+            raise ValueError(f"{key} must be an integer, not {type(rec[key]).__name__}")
     return Utterance(role=rec["role"], turn_index=rec["turn"],
                      subturn_index=rec["subturn"], tokens=tuple(tokens))
 
@@ -656,6 +659,8 @@ def read_processed(path):
             try:
                 rec = json.loads(line)
                 if n > 1:
+                    if type(rec["id"]) is not str:  # split_corpus sorts dialogues by id
+                        raise ValueError(f"id must be a string, not {type(rec['id']).__name__}")
                     dialogues.append(Dialogue(id=rec["id"], utterances=tuple(
                         _utt_from_record(u) for u in rec["utterances"])))
                 elif isinstance(rec, dict) and "header" in rec:

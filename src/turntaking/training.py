@@ -5,19 +5,14 @@ place a model description becomes a model. A checkpoint holds what the
 program reads back: the parameters, the model config, run metadata and the
 training config as text. Training never resumes from a checkpoint, so it
 holds no optimizer state. The file is a self-describing binary container
-(magic, version, content digest, JSON header, raw float64 tensors) with a
+(magic, version, content digest, JSON header, raw tensors) with a
 human-readable sidecar; loading verifies the digest before touching any
 array, so a corrupt file never yields a partial model, and loads only in the
-layout this version writes. Loading draws no random initialization: the model
-is built on the file's arrays, each copied once. A run writes its metrics log
-whole, so a rerun replaces it, as it does the checkpoint.
-
-The model config names the dtype the model holds its parameters at
-(`"dtype"`, float32 for every model the program builds). On disk the arrays
-stay float64 whatever that dtype: float32 to float64 and back is exact, so a
-float32 model round-trips bit for bit. Format version 3 is the first with
-the key; a version-2 file, written before it and trained at float64, is
-refused rather than loaded narrowed to float32.
+layout this version writes. Arrays are stored at the dtype the model config
+names (`"dtype"`), so saving and loading cast nothing. Loading draws no random
+initialization: the model is built on the file's arrays, each copied once. A
+run writes its metrics log whole, so a rerun replaces it, as it does the
+checkpoint.
 """
 
 from __future__ import annotations
@@ -36,11 +31,11 @@ import numpy as np
 
 from . import arbitrator as arb
 from . import imaginator as im
-from .autodiff import Adam, ShapeError, TrainingError
+from .autodiff import PARAM_DTYPES, Adam, ShapeError, TrainingError
 from .corpus import AGENT, USER, Vocabulary, _write_atomic
 
 CHECKPOINT_MAGIC = b"TTCP"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):
@@ -211,7 +206,7 @@ def save_checkpoint(model, path, vocab_hash: str, metadata: dict | None = None,
     # the payload is the header and then every array's bytes; it is hashed and
     # written piece by piece, never joined into one copy
     head = struct.pack("<I", len(header_bytes)) + header_bytes
-    arrays = [np.ascontiguousarray(p.data, dtype="<f8") for _, p in params]
+    arrays = [np.ascontiguousarray(p.data, p.data.dtype.newbyteorder("<")) for _, p in params]
     digest = hashlib.sha256(head)
     for a in arrays:
         digest.update(a)
@@ -293,21 +288,24 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
     for key in ("arrays", "model", "vocab_hash", "metadata"):
         if not isinstance(header, dict) or key not in header:
             raise CheckpointError(f"header: missing key {key!r}")
-    if isinstance(header["model"], dict) and "dtype" not in header["model"]:
-        raise CheckpointError("header: the model config names no dtype")
+    dtype_name = header["model"].get("dtype") if isinstance(header["model"], dict) else None
+    if dtype_name not in PARAM_DTYPES:
+        raise CheckpointError(f"header: model config dtype must be one of {PARAM_DTYPES}, "
+                              f"got {dtype_name!r}")
+    dtype = np.dtype(dtype_name).newbyteorder("<")
     if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
         raise CheckpointError("header: vocabulary hash mismatch")
     index = _array_index(header["arrays"])
     offset = 4 + header_len
-    needed = 8 * sum(math.prod(shape) for _, shape in index)
+    needed = dtype.itemsize * sum(math.prod(shape) for _, shape in index)
     if needed != payload_len - offset:
         raise CheckpointError(f"payload: the array index describes {needed} bytes of arrays, "
                               f"the payload holds {payload_len - offset}")
     arrays = {}
     for name, shape in index:
         count = math.prod(shape)
-        arrays[name] = np.frombuffer(payload, "<f8", count, offset).reshape(shape)
-        offset += 8 * count
+        arrays[name] = np.frombuffer(payload, dtype, count, offset).reshape(shape)
+        offset += dtype.itemsize * count
     try:
         model = model_from_config(header["model"], arrays)
     except (KeyError, ShapeError) as e:

@@ -1,6 +1,10 @@
 """The summary of scripts/bench_pairs.py on hand-made runs."""
 
 import importlib.util
+import io
+import json
+import subprocess
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -109,6 +113,39 @@ class TestFlags:
 
     def test_clean_pairs_raise_no_flag(self):
         assert bench_pairs.pair_flags([1, 2], [(_run(1.0), _run(2.0))] * 2) == []
+
+
+def test_failed_run_is_flagged_and_the_other_pairs_summarized(monkeypatch, capsys):
+    """A run that exits non-zero costs its pair, not the pairs already run or still to
+    run: it is flagged with its side, seed, exit code and stderr, the summary covers
+    the completed pairs, and the script exits 1."""
+    empty_tar = io.BytesIO()
+    tarfile.open(fileobj=empty_tar, mode="w").close()
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, empty_tar.getvalue(), b"")
+        if "compileall" in cmd:
+            return subprocess.CompletedProcess(cmd, 0, b"", b"")
+        seed = int(cmd[cmd.index("--seed") + 1])
+        change = Path(cwd) == bench_pairs.ROOT
+        if change and seed == 2:
+            return subprocess.CompletedProcess(cmd, 1, "", "Traceback ...\nMemoryError")
+        value = 1.0 + seed + (0.5 if change else 0.0)
+        result = {"correct": True, "failed": 0,
+                  "metrics": {m: {"value": value} for m in ("setup_s", "round_s")}}
+        return subprocess.CompletedProcess(cmd, 0, f"digest d\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    rc = bench_pairs.main(["--parent", "REV", "--workload", "w", "--seeds", "1,2,3",
+                           "--seconds", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "pair 2 seed 2 (change first): setup_s 3.0 -> exit 1" in out
+    assert ("pair 2 (seed 2): the change run exited 1, pair left out of the medians: "
+            "Traceback ...\nMemoryError") in out
+    setup = next(line for line in out.splitlines() if line.startswith("setup_s "))
+    assert setup.split()[1:3] == ["3", "[2.5,"] and "0/2" in setup
 
 
 def test_compile_tree_leaves_bytecode_for_every_module(tmp_path):

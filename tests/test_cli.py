@@ -257,6 +257,22 @@ class TestTrain:
         assert f"error: config line 3: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_non_string_dialogue_id_is_located_error(self, prep_dir, tmp_path, capsys):
+        """Dialogues are split in id order, and an int id does not compare with a str."""
+        data = tmp_path / "data"
+        data.mkdir()
+        lines = (prep_dir / "processed.jsonl").read_text().splitlines()
+        first = json.loads(lines[1])
+        first["id"] = 7
+        lines[1] = json.dumps(first)
+        (data / "processed.jsonl").write_text("\n".join(lines) + "\n")
+        (data / "vocab.tsv").write_bytes((prep_dir / "vocab.tsv").read_bytes())
+        rc = run(["train", "--data", str(data), "--out", str(tmp_path / "o")] + TINY_TRAIN)
+        assert rc == 1
+        assert (f"error: {data / 'processed.jsonl'}:2: invalid record (id must be a string, "
+                f"not int)") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key, value, recorded", [("min_freq", 50, 1), ("p_split", 1.0, 0.4)])
     def test_preprocess_setting_that_disagrees_is_refused(self, prep_dir, tmp_path, capsys,

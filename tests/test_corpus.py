@@ -593,7 +593,8 @@ class TestFiles:
         assert back == ds
 
     @pytest.mark.parametrize("kind", ["bad_json", "missing_key", "invalid_record",
-                                      "string_tokens"])
+                                      "string_tokens", "int_id", "list_id", "float_turn",
+                                      "bool_subturn"])
     @pytest.mark.parametrize("write, read", [(cp.write_processed, cp.read_processed)],
                              ids=["processed"])
     def test_bad_line_raises_located_error(self, tmp_path, write, read, kind):
@@ -614,6 +615,16 @@ class TestFiles:
             rec["utterances"][0]["role"] = "narrator"
             lines[2] = json.dumps(rec)
             want = f"{path}:3: invalid record (unknown role 'narrator')"
+        elif kind in ("int_id", "list_id"):  # ids are sorted, and an int and a str do not compare
+            rec["id"] = 7 if kind == "int_id" else ["x"]
+            lines[2] = json.dumps(rec)
+            want = f"{path}:3: invalid record (id must be a string, not {type(rec['id']).__name__})"
+        elif kind in ("float_turn", "bool_subturn"):  # an int64 cast would truncate either
+            key, value = ("turn", 1.5) if kind == "float_turn" else ("subturn", True)
+            rec["utterances"][0][key] = value
+            lines[2] = json.dumps(rec)
+            want = (f"{path}:3: invalid record ({key} must be an integer, "
+                    f"not {type(value).__name__})")
         else:  # a string, not a list: its characters must not pass as tokens
             rec["utterances"][0]["tokens"] = "hello"
             lines[2] = json.dumps(rec)

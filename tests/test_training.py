@@ -171,7 +171,7 @@ class TestCheckpoint:
     def test_file_is_the_joined_frame_byte_for_byte(self, vocab, tmp_path):
         """The streamed write equals the frame built as one joined blob: magic, version,
         the digest and length of the payload, then the payload (header length, header,
-        every parameter's float64 bytes in name order)."""
+        every parameter's little-endian bytes at the model's dtype, in name order)."""
         m = ArbitratorModel(vocab_size=len(vocab), encoder="textcnn", mode="ita",
                             token_dim=5, tag_dim=1, filters_per_width=3, seed=2)
         path = tmp_path / "arb.ckpt"
@@ -184,7 +184,8 @@ class TestCheckpoint:
             "train_config": TrainConfig(kind="arbitrator").to_text(),
             "vocab_hash": self.HASH}, sort_keys=True, separators=(",", ":")).encode()
         payload = b"".join([struct.pack("<I", len(header)), header,
-                            *(p.data.astype("<f8").tobytes() for _, p in params)])
+                            *(p.data.astype(m.dtype.newbyteorder("<")).tobytes()
+                              for _, p in params)])
         want = (b"TTCP" + struct.pack("<I", CHECKPOINT_VERSION)
                 + hashlib.sha256(payload).digest() + struct.pack("<Q", len(payload)) + payload)
         assert path.read_bytes() == want
@@ -416,7 +417,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_round_trip_keeps_the_dtype_bit_exact(self, vocab, tmp_path, dtype):
         """A model loads at the dtype it was saved at, bit for bit: the header and the
-        sidecar name the dtype, and the arrays are float64 on disk whatever it is."""
+        sidecar name the dtype, and the arrays are stored at it, 4 or 8 bytes a value."""
         m = ImaginatorModel(vocab_size=len(vocab), role=AGENT, hidden=8, token_dim=5,
                             tag_dim=2, seed=4, dtype=dtype)
         path = tmp_path / "a.ckpt"
@@ -424,7 +425,8 @@ class TestCheckpoint:
         blob = path.read_bytes()
         n = struct.unpack("<I", blob[48:52])[0]
         assert json.loads(blob[52:52 + n])["model"]["dtype"] == dtype
-        assert len(blob) - 52 - n == 8 * sum(p.data.size for _, p in m.params.items())
+        itemsize = {"float32": 4, "float64": 8}[dtype]
+        assert len(blob) - 52 - n == itemsize * sum(p.data.size for _, p in m.params.items())
         assert f"model.dtype = {dtype}\n" in (tmp_path / "a.ckpt.txt").read_text()
         loaded = load_checkpoint(path).model
         assert loaded.dtype == dtype
@@ -444,10 +446,43 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="^frame: unsupported format version 2$"):
             load_checkpoint(path)
 
+    def test_version_three_rejected(self, vocab, tmp_path):
+        """A version-3 file, which stored every array as float64 whatever the model's
+        dtype, is refused rather than read at the width its header's dtype names."""
+        m = tiny_imaginator(vocab)
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(m, path, self.HASH)
+        params = sorted(m.params.items())
+        blob = path.read_bytes()
+        header_len = struct.unpack("<I", blob[48:52])[0]
+        payload = b"".join([blob[48:52 + header_len],
+                            *(p.data.astype("<f8").tobytes() for _, p in params)])
+        path.write_bytes(b"TTCP" + struct.pack("<I", 3) + hashlib.sha256(payload).digest()
+                         + struct.pack("<Q", len(payload)) + payload)
+        with pytest.raises(CheckpointError, match="^frame: unsupported format version 3$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("saved, named", [("float32", "float64"), ("float64", "float32")])
+    def test_dtype_that_does_not_fit_the_arrays_rejected(self, vocab, tmp_path, saved, named):
+        """A header whose dtype is not the one its arrays were written at describes
+        arrays of another byte count, and fails the byte-count check."""
+        m = ImaginatorModel(vocab_size=len(vocab), role=AGENT, hidden=8, token_dim=5,
+                            tag_dim=2, seed=4, dtype=saved)
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(m, path, self.HASH)
+        n = sum(p.data.size for _, p in m.params.items())
+        width = {"float32": 4, "float64": 8}
+        bad = self._reframe(path, lambda h: h["model"].update(dtype=named))
+        with pytest.raises(CheckpointError, match=f"^payload: the array index describes "
+                                                  f"{width[named] * n} bytes of arrays, "
+                                                  f"the payload holds {width[saved] * n}$"):
+            load_checkpoint(bad)
+
     @pytest.mark.parametrize("edit, match", [
-        (lambda h: h["model"].pop("dtype") and None, "header: the model config names no dtype"),
+        (lambda h: h["model"].pop("dtype") and None,
+         r"^header: model config dtype must be one of \('float32', 'float64'\), got None$"),
         (lambda h: h["model"].update(dtype="float16"),
-         r"header: model config rejected \(parameter dtype must be one of"),
+         r"^header: model config dtype must be one of \('float32', 'float64'\), got 'float16'$"),
     ], ids=["missing", "float16"])
     def test_model_config_dtype_checked(self, vocab, tmp_path, edit, match):
         path = tmp_path / "a.ckpt"
@@ -468,7 +503,7 @@ class TestCheckpoint:
             load_checkpoint(self._reframe(path, rename))
 
     @pytest.mark.parametrize("edit, tail, match", [
-        (lambda h: h["arrays"].append(["zz", [1]]), bytes(8),
+        (lambda h: h["arrays"].append(["zz", [1]]), bytes(4),
          r"parameters: parameter name mismatch: arrays \['zz'\] name no parameter"),
         (lambda h: next(e for e in h["arrays"] if e[0] == "enc.b").__setitem__(1, [2, 16]), b"",
          r"parameters: parameter 'enc.b' shape \(2, 16\) != \(32,\)"),
@@ -636,7 +671,8 @@ class TestRunTraining:
         blob = (tmp_path / "a.ckpt").read_bytes()
         header_len = struct.unpack("<I", blob[48:52])[0]
         n_values = sum(p.data.size for _, p in model.params.items())
-        assert len(blob) == 48 + 4 + header_len + 8 * n_values
+        assert model.dtype == np.float32
+        assert len(blob) == 48 + 4 + header_len + 4 * n_values
         assert "optimizer" not in json.loads(blob[52:52 + header_len])
 
     def test_model_left_holding_best_parameters(self, vocab):
