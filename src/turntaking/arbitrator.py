@@ -35,10 +35,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import (
-    AGENT, EOS, PAD, USER,
-    DEFAULT_MAX_HISTORY, DEFAULT_SUBTURN_CAP, DEFAULT_TURN_CAP,
-    ArbitratorSample, EncodedHistory, Utterance, Vocabulary,
-    encode_history, role_id,
+    AGENT, EOS, PAD, SUBTURN_CAP, TURN_CAP, USER,
+    ArbitratorSample, EncodedHistory, Utterance, Vocabulary, encode_history, role_id,
 )
 from .imaginator import (
     ImaginatorModel, beam_decode, embed_records, greedy_decode, pack_histories, project,
@@ -61,9 +59,7 @@ class ArbitratorModel:
                  token_dim: int = 100, tag_dim: int = 8,
                  filter_widths: Sequence[int] = DEFAULT_FILTER_WIDTHS,
                  filters_per_width: int = DEFAULT_FILTERS_PER_WIDTH,
-                 gru_hidden: int = 128,
-                 turn_cap: int = DEFAULT_TURN_CAP, subturn_cap: int = DEFAULT_SUBTURN_CAP,
-                 max_history: int = DEFAULT_MAX_HISTORY, seed: int = 0,
+                 gru_hidden: int = 128, seed: int = 0,
                  arrays: dict[str, np.ndarray] | None = None, dtype: str = "float32"):
         if encoder not in ("textcnn", "bigru"):
             raise ValueError(f"unknown encoder {encoder!r}")
@@ -77,9 +73,6 @@ class ArbitratorModel:
         self.filter_widths = tuple(sorted(filter_widths))
         self.filters_per_width = filters_per_width
         self.gru_hidden = gru_hidden
-        self.turn_cap = turn_cap
-        self.subturn_cap = subturn_cap
-        self.max_history = max_history
         self.seed = seed
 
         d_total = token_dim + 3 * tag_dim
@@ -87,8 +80,8 @@ class ArbitratorModel:
         self.dtype = p.dtype
         p.new("emb.token", (vocab_size, token_dim), fan_in=token_dim)
         p.new("emb.role", (2, tag_dim), fan_in=tag_dim)
-        p.new("emb.turn", (turn_cap + 1, tag_dim), fan_in=tag_dim)
-        p.new("emb.subturn", (subturn_cap + 1, tag_dim), fan_in=tag_dim)
+        p.new("emb.turn", (TURN_CAP + 1, tag_dim), fan_in=tag_dim)
+        p.new("emb.subturn", (SUBTURN_CAP + 1, tag_dim), fan_in=tag_dim)
         if encoder == "textcnn":
             for k in self.filter_widths:
                 p.new(f"cnn.W_{k}", (k * d_total, filters_per_width), fan_in=k * d_total)
@@ -126,9 +119,6 @@ class ArbitratorModel:
             "filter_widths": list(self.filter_widths),
             "filters_per_width": self.filters_per_width,
             "gru_hidden": self.gru_hidden,
-            "turn_cap": self.turn_cap,
-            "subturn_cap": self.subturn_cap,
-            "max_history": self.max_history,
             "seed": self.seed,
             "dtype": self.dtype.name,
         }
@@ -246,23 +236,10 @@ def encode_response_ids(ids: Sequence[int], role: str) -> EncodedHistory:
                           subturns=np.zeros(n, dtype=np.int64))
 
 
-def _history_enc(model: ArbitratorModel, history: Sequence[Utterance],
-                 vocab: Vocabulary) -> EncodedHistory:
+def _history_enc(history: Sequence[Utterance], vocab: Vocabulary) -> EncodedHistory:
     if not history or history[-1].role != USER:
         raise ValueError("history must end with a user utterance")
-    return encode_history(history, vocab, model.max_history,
-                          model.turn_cap, model.subturn_cap)
-
-
-def check_same_encoding(model: ArbitratorModel, *imaginators: ImaginatorModel) -> None:
-    """Raise ValueError unless each imaginator encodes histories as the arbitrator does:
-    an ita run encodes each history once, for both imaginators, with the model's caps."""
-    for imaginator in imaginators:
-        for name in ("max_history", "turn_cap", "subturn_cap"):
-            mine, theirs = getattr(imaginator, name), getattr(model, name)
-            if mine != theirs:
-                raise ValueError(f"{imaginator.role} imaginator {name} is {mine}, "
-                                 f"the arbitrator's is {theirs}")
+    return encode_history(history, vocab)
 
 
 def _imagination(ids: Sequence[int]) -> tuple[list[int], bool]:
@@ -307,8 +284,7 @@ def ita_predict(history: Sequence[Utterance], model: ArbitratorModel,
     """Imagine both continuations, then arbitrate between the two paths. The
     default width 1 is the greedy decode that `prepare_samples` trains the
     arbitrator on; `max_len` should be the `max_decode_len` it was trained with."""
-    check_same_encoding(model, agent_imaginator, user_imaginator)
-    h_enc = _history_enc(model, history, vocab)
+    h_enc = _history_enc(history, vocab)
     agent_ids = beam_decode(agent_imaginator, [h_enc], beam_width=beam_width, max_len=max_len)[0]
     user_ids = beam_decode(user_imaginator, [h_enc], beam_width=beam_width, max_len=max_len)[0]
     return decide_with_imagined(model, h_enc, agent_ids, user_ids, vocab)
@@ -378,8 +354,7 @@ class PreparedSample:
     flags: tuple[str, ...] = ()
 
 
-def prepare_samples(samples: Sequence[ArbitratorSample], model: ArbitratorModel,
-                    vocab: Vocabulary,
+def prepare_samples(samples: Sequence[ArbitratorSample], vocab: Vocabulary,
                     imaginators: tuple[ImaginatorModel, ImaginatorModel] | None,
                     max_len: int = 40) -> list[PreparedSample]:
     """Encode histories and, in ita mode, cache greedy imaginator decodes.
@@ -388,11 +363,10 @@ def prepare_samples(samples: Sequence[ArbitratorSample], model: ArbitratorModel,
     imagined responses are computed exactly once here, one batched decode
     per imaginator.
     """
-    prepared = [PreparedSample(history_enc=_history_enc(model, s.history, vocab), label=s.label)
+    prepared = [PreparedSample(history_enc=_history_enc(s.history, vocab), label=s.label)
                 for s in samples]
     if imaginators is None:
         return prepared
-    check_same_encoding(model, *imaginators)
     encs = [ps.history_enc for ps in prepared]
     agent_im, user_im = imaginators
     return [_imagined(ps.history_enc, agent_ids, user_ids, ps.label)

@@ -5,7 +5,11 @@ prints its resolved configuration to stderr; data goes to files or stdout,
 diagnostics to stderr. `preprocess` writes processed.jsonl, vocab.tsv and
 stats.txt; `train` writes model.ckpt, its model.ckpt.txt sidecar, metrics.jsonl
 and train_config.txt. Nothing else is written, a rerun replaces each file, and
-rerunning `preprocess` with equal flags writes byte-identical files.
+rerunning `preprocess` with equal flags writes byte-identical files. `train`,
+`evaluate` and `generate` split the corpus by the run's seed alone (the
+fractions are `corpus` constants), so a checkpoint's recorded seed names the
+split it was trained on. All three models encode a history one way, the
+`corpus` way, so an ita run takes any two imaginators of the right roles.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from pathlib import Path
 
 from . import corpus as cp
 from .arbitrator import (
-    accuracy, check_same_encoding, classification_summary, decide_prepared, decision_record,
-    ita_predict, prepare_samples, random_policy_predictions,
+    accuracy, classification_summary, decide_prepared, decision_record, ita_predict,
+    prepare_samples, random_policy_predictions,
 )
 from .corpus import AGENT, USER, IngestError, Vocabulary
 from .imaginator import beam_decode, evaluate_imaginator
@@ -82,17 +86,13 @@ def _load_trained(path: str, vocab: Vocabulary, expect_kind: str | None = None):
     return ck.model, cfg
 
 
-def _load_imaginator_pair(args, vocab: Vocabulary, arbitrator):
-    """The agent and user imaginators of an ita run, each encoding as `arbitrator` does."""
+def _load_imaginator_pair(args, vocab: Vocabulary):
+    """The agent and user imaginators of an ita run, each checked for its role."""
     pair = []
     for path, role in ((args.agent_imaginator, AGENT), (args.user_imaginator, USER)):
         model, _ = _load_trained(path, vocab, "imaginator")
-        try:
-            if model.role != role:
-                raise ValueError(f"role is {model.role!r}, expected {role}")
-            check_same_encoding(arbitrator, model)
-        except ValueError as e:
-            raise CliError(f"{path}: {e}") from None
+        if model.role != role:
+            raise CliError(f"{path}: role is {model.role!r}, expected {role}")
         pair.append(model)
     return tuple(pair)
 
@@ -198,9 +198,7 @@ def cmd_train(args) -> int:
     _eprint("resolved configuration:")
     _eprint(cfg.to_text().rstrip())
 
-    train_d, valid_d, _ = cp.split_corpus(dialogues, cfg.seed,
-                                          valid_frac=cfg.valid_frac,
-                                          test_frac=cfg.test_frac)
+    train_d, valid_d, _ = cp.split_corpus(dialogues, cfg.seed)
     imaginators = None
     model = build_model(cfg, len(vocab))
     if cfg.kind == "imaginator":
@@ -210,7 +208,7 @@ def cmd_train(args) -> int:
         train_s = [s for d in train_d for s in cp.derive_arbitrator_samples(d)]
         valid_s = [s for d in valid_d for s in cp.derive_arbitrator_samples(d)]
         if cfg.mode == "ita":
-            imaginators = _load_imaginator_pair(args, vocab, model)
+            imaginators = _load_imaginator_pair(args, vocab)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,15 +228,14 @@ def cmd_train(args) -> int:
 
 def _load_run(args, expect_kind: str | None = None, **more):
     """The vocabulary, model and training config of an evaluate or generate run, and
-    the part of the corpus that `--split` names under the split it was trained on."""
+    the part of the corpus that `--split` names under the split it was trained on,
+    which the config's seed fixes."""
     _, dialogues, vocab = _load_data_dir(args.data)
     model, cfg = _load_trained(args.checkpoint, vocab, expect_kind)
     width = {"beam_width": cfg.beam_width} if model.config()["kind"] == "imaginator" else {}
     _announce({"checkpoint": args.checkpoint, "data": args.data, "split": args.split,
-               "seed": cfg.seed, "valid_frac": cfg.valid_frac, "test_frac": cfg.test_frac,
-               "max_decode_len": cfg.max_decode_len, **width, **more})
-    parts = cp.split_corpus(dialogues, cfg.seed, valid_frac=cfg.valid_frac,
-                            test_frac=cfg.test_frac)
+               "seed": cfg.seed, "max_decode_len": cfg.max_decode_len, **width, **more})
+    parts = cp.split_corpus(dialogues, cfg.seed)
     return vocab, model, cfg, parts[SPLITS.index(args.split)]
 
 
@@ -271,10 +268,10 @@ def cmd_evaluate(args) -> int:
             if not (args.agent_imaginator and args.user_imaginator):
                 raise CliError("an ita-mode checkpoint needs --agent-imaginator "
                                "and --user-imaginator for evaluation")
-            pair = _load_imaginator_pair(args, vocab, model)
+            pair = _load_imaginator_pair(args, vocab)
         else:
             pair = None
-        decisions = decide_prepared(model, prepare_samples(samples, model, vocab, pair,
+        decisions = decide_prepared(model, prepare_samples(samples, vocab, pair,
                                                            max_len=cfg.max_decode_len), vocab)
         preds = [d.label for d in decisions]
         summary = classification_summary(preds, gold)
@@ -309,8 +306,7 @@ def cmd_generate(args) -> int:
     if not samples:
         raise CliError(f"split {args.split!r} has no samples for role {model.role!r}")
 
-    encs = [cp.encode_history(s.history, vocab, model.max_history,
-                              model.turn_cap, model.subturn_cap) for s in samples]
+    encs = [cp.encode_history(s.history, vocab) for s in samples]
     decoded = beam_decode(model, encs, beam_width=cfg.beam_width, max_len=cfg.max_decode_len)
     text = "".join(json.dumps({"sample_id": f"{args.split}-{i:05d}", "role": model.role,
                                "generated": " ".join(vocab.decode_id(t) for t in ids),
@@ -340,7 +336,7 @@ def cmd_demo(args) -> int:
     arb, cfg = _load_trained(args.arbitrator, vocab, "arbitrator")
     if arb.mode != "ita":
         raise CliError(f"{args.arbitrator}: demo needs an ita-mode arbitrator")
-    agent_im, user_im = _load_imaginator_pair(args, vocab, arb)
+    agent_im, user_im = _load_imaginator_pair(args, vocab)
     _announce({"arbitrator": args.arbitrator, "agent_imaginator": args.agent_imaginator,
                "user_imaginator": args.user_imaginator, "vocab": args.vocab,
                "max_decode_len": cfg.max_decode_len, "transcript": args.transcript})

@@ -11,6 +11,15 @@ placeholder tokens, and (b) probabilistically splits user utterances at
 sentence-final punctuation into subturns, which is what creates the
 wait/reply prediction problem in the first place: after every user subturn
 the agent must decide whether more is coming.
+
+This module also decides, once for every model and run, how a history is
+encoded and how a corpus is split: `encode_history` keeps the most recent
+MAX_HISTORY records with tags clamped to TURN_CAP and SUBTURN_CAP, so both
+imaginators and the arbitrator read a history alike, and `split_corpus` holds
+out VALID_FRAC and TEST_FRAC of the dialogues in an order the seed alone fixes.
+The reserved tokens (`<pad>`, `<eos>`, ...) are control ids, so corpus text
+that holds one is refused, located, on ingestion and on reading a processed
+file.
 """
 
 from __future__ import annotations
@@ -30,12 +39,19 @@ USER = "user"
 
 PAD, UNK, BOS, EOS, SEP = 0, 1, 2, 3, 4
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>", "<sep>", "<agent>", "<user>")
+_RESERVED = frozenset(RESERVED_TOKENS)
 
 SPLIT_PUNCTUATION = frozenset({".", "!", "?", ";"})
 
-DEFAULT_MAX_HISTORY = 256
-DEFAULT_TURN_CAP = 16
-DEFAULT_SUBTURN_CAP = 8
+# one history encoding for every model: the most recent MAX_HISTORY records,
+# turn and subturn tags clamped to their caps
+MAX_HISTORY = 256
+TURN_CAP = 16
+SUBTURN_CAP = 8
+
+# one split for every run: the shares of dialogues held out for validation and test
+VALID_FRAC = 0.1
+TEST_FRAC = 0.1
 
 
 class IngestError(ValueError):
@@ -114,19 +130,23 @@ def tokenize(text: str) -> list[str]:
 # ingestion
 
 
-def _assemble_dialogue(did: str, raw: list[tuple[str, str]]) -> Dialogue | None:
-    """Turn (role, text) pairs into a Dialogue.
+def _assemble_dialogue(did: str, raw: list[tuple[str, str]], loc: str) -> Dialogue | None:
+    """Turn the (role, text) pairs of the record at `loc` into a Dialogue.
 
     Consecutive same-role messages are combined into a single utterance, so
     roles strictly alternate afterwards and every utterance starts at
     subturn 0; splitting is the only step that creates further subturns.
-    Returns None for a dialogue with no usable content.
+    Returns None for a dialogue with no usable content. A message with no
+    tokens, or with a reserved token, raises IngestError naming the record and
+    the message.
     """
     merged: list[tuple[str, list[str]]] = []
     for i, (role, text) in enumerate(raw):
         toks = tokenize(text)
-        if not toks:
-            raise IngestError(f"dialogue {did!r}, message {i}: empty utterance")
+        if not toks or not _RESERVED.isdisjoint(toks):
+            why = (f"reserved token {min(_RESERVED.intersection(toks))!r} in the text"
+                   if toks else "empty utterance")
+            raise IngestError(f"{loc}: dialogue {did!r}, message {i}: {why}")
         if merged and merged[-1][0] == role:
             merged[-1][1].extend(toks)
         else:
@@ -189,7 +209,7 @@ def _walk_records(located, messages: str, speaker: str):
                 raise IngestError(f"{loc}.{messages}[{m}]: need {speaker!r} and 'text'")
             raw.append((_normalize_speaker(msg[speaker], f"{loc}.{messages}[{m}]"),
                         str(msg["text"])))
-        d = _assemble_dialogue(did, raw)
+        d = _assemble_dialogue(did, raw, loc)
         if d is None:
             skipped += 1
             continue
@@ -224,7 +244,7 @@ def _ingest_dailydialogue(path: Path):
             skipped += 1
             continue
         raw = [(USER if i % 2 == 0 else AGENT, p) for i, p in enumerate(pieces)]
-        dialogues.append(_assemble_dialogue(str(n), raw))
+        dialogues.append(_assemble_dialogue(str(n), raw, f"{path}:{n + 1}"))
     return dialogues, {}, skipped
 
 
@@ -481,15 +501,13 @@ def role_id(role: str) -> int:
     return 0 if role == AGENT else 1
 
 
-def encode_history(history: Sequence[Utterance], vocab: Vocabulary,
-                   max_history: int = DEFAULT_MAX_HISTORY,
-                   turn_cap: int = DEFAULT_TURN_CAP,
-                   subturn_cap: int = DEFAULT_SUBTURN_CAP) -> EncodedHistory:
+def encode_history(history: Sequence[Utterance], vocab: Vocabulary) -> EncodedHistory:
     """Flatten a history into (token, role, turn, subturn) id records.
 
     Utterances are joined by a separator record carrying the tags of the
-    utterance it closes. Overlong histories keep the most recent max_history
-    records (truncated from the oldest side); tag indices clamp to their caps.
+    utterance it closes. Overlong histories keep the most recent MAX_HISTORY
+    records (truncated from the oldest side); tag indices clamp to TURN_CAP and
+    SUBTURN_CAP.
     """
     if not history:
         raise ValueError("cannot encode an empty history")
@@ -499,8 +517,8 @@ def encode_history(history: Sequence[Utterance], vocab: Vocabulary,
     subs: list[int] = []
     for k, u in enumerate(history):
         r = role_id(u.role)
-        t = min(u.turn_index, turn_cap)
-        s = min(u.subturn_index, subturn_cap)
+        t = min(u.turn_index, TURN_CAP)
+        s = min(u.subturn_index, SUBTURN_CAP)
         for w in u.tokens:
             toks.append(vocab.encode_token(w))
             rids.append(r)
@@ -511,8 +529,8 @@ def encode_history(history: Sequence[Utterance], vocab: Vocabulary,
             rids.append(r)
             turns.append(t)
             subs.append(s)
-    if len(toks) > max_history:
-        toks, rids, turns, subs = (seq[-max_history:] for seq in (toks, rids, turns, subs))
+    if len(toks) > MAX_HISTORY:
+        toks, rids, turns, subs = (seq[-MAX_HISTORY:] for seq in (toks, rids, turns, subs))
     return EncodedHistory(
         tokens=np.asarray(toks, dtype=np.int64),
         roles=np.asarray(rids, dtype=np.int64),
@@ -618,6 +636,8 @@ def _utt_from_record(rec: dict) -> Utterance:
     for key in ("turn", "subturn"):  # encode_history's int64 cast would truncate 1.5 or true
         if type(rec[key]) is not int:
             raise ValueError(f"{key} must be an integer, not {type(rec[key]).__name__}")
+    if not _RESERVED.isdisjoint(tokens):
+        raise ValueError(f"reserved token {min(_RESERVED.intersection(tokens))!r} in tokens")
     return Utterance(role=rec["role"], turn_index=rec["turn"],
                      subturn_index=rec["subturn"], tokens=tuple(tokens))
 
@@ -678,18 +698,16 @@ def read_processed(path):
     return header, dialogues
 
 
-def split_corpus(dialogues: Sequence[Dialogue], seed: int,
-                 valid_frac: float = 0.1, test_frac: float = 0.1):
-    """Deterministic train/valid/test partition by shuffled dialogue order."""
-    if valid_frac < 0 or test_frac < 0 or valid_frac + test_frac >= 1:
-        raise ValueError("fractions must be non-negative and sum below 1")
+def split_corpus(dialogues: Sequence[Dialogue], seed: int):
+    """Deterministic train/valid/test partition by shuffled dialogue order: the
+    seed alone fixes it, with VALID_FRAC and TEST_FRAC of the dialogues held out."""
     ordered = sorted(dialogues, key=lambda d: d.id)
     rng = _dialogue_rng(seed, "corpus-split")
     perm = rng.permutation(len(ordered))
     shuffled = [ordered[i] for i in perm]
     n = len(shuffled)
-    n_valid = int(round(n * valid_frac))
-    n_test = int(round(n * test_frac))
+    n_valid = int(round(n * VALID_FRAC))
+    n_test = int(round(n * TEST_FRAC))
     n_train = n - n_valid - n_test
     return (shuffled[:n_train],
             shuffled[n_train:n_train + n_valid],

@@ -36,8 +36,7 @@ def _run(out_dir: Path, report: dict, dialogues, im_cfg: TrainConfig,
          arb_cfg: TrainConfig, t0: float) -> dict:
     """The protocol on `dialogues`, started at `t0`: `report` holds the corpus's own
     fields and gains the results; each run's role or mode is set on its config here."""
-    train_d, valid_d, test_d = split_corpus(dialogues, im_cfg.seed, im_cfg.valid_frac,
-                                            im_cfg.test_frac)
+    train_d, valid_d, test_d = split_corpus(dialogues, im_cfg.seed)
     vocab = build_vocabulary(train_d, im_cfg.min_freq)
     vocab.save(out_dir / "vocab.tsv")
     report.update(vocab_size=len(vocab), splits=[len(train_d), len(valid_d), len(test_d)])
@@ -83,7 +82,7 @@ def _run(out_dir: Path, report: dict, dialogues, im_cfg: TrainConfig,
         res = run_training(cfg, arb_train, arb_valid, model, vocab, imaginators=pair,
                            metrics_path=out_dir / f"arbitrator_{mode}_metrics.jsonl",
                            checkpoint_path=out_dir / f"arbitrator_{mode}.ckpt")
-        prepared = prepare_samples(arb_test, model, vocab, pair, max_len=cfg.max_decode_len)
+        prepared = prepare_samples(arb_test, vocab, pair, max_len=cfg.max_decode_len)
         report[f"{mode}_valid_accuracy"] = res.best_value
         report[f"{mode}_test_accuracy"] = evaluate_prepared(model, prepared)
         report[f"{mode}_epochs"] = res.epochs_run

@@ -41,8 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import (
-    AGENT, BOS, EOS, PAD, USER,
-    DEFAULT_MAX_HISTORY, DEFAULT_SUBTURN_CAP, DEFAULT_TURN_CAP,
+    AGENT, BOS, EOS, PAD, SUBTURN_CAP, TURN_CAP, USER,
     EncodedHistory, ImaginatorSample, Vocabulary, encode_history, encode_target,
 )
 
@@ -63,9 +62,7 @@ class ImaginatorModel:
     for the gradient checks."""
 
     def __init__(self, vocab_size: int, role: str, hidden: int = 128,
-                 token_dim: int = 100, tag_dim: int = 8,
-                 turn_cap: int = DEFAULT_TURN_CAP, subturn_cap: int = DEFAULT_SUBTURN_CAP,
-                 max_history: int = DEFAULT_MAX_HISTORY, seed: int = 0,
+                 token_dim: int = 100, tag_dim: int = 8, seed: int = 0,
                  arrays: dict[str, np.ndarray] | None = None, dtype: str = "float32"):
         if role not in (AGENT, USER):
             raise ValueError(f"unknown role {role!r}")
@@ -74,17 +71,14 @@ class ImaginatorModel:
         self.hidden = hidden
         self.token_dim = token_dim
         self.tag_dim = tag_dim
-        self.turn_cap = turn_cap
-        self.subturn_cap = subturn_cap
-        self.max_history = max_history
         self.seed = seed
 
         p = ad.ParamSet(seed=seed, arrays=arrays, dtype=dtype)
         self.dtype = p.dtype
         p.new("emb.token", (vocab_size, token_dim), fan_in=token_dim)
         p.new("emb.role", (2, tag_dim), fan_in=tag_dim)
-        p.new("emb.turn", (turn_cap + 1, tag_dim), fan_in=tag_dim)
-        p.new("emb.subturn", (subturn_cap + 1, tag_dim), fan_in=tag_dim)
+        p.new("emb.turn", (TURN_CAP + 1, tag_dim), fan_in=tag_dim)
+        p.new("emb.subturn", (SUBTURN_CAP + 1, tag_dim), fan_in=tag_dim)
         for prefix, width in (("enc", token_dim + 3 * tag_dim), ("dec", token_dim)):
             p.new(f"{prefix}.W", (width, 4 * hidden), fan_in=width)
             p.new(f"{prefix}.U", (hidden, 4 * hidden), fan_in=hidden)
@@ -103,9 +97,6 @@ class ImaginatorModel:
             "hidden": self.hidden,
             "token_dim": self.token_dim,
             "tag_dim": self.tag_dim,
-            "turn_cap": self.turn_cap,
-            "subturn_cap": self.subturn_cap,
-            "max_history": self.max_history,
             "seed": self.seed,
             "dtype": self.dtype.name,
         }
@@ -244,12 +235,11 @@ def teacher_forced_loss(model: ImaginatorModel, encs: Sequence[EncodedHistory],
     return ad.scale(ad.log_softmax_nll(logits, ids[:, 1:].ravel(), mask=tmask.ravel()), 1.0 / B)
 
 
-def prepare_samples(samples: Sequence[ImaginatorSample], model: ImaginatorModel,
+def prepare_samples(samples: Sequence[ImaginatorSample],
                     vocab: Vocabulary) -> list[tuple[EncodedHistory, np.ndarray]]:
     """Each sample's encoded history and BOS...EOS target ids, computed once per run."""
-    return [(encode_history(s.history, vocab, model.max_history,
-                            model.turn_cap, model.subturn_cap),
-             encode_target(s.target.tokens, vocab)) for s in samples]
+    return [(encode_history(s.history, vocab), encode_target(s.target.tokens, vocab))
+            for s in samples]
 
 
 def train_step(batch: Sequence[tuple[EncodedHistory, np.ndarray]], model: ImaginatorModel,
@@ -405,7 +395,7 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence]) -> floa
 def evaluate_imaginator(model: ImaginatorModel, samples: Sequence[ImaginatorSample],
                         vocab: Vocabulary, beam_width: int = 4, max_len: int = 40) -> dict:
     """Corpus BLEU of the model's beam decodes, split by target role; see `bleu_by_role`."""
-    encs = [enc for enc, _ in prepare_samples(samples, model, vocab)]
+    encs = [enc for enc, _ in prepare_samples(samples, vocab)]
     return bleu_by_role(model, samples, encs, vocab, beam_width, max_len)
 
 

@@ -13,6 +13,10 @@ names (`"dtype"`), so saving and loading cast nothing. Loading draws no random
 initialization: the model is built on the file's arrays, each copied once. A
 run writes its metrics log whole, so a rerun replaces it, as it does the
 checkpoint.
+
+The config holds only what a run may vary: the history encoding and the
+train/valid/test split are `corpus` constants, the same for every model and
+run, so neither a training config nor a model config names them.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .autodiff import PARAM_DTYPES, Adam, ShapeError, TrainingError
 from .corpus import AGENT, USER, Vocabulary, _write_atomic
 
 CHECKPOINT_MAGIC = b"TTCP"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(RuntimeError):
@@ -64,13 +68,8 @@ class TrainConfig:
     filters_per_width: int = 100
     beam_width: int = 4
     max_decode_len: int = 40
-    max_history: int = 256
-    turn_cap: int = 16
-    subturn_cap: int = 8
     p_split: float = 0.4
     min_freq: int = 1
-    valid_frac: float = 0.1
-    test_frac: float = 0.1
 
     def __post_init__(self):
         positive = {"epochs": self.epochs, "batch_size": self.batch_size,
@@ -79,18 +78,14 @@ class TrainConfig:
                     "token_dim": self.token_dim, "tag_dim": self.tag_dim,
                     "filters_per_width": self.filters_per_width,
                     "beam_width": self.beam_width, "max_decode_len": self.max_decode_len,
-                    "max_history": self.max_history, "min_freq": self.min_freq}
+                    "min_freq": self.min_freq}
         for name, value in positive.items():
             if not 0 < value < math.inf:  # nan fails both comparisons
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name in ("patience", "turn_cap", "subturn_cap"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be non-negative, got {self.patience}")
         if not 0.0 <= self.p_split <= 1.0:
             raise ValueError(f"p_split must be in [0, 1], got {self.p_split}")
-        for name, frac in (("valid_frac", self.valid_frac), ("test_frac", self.test_frac)):
-            if not 0.0 <= frac < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {frac}")
         if self.kind not in ("imaginator", "arbitrator"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.role not in (AGENT, USER):
@@ -176,9 +171,7 @@ def model_from_config(cfg: dict, arrays: dict[str, np.ndarray] | None = None):
 def build_model(cfg: TrainConfig, vocab_size: int):
     """The freshly initialized model a run configuration describes."""
     shared = {"kind": cfg.kind, "vocab_size": vocab_size, "token_dim": cfg.token_dim,
-              "tag_dim": cfg.tag_dim, "turn_cap": cfg.turn_cap,
-              "subturn_cap": cfg.subturn_cap, "max_history": cfg.max_history,
-              "seed": cfg.seed}
+              "tag_dim": cfg.tag_dim, "seed": cfg.seed}
     if cfg.kind == "imaginator":
         return model_from_config({**shared, "role": cfg.role, "hidden": cfg.hidden})
     return model_from_config({**shared, "encoder": cfg.encoder, "mode": cfg.mode,
@@ -364,17 +357,17 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
         # width 1 (greedy) keeps validation cheap; the configured beam width
         # applies at evaluation time
         metric_name = "bleu"
-        valid_encs = [enc for enc, _ in im.prepare_samples(valid_samples, model, vocab)]
+        valid_encs = [enc for enc, _ in im.prepare_samples(valid_samples, vocab)]
         validate = lambda: im.bleu_by_role(
             model, valid_samples, valid_encs, vocab, 1,
             config.max_decode_len)[f"bleu_on_{model.role}_targets"]
-        train_items = im.prepare_samples(train_samples, model, vocab)
+        train_items = im.prepare_samples(train_samples, vocab)
     else:
         if model.mode == "ita" and imaginators is None:
             raise TrainingError("ita-mode arbitrator training needs both imaginators")
         pair = imaginators if model.mode == "ita" else None
         # one imagination decode per imaginator for both splits
-        prepared = arb.prepare_samples([*train_samples, *valid_samples], model, vocab, pair,
+        prepared = arb.prepare_samples([*train_samples, *valid_samples], vocab, pair,
                                        max_len=config.max_decode_len)
         train_items, prepared_valid = prepared[:len(train_samples)], prepared[len(train_samples):]
         step = lambda batch: arb.train_step(batch, model, opt)

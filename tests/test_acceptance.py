@@ -109,8 +109,7 @@ def _op_losses():
 def _lstm_model_check():
     vocab_size, h = 12, 8
     model = ImaginatorModel(vocab_size, cp.AGENT, hidden=h, token_dim=5,
-                            tag_dim=2, turn_cap=4, subturn_cap=4,
-                            max_history=32, seed=11, dtype="float64")
+                            tag_dim=2, seed=11, dtype="float64")
     enc = cp.EncodedHistory(tokens=np.array([7, 8, 9, 10]),
                             roles=np.array([1, 1, 0, 0]),
                             turns=np.array([0, 0, 1, 1]),
@@ -129,8 +128,7 @@ def _history_for(model):
 def _textcnn_model_check():
     model = ArbitratorModel(12, encoder="textcnn", mode="ita", token_dim=8,
                             tag_dim=2, filter_widths=(2, 3), filters_per_width=4,
-                            turn_cap=4, subturn_cap=4, max_history=32, seed=12,
-                            dtype="float64")
+                            seed=12, dtype="float64")
     ps = PreparedSample(history_enc=_history_for(model), label=1,
                         agent_ids=[7, 10, cp.EOS], user_ids=[8, cp.EOS])
     return model.params, lambda: arb_batch_loss(model, [ps])
@@ -138,8 +136,7 @@ def _textcnn_model_check():
 
 def _bigru_model_check():
     model = ArbitratorModel(12, encoder="bigru", mode="baseline", token_dim=5,
-                            tag_dim=2, gru_hidden=8, turn_cap=4, subturn_cap=4,
-                            max_history=32, seed=13, dtype="float64")
+                            tag_dim=2, gru_hidden=8, seed=13, dtype="float64")
     ps = PreparedSample(history_enc=_history_for(model), label=0)
     return model.params, lambda: arb_batch_loss(model, [ps])
 
@@ -192,9 +189,8 @@ def test_criterion_2_decoding_equivalence():
     for i in range(100):
         rng = np.random.default_rng(500 + i)
         model = ImaginatorModel(len(vocab), cp.AGENT if i % 2 else cp.USER,
-                                hidden=6, token_dim=4, tag_dim=2, turn_cap=4,
-                                subturn_cap=4, max_history=32, seed=i)
-        enc = cp.encode_history(_random_history(rng, vocab), vocab, 32, 4, 4)
+                                hidden=6, token_dim=4, tag_dim=2, seed=i)
+        enc = cp.encode_history(_random_history(rng, vocab), vocab)
         if im.beam_decode(model, [enc], beam_width=1, max_len=6)[0] != \
                 im.greedy_decode(model, [enc], max_len=6)[0]:
             mismatches += 1
@@ -204,8 +200,7 @@ def test_criterion_2_decoding_equivalence():
                             turns=np.array([0, 1, 1]), subturns=np.array([0, 0, 1]))
     for seed in range(5):
         model = ImaginatorModel(vocab_size=3, role=cp.AGENT, hidden=4,
-                                token_dim=3, tag_dim=2, turn_cap=2, subturn_cap=2,
-                                max_history=16, seed=seed)
+                                token_dim=3, tag_dim=2, seed=seed)
         got = im.beam_decode(model, [enc], beam_width=27, max_len=3)[0]
         want = enumerate_best_sequence(model, enc, vocab_size=3, max_len=3)
         if got != want:
@@ -346,8 +341,7 @@ def test_criterion_7_directional_reduced_scale(tmp_path):
 def test_criterion_8_persistence(tmp_path):
     vocab = _toy_vocab()
     model = ImaginatorModel(len(vocab), cp.AGENT, hidden=8, token_dim=5,
-                            tag_dim=2, turn_cap=4, subturn_cap=4,
-                            max_history=64, seed=21)
+                            tag_dim=2, seed=21)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path, vocab.hash())
     loaded = load_checkpoint(path, expected_vocab_hash=vocab.hash()).model
@@ -358,7 +352,7 @@ def test_criterion_8_persistence(tmp_path):
     decode_same = True
     for i in range(50):
         rng = np.random.default_rng(3000 + i)
-        enc = cp.encode_history(_random_history(rng, vocab), vocab, 64, 4, 4)
+        enc = cp.encode_history(_random_history(rng, vocab), vocab)
         if im.beam_decode(model, [enc], beam_width=3, max_len=6)[0] != \
                 im.beam_decode(loaded, [enc], beam_width=3, max_len=6)[0]:
             decode_same = False
@@ -386,13 +380,12 @@ def test_criterion_8_persistence(tmp_path):
 def _overfit_imaginator():
     vocab = _toy_vocab()
     model = ImaginatorModel(len(vocab), cp.AGENT, hidden=12, token_dim=6,
-                            tag_dim=2, turn_cap=4, subturn_cap=4,
-                            max_history=32, seed=31)
+                            tag_dim=2, seed=31)
     sample = cp.ImaginatorSample(
         history=(cp.Utterance(cp.USER, 0, 0, ("w0", "w1", "w2")),),
         target=cp.Utterance(cp.AGENT, 0, 0, ("w3", "w4")))
     opt = ad.Adam(model.params, lr=5e-3, clip_norm=5.0)
-    batch = im.prepare_samples([sample], model, vocab)
+    batch = im.prepare_samples([sample], vocab)
     for step in range(1, 501):
         loss = im.train_step(batch, model, opt)
         if loss < 0.1:
@@ -403,8 +396,7 @@ def _overfit_imaginator():
 def _overfit_arbitrator(encoder, mode):
     model = ArbitratorModel(12, encoder=encoder, mode=mode, token_dim=6,
                             tag_dim=2, filter_widths=(2, 3), filters_per_width=6,
-                            gru_hidden=8, turn_cap=4, subturn_cap=4,
-                            max_history=32, seed=32)
+                            gru_hidden=8, seed=32)
     ps = PreparedSample(history_enc=_history_for(model), label=1,
                         agent_ids=[7, cp.EOS], user_ids=[8, cp.EOS])
     opt = ad.Adam(model.params, lr=5e-3, clip_norm=5.0)

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import arbitrator_oracle
 from oracles.classifier_oracle import scalar_bigru, scalar_fuse, scalar_textcnn
@@ -24,7 +24,7 @@ from turntaking.arbitrator import (
     prepare_samples, textcnn_encode, train_step,
 )
 from turntaking.corpus import (
-    AGENT, EOS, PAD, USER,
+    AGENT, EOS, PAD, SUBTURN_CAP, TURN_CAP, USER,
     ArbitratorSample, Dialogue, EncodedHistory, Utterance, build_vocabulary, encode_history,
 )
 from turntaking.imaginator import ImaginatorModel, beam_decode
@@ -34,12 +34,12 @@ TINY = dict(vocab_size=12, token_dim=5, tag_dim=1, filter_widths=(2, 3),
             filters_per_width=4, seed=3)
 
 
-def rand_records(rng, n, vocab=12, turn_cap=16, sub_cap=8):
+def rand_records(rng, n, vocab=12):
     return EncodedHistory(
         tokens=rng.integers(1, vocab, size=n).astype(np.int64),
         roles=rng.integers(0, 2, size=n).astype(np.int64),
-        turns=rng.integers(0, turn_cap + 1, size=n).astype(np.int64),
-        subturns=rng.integers(0, sub_cap + 1, size=n).astype(np.int64),
+        turns=rng.integers(0, TURN_CAP + 1, size=n).astype(np.int64),
+        subturns=rng.integers(0, SUBTURN_CAP + 1, size=n).astype(np.int64),
     )
 
 
@@ -330,13 +330,18 @@ class TestBatchedForward:
     @settings(max_examples=40, deadline=None)
     @given(encoder=st.sampled_from(["textcnn", "bigru"]), mode=st.sampled_from(["ita", "baseline"]),
            B=st.integers(1, 6), seed=st.integers(0, 10 ** 6))
+    # logits within 1e-5 of zero, where a per-element rtol of 1e-12 fails on rounding alone
+    @example(encoder="bigru", mode="baseline", B=5, seed=64524)
+    @example(encoder="bigru", mode="baseline", B=5, seed=602)
     def test_equals_per_sample_oracle(self, encoder, mode, B, seed):
         m = self._model(encoder, mode)
         batch = self._batch(np.random.default_rng(seed), B)
         got = batch_logits(m, batch).data
         want = np.vstack([arbitrator_oracle.sample_logits(m, ps).data for ps in batch])
         assert got.shape == (B, 2)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        # bounded by the largest logit, as the gradients below are by their largest entry
+        err = np.abs(got - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), err
         loss, grads = self._loss_and_grads(m, lambda: batch_loss(m, batch))
         ref_loss, ref_grads = self._loss_and_grads(
             m, lambda: arbitrator_oracle.batch_loss(m, batch))
@@ -438,7 +443,7 @@ class TestPrediction:
         ims = [ImaginatorModel(len(vocab), role, hidden=10, token_dim=6, tag_dim=2, seed=i)
                for i, role in enumerate((AGENT, USER))]
         live = ita_predict(utts, m, ims[0], ims[1], vocab, beam_width=2, max_len=6)
-        h_enc = encode_history(utts, vocab, m.max_history, m.turn_cap, m.subturn_cap)
+        h_enc = encode_history(utts, vocab)
         cached = {
             AGENT: beam_decode(ims[0], [h_enc], beam_width=2, max_len=6)[0],
             USER: beam_decode(ims[1], [h_enc], beam_width=2, max_len=6)[0],
@@ -487,7 +492,7 @@ class TestPrediction:
             im.params["out.b_v"].data[PAD] = 50.0
             ims.append(im)
         prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)],
-                                   m, vocab, tuple(ims), max_len=6)
+                                   vocab, tuple(ims), max_len=6)
         assert prepared[0].agent_ids == [EOS] and prepared[0].user_ids == [EOS]
         assert evaluate_prepared(m, prepared) in (0.0, 1.0)
         d = ita_predict(utts, m, ims[0], ims[1], vocab, beam_width=2, max_len=6)
@@ -515,7 +520,7 @@ class TestPrediction:
             if seed == 5:  # an agent imaginator that ends at once: an empty, flagged imagination
                 ims[0].params["out.b_v"].data[EOS] = 50.0
             served = ita_predict(list(history), m, *ims, vocab, max_len=8)
-            prepared = prepare_samples([ArbitratorSample(history=history, label=1)], m, vocab,
+            prepared = prepare_samples([ArbitratorSample(history=history, label=1)], vocab,
                                        ims, max_len=8)
             evaluated = decide_prepared(m, prepared, vocab)[0]
             assert (served.label, served.imagined_agent, served.imagined_user, served.flags) == \
@@ -525,31 +530,11 @@ class TestPrediction:
             if seed == 5:
                 assert "empty_agent_generation" in served.flags
 
-    @pytest.mark.parametrize("field, value", [("max_history", 64), ("turn_cap", 2),
-                                              ("subturn_cap", 3)])
-    @pytest.mark.parametrize("path", ["prepare_samples", "ita_predict"])
-    def test_imaginator_encoding_otherwise_refused(self, field, value, path):
-        """Both paths encode each history once, as the arbitrator does, for both
-        imaginators; an imaginator built to encode otherwise is refused by name."""
-        vocab, utts = tiny_vocab_and_history()
-        m = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1,
-                            filter_widths=(2, 3), filters_per_width=4, seed=3)
-        ims = (ImaginatorModel(len(vocab), AGENT, hidden=10, token_dim=6, tag_dim=2, seed=0),
-               ImaginatorModel(len(vocab), USER, hidden=10, token_dim=6, tag_dim=2, seed=1,
-                               **{field: value}))
-        want = f"^user imaginator {field} is {value}, the arbitrator's is {getattr(m, field)}$"
-        with pytest.raises(ValueError, match=want):
-            if path == "ita_predict":
-                ita_predict(utts, m, *ims, vocab, max_len=6)
-            else:
-                prepare_samples([ArbitratorSample(history=tuple(utts), label=1)], m, vocab, ims,
-                                max_len=6)
-
     def test_baseline_probabilities_near_chance_untrained(self):
         vocab, utts = tiny_vocab_and_history()
         m = ArbitratorModel(vocab_size=len(vocab), encoder="textcnn", mode="baseline",
                             token_dim=8, tag_dim=2, seed=0)
-        prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)], m, vocab,
+        prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)], vocab,
                                    None)
         d = decide_prepared(m, prepared, vocab)[0]
         assert abs(d.probs[1] - 0.5) < 0.25
@@ -566,9 +551,8 @@ class TestPrediction:
 
     def test_history_must_end_with_user(self):
         vocab, utts = tiny_vocab_and_history()
-        m = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1, mode="baseline")
         with pytest.raises(ValueError, match="user"):
-            prepare_samples([ArbitratorSample(history=tuple(utts[:2]), label=0)], m, vocab, None)
+            prepare_samples([ArbitratorSample(history=tuple(utts[:2]), label=0)], vocab, None)
 
 
 def marker_toy_samples(n=40, seed=42):
@@ -647,11 +631,10 @@ class TestTraining:
 
     def test_prepare_samples_caches_greedy_ids(self):
         vocab, utts = tiny_vocab_and_history()
-        model = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1, seed=3)
         ims = tuple(ImaginatorModel(len(vocab), role, hidden=10, token_dim=6, tag_dim=2, seed=i)
                     for i, role in enumerate((AGENT, USER)))
         raw = [ArbitratorSample(history=tuple(utts), label=0)]
-        prepared = prepare_samples(raw, model, vocab, ims, max_len=6)
+        prepared = prepare_samples(raw, vocab, ims, max_len=6)
         assert len(prepared) == 1
         assert prepared[0].label == 0
         assert len(prepared[0].agent_ids) >= 1
@@ -659,10 +642,7 @@ class TestTraining:
 
     def test_prepare_samples_without_imaginators_leaves_ids_empty(self):
         vocab, utts = tiny_vocab_and_history()
-        model = ArbitratorModel(vocab_size=len(vocab), token_dim=5, tag_dim=1,
-                                mode="baseline", seed=3)
-        prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)],
-                                   model, vocab, None)
+        prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)], vocab, None)
         assert prepared[0].agent_ids == []
         assert prepared[0].user_ids == []
 

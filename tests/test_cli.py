@@ -35,7 +35,7 @@ def run(argv):
 
 
 def _valid_dialogues(prep_dir):
-    """The valid part of the split that TINY_TRAIN trains on: seed 3, default fractions."""
+    """The valid part of the split that TINY_TRAIN trains on, which seed 3 fixes."""
     _, dialogues, _ = cli._load_data_dir(str(prep_dir))
     return split_corpus(dialogues, 3)[1]
 
@@ -122,6 +122,10 @@ class TestPreprocess:
         ("multiwoz-like", '[{"turns": 5}]', ":dialogue[0].turns: expected a list"),
         ("multiwoz-like", '[{"turns": [{"speaker": "user", "text": "hi"}], "slots": [1]}]',
          ":dialogue[0].slots: expected an object"),
+        # read as control ids, `<pad>` would train as padding and `<eos>` as end of sequence
+        ("generic-jsonl", '{"id": "d", "utterances": [{"role": "user", "text": "<pad>"}, '
+                          '{"role": "agent", "text": "sure <eos> which day"}]}\n',
+         ":1: dialogue 'd', message 0: reserved token '<pad>' in the text"),
     ])
     def test_record_of_wrong_shape_is_located_error(self, tmp_path, capsys, fmt, content,
                                                      where):
@@ -188,6 +192,9 @@ class TestStats:
         assert f"error: {path}:1: empty file" in capsys.readouterr().err
 
 
+REMOVED_KEYS = ["max_history", "turn_cap", "subturn_cap", "valid_frac", "test_frac"]
+
+
 class TestTrain:
     def test_ita_without_imaginators_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -230,13 +237,26 @@ class TestTrain:
         assert "role = 'user'" in captured.err
         assert "epochs_run = 1" in captured.out
 
-    @pytest.mark.parametrize("flag, value", [("--turn-cap", "-1"), ("--subturn-cap", "-2")])
-    def test_negative_cap_is_clean_error(self, prep_dir, tmp_path, capsys, flag, value):
-        rc = run(["train", flag, value, "--data", str(prep_dir),
-                  "--out", str(tmp_path / "o")] + TINY_TRAIN)
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_encoding_and_split_flags_are_unrecognized(self, prep_dir, tmp_path, capsys, key):
+        """The history encoding and the split are corpus constants, not run settings."""
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            run(["train", flag, "64", "--data", str(prep_dir),
+                 "--out", str(tmp_path / "o")] + TINY_TRAIN)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 64" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_encoding_and_split_keys_are_unknown_in_config(self, prep_dir, tmp_path, capsys,
+                                                           key):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"seed = 3\n{key} = 0.2\n")
+        rc = run(["train", "--config", str(cfg_path), "--data", str(prep_dir),
+                  "--out", str(tmp_path / "o")])
         assert rc == 1
-        key = flag[2:].replace("-", "_")
-        assert f"error: {key} must be non-negative, got {value}" in capsys.readouterr().err
+        assert f"error: config line 2: unknown key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_clip_norm_is_clean_error(self, prep_dir, tmp_path, capsys):
@@ -314,41 +334,6 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
 
 
-class TestImaginatorEncoding:
-    """An ita run encodes each history once, as its arbitrator does, for both
-    imaginators; an imaginator trained to encode otherwise is refused by path."""
-
-    @pytest.fixture(scope="class")
-    def capped_user(self, prep_dir, tmp_path_factory):
-        out = tmp_path_factory.mktemp("capped")
-        assert run(["train", "--kind", "imaginator", "--role", "user", "--turn-cap", "2",
-                    "--data", str(prep_dir), "--out", str(out)] + TINY_TRAIN) == 0
-        return out / "model.ckpt"
-
-    def test_train_refuses(self, prep_dir, artifacts, capped_user, tmp_path, capsys):
-        rc = run(["train", "--kind", "arbitrator", "--mode", "ita",
-                  "--agent-imaginator", str(artifacts[AGENT]),
-                  "--user-imaginator", str(capped_user),
-                  "--data", str(prep_dir), "--out", str(tmp_path / "o")] + TINY_TRAIN)
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert f"error: {capped_user}: user imaginator turn_cap is 2, the arbitrator's is 16" \
-            in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "o").exists()
-
-    def test_evaluate_refuses(self, prep_dir, artifacts, capped_user, tmp_path, capsys):
-        rc = run(["evaluate", "--checkpoint", str(artifacts["arbitrator"]),
-                  "--agent-imaginator", str(artifacts[AGENT]),
-                  "--user-imaginator", str(capped_user),
-                  "--data", str(prep_dir), "--split", "train",
-                  "--report", str(tmp_path / "r" / "arb.txt")])
-        assert rc == 1
-        assert f"error: {capped_user}: user imaginator turn_cap is 2, the arbitrator's is 16" \
-            in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
-
-
 class TestEvaluate:
     def test_imaginator_report(self, prep_dir, artifacts, tmp_path, capsys):
         report = tmp_path / "report.txt"
@@ -422,8 +407,7 @@ class TestEvaluate:
         imaginators = (models[AGENT], models[USER])
         assert len(records) == len(samples) > 4 and len(samples) % 4
         for rec, s in zip(records, samples):
-            enc = encode_history(s.history, vocab, model.max_history, model.turn_cap,
-                                 model.subturn_cap)
+            enc = encode_history(s.history, vocab)
             label, probs, flags = arbitrator_oracle.decision(model, enc, imaginators, 4)
             assert rec["label"] == label
             assert rec["flags"] == flags == ["empty_user_generation"]
@@ -592,7 +576,7 @@ class TestRunsAsTrained:
         model, *pair = [load_checkpoint(artifacts[k]).model for k in ("arbitrator", AGENT, USER)]
         samples = [s for d in _valid_dialogues(prep_dir) for s in derive_arbitrator_samples(d)]
         decisions = arbitrator.decide_prepared(
-            model, arbitrator.prepare_samples(samples, model, vocab, pair, max_len=4), vocab)
+            model, arbitrator.prepare_samples(samples, vocab, pair, max_len=4), vocab)
         assert (tmp_path / "r.decisions.jsonl").read_text() == "".join(
             json.dumps(arbitrator.decision_record(f"valid-{i:05d}", d), sort_keys=True) + "\n"
             for i, d in enumerate(decisions))
@@ -609,8 +593,7 @@ class TestRunsAsTrained:
         model = load_checkpoint(artifacts[AGENT]).model
         samples = [s for d in _valid_dialogues(prep_dir)
                    for s in derive_imaginator_samples(d, AGENT)]
-        encs = [encode_history(s.history, vocab, model.max_history, model.turn_cap,
-                               model.subturn_cap) for s in samples]
+        encs = [encode_history(s.history, vocab) for s in samples]
         records = [json.loads(l) for l in (tmp_path / "gen.jsonl").read_text().splitlines()]
         assert [(r["generated"], r["target"]) for r in records] == [
             (" ".join(vocab.decode_id(t) for t in ids), " ".join(s.target.tokens))

@@ -94,6 +94,32 @@ class TestIngest:
         with pytest.raises(cp.IngestError, match="bad1"):
             cp.ingest_source(path, "multiwoz-like")
 
+    @pytest.mark.parametrize("fmt", ["multiwoz-like", "dailydialogue-like", "generic-jsonl"])
+    def test_reserved_token_in_text_is_an_error_with_locator(self, tmp_path, fmt):
+        """A reserved token would be encoded as its control id (`<pad>` as padding,
+        `<eos>` as end of sequence), so it is refused where it stands."""
+        messages = [("user", "<PAD>"), ("agent", "sure <eos> which day")]
+        path = tmp_path / "raw"
+        if fmt == "multiwoz-like":
+            path.write_text(json.dumps([{"id": "x", "turns": [
+                {"speaker": r, "text": t} for r, t in messages]}]))
+            loc = f"{path}:dialogue[0]: dialogue 'x'"
+        elif fmt == "generic-jsonl":
+            path.write_text('{"id": "y", "utterances": [{"role": "user", "text": "hi"}]}\n'
+                            + json.dumps({"id": "x", "utterances": [
+                                {"role": r, "text": t} for r, t in messages]}) + "\n")
+            loc = f"{path}:2: dialogue 'x'"
+        else:
+            path.write_text("hi __eou__ ok\n" + " __eou__ ".join(t for _, t in messages) + "\n")
+            loc = f"{path}:2: dialogue '1'"
+        want = f"{loc}, message 0: reserved token '<pad>' in the text"
+        with pytest.raises(cp.IngestError, match=f"^{re.escape(want)}$"):
+            cp.ingest_source(path, fmt)
+        path.write_text(path.read_text().replace("<PAD>", "hello"))
+        want = f"{loc}, message 1: reserved token '<eos>' in the text"
+        with pytest.raises(cp.IngestError, match=f"^{re.escape(want)}$"):
+            cp.ingest_source(path, fmt)
+
     def test_dailydialogue_alternates_user_first(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("hi __eou__ hello ! __eou__ how are you ?\n\n")
@@ -499,8 +525,10 @@ class TestEncodeHistory:
 
     def test_turn_clamping(self):
         v = self._vocab()
-        enc = cp.encode_history([utt(cp.USER, 20, 11, "hello")], v, turn_cap=16, subturn_cap=8)
-        assert enc.turns[0] == 16 and enc.subturns[0] == 8 and enc.roles[0] == 1
+        enc = cp.encode_history([utt(cp.USER, 20, 11, "hello")], v)
+        assert (cp.TURN_CAP, cp.SUBTURN_CAP) == (16, 8)
+        assert enc.turns[0] == cp.TURN_CAP and enc.subturns[0] == cp.SUBTURN_CAP
+        assert enc.roles[0] == 1
 
     def test_separator_between_utterances(self):
         v = self._vocab()
@@ -516,11 +544,15 @@ class TestEncodeHistory:
 
     def test_left_truncation(self):
         v = self._vocab()
-        history = [utt(cp.USER, 0, 0, "need a hotel"), utt(cp.AGENT, 1, 0, "hello there")]
-        enc = cp.encode_history(history, v, max_history=3)
-        # keeps the newest 3 records: SEP + "hello there"
-        assert len(enc) == 3
-        assert enc.tokens.tolist()[1:] == [v.encode_token("hello"), v.encode_token("there")]
+        n = cp.MAX_HISTORY // 2 - 1
+        history = [utt(cp.USER, 0, 0, "need a hotel")] + [utt(cp.AGENT, 1, 0, "hello")] * n
+        # 3 + 1 + 2 * (n - 1) + 1 = MAX_HISTORY + 1 records: the oldest, "need", goes
+        enc = cp.encode_history(history, v)
+        hello = v.encode_token("hello")
+        assert len(enc) == cp.MAX_HISTORY == 256
+        assert enc.tokens.tolist() == ([v.encode_token("a"), v.encode_token("hotel"), cp.SEP]
+                                       + [hello, cp.SEP] * (n - 1) + [hello])
+        assert enc.roles.tolist()[:3] == [1, 1, 1] and enc.roles.tolist()[3:] == [0] * (2 * n - 1)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
@@ -594,7 +626,7 @@ class TestFiles:
 
     @pytest.mark.parametrize("kind", ["bad_json", "missing_key", "invalid_record",
                                       "string_tokens", "int_id", "list_id", "float_turn",
-                                      "bool_subturn"])
+                                      "bool_subturn", "reserved_token"])
     @pytest.mark.parametrize("write, read", [(cp.write_processed, cp.read_processed)],
                              ids=["processed"])
     def test_bad_line_raises_located_error(self, tmp_path, write, read, kind):
@@ -625,6 +657,10 @@ class TestFiles:
             lines[2] = json.dumps(rec)
             want = (f"{path}:3: invalid record ({key} must be an integer, "
                     f"not {type(value).__name__})")
+        elif kind == "reserved_token":  # a control id must not pass as a word
+            rec["utterances"][0]["tokens"] = ["sure", "<eos>", "which", "day"]
+            lines[2] = json.dumps(rec)
+            want = f"{path}:3: invalid record (reserved token '<eos>' in tokens)"
         else:  # a string, not a list: its characters must not pass as tokens
             rec["utterances"][0]["tokens"] = "hello"
             lines[2] = json.dumps(rec)

@@ -63,8 +63,8 @@ def test_test_accuracy_reproduces_from_the_checkpoints(runs, name):
     for mode in ("ita", "baseline"):
         ckpt = load(f"arbitrator_{mode}")
         max_len = TrainConfig.from_text(ckpt.train_config_text).max_decode_len
-        prepared = prepare_samples(samples, ckpt.model, vocab,
-                                   pair if mode == "ita" else None, max_len=max_len)
+        prepared = prepare_samples(samples, vocab, pair if mode == "ita" else None,
+                                   max_len=max_len)
         assert evaluate_prepared(ckpt.model, prepared) == report[f"{mode}_test_accuracy"]
 
 

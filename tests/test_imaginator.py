@@ -28,8 +28,7 @@ def small_vocab(n_words: int = 6) -> cp.Vocabulary:
 
 def tiny_model(seed=0, V=13, role=cp.AGENT, hidden=6, token_dim=5, tag_dim=2, dtype="float32"):
     return im.ImaginatorModel(vocab_size=V, role=role, hidden=hidden,
-                              token_dim=token_dim, tag_dim=tag_dim,
-                              turn_cap=4, subturn_cap=3, max_history=32, seed=seed, dtype=dtype)
+                              token_dim=token_dim, tag_dim=tag_dim, seed=seed, dtype=dtype)
 
 
 def rand_history(rng, n_utts=2, n_words=5):
@@ -39,11 +38,6 @@ def rand_history(rng, n_utts=2, n_words=5):
         toks = tuple(f"w{rng.integers(0, n_words)}" for _ in range(rng.integers(1, 5)))
         utts.append(cp.Utterance(role, t, 0, toks))
     return utts
-
-
-def enc_of(model, history, vocab):
-    return cp.encode_history(history, vocab, model.max_history,
-                             model.turn_cap, model.subturn_cap)
 
 
 class TestModel:
@@ -94,7 +88,7 @@ class TestLstmStep:
         vocab = small_vocab()
         m = tiny_model(seed=3, V=len(vocab))
         hist = rand_history(np.random.default_rng(0), n_utts=3)
-        enc = enc_of(m, hist, vocab)
+        enc = cp.encode_history(hist, vocab)
         tids = cp.encode_target(("w1", "w0", "w2"), vocab)
         loss = im.teacher_forced_loss(m, [enc], [tids])
         oracle = -sum(scalar_seq2seq_logprobs(m, enc, [int(t) for t in tids[1:]]))
@@ -111,7 +105,7 @@ class TestEncode:
     def test_length_one_equals_single_step_from_zero(self):
         vocab = small_vocab()
         m = tiny_model(seed=1, V=len(vocab), dtype="float64")
-        enc = enc_of(m, [cp.Utterance(cp.USER, 0, 0, ("w2",))], vocab)
+        enc = cp.encode_history([cp.Utterance(cp.USER, 0, 0, ("w2",))], vocab)
         states, (h, c) = encode_one(m, enc)
         assert len(states) == 1
         xw = im.project(im.embed_records(m.params, enc), m.params, "enc")
@@ -123,7 +117,7 @@ class TestEncode:
     def test_deterministic(self):
         vocab = small_vocab()
         m = tiny_model(seed=2, V=len(vocab))
-        enc = enc_of(m, rand_history(np.random.default_rng(5)), vocab)
+        enc = cp.encode_history(rand_history(np.random.default_rng(5)), vocab)
         s1, f1 = encode_one(m, enc)
         s2, f2 = encode_one(m, enc)
         assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
@@ -134,7 +128,7 @@ class TestEncode:
         vocab = small_vocab()
         m = tiny_model(seed=4, V=len(vocab))
         hist = rand_history(np.random.default_rng(9), n_utts=3)
-        full = enc_of(m, hist, vocab)
+        full = cp.encode_history(hist, vocab)
         prefix = cp.EncodedHistory(tokens=full.tokens[:-1], roles=full.roles[:-1],
                                    turns=full.turns[:-1], subturns=full.subturns[:-1])
         s_full, _ = encode_one(m, full)
@@ -153,7 +147,7 @@ class TestEncode:
         vocab = small_vocab()
         m = tiny_model(seed=6, V=len(vocab))
         rng = np.random.default_rng(2)
-        encs = [enc_of(m, rand_history(rng, n_utts=k), vocab) for k in (2, 1, 3, 1, 3, 2)]
+        encs = [cp.encode_history(rand_history(rng, n_utts=k), vocab) for k in (2, 1, 3, 1, 3, 2)]
         encs.insert(2, cp.EncodedHistory(*(f[:1] for f in (encs[0].tokens, encs[0].roles,
                                                              encs[0].turns, encs[0].subturns))))
         assert len({len(e) for e in encs}) < len(encs) and min(len(e) for e in encs) == 1
@@ -208,7 +202,7 @@ class TestTrainStep:
         s = cp.ImaginatorSample(
             history=(cp.Utterance(cp.USER, 0, 0, ("w0",)),),
             target=cp.Utterance(cp.AGENT, 1, 0, ("w1",)))
-        enc = enc_of(m, s.history, vocab)
+        enc = cp.encode_history(s.history, vocab)
         tids = cp.encode_target(s.target.tokens, vocab)
         loss = im.teacher_forced_loss(m, [enc], [tids]).item()
         assert loss == pytest.approx(2 * np.log(V), rel=0.01)
@@ -222,7 +216,7 @@ class TestTrainStep:
         opt = ad.Adam(m.params, lr=5e-3)
         loss = float("inf")
         for step in range(500):
-            loss = im.train_step(im.prepare_samples([s], m, vocab), m, opt)
+            loss = im.train_step(im.prepare_samples([s], vocab), m, opt)
             if loss < 0.1:
                 break
         assert loss < 0.1
@@ -236,7 +230,7 @@ class TestTrainStep:
             s = cp.ImaginatorSample(
                 history=(cp.Utterance(cp.USER, 0, 0, ("w2", "w3")),),
                 target=cp.Utterance(cp.AGENT, 1, 0, ("w4",)))
-            batch = im.prepare_samples([s], m, vocab)
+            batch = im.prepare_samples([s], vocab)
             return [im.train_step(batch, m, opt) for _ in range(5)]
 
         assert run() == run()
@@ -244,7 +238,7 @@ class TestTrainStep:
     def test_out_of_vocab_target_raises(self):
         vocab = small_vocab()
         m = tiny_model(seed=1, V=5)  # smaller than the vocab on purpose
-        enc = enc_of(m, [cp.Utterance(cp.USER, 0, 0, ("w0",))], vocab)
+        enc = cp.encode_history([cp.Utterance(cp.USER, 0, 0, ("w0",))], vocab)
         bad = np.array([cp.BOS, len(vocab) + 3, cp.EOS])
         with pytest.raises(IndexError):
             im.teacher_forced_loss(m, [enc], [bad])
@@ -264,7 +258,7 @@ def test_leaf_gradients_equal_a_walk_that_releases_nothing(monkeypatch):
     rng = np.random.default_rng(4)
     vocab = small_vocab()
     m = tiny_model(seed=4, V=len(vocab))
-    encs = [enc_of(m, rand_history(rng, n_utts=n), vocab) for n in (4, 1, 3)]
+    encs = [cp.encode_history(rand_history(rng, n_utts=n), vocab) for n in (4, 1, 3)]
     targets = [cp.encode_target(("w1", "w2", "w3")[:n], vocab) for n in (3, 0, 2)]
     released = _grads(m, im.teacher_forced_loss(m, encs, targets))
     monkeypatch.setattr(ad, "_release", lambda t: None)
@@ -282,7 +276,7 @@ class TestBatchedDecoder:
         rng = np.random.default_rng(seed)
         vocab = small_vocab()
         m = tiny_model(seed=seed % 1000, V=len(vocab), dtype="float64")
-        encs = [enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
+        encs = [cp.encode_history(rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
                 for _ in range(B)]
         targets = [cp.encode_target(tuple(f"w{i}" for i in rng.integers(0, 5, size=n)), vocab)
                    for n in rng.integers(0, 6, size=B)]
@@ -299,7 +293,7 @@ class TestBatchedDecoder:
         """One decoder pass records the same number of nodes for 2 steps as for 12."""
         vocab = small_vocab()
         m = tiny_model(seed=5, V=len(vocab))
-        enc = enc_of(m, rand_history(np.random.default_rng(1)), vocab)
+        enc = cp.encode_history(rand_history(np.random.default_rng(1)), vocab)
 
         def nodes(n_words):
             loss = im.teacher_forced_loss(m, [enc], [cp.encode_target(("w1",) * n_words, vocab)])
@@ -345,7 +339,7 @@ class TestGreedyDecode:
         rng = np.random.default_rng(3)
         for seed in range(10):
             m = tiny_model(seed=seed, V=len(vocab))
-            enc = enc_of(m, rand_history(rng), vocab)
+            enc = cp.encode_history(rand_history(rng), vocab)
             assert len(im.greedy_decode(m, [enc], max_len=5)[0]) <= 5
 
     def test_empty_list_gives_empty_list(self):
@@ -359,7 +353,7 @@ class TestGreedyDecode:
         vocab = small_vocab()
         m = tiny_model(seed=seed % 97, V=len(vocab))
         rng = np.random.default_rng(seed)
-        encs = [enc_of(m, rand_history(rng, n_utts=n), vocab) for n in n_utts]
+        encs = [cp.encode_history(rand_history(rng, n_utts=n), vocab) for n in n_utts]
         encs = [encs[i] for i in data.draw(st.permutations(range(len(encs))))]
         assert im.greedy_decode(m, encs, max_len=8) == \
             [im.greedy_decode(m, [e], max_len=8)[0] for e in encs]
@@ -368,7 +362,7 @@ class TestGreedyDecode:
         vocab = small_vocab()
         m = tiny_model(seed=8, V=len(vocab))
         rng = np.random.default_rng(12)
-        encs = [enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
+        encs = [cp.encode_history(rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
                 for _ in range(7)]
         whole = im.greedy_decode(m, encs, max_len=8)
         monkeypatch.setattr(im, "SEARCH_ROWS", 3)
@@ -381,7 +375,7 @@ class TestBeamDecode:
         for seed in range(30):
             rng = np.random.default_rng(seed)
             m = tiny_model(seed=seed, V=len(vocab))
-            enc = enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
+            enc = cp.encode_history(rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
             assert im.beam_decode(m, [enc], beam_width=1, max_len=8)[0] == \
                 im.greedy_decode(m, [enc], max_len=8)[0]
 
@@ -398,7 +392,7 @@ class TestBeamDecode:
         for _, p in m.params.items() if tied else ():
             p.data[:] = 0.0
         rng = np.random.default_rng(seed)
-        encs = [enc_of(m, rand_history(rng, n_utts=n), vocab) for n in n_utts]
+        encs = [cp.encode_history(rand_history(rng, n_utts=n), vocab) for n in n_utts]
         for width in (1, 2, 4):
             assert im.beam_decode(m, encs, beam_width=width, max_len=6) == \
                 [im.beam_decode(m, [e], beam_width=width, max_len=6)[0] for e in encs]
@@ -409,7 +403,7 @@ class TestBeamDecode:
         vocab = small_vocab()
         m = tiny_model(seed=9, V=len(vocab))
         rng = np.random.default_rng(14)
-        encs = [enc_of(m, rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
+        encs = [cp.encode_history(rand_history(rng, n_utts=int(rng.integers(1, 4))), vocab)
                 for _ in range(7)]
         whole = im.beam_decode(m, encs, beam_width=4, max_len=8)
         monkeypatch.setattr(im, "SEARCH_ROWS", rows)
@@ -421,7 +415,7 @@ class TestBeamDecode:
                                 turns=np.array([0, 1, 1]), subturns=np.array([0, 0, 1]))
         for seed in range(5):
             m = im.ImaginatorModel(vocab_size=3, role=cp.AGENT, hidden=4, token_dim=3,
-                                   tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16, seed=seed)
+                                   tag_dim=2, seed=seed)
             got = im.beam_decode(m, [enc], beam_width=27, max_len=3)[0]
             assert got == enumerate_best_sequence(m, enc, vocab_size=3, max_len=3)
 
@@ -430,7 +424,7 @@ class TestBeamDecode:
         enc = cp.EncodedHistory(tokens=np.array([0, 1, 2]), roles=np.array([0, 1, 1]),
                                 turns=np.array([0, 1, 1]), subturns=np.array([0, 0, 1]))
         m = im.ImaginatorModel(vocab_size=3, role=cp.AGENT, hidden=4, token_dim=3,
-                               tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16, seed=0)
+                               tag_dim=2, seed=0)
         for _, p in m.params.items():
             p.data[:] = 0.0
         want = enumerate_best_sequence(m, enc, vocab_size=3, max_len=3)
@@ -442,7 +436,7 @@ class TestBeamDecode:
                                 turns=np.array([0, 0]), subturns=np.array([0, 1]))
         for seed in (10, 11, 12):
             m = im.ImaginatorModel(vocab_size=5, role=cp.USER, hidden=4, token_dim=3,
-                                   tag_dim=2, turn_cap=2, subturn_cap=2, max_history=16, seed=seed)
+                                   tag_dim=2, seed=seed)
             got = im.beam_decode(m, [enc], beam_width=125, max_len=3)[0]
             assert got == enumerate_best_sequence(m, enc, vocab_size=5, max_len=3)
 
@@ -456,7 +450,7 @@ class TestBeamDecode:
         for seed in range(25):
             rng = np.random.default_rng(1000 + seed)
             m = tiny_model(seed=seed + 77, V=len(vocab))
-            enc = enc_of(m, rand_history(rng), vocab)
+            enc = cp.encode_history(rand_history(rng), vocab)
             g = im.greedy_decode(m, [enc], max_len=6)[0]
             b = im.beam_decode(m, [enc], beam_width=4, max_len=6)[0]
             assert self._normalized_score(m, enc, b, 6) >= \
@@ -467,7 +461,7 @@ class TestBeamDecode:
         for seed in range(15):
             rng = np.random.default_rng(2000 + seed)
             m = tiny_model(seed=seed + 300, V=len(vocab))
-            enc = enc_of(m, rand_history(rng), vocab)
+            enc = cp.encode_history(rand_history(rng), vocab)
             scores = [self._normalized_score(
                 m, enc, im.beam_decode(m, [enc], beam_width=B, max_len=5)[0], 5)
                 for B in (1, 2, 4, 8)]
@@ -476,7 +470,7 @@ class TestBeamDecode:
     def test_decode_deterministic(self):
         vocab = small_vocab()
         m = tiny_model(seed=21, V=len(vocab))
-        enc = enc_of(m, rand_history(np.random.default_rng(4)), vocab)
+        enc = cp.encode_history(rand_history(np.random.default_rng(4)), vocab)
         assert im.beam_decode(m, [enc], beam_width=4, max_len=8)[0] == \
             im.beam_decode(m, [enc], beam_width=4, max_len=8)[0]
 
@@ -527,12 +521,11 @@ class TestFullGradient:
     def test_seq2seq_finite_differences(self):
         """Encoder + attention + decoder end to end at V=12, h=8."""
         m = im.ImaginatorModel(vocab_size=12, role=cp.AGENT, hidden=8, token_dim=6,
-                               tag_dim=2, turn_cap=4, subturn_cap=2, max_history=32, seed=5,
-                               dtype="float64")
+                               tag_dim=2, seed=5, dtype="float64")
         vocab = small_vocab(5)
         hist = [cp.Utterance(cp.USER, 0, 0, ("w0", "w1")),
                 cp.Utterance(cp.AGENT, 1, 0, ("w2",))]
-        enc = cp.encode_history(hist, vocab, 32, 4, 2)
+        enc = cp.encode_history(hist, vocab)
         target = cp.encode_target(("w3", "w4"), vocab)
 
         def build():
@@ -590,7 +583,7 @@ class TestSinglePrecision:
         m32 = tiny_model(seed=7, V=len(vocab))
         m64 = tiny_model(seed=7, V=len(vocab), dtype="float64")
         m64.params.load_arrays(m32.params.as_arrays())
-        encs = [enc_of(m32, rand_history(rng, n_utts=k), vocab) for k in (1, 3, 2)]
+        encs = [cp.encode_history(rand_history(rng, n_utts=k), vocab) for k in (1, 3, 2)]
         targets = [cp.encode_target(("w1", "w0", "w2"), vocab), cp.encode_target(("w3",), vocab),
                    cp.encode_target(("w4", "w4"), vocab)]
         loss32 = im.teacher_forced_loss(m32, encs, targets)
@@ -610,7 +603,7 @@ class TestSinglePrecision:
         rng = np.random.default_rng(3)
         vocab = small_vocab()
         m = tiny_model(seed=2, V=len(vocab))
-        encs = [enc_of(m, rand_history(rng, n_utts=k), vocab) for k in (2, 1, 3)]
+        encs = [cp.encode_history(rand_history(rng, n_utts=k), vocab) for k in (2, 1, 3)]
         states, mask, h, c = im.encode_batch(m, encs)
         assert {states.data.dtype, mask.dtype, h.data.dtype, c.data.dtype} == {np.dtype(np.float32)}
         assert len(im.beam_decode(m, encs, beam_width=3, max_len=5)) == 3

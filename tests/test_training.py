@@ -85,7 +85,7 @@ class TestTrainConfig:
         lines = TrainConfig().to_text().splitlines()
         assert lines[0] == "seed = 0"
         assert lines[1] == "epochs = 10"
-        assert lines[-1] == "test_frac = 0.1"
+        assert lines[-1] == "min_freq = 1"
 
     def test_positive_fields_validated(self):
         with pytest.raises(ValueError, match="epochs"):
@@ -128,11 +128,9 @@ class TestTrainConfig:
 
 class TestBuildModel:
     def test_imaginator_matches_config(self):
-        cfg = TrainConfig(kind="imaginator", role=USER, hidden=7, token_dim=5, tag_dim=2,
-                          turn_cap=3, subturn_cap=2, max_history=20, seed=9)
+        cfg = TrainConfig(kind="imaginator", role=USER, hidden=7, token_dim=5, tag_dim=2, seed=9)
         m = build_model(cfg, 30)
         assert m.config() == ImaginatorModel(30, USER, hidden=7, token_dim=5, tag_dim=2,
-                                             turn_cap=3, subturn_cap=2, max_history=20,
                                              seed=9).config()
 
     def test_arbitrator_matches_config(self):
@@ -372,15 +370,24 @@ class TestCheckpoint:
             load_checkpoint(bad)
 
     def test_unsupported_version_rejected(self, vocab, tmp_path):
-        m = tiny_imaginator(vocab)
+        """A later version is refused, and so is a version-4 file, whose model config
+        names the history encoding and whose training config the split fractions."""
         path = tmp_path / "a.ckpt"
-        save_checkpoint(m, path, self.HASH)
-        blob = bytearray(path.read_bytes())
-        blob[4] = CHECKPOINT_VERSION + 9
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(bad)
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH, train_config=TrainConfig())
+
+        def as_version_four(header):
+            header["model"].update(max_history=256, turn_cap=16, subturn_cap=8)
+            header["train_config"] += "valid_frac = 0.1\ntest_frac = 0.1\n"
+
+        for version, edit in ((CHECKPOINT_VERSION + 9, lambda header: None),
+                              (4, as_version_four)):
+            blob = bytearray(self._reframe(path, edit).read_bytes())
+            blob[4:8] = struct.pack("<I", version)
+            bad = tmp_path / "bad.ckpt"
+            bad.write_bytes(bytes(blob))
+            with pytest.raises(CheckpointError,
+                               match=f"^frame: unsupported format version {version}$"):
+                load_checkpoint(bad)
 
     def test_vocab_hash_mismatch_rejected(self, vocab, tmp_path):
         m = tiny_imaginator(vocab)
@@ -680,7 +687,7 @@ class TestRunTraining:
         valid = marker_samples(16, 2)
         model = toy_arb_model(vocab)
         res = run_training(toy_arb_config(), train, valid, model, vocab)
-        prepared = prepare_samples(valid, model, vocab, None)
+        prepared = prepare_samples(valid, vocab, None)
         assert evaluate_prepared(model, prepared) == res.best_value
 
     def test_patience_zero_runs_exactly_one_epoch(self, vocab):
