@@ -59,7 +59,7 @@ class ArbitratorModel:
                  token_dim: int = 100, tag_dim: int = 8,
                  filter_widths: Sequence[int] = DEFAULT_FILTER_WIDTHS,
                  filters_per_width: int = DEFAULT_FILTERS_PER_WIDTH,
-                 gru_hidden: int = 128, seed: int = 0,
+                 hidden: int = 128, seed: int = 0,
                  arrays: dict[str, np.ndarray] | None = None, dtype: str = "float32"):
         if encoder not in ("textcnn", "bigru"):
             raise ValueError(f"unknown encoder {encoder!r}")
@@ -72,7 +72,7 @@ class ArbitratorModel:
         self.tag_dim = tag_dim
         self.filter_widths = tuple(sorted(filter_widths))
         self.filters_per_width = filters_per_width
-        self.gru_hidden = gru_hidden
+        self.hidden = hidden
         self.seed = seed
 
         d_total = token_dim + 3 * tag_dim
@@ -89,10 +89,10 @@ class ArbitratorModel:
             feat = filters_per_width * len(self.filter_widths)
         else:
             for direction in ("gru_f", "gru_b"):
-                p.new(f"{direction}.W", (d_total, 3 * gru_hidden), fan_in=d_total)
-                p.new(f"{direction}.U", (gru_hidden, 3 * gru_hidden), fan_in=gru_hidden)
-                p.new(f"{direction}.b", (3 * gru_hidden,), fan_in=gru_hidden)
-            feat = 2 * gru_hidden
+                p.new(f"{direction}.W", (d_total, 3 * hidden), fan_in=d_total)
+                p.new(f"{direction}.U", (hidden, 3 * hidden), fan_in=hidden)
+                p.new(f"{direction}.b", (3 * hidden,), fan_in=hidden)
+            feat = 2 * hidden
         self.feature_dim = feat
         if mode == "ita":
             p.new("fuse.W_1", (2 * feat, feat), fan_in=2 * feat)
@@ -118,7 +118,7 @@ class ArbitratorModel:
             "tag_dim": self.tag_dim,
             "filter_widths": list(self.filter_widths),
             "filters_per_width": self.filters_per_width,
-            "gru_hidden": self.gru_hidden,
+            "hidden": self.hidden,
             "seed": self.seed,
             "dtype": self.dtype.name,
         }
@@ -202,7 +202,7 @@ def bigru_encode(model: ArbitratorModel, texts: Sequence[EncodedHistory]) -> ad.
     empty = [i for i, e in enumerate(texts) if len(e) == 0]
     if empty:
         raise ValueError(f"cannot encode text {empty[0]} of the batch: it is empty")
-    h0 = ad.constant(np.zeros((len(texts), model.gru_hidden), model.dtype))
+    h0 = ad.constant(np.zeros((len(texts), model.hidden), model.dtype))
     finals = []
     for prefix, reverse in (("gru_f", False), ("gru_b", True)):
         records, sizes, _, last = pack_histories(texts, reverse)
@@ -280,10 +280,10 @@ def decide_with_imagined(model: ArbitratorModel, history_enc: EncodedHistory,
 
 def ita_predict(history: Sequence[Utterance], model: ArbitratorModel,
                 agent_imaginator: ImaginatorModel, user_imaginator: ImaginatorModel,
-                vocab: Vocabulary, beam_width: int = 1, max_len: int = 40) -> Decision:
-    """Imagine both continuations, then arbitrate between the two paths. The
-    default width 1 is the greedy decode that `prepare_samples` trains the
-    arbitrator on; `max_len` should be the `max_decode_len` it was trained with."""
+                vocab: Vocabulary, max_len: int, beam_width: int = 1) -> Decision:
+    """Imagine both continuations, then arbitrate between the two paths. `max_len`
+    is the `max_decode_len` the arbitrator was trained with, and has no default;
+    width 1, the default, is the greedy decode that `prepare_samples` trains it on."""
     h_enc = _history_enc(history, vocab)
     agent_ids = beam_decode(agent_imaginator, [h_enc], beam_width=beam_width, max_len=max_len)[0]
     user_ids = beam_decode(user_imaginator, [h_enc], beam_width=beam_width, max_len=max_len)[0]
@@ -356,7 +356,7 @@ class PreparedSample:
 
 def prepare_samples(samples: Sequence[ArbitratorSample], vocab: Vocabulary,
                     imaginators: tuple[ImaginatorModel, ImaginatorModel] | None,
-                    max_len: int = 40) -> list[PreparedSample]:
+                    max_len: int) -> list[PreparedSample]:
     """Encode histories and, in ita mode, cache greedy imaginator decodes.
 
     The imaginators are frozen during arbitrator training, so each history's

@@ -867,22 +867,26 @@ class ParamSet:
 
 # Adam's moment decay rates and denominator floor (Kingma and Ba's defaults)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# the global gradient norm above which Adam scales a step's gradients down to it
+# (Pascanu et al., "On the difficulty of training recurrent neural networks", 2013)
+CLIP_NORM = 5.0
 
 
 class Adam:
     """Adam with bias correction and global gradient-norm clipping.
 
-    A parameter with no recorded gradient is treated as having a zero
-    gradient. Gradients whose global norm exceeds clip_norm are scaled down to
-    it. Gradients are zeroed after every step. Each parameter's moments, and
+    The learning rate is the run's; the clip threshold (CLIP_NORM) and the
+    moment rates are constants, the same for every run. A parameter with no
+    recorded gradient is treated as having a zero gradient. Gradients whose
+    global norm exceeds CLIP_NORM are scaled down to it. Gradients are zeroed
+    after every step. Each parameter's moments, and
     its update, are computed at the parameter's dtype; the global norm is summed
     in float64, where no finite float32 gradient's square overflows.
     """
 
-    def __init__(self, params: ParamSet, lr: float = 1e-3, clip_norm: float = 5.0):
+    def __init__(self, params: ParamSet, lr: float):
         self.params = params
         self.lr = lr
-        self.clip_norm = clip_norm
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -896,8 +900,8 @@ class Adam:
             grads[name] = g
         total = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum())
                               for g in grads.values()))
-        if total > self.clip_norm:
-            factor = self.clip_norm / total
+        if total > CLIP_NORM:
+            factor = CLIP_NORM / total
             grads = {name: g * factor for name, g in grads.items()}
         self.step_count += 1
         t = self.step_count

@@ -330,7 +330,10 @@ def cmd_demo(args) -> int:
     WAIT extends the current turn with another subturn, REPLY emits the
     imagined agent response and starts the next turn. Imaginations are decoded
     as the arbitrator was trained on them: greedily, to the `max_decode_len`
-    of its training config.
+    of its training config. A message holding a reserved token (`<eos>`,
+    `<pad>`, ...) is refused, as ingestion refuses it in a corpus: it would be
+    read as a control id. It joins no history and leaves turn and subturn as
+    they were.
     """
     vocab = Vocabulary.load(args.vocab)
     arb, cfg = _load_trained(args.arbitrator, vocab, "arbitrator")
@@ -362,6 +365,12 @@ def cmd_demo(args) -> int:
                 break
             toks = cp.tokenize(line)
             if not toks:
+                continue
+            reserved = set(cp.RESERVED_TOKENS).intersection(toks)
+            if reserved:
+                token = min(reserved)
+                _eprint(f"warning: reserved token {token!r} in the message; not added")
+                record({"event": "refused", "token": token, "text": " ".join(toks)})
                 continue
             history.append(cp.Utterance(USER, turn, subturn, tuple(toks)))
             record({"event": "user", "turn": turn, "subturn": subturn, "text": " ".join(toks)})

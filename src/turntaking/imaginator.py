@@ -28,7 +28,9 @@ Training and decoding share one forward implementation: `encode_batch`,
 `autodiff.log_softmax`. There is one search, `_search`: a beam search
 batched over histories, with beam_width decoder rows per history stepping
 together. Greedy decoding is that search at width 1; `greedy_decode` and
-`beam_decode` are the two names it is called by.
+`beam_decode` are the two names it is called by. Every decode takes its
+length, and a beam its width, from the caller (a run's `max_decode_len` and
+`beam_width`); none has a default of its own.
 """
 
 from __future__ import annotations
@@ -343,13 +345,13 @@ def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: 
 
 
 def greedy_decode(model: ImaginatorModel, encs: Sequence[EncodedHistory],
-                  max_len: int = 40) -> list[list[int]]:
+                  max_len: int) -> list[list[int]]:
     """Argmax decoding, the search at width 1: ties to the lowest id, EOS stops and is dropped."""
     return _search(model, encs, 1, max_len)
 
 
-def beam_decode(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: int = 4,
-                max_len: int = 40) -> list[list[int]]:
+def beam_decode(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: int,
+                max_len: int) -> list[list[int]]:
     """Beam search of every history, scores normalized by length; see `_search`."""
     return _search(model, encs, beam_width, max_len)
 
@@ -393,7 +395,7 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence]) -> floa
 
 
 def evaluate_imaginator(model: ImaginatorModel, samples: Sequence[ImaginatorSample],
-                        vocab: Vocabulary, beam_width: int = 4, max_len: int = 40) -> dict:
+                        vocab: Vocabulary, beam_width: int, max_len: int) -> dict:
     """Corpus BLEU of the model's beam decodes, split by target role; see `bleu_by_role`."""
     encs = [enc for enc, _ in prepare_samples(samples, vocab)]
     return bleu_by_role(model, samples, encs, vocab, beam_width, max_len)

@@ -14,9 +14,14 @@ initialization: the model is built on the file's arrays, each copied once. A
 run writes its metrics log whole, so a rerun replaces it, as it does the
 checkpoint.
 
-The config holds only what a run may vary: the history encoding and the
-train/valid/test split are `corpus` constants, the same for every model and
-run, so neither a training config nor a model config names them.
+The config holds only what a run may vary, and each setting has one source:
+the history encoding and the train/valid/test split are `corpus` constants and
+the gradient clip threshold is `autodiff.CLIP_NORM`, the same for every model
+and run, so neither a training config nor a model config names them. A run
+trains one model, so one `hidden` sizes its recurrent state: the imaginator's
+LSTMs or the Bi-GRU arbitrator's directions (a TextCNN records it and uses
+none). Decodes take their length and width from the config, never from a
+default of their own.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .autodiff import PARAM_DTYPES, Adam, ShapeError, TrainingError
 from .corpus import AGENT, USER, Vocabulary, _write_atomic
 
 CHECKPOINT_MAGIC = b"TTCP"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 class CheckpointError(RuntimeError):
@@ -54,14 +59,12 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 0.001
-    clip_norm: float = 5.0
     patience: int = 3
     kind: str = "imaginator"
     role: str = "agent"
     encoder: str = "textcnn"
     mode: str = "ita"
     hidden: int = 128
-    gru_hidden: int = 128
     token_dim: int = 100
     tag_dim: int = 8
     filter_widths: str = "3,4,5"
@@ -73,8 +76,7 @@ class TrainConfig:
 
     def __post_init__(self):
         positive = {"epochs": self.epochs, "batch_size": self.batch_size,
-                    "learning_rate": self.learning_rate, "clip_norm": self.clip_norm,
-                    "hidden": self.hidden, "gru_hidden": self.gru_hidden,
+                    "learning_rate": self.learning_rate, "hidden": self.hidden,
                     "token_dim": self.token_dim, "tag_dim": self.tag_dim,
                     "filters_per_width": self.filters_per_width,
                     "beam_width": self.beam_width, "max_decode_len": self.max_decode_len,
@@ -82,8 +84,9 @@ class TrainConfig:
         for name, value in positive.items():
             if not 0 < value < math.inf:  # nan fails both comparisons
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.patience < 0:
-            raise ValueError(f"patience must be non-negative, got {self.patience}")
+        for name in ("seed", "patience"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0.0 <= self.p_split <= 1.0:
             raise ValueError(f"p_split must be in [0, 1], got {self.p_split}")
         if self.kind not in ("imaginator", "arbitrator"):
@@ -101,7 +104,7 @@ class TrainConfig:
             widths = tuple(int(w) for w in self.filter_widths.split(","))
         except ValueError:
             raise ValueError(f"bad filter_widths {self.filter_widths!r}") from None
-        if not widths or any(w < 1 for w in widths):
+        if not widths or any(w < 1 for w in widths) or len(set(widths)) < len(widths):
             raise ValueError(f"bad filter_widths {self.filter_widths!r}")
         return widths
 
@@ -177,7 +180,7 @@ def build_model(cfg: TrainConfig, vocab_size: int):
     return model_from_config({**shared, "encoder": cfg.encoder, "mode": cfg.mode,
                               "filter_widths": cfg.parsed_filter_widths(),
                               "filters_per_width": cfg.filters_per_width,
-                              "gru_hidden": cfg.gru_hidden})
+                              "hidden": cfg.hidden})
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +352,7 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
     if not len(valid_samples):
         raise TrainingError("empty validation split")
     kind = model.config()["kind"]
-    opt = Adam(model.params, lr=config.learning_rate, clip_norm=config.clip_norm)
-    metadata_extra: dict = {}
+    opt = Adam(model.params, lr=config.learning_rate)
 
     if kind == "imaginator":
         step = lambda batch: im.train_step(batch, model, opt)
@@ -373,8 +375,6 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
         step = lambda batch: arb.train_step(batch, model, opt)
         metric_name = "accuracy"
         validate = lambda: arb.evaluate_prepared(model, prepared_valid)
-        if model.mode == "ita":
-            metadata_extra["imagination_decode"] = "greedy"
 
     history: list[dict] = []
     best_value = -math.inf
@@ -412,7 +412,7 @@ def run_training(config: TrainConfig, train_samples, valid_samples, model,
             if checkpoint_path is not None:
                 save_checkpoint(model, checkpoint_path, vocab.hash(),
                                 metadata={"epoch": epoch, "metric": metric_name,
-                                          "best_metric": value, **metadata_extra},
+                                          "best_metric": value},
                                 train_config=config)
         else:
             bad_epochs += 1

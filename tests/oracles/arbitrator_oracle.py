@@ -45,7 +45,7 @@ def bigru_text(model, enc) -> ad.Tensor:
     """[1, 2h] for one text: final forward state, then final backward state."""
     L = len(enc)
     emb = embed_records(model.params, enc)
-    h0 = ad.constant(np.zeros((1, model.gru_hidden)))
+    h0 = ad.constant(np.zeros((1, model.hidden)))
     finals = []
     for prefix, order in (("gru_f", slice(None)), ("gru_b", slice(None, None, -1))):
         xw = ad.part(project(emb, model.params, prefix), rows=order)

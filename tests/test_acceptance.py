@@ -136,7 +136,7 @@ def _textcnn_model_check():
 
 def _bigru_model_check():
     model = ArbitratorModel(12, encoder="bigru", mode="baseline", token_dim=5,
-                            tag_dim=2, gru_hidden=8, seed=13, dtype="float64")
+                            tag_dim=2, hidden=8, seed=13, dtype="float64")
     ps = PreparedSample(history_enc=_history_for(model), label=0)
     return model.params, lambda: arb_batch_loss(model, [ps])
 
@@ -384,7 +384,7 @@ def _overfit_imaginator():
     sample = cp.ImaginatorSample(
         history=(cp.Utterance(cp.USER, 0, 0, ("w0", "w1", "w2")),),
         target=cp.Utterance(cp.AGENT, 0, 0, ("w3", "w4")))
-    opt = ad.Adam(model.params, lr=5e-3, clip_norm=5.0)
+    opt = ad.Adam(model.params, lr=5e-3)
     batch = im.prepare_samples([sample], vocab)
     for step in range(1, 501):
         loss = im.train_step(batch, model, opt)
@@ -396,10 +396,10 @@ def _overfit_imaginator():
 def _overfit_arbitrator(encoder, mode):
     model = ArbitratorModel(12, encoder=encoder, mode=mode, token_dim=6,
                             tag_dim=2, filter_widths=(2, 3), filters_per_width=6,
-                            gru_hidden=8, seed=32)
+                            hidden=8, seed=32)
     ps = PreparedSample(history_enc=_history_for(model), label=1,
                         agent_ids=[7, cp.EOS], user_ids=[8, cp.EOS])
-    opt = ad.Adam(model.params, lr=5e-3, clip_norm=5.0)
+    opt = ad.Adam(model.params, lr=5e-3)
     for step in range(1, 501):
         loss = arb_train_step([ps], model, opt)
         if loss < 0.1:

@@ -65,7 +65,7 @@ class TestModel:
         assert "head.W" not in m.params.names()
 
     def test_bigru_baseline_param_layout(self):
-        m = ArbitratorModel(vocab_size=12, gru_hidden=6, encoder="bigru", mode="baseline")
+        m = ArbitratorModel(vocab_size=12, hidden=6, encoder="bigru", mode="baseline")
         assert m.feature_dim == 12
         assert sorted(m.params.names()) == sorted([
             "emb.token", "emb.role", "emb.turn", "emb.subturn",
@@ -86,7 +86,7 @@ class TestModel:
             ArbitratorModel(vocab_size=12, mode="hybrid")
 
     def test_config_round_trip(self):
-        m = ArbitratorModel(**TINY, encoder="bigru", mode="baseline", gru_hidden=6)
+        m = ArbitratorModel(**TINY, encoder="bigru", mode="baseline", hidden=6)
         m2 = model_from_config(m.config())
         assert m2.config() == m.config()
         assert sorted(m2.params.names()) == sorted(m.params.names())
@@ -159,7 +159,7 @@ def _cached_cnn():
 
 class TestBiGRU:
     def _model(self, seed=5, dtype="float32"):
-        return ArbitratorModel(vocab_size=12, token_dim=5, tag_dim=1, gru_hidden=6,
+        return ArbitratorModel(vocab_size=12, token_dim=5, tag_dim=1, hidden=6,
                                encoder="bigru", mode="baseline", seed=seed, dtype=dtype)
 
     def _tied(self):
@@ -299,7 +299,7 @@ class TestBatchedForward:
         if key not in cls._MODELS:
             cls._MODELS[key] = ArbitratorModel(
                 vocab_size=12, encoder=encoder, mode=mode, token_dim=5, tag_dim=2,
-                filter_widths=(2, 3, 5), filters_per_width=4, gru_hidden=6, seed=17,
+                filter_widths=(2, 3, 5), filters_per_width=4, hidden=6, seed=17,
                 dtype="float64")
         return cls._MODELS[key]
 
@@ -386,7 +386,7 @@ class TestGradients:
         assert err < 1e-4
 
     def test_bigru_gradient_h8(self):
-        m = ArbitratorModel(vocab_size=12, token_dim=5, tag_dim=1, gru_hidden=8,
+        m = ArbitratorModel(vocab_size=12, token_dim=5, tag_dim=1, hidden=8,
                             encoder="bigru", mode="baseline", seed=9, dtype="float64")
         ps = PreparedSample(history_enc=rand_records(np.random.default_rng(13), 5), label=0)
         err = ad.finite_difference_check(lambda: batch_loss(m, [ps]), m.params)
@@ -514,7 +514,7 @@ class TestPrediction:
                             for t in range(n))
             m = ArbitratorModel(vocab_size=len(vocab), encoder=encoder, mode="ita", token_dim=5,
                                 tag_dim=1, filter_widths=(2, 3), filters_per_width=4,
-                                gru_hidden=6, seed=seed)
+                                hidden=6, seed=seed)
             ims = tuple(ImaginatorModel(len(vocab), role, hidden=16, token_dim=8, tag_dim=2,
                                         seed=10 * seed + i) for i, role in enumerate((AGENT, USER)))
             if seed == 5:  # an agent imaginator that ends at once: an empty, flagged imagination
@@ -535,7 +535,7 @@ class TestPrediction:
         m = ArbitratorModel(vocab_size=len(vocab), encoder="textcnn", mode="baseline",
                             token_dim=8, tag_dim=2, seed=0)
         prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)], vocab,
-                                   None)
+                                   None, max_len=6)
         d = decide_prepared(m, prepared, vocab)[0]
         assert abs(d.probs[1] - 0.5) < 0.25
         assert d.imagined_agent == ()
@@ -552,7 +552,8 @@ class TestPrediction:
     def test_history_must_end_with_user(self):
         vocab, utts = tiny_vocab_and_history()
         with pytest.raises(ValueError, match="user"):
-            prepare_samples([ArbitratorSample(history=tuple(utts[:2]), label=0)], vocab, None)
+            prepare_samples([ArbitratorSample(history=tuple(utts[:2]), label=0)], vocab, None,
+                            max_len=6)
 
 
 def marker_toy_samples(n=40, seed=42):
@@ -620,7 +621,7 @@ class TestTraining:
         model.params.load_arrays(arrays)
         samples = marker_toy_samples(n=4)
         with pytest.raises(ad.TrainingError, match="finite"):
-            train_step(samples, model, ad.Adam(model.params))
+            train_step(samples, model, ad.Adam(model.params, lr=1e-3))
 
     def test_batch_loss_is_mean_of_singles(self):
         model = _toy_model(dtype="float64")
@@ -642,7 +643,8 @@ class TestTraining:
 
     def test_prepare_samples_without_imaginators_leaves_ids_empty(self):
         vocab, utts = tiny_vocab_and_history()
-        prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)], vocab, None)
+        prepared = prepare_samples([ArbitratorSample(history=tuple(utts), label=1)], vocab, None,
+                                   max_len=6)
         assert prepared[0].agent_ids == []
         assert prepared[0].user_ids == []
 
@@ -715,7 +717,7 @@ class TestTrainStepMemory:
         L = 150 * len(batch)
         d = model.token_dim + 3 * model.tag_dim
         im2col = sum((L - k + 1) * k * d * 8 for k in model.filter_widths)
-        opt = ad.Adam(model.params)
+        opt = ad.Adam(model.params, lr=1e-3)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]

@@ -617,39 +617,44 @@ class TestAdam:
         p = ps.new("enc.W_f", (2,), fan_in=2)
         p.grad = np.array([np.nan, 0.0])
         with pytest.raises(ad.TrainingError, match="enc.W_f"):
-            ad.Adam(ps).step()
+            ad.Adam(ps, lr=1e-3).step()
 
     def test_grads_cleared_after_step(self):
         ps = ad.ParamSet(seed=3)
         p = ps.new("p", (2,), fan_in=2)
         p.grad = np.ones(2)
-        ad.Adam(ps).step()
+        ad.Adam(ps, lr=1e-3).step()
         assert p.grad is None
 
-    def test_global_clipping(self):
-        # norm 10 clipped to 5: first-step update magnitude is ~lr either way,
-        # but the moment estimates differ; verify via two-step trajectory
-        def run(clip):
+    def test_global_clipping(self, monkeypatch):
+        # norm 10 clipped to CLIP_NORM 5: first-step update magnitude is ~lr either
+        # way, but the moment estimates differ; verify via two-step trajectory
+        def run():
             ps = ad.ParamSet(seed=4)
             p = ps.new("p", (1,), fan_in=1)
             p.data[:] = 0.0
-            opt = ad.Adam(ps, lr=1e-3, clip_norm=clip)
+            opt = ad.Adam(ps, lr=1e-3)
             p.grad = np.array([10.0])
             opt.step()
             p.grad = np.array([0.1])
             opt.step()
             return p.data.copy()
-        assert not np.array_equal(run(5.0), run(math.inf))
+        assert ad.CLIP_NORM == 5.0
+        clipped = run()
+        monkeypatch.setattr(ad, "CLIP_NORM", math.inf)
+        assert not np.array_equal(clipped, run())
 
-    def test_small_gradients_not_rescaled(self):
-        def run(clip):
+    def test_small_gradients_not_rescaled(self, monkeypatch):
+        def run():
             ps = ad.ParamSet(seed=5)
             p = ps.new("p", (2,), fan_in=1)
-            opt = ad.Adam(ps, lr=1e-3, clip_norm=clip)
-            p.grad = np.array([0.3, -0.4])  # norm 0.5, under any sane clip
+            opt = ad.Adam(ps, lr=1e-3)
+            p.grad = np.array([0.3, -0.4])  # norm 0.5, under CLIP_NORM
             opt.step()
             return p.data.copy()
-        np.testing.assert_array_equal(run(5.0), run(math.inf))
+        clipped = run()
+        monkeypatch.setattr(ad, "CLIP_NORM", math.inf)
+        np.testing.assert_array_equal(clipped, run())
 
 
 class TestParamSet:
@@ -963,18 +968,18 @@ class TestDTypes:
         ps.load_arrays({"w": np.ones((33, 9))})
         assert w.data is storage and w.data.dtype == dtype
         w.grad = np.ones((33, 9), dtype)
-        opt = ad.Adam(ps)
+        opt = ad.Adam(ps, lr=1e-3)
         opt.step()
         assert w.data.dtype == dtype and opt._m["w"].dtype == opt._v["w"].dtype == dtype
 
     def test_clip_norm_of_float32_gradients_summed_in_float64(self):
         """A finite float32 gradient whose square overflows float32 is still clipped to
-        clip_norm, not scaled to zero: Adam's first step moves the parameter by lr."""
+        CLIP_NORM, not scaled to zero: Adam's first step moves the parameter by lr."""
         ps = ad.ParamSet(seed=0, dtype="float32")
         p = ps.new("p", (1,), fan_in=1)
         p.data[:] = 0.0
         p.grad = np.array([3e19], np.float32)
-        ad.Adam(ps, lr=1e-3, clip_norm=5.0).step()
+        ad.Adam(ps, lr=1e-3).step()
         np.testing.assert_allclose(p.data, [-1e-3], rtol=1e-4)
 
     @pytest.mark.parametrize("dtype", ["float16", "int64", None])

@@ -25,7 +25,7 @@ from turntaking.synthetic import make_multiwoz_like, write_multiwoz_like
 from turntaking.training import TrainConfig, load_checkpoint, model_from_config, save_checkpoint
 
 TINY_TRAIN = ["--epochs", "1", "--batch-size", "16", "--hidden", "8",
-              "--token-dim", "8", "--tag-dim", "2", "--gru-hidden", "8",
+              "--token-dim", "8", "--tag-dim", "2",
               "--filter-widths", "2", "--filters-per-width", "4",
               "--beam-width", "2", "--max-decode-len", "4", "--seed", "3"]
 
@@ -192,7 +192,8 @@ class TestStats:
         assert f"error: {path}:1: empty file" in capsys.readouterr().err
 
 
-REMOVED_KEYS = ["max_history", "turn_cap", "subturn_cap", "valid_frac", "test_frac"]
+REMOVED_KEYS = ["max_history", "turn_cap", "subturn_cap", "valid_frac", "test_frac",
+                "gru_hidden", "clip_norm"]
 
 
 class TestTrain:
@@ -239,7 +240,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_encoding_and_split_flags_are_unrecognized(self, prep_dir, tmp_path, capsys, key):
-        """The history encoding and the split are corpus constants, not run settings."""
+        """The history encoding, the split and the clip threshold are constants, and one
+        `hidden` sizes every model: none of them is a run setting of its own."""
         flag = "--" + key.replace("_", "-")
         with pytest.raises(SystemExit) as exc:
             run(["train", flag, "64", "--data", str(prep_dir),
@@ -259,11 +261,29 @@ class TestTrain:
         assert f"error: config line 2: unknown key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_non_finite_clip_norm_is_clean_error(self, prep_dir, tmp_path, capsys):
-        rc = run(["train", "--clip-norm", "nan", "--data", str(prep_dir),
-                  "--out", str(tmp_path / "o")] + TINY_TRAIN)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("widths", ["3,4,3", "2,2"])
+    def test_repeated_filter_width_refused(self, prep_dir, tmp_path, capsys, source, widths):
+        """Two convolutions of one width would share a parameter name."""
+        argv = ["train", "--kind", "arbitrator", "--mode", "baseline",
+                "--data", str(prep_dir), "--out", str(tmp_path / "o")]
+        if source == "flag":
+            argv += ["--filter-widths", widths]
+        else:
+            cfg_path = tmp_path / "cfg.txt"
+            cfg_path.write_text(f'filter_widths = "{widths}"\n')
+            argv += ["--config", str(cfg_path)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: bad filter_widths '{widths}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_refused_by_name(self, prep_dir, tmp_path, capsys):
+        rc = run(["train", "--seed", "-1", "--data", str(prep_dir),
+                  "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "error: clip_norm must be positive and finite, got nan" in capsys.readouterr().err
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line", ["epochs = ten", "learning_rate = fast"])
@@ -744,6 +764,28 @@ class TestDemo:
         assert [e["event"] for e in events] == ["user", "fallback", "user", "decision"]
         assert events[1]["error"] == "no decision for this history"
         assert [e["subturn"] for e in events if e["event"] == "user"] == [0, 1]
+
+    @pytest.mark.parametrize("typed, token", [("book <eos> table", "<eos>"),
+                                              ("<pad>", "<pad>")])
+    def test_reserved_token_message_refused(self, artifacts, tmp_path, monkeypatch, capsys,
+                                            typed, token):
+        """A typed reserved token would be read as a control id: the message joins no
+        history, and the next one is decided at the same turn and subturn."""
+        real, histories = cli.ita_predict, []
+
+        def spy(history, *args, **kwargs):
+            histories.append([u.tokens for u in history])
+            return real(history, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ita_predict", spy)
+        rc, events, _ = self._run_demo(artifacts, tmp_path, monkeypatch,
+                                       f"{typed}\nhello\n/quit\n", reply=False)
+        assert rc == 0
+        assert [e["event"] for e in events] == ["refused", "user", "decision"]
+        assert events[0]["token"] == token and events[0]["text"] == typed
+        assert (events[1]["turn"], events[1]["subturn"]) == (0, 0)
+        assert histories == [[("hello",)]]
+        assert f"warning: reserved token {token!r} in the message" in capsys.readouterr().err
 
     def test_other_errors_propagate(self, artifacts, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

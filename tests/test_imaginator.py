@@ -550,7 +550,7 @@ class TestEvaluate:
         samples = self._samples(vocab)
         refs = [[vocab.encode_token(t) for t in s.target.tokens] for s in samples]
         monkeypatch.setattr(im, "beam_decode", lambda model, encs, **kw: refs)
-        out = im.evaluate_imaginator(m, samples, vocab)
+        out = im.evaluate_imaginator(m, samples, vocab, beam_width=2, max_len=6)
         assert out["bleu_on_agent_targets"] == pytest.approx(1.0)
         assert out["bleu_on_user_targets"] == pytest.approx(1.0)
 

@@ -95,10 +95,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="p_split"):
             TrainConfig(p_split=1.5)
 
-    @pytest.mark.parametrize("name", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("name", ["learning_rate"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_floats_rejected(self, name, value):
-        """nan passed `value <= 0`; with clip_norm nan, Adam never clips."""
+        """nan passed `value <= 0`."""
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
             TrainConfig.from_text(f"{name} = {value}\n")
 
@@ -134,11 +134,11 @@ class TestBuildModel:
                                              seed=9).config()
 
     def test_arbitrator_matches_config(self):
-        cfg = toy_arb_config(encoder="bigru", mode="ita", gru_hidden=6, seed=4)
+        cfg = toy_arb_config(encoder="bigru", mode="ita", hidden=6, seed=4)
         m = build_model(cfg, 30)
         assert m.config() == ArbitratorModel(30, encoder="bigru", mode="ita", token_dim=8,
                                              tag_dim=2, filter_widths=(2, 3),
-                                             filters_per_width=8, gru_hidden=6,
+                                             filters_per_width=8, hidden=6,
                                              seed=4).config()
 
 
@@ -229,7 +229,7 @@ class TestCheckpoint:
         path = tmp_path / "a.ckpt"
         for fresh in (tiny_imaginator(vocab),
                       ArbitratorModel(vocab_size=len(vocab), encoder="bigru", mode="ita",
-                                      token_dim=5, tag_dim=1, gru_hidden=3, seed=2)):
+                                      token_dim=5, tag_dim=1, hidden=3, seed=2)):
             save_checkpoint(fresh, path, self.HASH)
             loaded = load_checkpoint(path).model
             storage = [p.data for _, p in loaded.params.items()]
@@ -285,7 +285,7 @@ class TestCheckpoint:
 
     def test_arbitrator_checkpoint_restores_mode(self, vocab, tmp_path):
         m = ArbitratorModel(vocab_size=len(vocab), encoder="bigru", mode="ita",
-                            token_dim=5, tag_dim=1, gru_hidden=6, seed=2)
+                            token_dim=5, tag_dim=1, hidden=6, seed=2)
         path = tmp_path / "arb.ckpt"
         save_checkpoint(m, path, self.HASH)
         ck = load_checkpoint(path)
@@ -371,7 +371,8 @@ class TestCheckpoint:
 
     def test_unsupported_version_rejected(self, vocab, tmp_path):
         """A later version is refused, and so is a version-4 file, whose model config
-        names the history encoding and whose training config the split fractions."""
+        names the history encoding and whose training config the split fractions, and a
+        version-5 file, whose training config names `clip_norm` and `gru_hidden`."""
         path = tmp_path / "a.ckpt"
         save_checkpoint(tiny_imaginator(vocab), path, self.HASH, train_config=TrainConfig())
 
@@ -379,8 +380,11 @@ class TestCheckpoint:
             header["model"].update(max_history=256, turn_cap=16, subturn_cap=8)
             header["train_config"] += "valid_frac = 0.1\ntest_frac = 0.1\n"
 
+        def as_version_five(header):
+            header["train_config"] += "clip_norm = 5.0\ngru_hidden = 128\n"
+
         for version, edit in ((CHECKPOINT_VERSION + 9, lambda header: None),
-                              (4, as_version_four)):
+                              (4, as_version_four), (5, as_version_five)):
             blob = bytearray(self._reframe(path, edit).read_bytes())
             blob[4:8] = struct.pack("<I", version)
             bad = tmp_path / "bad.ckpt"
@@ -686,8 +690,9 @@ class TestRunTraining:
         train = marker_samples(32, 1)
         valid = marker_samples(16, 2)
         model = toy_arb_model(vocab)
-        res = run_training(toy_arb_config(), train, valid, model, vocab)
-        prepared = prepare_samples(valid, vocab, None)
+        cfg = toy_arb_config()
+        res = run_training(cfg, train, valid, model, vocab)
+        prepared = prepare_samples(valid, vocab, None, max_len=cfg.max_decode_len)
         assert evaluate_prepared(model, prepared) == res.best_value
 
     def test_patience_zero_runs_exactly_one_epoch(self, vocab):
