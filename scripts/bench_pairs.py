@@ -33,7 +33,9 @@ medians, the pairs after it still run, and the script exits 1 after printing the
 summary of the completed pairs. Below the verdicts it prints, as information with
 no claim and no verdict, each side's median of the INFO metrics that the
 workload reports: CPU time beside wall time, and the quality guards, which show
-that a change whose digests differ on purpose still does the same work.
+that a change whose digests differ on purpose still does the same work. Beside
+them it prints `src_lines` from each run's facts line, so a change that deletes
+code shows its line count next to its no-regression verdict.
 Standard library only.
 """
 
@@ -66,12 +68,16 @@ def compile_tree(tree: Path) -> None:
 
 def named_values(stdout: str) -> dict[str, float]:
     """The INFO metrics of a bench/run.py output, from the lines that print each metric
-    by name (`  round_cpu_s   0.51 s`); a metric printed as `-` or not printed is absent."""
+    by name (`  round_cpu_s   0.51 s`), and `src_lines` from its `  facts {...}` line;
+    a metric printed as `-`, or a value not printed, is absent."""
     values = {}
     for name in INFO:
         found = re.search(rf"^\s+{re.escape(name)}\s+(\S+)", stdout, re.MULTILINE)
         if found and found.group(1) != "-":
             values[name] = float(found.group(1))
+    found = re.search(r"^\s+facts (\{.*\})$", stdout, re.MULTILINE)
+    if found and "src_lines" in (facts := json.loads(found.group(1))):
+        values["src_lines"] = float(facts["src_lines"])
     return values
 
 
@@ -161,10 +167,10 @@ def pair_flags(seeds: list[int], pairs: list[tuple[dict, dict]]) -> list[str]:
 
 
 def info_rows(pairs: list[tuple[dict, dict]]) -> list[dict]:
-    """Each side's median of every INFO metric that a run of the pairs reports, and the
-    number of runs behind each median."""
+    """Each side's median of every INFO metric, and of `src_lines`, that a run of the
+    pairs reports, and the number of runs behind each median."""
     rows = []
-    for name in INFO:
+    for name in (*INFO, "src_lines"):
         sides = [[run["info"][name] for run in side if name in run.get("info", {})]
                  for side in zip(*pairs)]
         if any(sides):

@@ -109,6 +109,11 @@ class ArbitratorModel:
         self.params = p
 
     def config(self) -> dict:
+        """The keywords that rebuild this model; of the encoder sizes, only those that
+        size its encoder's parameters."""
+        sizes = ({"filter_widths": list(self.filter_widths),
+                  "filters_per_width": self.filters_per_width}
+                 if self.encoder == "textcnn" else {"hidden": self.hidden})
         return {
             "kind": "arbitrator",
             "vocab_size": self.vocab_size,
@@ -116,9 +121,7 @@ class ArbitratorModel:
             "mode": self.mode,
             "token_dim": self.token_dim,
             "tag_dim": self.tag_dim,
-            "filter_widths": list(self.filter_widths),
-            "filters_per_width": self.filters_per_width,
-            "hidden": self.hidden,
+            **sizes,
             "seed": self.seed,
             "dtype": self.dtype.name,
         }

@@ -222,7 +222,7 @@ def _walk_records(located, messages: str, speaker: str):
 def _ingest_multiwoz(path: Path):
     try:
         records = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise IngestError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(records, list):
         raise IngestError(f"{path}: expected a top-level list of dialogues")
@@ -255,7 +255,7 @@ def _ingest_jsonl(path: Path):
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise IngestError(f"{path}:{n + 1}: bad JSON ({e})") from None
             yield f"{path}:{n + 1}", n, rec
 
@@ -687,7 +687,7 @@ def read_processed(path):
                     header = rec["header"]
                 else:
                     raise KeyError("header")
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise IngestError(f"{path}:{n}: bad JSON ({e})") from None
             except KeyError as e:
                 raise IngestError(f"{path}:{n}: missing key {e}") from None

@@ -26,11 +26,14 @@ Training and decoding share one forward implementation: `encode_batch`,
 `_decoder_logits`, which decoding runs with one query per history under
 `autodiff.no_grad`, reading log-probabilities off the logits with
 `autodiff.log_softmax`. There is one search, `_search`: a beam search
-batched over histories, with beam_width decoder rows per history stepping
-together. Greedy decoding is that search at width 1; `greedy_decode` and
-`beam_decode` are the two names it is called by. Every decode takes its
-length, and a beam its width, from the caller (a run's `max_decode_len` and
-`beam_width`); none has a default of its own.
+batched over histories in one fixed layout of [histories, width] slots, decoder
+row b·width + s being slot s of history b, all stepping together. Each step
+keeps the top width expansions of each history's slots (`_select`) and
+gathers their rows; a hypothesis finishes in one place, on EOS or at max_len,
+and its slot is dead from then on. Greedy decoding is that search at width 1;
+`greedy_decode` and `beam_decode` are the two names it is called by. Every
+decode takes its length, and a beam its width, from the caller (a run's
+`max_decode_len` and `beam_width`); none has a default of its own.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .corpus import (
 SEARCH_ROWS = 64
 LENGTH_ALPHA = 0.7  # a finished hypothesis scores log-probability / length^LENGTH_ALPHA
 BLEU_MAX_N = 4  # BLEU pools n-grams of orders 1 to BLEU_MAX_N
-_LOWEST = np.finfo(np.float64).min
 
 
 class ImaginatorModel:
@@ -260,49 +262,41 @@ def train_step(batch: Sequence[tuple[EncodedHistory, np.ndarray]], model: Imagin
 # decoding
 
 
-def _select(scores: np.ndarray, width: int):
-    """The top `width` finite entries of each row of scores; ties go to the lowest index.
-
-    Returns their flat indices in ascending order, their values, and the rank
-    of each among the entries kept from its row.
-    """
+def _select(scores: np.ndarray, width: int) -> np.ndarray:
+    """The top `width` (at most n) entries of each row of scores [N, n], as flat
+    indices into scores [N, width], each row's ascending; ties go to the lowest
+    index, and a row with fewer than width finite entries is filled with its
+    first -inf entries."""
     n = scores.shape[1]
-    # the width-th largest value of each row (at width 1 the max, which is cheaper),
-    # raised from -inf to the lowest float so that no -inf entry is kept
-    kth = max(n - width, 0)
-    cut = scores.max(axis=1) if width == 1 else np.partition(scores, kth, axis=1)[:, kth]
-    flat = np.flatnonzero(scores >= np.maximum(cut, _LOWEST)[:, None])
-    val = scores.ravel()[flat]
-    row = flat // n
-    rank = np.arange(len(flat)) - np.searchsorted(row, row)
-    if rank.max(initial=0) >= width:  # ties at a cut: keep the lowest indices
-        order = np.lexsort((flat, -val, row))  # row stays sorted, so row[order] == row
-        keep = np.zeros(len(flat), dtype=bool)
-        keep[order[rank < width]] = True
-        flat, val, row = flat[keep], val[keep], row[keep]
-        rank = np.arange(len(flat)) - np.searchsorted(row, row)
-    return flat, val, rank
+    if width == 1:  # the first maximum
+        return (scores.argmax(axis=1) + np.arange(0, scores.size, n))[:, None]
+    kth = n - width
+    cut = np.partition(scores, kth, axis=1)[:, kth, None]  # each row's width-th largest
+    above, tied = scores > cut, scores == cut
+    # keep every entry above the cut, and the lowest-index ties at it until the row is full
+    keep = above | (tied & (np.cumsum(tied, axis=1) <= width - above.sum(axis=1, keepdims=True)))
+    return np.flatnonzero(keep).reshape(-1, width)
 
 
 def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: int,
             max_len: int) -> list[list[int]]:
     """Length-wise beam search over a batch of histories; returns their id lists.
 
-    Each history owns beam_width decoder rows (slots); a dead slot holds
-    log-probability -inf. Each step keeps, per history, the top beam_width
-    expansions of its live slots by cumulative log-probability, ties broken by
-    token sequence: live slots are kept in lexicographic order of their
-    equally long sequences, so the lowest flat (slot, token) index is the
-    lowest sequence. An expansion that emits EOS retires to the history's
-    pool and its slot stays dead (the frontier is not refilled, so width 1 is
-    exactly greedy, and each pool holds one hypothesis). Survivors at max_len
-    join the pool; the best by score / length^LENGTH_ALPHA, ties to the lowest
-    sequence, is returned without EOS.
+    Each step, every history holds width = min(beam_width, k·V) slots, k being
+    its slots the step before (1 at first), and decoder row b·width + s is slot
+    s of history b. `_select` keeps each history's top width expansions by
+    cumulative log-probability, ties to the lowest (slot, token) index: slots
+    stay in lexicographic order of their equally long sequences, so that is the
+    lowest sequence. A hypothesis finishes in one place, on EOS or at max_len:
+    it joins its history's pool, and its slot holds -inf from then on (the
+    frontier is not refilled, so width 1 is exactly greedy). Once no slot is
+    finite the search stops; each history's result is the best of its pool by
+    score / length^LENGTH_ALPHA, ties to the lowest sequence, without EOS.
     """
     if beam_width < 1 or max_len < 1:
         raise ValueError("beam_width and max_len must be >= 1")
-    K, V, params = beam_width, model.vocab_size, model.params
-    per_chunk = max(1, SEARCH_ROWS // K)
+    V, params = model.vocab_size, model.params
+    per_chunk = max(1, SEARCH_ROWS // beam_width)
     out: list[list[int]] = []
     with ad.no_grad():
         for start in range(0, len(encs), per_chunk):
@@ -310,35 +304,30 @@ def _search(model: ImaginatorModel, encs: Sequence[EncodedHistory], beam_width: 
             N = len(chunk)
             enc_states, mask, h, c = encode_batch(model, chunk)
             bias = attention_bias(mask)
-            logp = np.zeros(N)  # the first step expands one row per history
-            history = np.arange(N * K) // K
+            logp = np.zeros(N)  # the score of each slot: one per history at the first step
             seqs = np.full((N, max_len + 1), BOS, dtype=np.int64)  # BOS, then the tokens
             pools: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in chunk]
             for t in range(1, max_len + 1):
-                k = len(logp) // N  # rows per history in this step: 1, then K
+                k = len(logp) // N  # slots per history in the step before
+                width = min(beam_width, k * V)
                 xw = project(ad.rows(params["emb.token"], seqs[:, t - 1]), params, "dec")
                 h, c = lstm_step(xw, h, c, params, "dec")
                 step_logp = ad.log_softmax(_decoder_logits(model, h, enc_states, bias).data)
-                flat, best, slot = _select((logp[:, None] + step_logp).reshape(N, k * V), K)
-                parent, tok = np.divmod(flat, V)
-                b, eos = parent // k, tok == EOS
-                for i in np.flatnonzero(eos):
-                    pools[b[i]].append((tuple(seqs[parent[i], 1:t].tolist()) + (EOS,),
-                                        float(best[i])))
-                # row b·K + s is slot s of history b; a dead slot keeps a row of its history
-                row = b * K + slot
-                src = history * k
-                src[row] = parent
+                scores = logp[:, None] + step_logp  # [N·k, V]: rows b·k to b·k + k - 1 are b's
+                # kept[b·width + s] is slot s of history b, a flat index into scores
+                kept = _select(scores.reshape(N, k * V), width).ravel()
+                logp = scores.ravel()[kept]
+                src, tok = np.divmod(kept, V)  # each kept entry's row and token
                 seqs = seqs[src]
-                seqs[row, t] = tok
-                logp = np.full(N * K, -np.inf)
-                logp[row] = np.where(eos, -np.inf, best)
+                seqs[:, t] = tok
                 h, c = ad.constant(h.data[src]), ad.constant(c.data[src])
-                if eos.all():
+                done = (logp > -np.inf) & ((tok == EOS) | (t == max_len))
+                for r in np.flatnonzero(done):
+                    pools[r // width].append((tuple(seqs[r, 1:t + 1].tolist()), float(logp[r])))
+                logp[done] = -np.inf
+                if not (logp > -np.inf).any():
                     break
-            for b, pool in enumerate(pools):
-                pool.extend((tuple(seqs[r, 1:t + 1].tolist()), float(logp[r]))
-                            for r in range(b * K, b * K + K) if logp[r] > -np.inf)
+            for pool in pools:
                 best_seq, _ = min(pool, key=lambda p: (-p[1] / len(p[0]) ** LENGTH_ALPHA, p[0]))
                 out.append([i for i in best_seq if i != EOS])
     return out

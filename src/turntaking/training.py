@@ -44,7 +44,7 @@ from .autodiff import PARAM_DTYPES, Adam, ShapeError, TrainingError
 from .corpus import AGENT, USER, Vocabulary, _write_atomic
 
 CHECKPOINT_MAGIC = b"TTCP"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 class CheckpointError(RuntimeError):
@@ -279,7 +279,7 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> Checkpoint:
     header_len = struct.unpack("<I", payload[:4])[0]
     try:
         header = json.loads(bytes(payload[4:4 + header_len]).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"header: undecodable ({e})") from None
     for key in ("arrays", "model", "vocab_hash", "metadata"):
         if not isinstance(header, dict) or key not in header:

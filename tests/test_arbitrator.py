@@ -85,6 +85,18 @@ class TestModel:
         with pytest.raises(ValueError, match="mode"):
             ArbitratorModel(vocab_size=12, mode="hybrid")
 
+    def test_config_names_only_the_encoders_sizes(self):
+        """A TextCNN's config names its filters and not `hidden`; a Bi-GRU's names
+        `hidden` and not the filters. Two models that differ only in a size their
+        encoder never reads have equal configs."""
+        cnn = [ArbitratorModel(**TINY, hidden=h).config() for h in (6, 9)]
+        assert cnn[0] == cnn[1] and "hidden" not in cnn[0]
+        assert {"filter_widths", "filters_per_width"} <= set(cnn[0])
+        gru = [ArbitratorModel(**{**TINY, "filters_per_width": n}, encoder="bigru").config()
+               for n in (4, 7)]
+        assert gru[0] == gru[1] and gru[0]["hidden"] == 128
+        assert not {"filter_widths", "filters_per_width"} & set(gru[0])
+
     def test_config_round_trip(self):
         m = ArbitratorModel(**TINY, encoder="bigru", mode="baseline", hidden=6)
         m2 = model_from_config(m.config())

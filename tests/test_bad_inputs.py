@@ -10,12 +10,27 @@ out, from the part of the pool its type takes (which holds invalid boundary
 values too: 0, -1, nan, inf, repeated or empty filter widths), and then
 appends up to two stray lines: any key, unknown ones included, so a key may be
 set twice, with any value of the pool.
+
+A processed corpus is either read by `stats`, or refused with an error located
+at the line that is wrong: `cli.main` returns 1 and its last line on stderr is
+`error: <path>:<line>: ...`. A small valid file has one dialogue line
+replaced by a mutation from a bounded pool: JSON nested deeper than the
+decoder can recurse, text that is not JSON, a value of the wrong JSON type (or
+of the right one) for `id`, `turn`, `subturn`, `tokens` or `role`, an empty
+`tokens` list, or a reserved token among the tokens.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from turntaking import cli
+from turntaking import corpus as cp
 from turntaking.training import TrainConfig, build_model
 
 FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
@@ -51,3 +66,55 @@ def test_config_text_refused_or_builds(set_keys, stray_lines):
     except ValueError:
         return
     build_model(cfg, 12)
+
+
+DIALOGUES = [cp.Dialogue(str(i), (cp.Utterance(cp.USER, 0, 0, ("hi", "there")),
+                                  cp.Utterance(cp.USER, 0, 1, ("a", "table")),
+                                  cp.Utterance(cp.AGENT, 1, 0, ("sure",))))
+             for i in range(3)]
+NOT_JSON = ["", "{", "not json", '{"id": "0",', "[1, 2", "nan"]
+WRONG = [None, True, 7, -1, 1.5, "x", "agent", [], ["x"], [7], [[]], {}, {"a": 1}]
+MUTATIONS = st.one_of(
+    st.tuples(st.just("deep"), st.just(None)),
+    st.tuples(st.just("not_json"), st.sampled_from(NOT_JSON)),
+    st.tuples(st.sampled_from(["id", "turn", "subturn", "tokens", "role"]),
+              st.sampled_from(WRONG)),
+    st.tuples(st.just("empty_tokens"), st.just(None)),
+    st.tuples(st.just("reserved_token"), st.sampled_from(cp.RESERVED_TOKENS)),
+)
+
+
+def _mutated(line: str, kind: str, value, utt: int) -> str:
+    """The dialogue line with one mutation; utt picks the utterance a field one edits."""
+    if kind == "deep":
+        return "[" * 100_000 + "]" * 100_000
+    if kind == "not_json":
+        return value
+    rec = json.loads(line)
+    u = rec["utterances"][utt]
+    if kind == "id":
+        rec["id"] = value
+    elif kind == "empty_tokens":
+        u["tokens"] = []
+    elif kind == "reserved_token":
+        u["tokens"].insert(1, value)
+    else:
+        u[kind] = value
+    return json.dumps(rec)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, len(DIALOGUES) + 1), MUTATIONS, st.integers(0, 2))
+def test_processed_corpus_read_or_refused_at_its_line(line_no, mutation, utt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "processed.jsonl"
+        cp.write_processed(DIALOGUES, path, header={"seed": 0})
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = _mutated(lines[line_no - 1], *mutation, utt)
+        path.write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["stats", "--data", str(path)])
+    if code != 0:
+        assert code == 1
+        assert err.getvalue().splitlines()[-1].startswith(f"error: {path}:{line_no}: ")

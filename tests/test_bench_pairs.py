@@ -193,3 +193,18 @@ class TestInformation:
         assert tail[1].split() == ["round_cpu_s", "0.6", "->", "0.25", "(3,", "2)"]
         assert tail[2].split() == ["imaginator_valid_bleu", "0.12", "->", "0.125", "(3,", "2)"]
         assert not any(w in line for line in tail for w in ("holds", "not met", "bound"))
+
+    def test_src_lines_read_from_the_facts_line_and_shown_per_side(self):
+        """A simplicity change shows its line count beside its no-regression verdict."""
+        def output(lines):
+            facts = {"git_commit": "abc", "src_lines": lines, "threads": {}}
+            return _OUTPUT + f"  facts {json.dumps(facts, sort_keys=True)}\n"
+
+        assert bench_pairs.named_values(output(3754))["src_lines"] == 3754
+        assert "src_lines" not in bench_pairs.named_values(_OUTPUT)
+        pairs = [({**_run(1.0), "info": bench_pairs.named_values(output(3754))},
+                  {**_run(1.0), "info": bench_pairs.named_values(output(3741))})] * 2
+        text = bench_pairs.render(bench_pairs.summarize(pairs, METRICS), [],
+                                  bench_pairs.info_rows(pairs))
+        tail = text.split("information")[1].splitlines()
+        assert tail[-1].split() == ["src_lines", "3754", "->", "3741", "(2,", "2)"]

@@ -86,6 +86,22 @@ class TestIngest:
         assert [u.role for u in d.utterances] == [cp.USER, cp.AGENT]
         assert d.utterances[0].tokens == ("hello", "anyone", "there", "?")
 
+    @pytest.mark.parametrize("fmt", ["multiwoz-like", "generic-jsonl"])
+    def test_deep_nesting_is_an_error_with_locator(self, tmp_path, fmt):
+        """JSON nested deeper than the decoder can recurse is refused where it stands,
+        not left to escape as a RecursionError."""
+        deep = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "raw"
+        if fmt == "multiwoz-like":
+            path.write_text(deep)
+            want = f"{path}: not valid JSON ("
+        else:
+            path.write_text('{"id": "y", "utterances": [{"role": "user", "text": "hi"}]}\n'
+                            + deep + "\n")
+            want = f"{path}:2: bad JSON ("
+        with pytest.raises(cp.IngestError, match=f"^{re.escape(want)}"):
+            cp.ingest_source(path, fmt)
+
     def test_empty_utterance_is_an_error_with_locator(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(json.dumps([{"id": "bad1", "turns": [
@@ -624,7 +640,7 @@ class TestFiles:
         assert header["seed"] == 3
         assert back == ds
 
-    @pytest.mark.parametrize("kind", ["bad_json", "missing_key", "invalid_record",
+    @pytest.mark.parametrize("kind", ["bad_json", "deep_json", "missing_key", "invalid_record",
                                       "string_tokens", "int_id", "list_id", "float_turn",
                                       "bool_subturn", "reserved_token"])
     @pytest.mark.parametrize("write, read", [(cp.write_processed, cp.read_processed)],
@@ -638,6 +654,9 @@ class TestFiles:
         rec = json.loads(lines[2])
         if kind == "bad_json":
             lines[2] = lines[2][:-1]
+            want = f"{path}:3: bad JSON"
+        elif kind == "deep_json":  # deeper than the decoder can recurse
+            lines[2] = "[" * 100_000 + "]" * 100_000
             want = f"{path}:3: bad JSON"
         elif kind == "missing_key":
             del rec["utterances"]

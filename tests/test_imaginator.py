@@ -3,9 +3,11 @@
 Training and decoding share one forward implementation. The scalar-loop
 forward in tests/oracles/search_oracle.py referees it under teacher forcing
 and is the ground truth for beam search; a batch of histories is pinned to
-decoding each history alone, at every width.
+decoding each history alone, at every width. The search is also held to a
+frozen table of an earlier search's outputs (tests/oracles/search_table.py).
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +20,7 @@ from turntaking import imaginator as im
 
 from oracles.decoder_oracle import per_step_teacher_forced_loss
 from oracles.search_oracle import enumerate_best_sequence, scalar_seq2seq_logprobs
+from oracles.search_table import TABLE, decode_case
 
 
 def small_vocab(n_words: int = 6) -> cp.Vocabulary:
@@ -475,26 +478,32 @@ class TestBeamDecode:
             im.beam_decode(m, [enc], beam_width=4, max_len=8)[0]
 
 
+class TestFrozenSearch:
+    def test_equals_the_frozen_table(self):
+        """Every case of the frozen table decodes to the ids recorded for it: widths
+        1 to 8 at V 6-60, batches of 1-8 histories, and all-tied models."""
+        cases = json.loads(TABLE.read_text())
+        assert len(cases) == 200
+        wrong = [case["seed"] for case in cases if decode_case(case) != case["ids"]]
+        assert wrong == []
+
+
 def _select_reference(scores, width):
-    """The top `width` finite entries of every row by sorting it, value descending
-    and then index ascending; the kept entries listed by flat index, with their
-    values and their ranks within the row."""
-    flat, val, rank = [], [], []
-    for r, row in enumerate(scores.tolist()):
-        finite = [j for j, v in enumerate(row) if v > -math.inf]
-        kept = sorted(sorted(finite, key=lambda j: (-row[j], j))[:width])
-        flat += [r * len(row) + j for j in kept]
-        val += [row[j] for j in kept]
-        rank += list(range(len(kept)))
-    return flat, val, rank
+    """The top `width` entries of every row by sorting it, value descending and then
+    index ascending, -inf entries included; each row's kept entries in ascending
+    order, as flat indices into scores."""
+    n = scores.shape[1]
+    return [[r * n + j for j in sorted(sorted(range(n), key=lambda j: (-v[j], j))[:width])]
+            for r, v in enumerate(scores.tolist())]
 
 
 @st.composite
 def score_tables(draw):
-    """A width and a [rows, n] table of few distinct values, so that ties at the cut,
-    rows of -inf and rows with fewer than width finite entries are all common."""
-    width = draw(st.integers(1, 5))
+    """A [rows, n] table of few distinct values and a width of at most n, so that ties
+    at the cut, rows of -inf and rows with fewer than width finite entries are all
+    common."""
     n_rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    width = draw(st.integers(1, min(n, 5)))
     cells = st.sampled_from([-math.inf, -2.5, -0.5, 0.0, 1.5])
     return draw(st.lists(st.lists(cells, min_size=n, max_size=n),
                          min_size=n_rows, max_size=n_rows)), width
@@ -510,11 +519,9 @@ class TestSelect:
     def test_select_is_the_sorted_top_width(self, table):
         rows, width = table
         scores = np.array(rows, dtype=np.float64)
-        flat, val, rank = im._select(scores, width)
-        want_flat, want_val, want_rank = _select_reference(scores, width)
-        assert flat.tolist() == want_flat
-        assert val.tolist() == want_val
-        assert rank.tolist() == want_rank
+        kept = im._select(scores, width)
+        assert kept.shape == (len(rows), width)
+        assert kept.tolist() == _select_reference(scores, width)
 
 
 class TestFullGradient:

@@ -371,8 +371,9 @@ class TestCheckpoint:
 
     def test_unsupported_version_rejected(self, vocab, tmp_path):
         """A later version is refused, and so is a version-4 file, whose model config
-        names the history encoding and whose training config the split fractions, and a
-        version-5 file, whose training config names `clip_norm` and `gru_hidden`."""
+        names the history encoding and whose training config the split fractions, a
+        version-5 file, whose training config names `clip_norm` and `gru_hidden`, and a
+        version-6 file, whose arbitrator configs name every encoder's sizes."""
         path = tmp_path / "a.ckpt"
         save_checkpoint(tiny_imaginator(vocab), path, self.HASH, train_config=TrainConfig())
 
@@ -384,7 +385,8 @@ class TestCheckpoint:
             header["train_config"] += "clip_norm = 5.0\ngru_hidden = 128\n"
 
         for version, edit in ((CHECKPOINT_VERSION + 9, lambda header: None),
-                              (4, as_version_four), (5, as_version_five)):
+                              (4, as_version_four), (5, as_version_five),
+                              (6, lambda header: None)):
             blob = bytearray(self._reframe(path, edit).read_bytes())
             blob[4:8] = struct.pack("<I", version)
             bad = tmp_path / "bad.ckpt"
@@ -415,6 +417,18 @@ class TestCheckpoint:
         out.write_bytes(blob[:8] + hashlib.sha256(payload).digest()
                         + struct.pack("<Q", len(payload)) + payload)
         return out
+
+    def test_deep_header_rejected(self, vocab, tmp_path):
+        """A header nested deeper than the decoder can recurse, in a frame whose digest
+        is correct, is undecodable, not a RecursionError."""
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_imaginator(vocab), path, self.HASH)
+        head = b"[" * 100_000 + b"]" * 100_000
+        payload = struct.pack("<I", len(head)) + head
+        path.write_bytes(path.read_bytes()[:8] + hashlib.sha256(payload).digest()
+                         + struct.pack("<Q", len(payload)) + payload)
+        with pytest.raises(CheckpointError, match=r"^header: undecodable \(maximum recursion"):
+            load_checkpoint(path)
 
     def test_version_one_rejected(self, vocab, tmp_path):
         path = tmp_path / "a.ckpt"
